@@ -129,8 +129,21 @@ def lamina_centroid(p: Polygon) -> Point2:
 
 
 def _distance_sums(p: Polygon) -> list[float]:
-    vs = p.vertices
-    return [sum(v.distance_to(w) for w in vs) for v in vs]
+    """Sum of distances from each vertex to all vertices.
+
+    Each pairwise distance is measured once and stored in both rows; rows
+    are summed in index order, so the sums match summing v.distance_to(w)
+    over w bit for bit.
+    """
+    n = p.n
+    xs = [v.x for v in p.vertices]
+    ys = [v.y for v in p.vertices]
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        xi, yi, row = xs[i], ys[i], rows[i]
+        for j in range(i + 1, n):
+            row[j] = rows[j][i] = math.hypot(xi - xs[j], yi - ys[j])
+    return [sum(row) for row in rows]
 
 
 def _f_first_vertex_is_medoid(p: Polygon) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegenerateVertex, ParityMismatch
-from .framework import CenterFunction, VertexCenterFunction
+from .framework import CenterFunction, VertexCenterFunction, cyclic_values
 from .geometry import Polygon, distance_matrix, is_convex, is_nondegenerate, signed_area
 
 # Cyclic values within this band (relative, floored at unit scale) coincide.
@@ -92,11 +92,8 @@ def coincidence(
     unit scale so value sets hovering at zero (e.g. right-angle cosines)
     compare absolutely instead of blowing up.
     """
-    if isinstance(fg, VertexCenterFunction):
-        values = tuple(fg.evaluate(p.shifted(k)) for k in range(p.n))
-    else:
-        D = distance_matrix(p)
-        values = tuple(fg.evaluate(D.rotated(k)) for k in range(D.n))
+    x = p if isinstance(fg, VertexCenterFunction) else distance_matrix(p)
+    values = cyclic_values(fg, x)
     largest = max(abs(v) for v in values)
     spread = (max(values) - min(values)) / max(1.0, largest)
     return CoincidenceReport(values, spread <= tol, spread)

@@ -13,6 +13,14 @@ satisfy the analogues of (1) and (2); motion invariance is automatic.
 Evaluating a function on all n cyclic shifts of its input yields projective
 coordinates. Normalizing those to sum 1 gives weights, and the weighted
 vertex combination is the point the function designates.
+
+A domain guard must be invariant under cyclic relabeling: its answer on the
+input holds for every shift. `cyclic_values`, the one kernel behind both
+coordinate maps and the coincidence probes, therefore checks the guard once
+per map, on the input as given, and then evaluates all n shifts. An input
+on which a numerically fragile guard would answer differently for different
+shifts (a near-collinear or near-infeasible matrix under the
+reconstruction-based `perimeter` guard) is decided by the unshifted input.
 """
 
 from __future__ import annotations
@@ -43,9 +51,25 @@ SLOPE_TOL = 1e-6
 _SCALES = (0.5, 1.0, 2.0, 4.0)
 
 
+def _check_domain(fg: "CenterFunction", x: object, what: str) -> None:
+    if fg.domain_guard is not None and not fg.domain_guard(x):
+        note = f" ({fg.domain_note})" if fg.domain_note else ""
+        raise DomainViolation(f"{fg.name}: {what} outside domain{note}")
+
+
+def _finite(fg: "CenterFunction", value: float) -> float:
+    if not math.isfinite(value):
+        raise EvalError(f"{fg.name}: non-finite value {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class VertexCenterFunction:
-    """A named evaluator on polygons with an optional domain guard."""
+    """A named evaluator on polygons with an optional domain guard.
+
+    The guard must give the same answer on every cyclic shift of a polygon;
+    coordinate maps check it once per map.
+    """
 
     name: str
     evaluator: Callable[[Polygon], float]
@@ -53,18 +77,17 @@ class VertexCenterFunction:
     domain_note: str = ""
 
     def evaluate(self, p: Polygon) -> float:
-        if self.domain_guard is not None and not self.domain_guard(p):
-            note = f" ({self.domain_note})" if self.domain_note else ""
-            raise DomainViolation(f"{self.name}: polygon outside domain{note}")
-        value = self.evaluator(p)
-        if not math.isfinite(value):
-            raise EvalError(f"{self.name}: non-finite value {value!r}")
-        return value
+        _check_domain(self, p, "polygon")
+        return _finite(self, self.evaluator(p))
 
 
 @dataclass(frozen=True)
 class LengthCenterFunction:
-    """A named evaluator on distance matrices with an optional domain guard."""
+    """A named evaluator on distance matrices with an optional domain guard.
+
+    The guard must give the same answer on every cyclic rotation of a
+    matrix; coordinate maps check it once per map.
+    """
 
     name: str
     evaluator: Callable[[DistanceMatrix], float]
@@ -72,13 +95,8 @@ class LengthCenterFunction:
     domain_note: str = ""
 
     def evaluate(self, D: DistanceMatrix) -> float:
-        if self.domain_guard is not None and not self.domain_guard(D):
-            note = f" ({self.domain_note})" if self.domain_note else ""
-            raise DomainViolation(f"{self.name}: distances outside domain{note}")
-        value = self.evaluator(D)
-        if not math.isfinite(value):
-            raise EvalError(f"{self.name}: non-finite value {value!r}")
-        return value
+        _check_domain(self, D, "distances")
+        return _finite(self, self.evaluator(D))
 
 
 CenterFunction = Union[VertexCenterFunction, LengthCenterFunction]
@@ -149,20 +167,39 @@ class AxiomReport:
 # ------------------------------------------------------------ coordinate maps
 
 
+def cyclic_values(
+    fg: CenterFunction, x: Union[Polygon, DistanceMatrix]
+) -> tuple[float, ...]:
+    """Entry k is fg evaluated on x relabeled to start at vertex k.
+
+    Equal to fg.evaluate on x.shifted(k) (vertex functions) or x.rotated(k)
+    (length functions) for k = 0..n-1, with the same errors, except that the
+    domain guard runs once, on x as given.
+    """
+    if isinstance(fg, VertexCenterFunction):
+        _check_domain(fg, x, "polygon")
+        relabelings = (x.shifted(k) for k in range(x.n))
+    else:
+        _check_domain(fg, x, "distances")
+        relabelings = x.rotations()
+    evaluator = fg.evaluator
+    return tuple(_finite(fg, evaluator(y)) for y in relabelings)
+
+
+def _projective(fg: CenterFunction, values: tuple[float, ...]) -> ProjectiveCoords:
+    if all(v == 0.0 for v in values):
+        raise AllZero(f"{fg.name}: every cyclic evaluation is zero")
+    return ProjectiveCoords(values)
+
+
 def coordinate_map_vertex(f: VertexCenterFunction, p: Polygon) -> ProjectiveCoords:
     """Entry k is f evaluated on the vertex cycle read from vertex k."""
-    values = tuple(f.evaluate(p.shifted(k)) for k in range(p.n))
-    if all(v == 0.0 for v in values):
-        raise AllZero(f"{f.name}: every cyclic evaluation is zero")
-    return ProjectiveCoords(values)
+    return _projective(f, cyclic_values(f, p))
 
 
 def coordinate_map_length(g: LengthCenterFunction, D: DistanceMatrix) -> ProjectiveCoords:
     """Entry k is g evaluated on the matrix reindexed to start at vertex k."""
-    values = tuple(g.evaluate(D.rotated(k)) for k in range(D.n))
-    if all(v == 0.0 for v in values):
-        raise AllZero(f"{g.name}: every cyclic evaluation is zero")
-    return ProjectiveCoords(values)
+    return _projective(g, cyclic_values(g, D))
 
 
 def normalize(coords: ProjectiveCoords) -> BarycentricWeights:

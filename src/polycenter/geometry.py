@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainViolation
 
@@ -267,6 +268,21 @@ class DistanceMatrix:
                 for i in range(n)
             )
         )
+
+    def rotations(self) -> Iterator["DistanceMatrix"]:
+        """rotated(0), ..., rotated(n-1), sliced from doubled rows.
+
+        They are not revalidated: a rotation of a valid matrix is still
+        square, finite, nonnegative, zero on the diagonal and symmetric.
+        """
+        n = self.n
+        doubled = [row + row for row in self.d] * 2
+        for k in range(n):
+            rotation = object.__new__(DistanceMatrix)
+            object.__setattr__(
+                rotation, "d", tuple(row[k:k + n] for row in doubled[k:k + n])
+            )
+            yield rotation
 
     def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input."""

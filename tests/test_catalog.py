@@ -5,6 +5,7 @@ import pytest
 
 from polycenter.catalog import (
     CATALOG,
+    _distance_sums,
     centroid_vertices,
     lamina_centroid,
     lamina_centroid_direct,
@@ -203,6 +204,16 @@ def test_medoid_matches_brute_force():
         assert medoid(p) == ranked[0]
         checked += 1
     assert checked > 40
+
+
+def test_distance_sums_match_row_by_row_sums_bitwise():
+    rng = random.Random(11)
+    for n in (3, 8, 32, 128):
+        p = random_polygon(rng, n, min_separation=0.0)
+        for k in range(0, n, max(1, n // 8)):
+            q = p.shifted(k)
+            expected = [sum(v.distance_to(w) for w in q.vertices) for v in q.vertices]
+            assert _distance_sums(q) == expected
 
 
 # ------------------------------------------------------------- circumcenter

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import re
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polycenter
 from polycenter.cli import _rounded, main
 from polycenter.documents import read_document
 
@@ -380,9 +385,26 @@ def test_rounding_helper():
     assert _rounded([1.23456789, {"x": 2.0}], 4) == [1.235, {"x": 2.0}]
 
 
+def _console_script_target(name):
+    """The "module:function" target of a [project.scripts] entry."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    match = re.search(rf'^{name}\s*=\s*"([^"]+)"\s*$', section, re.MULTILINE)
+    assert match, f"no [project.scripts] entry for {name}"
+    return match.group(1)
+
+
 def test_console_script_help():
+    # Runs the console script's target the way its installed wrapper does,
+    # so the test does not depend on the package being installed.
+    module, attr = _console_script_target("polycenter").split(":")
+    src = str(Path(polycenter.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        ["polycenter", "--help"], capture_output=True, text=True
+        [sys.executable, "-c",
+         f"import sys; from {module} import {attr}; sys.exit({attr}())", "--help"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "center" in proc.stdout and "reconstruct" in proc.stdout
