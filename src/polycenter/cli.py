@@ -4,7 +4,7 @@ Subcommands: center, coords, check-axioms, characterize, reconstruct,
 plot. Exit codes are stable and documented in the README:
 
 * 0 — success
-* 2 — input or parse error (files, schema, expression syntax)
+* 2 — input or parse error (files, schema, expression syntax, flag values)
 * 3 — domain violation (ties, collinearity, infeasible distances, ...)
 * 4 — coordinate map undefined (all-zero or zero-sum coordinates)
 * 5 — iteration budget exhausted without convergence
@@ -20,9 +20,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Optional
+from typing import Callable, Optional
 
-from .catalog import CATALOG, medoid
+from .catalog import CATALOG, CatalogEntry, medoid
 from .characterization import COINCIDENCE_TOL, characterize
 from .documents import (
     PolygonDocument,
@@ -30,7 +30,7 @@ from .documents import (
     read_document,
     write_document,
 )
-from .dsl import evaluate, parse
+from .dsl import center_function, parse
 from .errors import (
     AxiomViolation,
     CoordinateMapError,
@@ -41,14 +41,8 @@ from .errors import (
     NoConvergence,
     PolycenterError,
 )
-from .framework import (
-    LengthCenterFunction,
-    coordinate_map_length,
-    coordinate_map_vertex,
-    normalize,
-    verify_axioms,
-)
-from .geometry import Polygon, distance_matrix
+from .framework import coordinate_map, normalize, verify_axioms
+from .geometry import Polygon
 from .optim import chebyshev_center, geometric_median
 from .reconstruction import reconstruct
 from .sampling import random_convex_polygon, random_polygon
@@ -104,6 +98,13 @@ def _known_names() -> str:
     return ", ".join(list(CATALOG) + list(_SOLVER_NAMES))
 
 
+def _catalog_entry(name: Optional[str]) -> CatalogEntry:
+    entry = CATALOG.get(name or "")
+    if entry is None:
+        raise _UsageError(f"unknown center {name!r} (choose from {_known_names()})")
+    return entry
+
+
 def compute_record(
     p: Polygon,
     name: Optional[str] = None,
@@ -113,18 +114,10 @@ def compute_record(
     seed: int = 0,
 ) -> CenterRecord:
     """One CenterRecord for a catalog name, a solver name, or an expression."""
+    extras: tuple[tuple[str, object], ...] = ()
     if expr is not None:
-        pc = parse(expr)
-        g = LengthCenterFunction(pc.source, lambda D: evaluate(pc, D))
-        coords = coordinate_map_length(g, distance_matrix(p))
-        weights = normalize(coords)
-        return CenterRecord(
-            name=pc.source,
-            projective=coords,
-            weights=weights,
-            point=weights.combine(p),
-        )
-    if name == "median":
+        fg = center_function(parse(expr))
+    elif name == "median":
         result = geometric_median(p, tol=tol, max_iter=max_iter)
         extra: list[tuple[str, object]] = [
             ("iterations", result.iterations),
@@ -133,7 +126,7 @@ def compute_record(
         if result.at_vertex is not None:
             extra.append(("at_vertex", result.at_vertex + 1))
         return CenterRecord(name="median", point=result.point, extra=tuple(extra))
-    if name == "chebyshev":
+    elif name == "chebyshev":
         circle = chebyshev_center(p, seed=seed)
         return CenterRecord(
             name="chebyshev",
@@ -143,21 +136,14 @@ def compute_record(
                 ("support", [k + 1 for k in circle.support]),
             ),
         )
-    entry = CATALOG.get(name or "")
-    if entry is None:
-        raise _UsageError(f"unknown center {name!r} (choose from {_known_names()})")
-
-    extras: tuple[tuple[str, object], ...] = ()
-    if name == "medoid":
-        extras = (("vertex", medoid(p) + 1),)  # raises Tie before any output
-
-    if entry.kind == "vertex":
-        coords = coordinate_map_vertex(entry.function, p)
     else:
-        coords = coordinate_map_length(entry.function, distance_matrix(p))
+        fg = _catalog_entry(name).function
+        if name == "medoid":
+            extras = (("vertex", medoid(p) + 1),)  # raises Tie before any output
+    coords = coordinate_map(fg, p)
     weights = normalize(coords)
     return CenterRecord(
-        name=entry.name,
+        name=fg.name,
         projective=coords,
         weights=weights,
         point=weights.combine(p),
@@ -193,43 +179,24 @@ def _cmd_coords(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
+    make = random_polygon
     if args.expr is not None:
-        pc = parse(args.expr)
-        fg = LengthCenterFunction(pc.source, lambda D: evaluate(pc, D))
-        label = pc.source
-        sampler = lambda rng: random_polygon(rng, args.n)  # noqa: E731
+        fg = center_function(parse(args.expr))
     else:
         if args.name in _SOLVER_NAMES:
             raise _UsageError(
                 f"{args.name} is a solver, not a center function; "
                 "axiom checks apply to catalog names and expressions"
             )
-        entry = CATALOG.get(args.name or "")
-        if entry is None:
-            raise _UsageError(
-                f"unknown center {args.name!r} (choose from {_known_names()})"
-            )
+        entry = _catalog_entry(args.name)
         fg = entry.function
-        label = entry.name
         if entry.convex_only:
-            sampler = lambda rng: random_convex_polygon(rng, args.n)  # noqa: E731
-        else:
-            sampler = lambda rng: random_polygon(rng, args.n)  # noqa: E731
+            make = random_convex_polygon
+    sampler = lambda rng: make(rng, args.n)  # noqa: E731
 
     report = verify_axioms(fg, sampler, trials=args.trials, seed=args.seed)
-    _emit(
-        {
-            "name": label,
-            "n": args.n,
-            "trials": args.trials,
-            "relabel_ok": report.relabel_ok,
-            "motion_ok": report.motion_ok,
-            "homogeneity_ok": report.homogeneity_ok,
-            "estimated_degree": report.estimated_degree,
-            "max_violation": report.max_violation,
-        },
-        args.precision,
-    )
+    header = {"name": fg.name, "n": args.n, "trials": args.trials}
+    _emit({**header, **asdict(report)}, args.precision)
     return 0
 
 
@@ -257,8 +224,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     p = read_document(args.file).polygon()
     names = [s.strip() for s in args.centers.split(",") if s.strip()]
     for nm in names:
-        if nm not in CATALOG and nm not in _SOLVER_NAMES:
-            raise _UsageError(f"unknown center {nm!r} (choose from {_known_names()})")
+        if nm not in _SOLVER_NAMES:
+            _catalog_entry(nm)  # raises for an unknown name before anything is drawn
     records = []
     for nm in names:
         try:
@@ -274,6 +241,20 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- entrypoint
 
 
+def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an integer from low to high."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return convert
+
+
 def _add_selection(sp: argparse.ArgumentParser) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", help="catalog center name")
@@ -283,9 +264,9 @@ def _add_selection(sp: argparse.ArgumentParser) -> None:
 def _add_precision(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--precision",
-        type=int,
+        type=_int_in(0, 100),
         default=12,
-        help="significant digits in numeric output (default 12)",
+        help="significant digits in numeric output, 0-100 (default 12)",
     )
 
 
@@ -319,8 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
         "check-axioms", help="verify the defining properties on random inputs"
     )
     _add_selection(sp)
-    sp.add_argument("--n", type=int, default=5, help="polygon size (default 5)")
-    sp.add_argument("--trials", type=int, default=100, help="sample count")
+    sp.add_argument(
+        "--n", type=_int_in(3), default=5, help="polygon size, at least 3 (default 5)"
+    )
+    sp.add_argument(
+        "--trials", type=_int_in(1), default=100, help="sample count, at least 1"
+    )
     sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     _add_precision(sp)
     sp.set_defaults(handler=_cmd_check_axioms)

@@ -36,14 +36,6 @@ class PolygonDocument:
         assert self.distances is not None
         return reconstruct(self.distances).polygon
 
-    def matrix(self) -> DistanceMatrix:
-        if self.distances is not None:
-            return self.distances
-        assert self.vertices is not None
-        from .geometry import distance_matrix
-
-        return distance_matrix(self.vertices)
-
 
 def _number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -17,26 +17,24 @@ Grammar (whitespace-insensitive; precedence pow > unary > mul/div > add/sub):
 literals or n-relative forms like `n-1` and are reduced mod n to 1..n at
 evaluation time. `d(i,i)` is rejected while parsing when the two index
 expressions are structurally identical, and at evaluation when they
-collide after reduction. `perim` sums the n side lengths.
+collide after reduction. `perim` sums the n side lengths. Nesting deeper
+than MAX_DEPTH levels is a syntax error.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
-from .framework import LengthCenterFunction
-from .geometry import DihedralElement, DistanceMatrix, distance_matrix
+from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, axiom_trials
+from .geometry import DistanceMatrix
 from .sampling import random_polygon
 
-# Admission tolerances: reversal-invariance gap (relative) and how far the
-# fitted homogeneity slope may sit from a single natural number.
-ADMIT_REL_TOL = 1e-9
-ADMIT_SLOPE_TOL = 1e-6
-_SCALES = (0.5, 1.0, 2.0, 4.0)
+# Deepest nesting of parentheses, calls, powers and signs the parser
+# accepts; parsing and evaluation recurse once per level.
+MAX_DEPTH = 100
 
 
 # ------------------------------------------------------------------- syntax
@@ -100,8 +98,6 @@ Expr = Union[Const, Dist, Unary, Binary, Aggregate]
 class ParsedCenter:
     expr: Expr
     source: str
-    arity_policy: str  # "fixed-n" | "n-generic"
-    min_n: int
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -160,6 +156,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -191,12 +188,24 @@ class _Parser:
             node = Binary(op, node, self.unary())
         return node
 
+    def descend(self) -> None:
+        """Parse the next operand one level deeper (parenthesis, call, power, sign)."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels", self.peek().pos
+            )
+
     # unary = { ("+"|"-") } power
     def unary(self) -> Expr:
+        depth = self.depth
+        self.descend()
         signs = []
         while self.peek().kind == "op" and self.peek().text in "+-":
             signs.append(self.take().text)
+            self.descend()
         node = self.power()
+        self.depth = depth
         for s in reversed(signs):
             if s == "-":
                 node = Unary("neg", node)
@@ -277,33 +286,7 @@ def parse(source: str) -> ParsedCenter:
     end = parser.take()
     if end.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing {end.text!r}", end.pos)
-
-    literals: list[int] = []
-    symbolic = False
-
-    def walk(e: Expr) -> None:
-        nonlocal symbolic
-        if isinstance(e, Dist):
-            for idx in (e.i, e.j):
-                if idx.base == "literal":
-                    literals.append(idx.offset)
-                else:
-                    symbolic = True
-        elif isinstance(e, Unary):
-            walk(e.arg)
-        elif isinstance(e, Binary):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Aggregate):
-            for a in e.args:
-                walk(a)
-
-    walk(node)
-    min_n = max([3] + literals)
-    # fixed-n: the expression names specific vertex slots and nothing ties
-    # them to n; everything else evaluates uniformly at any size
-    policy = "fixed-n" if literals and not symbolic else "n-generic"
-    return ParsedCenter(node, source, policy, min_n)
+    return ParsedCenter(node, source)
 
 
 # ------------------------------------------------------------------ printer
@@ -424,65 +407,61 @@ def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> fl
 # ----------------------------------------------------------------- admission
 
 
+def center_function(pc: ParsedCenter) -> LengthCenterFunction:
+    """The length center function that evaluates pc; checks no axiom."""
+    return LengthCenterFunction(pc.source, lambda D: evaluate(pc, D))
+
+
 def admit(
     pc: ParsedCenter, n: int, seed: int = 0, trials: int = 64
 ) -> LengthCenterFunction:
-    """Verify reversal-invariance and homogeneity on sampled inputs.
+    """Accept pc as a center function on n-gons, or raise AxiomViolation.
 
-    Matrices are measured from random n-gons; each is checked against its
-    reversal-permuted copy, and against rescaled copies whose log-log slope
-    must agree with a single natural-number degree. Raises AxiomViolation
-    naming the property and carrying a witness; returns the admitted
-    function otherwise.
+    Runs the trials of `verify_axioms` on random n-gons and raises at the
+    first failing trial, naming the property and carrying a witness. On
+    top of them, the slopes of all trials must agree with one
+    natural-number homogeneity degree.
     """
-    rng = random.Random(seed)
-    sigma = DihedralElement.sigma(n).permutation()
+    fg = center_function(pc)
     slopes: list[float] = []
-    for _ in range(trials):
-        D = distance_matrix(random_polygon(rng, n))
-        base = evaluate(pc, D)
-        mirrored = evaluate(pc, D.permuted(sigma))
-        scale = max(abs(base), abs(mirrored), 1.0)
-        if abs(base - mirrored) > ADMIT_REL_TOL * scale:
+    for trial in axiom_trials(fg, lambda rng: random_polygon(rng, n), trials, seed):
+        D = trial.input
+        if trial.relabel_gap() > CHECK_TOL:
             raise AxiomViolation(
                 "relabel-invariance",
                 f"{pc.source!r} distinguishes a matrix from its reversal "
-                f"({base!r} vs {mirrored!r})",
-                witness={"matrix": D, "value": base, "reversed_value": mirrored},
+                f"({trial.base!r} vs {trial.reversed!r})",
+                witness={"matrix": D, "value": trial.base,
+                         "reversed_value": trial.reversed},
             )
-        vals = [evaluate(pc, D.scaled(t)) for t in _SCALES]
-        if any(v == 0.0 for v in vals):
+        if trial.motion_gap() > CHECK_TOL:
+            raise AxiomViolation(
+                "motion-invariance",
+                f"{pc.source!r} changes under a rigid motion "
+                f"({trial.base!r} vs {trial.moved!r})",
+                witness={"matrix": D, "value": trial.base, "moved_value": trial.moved},
+            )
+        fit = trial.slope_fit()
+        if fit is None:
             continue
-        if len({v > 0.0 for v in vals}) != 1:
-            raise AxiomViolation(
-                "homogeneity",
-                f"{pc.source!r} changes sign under rescaling",
-                witness={"matrix": D, "values": tuple(vals)},
+        slope, dev = fit
+        if dev > SLOPE_TOL:
+            # a sign change across scales fits with infinite deviation
+            why = (
+                "changes sign under rescaling" if math.isinf(dev)
+                else f"does not scale as a single power (fit deviation {dev:.3e})"
             )
-        xs = [math.log(t) for t in _SCALES]
-        ys = [math.log(abs(v)) for v in vals]
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-            (x - mx) ** 2 for x in xs
-        )
-        dev = max(abs(y - (my + slope * (x - mx))) for x, y in zip(xs, ys))
-        if dev > ADMIT_SLOPE_TOL:
-            raise AxiomViolation(
-                "homogeneity",
-                f"{pc.source!r} does not scale as a single power "
-                f"(fit deviation {dev:.3e})",
-                witness={"matrix": D, "values": tuple(vals)},
-            )
+            witness = {"matrix": D, "values": trial.scaled}
+            raise AxiomViolation("homogeneity", f"{pc.source!r} {why}", witness=witness)
         slopes.append(slope)
     if slopes:
         mean = sum(slopes) / len(slopes)
         degree = round(mean)
         off = max(abs(s - degree) for s in slopes)
-        if off > ADMIT_SLOPE_TOL or degree < 0:
+        if off > SLOPE_TOL or degree < 0:
             raise AxiomViolation(
                 "homogeneity",
                 f"{pc.source!r} has degree {mean:.6f}, not a natural number",
                 witness={"slopes": tuple(slopes)},
             )
-    return LengthCenterFunction(pc.source, lambda D: evaluate(pc, D))
+    return fg

@@ -26,8 +26,9 @@ reconstruction-based `perimeter` guard) is decided by the unshifted input.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import AllZero, DomainViolation, EvalError, ZeroSum
 from .geometry import (
@@ -35,11 +36,12 @@ from .geometry import (
     DistanceMatrix,
     Point2,
     Polygon,
-    RigidMotion,
+    apply_motion,
     distance_matrix,
     relabel,
 )
 from .reconstruction import reconstruct
+from .sampling import random_rigid_motion
 
 # |sum of coordinates| at or below this fraction of the largest coordinate
 # magnitude means no affine normalization exists.
@@ -51,10 +53,10 @@ SLOPE_TOL = 1e-6
 _SCALES = (0.5, 1.0, 2.0, 4.0)
 
 
-def _check_domain(fg: "CenterFunction", x: object, what: str) -> None:
+def _check_domain(fg: "CenterFunction", x: object) -> None:
     if fg.domain_guard is not None and not fg.domain_guard(x):
         note = f" ({fg.domain_note})" if fg.domain_note else ""
-        raise DomainViolation(f"{fg.name}: {what} outside domain{note}")
+        raise DomainViolation(f"{fg.name}: {fg.reads} outside domain{note}")
 
 
 def _finite(fg: "CenterFunction", value: float) -> float:
@@ -63,40 +65,38 @@ def _finite(fg: "CenterFunction", value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class VertexCenterFunction:
-    """A named evaluator on polygons with an optional domain guard.
-
-    The guard must give the same answer on every cyclic shift of a polygon;
-    coordinate maps check it once per map.
-    """
-
-    name: str
-    evaluator: Callable[[Polygon], float]
-    domain_guard: Optional[Callable[[Polygon], bool]] = None
-    domain_note: str = ""
-
-    def evaluate(self, p: Polygon) -> float:
-        _check_domain(self, p, "polygon")
-        return _finite(self, self.evaluator(p))
+_Input = TypeVar("_Input", Polygon, DistanceMatrix)
 
 
 @dataclass(frozen=True)
-class LengthCenterFunction:
-    """A named evaluator on distance matrices with an optional domain guard.
+class _CenterFunction(Generic[_Input]):
+    """A named evaluator with an optional domain guard.
 
-    The guard must give the same answer on every cyclic rotation of a
-    matrix; coordinate maps check it once per map.
+    The guard must give the same answer on every cyclic relabeling of its
+    input; coordinate maps check it once per map.
     """
 
     name: str
-    evaluator: Callable[[DistanceMatrix], float]
-    domain_guard: Optional[Callable[[DistanceMatrix], bool]] = None
+    evaluator: Callable[[_Input], float]
+    domain_guard: Optional[Callable[[_Input], bool]] = None
     domain_note: str = ""
+    reads: ClassVar[str]
 
-    def evaluate(self, D: DistanceMatrix) -> float:
-        _check_domain(self, D, "distances")
-        return _finite(self, self.evaluator(D))
+    def evaluate(self, x: _Input) -> float:
+        _check_domain(self, x)
+        return _finite(self, self.evaluator(x))
+
+
+class VertexCenterFunction(_CenterFunction[Polygon]):
+    """A center function on polygons."""
+
+    reads = "polygon"
+
+
+class LengthCenterFunction(_CenterFunction[DistanceMatrix]):
+    """A center function on distance matrices."""
+
+    reads = "distances"
 
 
 CenterFunction = Union[VertexCenterFunction, LengthCenterFunction]
@@ -176,11 +176,10 @@ def cyclic_values(
     (length functions) for k = 0..n-1, with the same errors, except that the
     domain guard runs once, on x as given.
     """
+    _check_domain(fg, x)
     if isinstance(fg, VertexCenterFunction):
-        _check_domain(fg, x, "polygon")
         relabelings = (x.shifted(k) for k in range(x.n))
     else:
-        _check_domain(fg, x, "distances")
         relabelings = x.rotations()
     evaluator = fg.evaluator
     return tuple(_finite(fg, evaluator(y)) for y in relabelings)
@@ -202,6 +201,14 @@ def coordinate_map_length(g: LengthCenterFunction, D: DistanceMatrix) -> Project
     return _projective(g, cyclic_values(g, D))
 
 
+def coordinate_map(fg: CenterFunction, p: Polygon) -> ProjectiveCoords:
+    """The coordinate map of fg at p; length functions read distances
+    measured from p."""
+    if isinstance(fg, VertexCenterFunction):
+        return coordinate_map_vertex(fg, p)
+    return coordinate_map_length(fg, distance_matrix(p))
+
+
 def normalize(coords: ProjectiveCoords) -> BarycentricWeights:
     """Scale coordinates to sum 1. Raises ZeroSum when the sum is negligible
     next to the largest coordinate magnitude."""
@@ -213,15 +220,8 @@ def normalize(coords: ProjectiveCoords) -> BarycentricWeights:
 
 
 def geometric_center(fg: CenterFunction, p: Polygon) -> Point2:
-    """The weighted vertex combination designated by the function on p.
-
-    Length-based functions are evaluated on distances measured from p.
-    """
-    if isinstance(fg, VertexCenterFunction):
-        coords = coordinate_map_vertex(fg, p)
-    else:
-        coords = coordinate_map_length(fg, distance_matrix(p))
-    return normalize(coords).combine(p)
+    """The weighted vertex combination designated by the function on p."""
+    return normalize(coordinate_map(fg, p)).combine(p)
 
 
 # ------------------------------------------------------------- lift / lower
@@ -262,106 +262,116 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _slope_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope of log|v| against log t, plus max fit deviation."""
-    xs = [math.log(t) for t in ts]
-    ys = [math.log(abs(v)) for v in vals]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    dev = max(abs(y - (my + slope * (x - mx))) for x, y in zip(xs, ys))
-    return slope, dev
+@dataclass(frozen=True)
+class AxiomTrial:
+    """One sampled input (a polygon, or its distance matrix for length
+    functions) and fg's values on it, its reversal, a moved copy and its
+    rescalings by `_SCALES`."""
+
+    input: Union[Polygon, DistanceMatrix]
+    base: float
+    reversed: float
+    moved: float
+    scaled: tuple[float, ...]
+
+    def relabel_gap(self) -> float:
+        return _relative_gap(self.base, self.reversed)
+
+    def motion_gap(self) -> float:
+        return _relative_gap(self.base, self.moved)
+
+    def slope_fit(self) -> Optional[tuple[float, float]]:
+        """Least-squares slope of log|value| against log t, plus the max
+        fit deviation. None when the function vanishes at some scale
+        (0 = t**k * 0 holds for every k); (nan, inf) when its sign changes.
+        """
+        if any(v == 0.0 for v in self.scaled):
+            return None
+        if len({v > 0.0 for v in self.scaled}) != 1:
+            return math.nan, math.inf
+        xs = [math.log(t) for t in _SCALES]
+        ys = [math.log(abs(v)) for v in self.scaled]
+        mx = sum(xs) / len(xs)
+        my = sum(ys) / len(ys)
+        sxx = sum((x - mx) ** 2 for x in xs)
+        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        slope = sxy / sxx
+        dev = max(abs(y - (my + slope * (x - mx))) for x, y in zip(xs, ys))
+        return slope, dev
+
+
+def axiom_trials(
+    fg: CenterFunction,
+    sampler: Callable[[random.Random], Polygon],
+    trials: int,
+    seed: int,
+) -> Iterator[AxiomTrial]:
+    """The trials behind `verify_axioms` and `dsl.admit`, one at a time, so
+    a caller that stops at a failing trial evaluates nothing further.
+
+    Length functions read rescaled matrices from `DistanceMatrix.scaled`;
+    for the powers of two in `_SCALES` that equals measuring the rescaled
+    polygon bit for bit.
+    """
+    rng = random.Random(seed)
+    is_vertex = isinstance(fg, VertexCenterFunction)
+    for _ in range(trials):
+        p = sampler(rng)
+        moved = apply_motion(random_rigid_motion(rng), p)
+        sigma = DihedralElement.sigma(p.n)
+        if is_vertex:
+            inputs = [p, relabel(sigma, p), moved]
+            inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _SCALES]
+        else:
+            D = distance_matrix(p)
+            inputs = [D, D.permuted(sigma.permutation()), distance_matrix(moved)]
+            inputs += [D.scaled(t) for t in _SCALES]
+        base, rev, mv, *scaled = (fg.evaluate(y) for y in inputs)
+        yield AxiomTrial(inputs[0], base, rev, mv, tuple(scaled))
 
 
 def verify_axioms(
     fg: CenterFunction,
-    sampler: Callable[["random.Random"], Polygon],  # noqa: F821
+    sampler: Callable[[random.Random], Polygon],
     trials: int = 100,
     seed: int = 0,
     tol: float = CHECK_TOL,
 ) -> AxiomReport:
     """Check the defining properties on sampled inputs.
 
-    Per trial: one reversal-relabeling comparison, one random rigid motion
-    comparison, and evaluations at four coordinate scales whose log-log
-    slope estimates the homogeneity degree. Homogeneity passes when every
-    trial's slope sits within SLOPE_TOL of the cross-trial mean and the
-    per-trial fit is equally tight. Trials where the function vanishes
-    contribute nothing to the slope (0 = t**k * 0 holds for every k).
+    Per trial (`axiom_trials`): one reversal-relabeling comparison, one
+    random rigid motion comparison, and evaluations at four coordinate
+    scales whose log-log slope estimates the homogeneity degree.
+    Homogeneity passes when every trial's slope sits within SLOPE_TOL of
+    the cross-trial mean and the per-trial fit is equally tight. Trials
+    where the function vanishes contribute nothing to the slope.
     """
-    import random
-
-    rng = random.Random(seed)
-    is_vertex = isinstance(fg, VertexCenterFunction)
     worst = 0.0
     relabel_ok = True
     motion_ok = True
     slopes: list[float] = []
     fit_devs: list[float] = []
+    for trial in axiom_trials(fg, sampler, trials, seed):
+        relabel_gap, motion_gap = trial.relabel_gap(), trial.motion_gap()
+        worst = max(worst, relabel_gap, motion_gap)
+        relabel_ok = relabel_ok and relabel_gap <= tol
+        motion_ok = motion_ok and motion_gap <= tol
+        fit = trial.slope_fit()
+        if fit is not None:
+            slopes.append(fit[0])
+            fit_devs.append(fit[1])
 
-    for _ in range(trials):
-        p = sampler(rng)
-        base = fg.evaluate(p) if is_vertex else fg.evaluate(distance_matrix(p))
-
-        # (1) reversal relabeling fixing vertex 1
-        if is_vertex:
-            rel = fg.evaluate(relabel(DihedralElement.sigma(p.n), p))
+    # a function that vanished on every sample reveals no degree
+    homogeneity_ok = not slopes
+    degree: Optional[float] = None
+    finite = [s for s in slopes if math.isfinite(s)]
+    if finite:
+        mean = sum(finite) / len(finite)
+        # a sign change left a nan slope and an infinite fit deviation
+        spread = max(fit_devs + [abs(s - mean) for s in finite])
+        homogeneity_ok = spread <= SLOPE_TOL
+        if homogeneity_ok:
+            degree = mean
         else:
-            perm = DihedralElement.sigma(p.n).permutation()
-            rel = fg.evaluate(distance_matrix(p).permuted(perm))
-        gap = _relative_gap(base, rel)
-        worst = max(worst, gap)
-        if gap > tol:
-            relabel_ok = False
-
-        # (3) random rigid motion
-        motion = RigidMotion(
-            rng.uniform(0.0, 2.0 * math.pi),
-            Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
-        )
-        moved = Polygon(tuple(motion.apply(v) for v in p.vertices))
-        mv = fg.evaluate(moved) if is_vertex else fg.evaluate(distance_matrix(moved))
-        gap = _relative_gap(base, mv)
-        worst = max(worst, gap)
-        if gap > tol:
-            motion_ok = False
-
-        # (2) homogeneity across coordinate scales
-        vals = []
-        for t in _SCALES:
-            scaled = Polygon(tuple(v.scaled(t) for v in p.vertices))
-            vals.append(
-                fg.evaluate(scaled) if is_vertex else fg.evaluate(distance_matrix(scaled))
-            )
-        if any(v == 0.0 for v in vals):
-            continue
-        if len({v > 0.0 for v in vals}) != 1:
-            slopes.append(math.nan)
-            fit_devs.append(math.inf)
-            continue
-        slope, dev = _slope_fit(_SCALES, vals)
-        slopes.append(slope)
-        fit_devs.append(dev)
-
-    if slopes:
-        finite = [s for s in slopes if math.isfinite(s)]
-        if not finite:
-            homogeneity_ok = False
-            degree: Optional[float] = None
-        else:
-            mean = sum(finite) / len(finite)
-            spread = max(
-                max(abs(s - mean) for s in slopes) if all(map(math.isfinite, slopes)) else math.inf,
-                max(fit_devs),
-            )
-            homogeneity_ok = spread <= SLOPE_TOL
-            degree = mean if homogeneity_ok else None
-            worst = max(worst, 0.0 if homogeneity_ok else spread)
-    else:
-        # the function vanished on every sample; scaling reveals nothing
-        homogeneity_ok = True
-        degree = None
-
+            worst = max(worst, spread)
     return AxiomReport(relabel_ok, motion_ok, homogeneity_ok, degree, worst)

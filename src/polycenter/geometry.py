@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import DomainViolation
 
 # Cross products smaller than this (relative to the operand magnitudes) are
-# treated as zero when classifying collinearity and edge crossings.
+# treated as zero when testing collinearity.
 COLLINEAR_EPS = 1e-12
 
 
@@ -169,11 +169,6 @@ def relabel(alpha: DihedralElement, p: Polygon) -> Polygon:
     return Polygon(tuple(p.vertices[alpha.apply(i)] for i in range(p.n)))
 
 
-def sigma_of(i: int, n: int) -> int:
-    """The reversal fixing vertex 1, on 0-based indices: i -> (n - i) mod n."""
-    return (-i) % n
-
-
 # ------------------------------------------------------------------ motions
 
 
@@ -269,6 +264,13 @@ class DistanceMatrix:
             )
         )
 
+    @classmethod
+    def _derived(cls, d: tuple[tuple[float, ...], ...]) -> "DistanceMatrix":
+        """Wrap rows derived from a valid matrix, skipping revalidation."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "d", d)
+        return matrix
+
     def rotations(self) -> Iterator["DistanceMatrix"]:
         """rotated(0), ..., rotated(n-1), sliced from doubled rows.
 
@@ -278,16 +280,13 @@ class DistanceMatrix:
         n = self.n
         doubled = [row + row for row in self.d] * 2
         for k in range(n):
-            rotation = object.__new__(DistanceMatrix)
-            object.__setattr__(
-                rotation, "d", tuple(row[k:k + n] for row in doubled[k:k + n])
-            )
-            yield rotation
+            yield self._derived(tuple(row[k:k + n] for row in doubled[k:k + n]))
 
     def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
-        """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input."""
+        """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input;
+        not revalidated, as it reads only entries of this valid matrix."""
         n = self.n
-        return DistanceMatrix(
+        return self._derived(
             tuple(tuple(self.d[perm[i]][perm[j]] for j in range(n)) for i in range(n))
         )
 
@@ -295,7 +294,11 @@ class DistanceMatrix:
         return max(max(row) for row in self.d)
 
     def scaled(self, t: float) -> "DistanceMatrix":
-        return DistanceMatrix(tuple(tuple(t * v for v in row) for row in self.d))
+        """Every entry times t. Raises ValueError unless t is nonnegative
+        and keeps the largest entry finite; the result is not revalidated."""
+        if not (t >= 0.0 and math.isfinite(t * self.max_entry())):
+            raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
+        return self._derived(tuple(tuple(t * v for v in row) for row in self.d))
 
 
 def distance_matrix(p: Polygon) -> DistanceMatrix:
@@ -353,17 +356,7 @@ def cayley_menger_quad(
     return _det(mat)
 
 
-# ------------------------------------------------------------ classification
-
-
-@dataclass(frozen=True)
-class PolygonShape:
-    """Shape summary: degeneracy, simplicity, convexity, signed area."""
-
-    nondegenerate: bool
-    simple: bool
-    convex: bool
-    signed_area: float
+# --------------------------------------------------------- shape predicates
 
 
 def signed_area(p: Polygon) -> float:
@@ -386,55 +379,11 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
     return 1 if cr > 0.0 else -1
 
 
-def _on_segment(a: Point2, b: Point2, q: Point2) -> bool:
-    """Whether q (already collinear with a,b) lies within the segment box."""
-    return (
-        min(a.x, b.x) - COLLINEAR_EPS <= q.x <= max(a.x, b.x) + COLLINEAR_EPS
-        and min(a.y, b.y) - COLLINEAR_EPS <= q.y <= max(a.y, b.y) + COLLINEAR_EPS
-    )
-
-
-def _segments_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
-
-
 def is_nondegenerate(p: Polygon) -> bool:
     vs = p.vertices
     for i in range(p.n):
         for j in range(i + 1, p.n):
             if vs[i].distance_to(vs[j]) == 0.0:
-                return False
-    return True
-
-
-def is_simple(p: Polygon) -> bool:
-    """Whether no two non-adjacent edges intersect.
-
-    Adjacent edges share an endpoint by construction; that contact does not
-    count. Edge pairs are adjacent when their indices differ by 1 mod n.
-    """
-    n = p.n
-    for i in range(n):
-        a, b = p.vertices[i], p.vertex(i + 1)
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            c, dd = p.vertices[j], p.vertex(j + 1)
-            if _segments_intersect(a, b, c, dd):
                 return False
     return True
 
@@ -456,13 +405,6 @@ def is_convex(p: Polygon) -> bool:
             elif o != side:
                 return False
     return True
-
-
-def classify(p: Polygon) -> PolygonShape:
-    nondeg = is_nondegenerate(p)
-    simple = is_simple(p) if nondeg else False
-    convex = is_convex(p) if nondeg else False
-    return PolygonShape(nondeg, simple, convex, signed_area(p))
 
 
 def require_nondegenerate(p: Polygon, what: str = "polygon") -> None:

@@ -199,19 +199,6 @@ def random_equilateral_polygon(
             return p
 
 
-def random_rectangle_family_quad(rng: random.Random) -> Polygon:
-    """A rectangle or a crossed rectangle in general position."""
-    w = rng.uniform(0.5, 3.0)
-    h = rng.uniform(0.5, 3.0)
-    if rng.random() < 0.5:
-        base = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
-    else:
-        # swap the last two corners: the bowtie traversal
-        base = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h)]
-    motion = random_rigid_motion(rng)
-    return Polygon(tuple(motion.apply(Point2(x, y)) for x, y in base))
-
-
 def random_rigid_motion(rng: random.Random, shift: float = 3.0) -> RigidMotion:
     return RigidMotion(
         rng.uniform(0.0, _TWO_PI),

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 from xml.sax.saxutils import escape
 
+from .errors import DocumentError
 from .framework import BarycentricWeights, ProjectiveCoords
 from .geometry import Point2, Polygon
 
@@ -116,5 +117,8 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
 
 def emit_svg(p: Polygon, records: list[CenterRecord], path: str) -> None:
     text = render_svg(p, records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}", path) from exc

@@ -106,6 +106,16 @@ def test_precision_flag_rounds_output(tmp_path, capsys):
     assert json.loads(out)["point"] == [1.0, 1.33]
 
 
+def test_negative_precision_exits_2(tmp_path, capsys):
+    doc = write_doc(tmp_path, "tri.json", TRI345)
+    rc, out, err = invoke(
+        capsys, ["center", doc, "--name", "centroid", "--precision", "-1"]
+    )
+    assert rc == 2 and out == ""
+    assert "argument --precision: must be from 0 to 100, got -1" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ coords
 
 
@@ -268,6 +278,26 @@ def test_check_axioms_reports_violations_with_exit_0(capsys):
     assert data["max_violation"] > 0.01
 
 
+def test_check_axioms_rejects_fewer_than_three_vertices(capsys):
+    rc, out, err = invoke(capsys, ["check-axioms", "--name", "centroid", "--n", "2"])
+    assert rc == 2 and out == ""
+    assert "argument --n: must be at least 3, got 2" in err
+
+
+def test_check_axioms_rejects_zero_trials(capsys):
+    # no trial would report every axiom as holding
+    rc, out, err = invoke(capsys, ["check-axioms", "--expr", "d(1,2)", "--trials", "0"])
+    assert rc == 2 and out == ""
+    assert "argument --trials: must be at least 1, got 0" in err
+
+
+def test_check_axioms_deeply_nested_expression_exits_2(capsys):
+    expr = "(" * 5000 + "d(1,2)" + ")" * 5000
+    rc, out, err = invoke(capsys, ["check-axioms", "--expr", expr])
+    assert rc == 2 and out == ""
+    assert "ExprSyntaxError: expression nests deeper than" in err
+
+
 def test_check_axioms_rejects_solver_names(capsys):
     rc, _, err = invoke(capsys, ["check-axioms", "--name", "chebyshev"])
     assert rc == 2
@@ -372,6 +402,15 @@ def test_plot_unknown_center_exits_2_without_writing(tmp_path, capsys):
     assert rc == 2
     assert "unknown center 'bogus'" in err
     assert not target.exists()
+
+
+def test_plot_unwritable_output_exits_2(tmp_path, capsys):
+    doc = write_doc(tmp_path, "sq.json", SQUARE)
+    target = tmp_path / "missing-dir" / "x.svg"
+    rc, _, err = invoke(capsys, ["plot", doc, "-o", str(target)])
+    assert rc == 2
+    assert err.startswith("polycenter: DocumentError: cannot write")
+    assert len(err.strip().splitlines()) == 1
 
 
 # ------------------------------------------------------------------- misc

@@ -31,7 +31,6 @@ def test_document_requires_exactly_one_payload():
 def test_vertex_document_accessors():
     doc = PolygonDocument("tri", TRI345, None)
     assert doc.polygon() is TRI345
-    assert doc.matrix().d == distance_matrix(TRI345).d
 
 
 def test_matrix_document_reconstructs_a_polygon():

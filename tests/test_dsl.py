@@ -4,14 +4,15 @@ import random
 import pytest
 
 from polycenter.catalog import CATALOG
-from polycenter.dsl import admit, evaluate, parse, to_source
+import polycenter.dsl as dsl
+from polycenter.dsl import MAX_DEPTH, admit, center_function, evaluate, parse, to_source
 from polycenter.errors import (
     AxiomViolation,
     EvalError,
     ExprIndexError,
     ExprSyntaxError,
 )
-from polycenter.framework import coordinate_map_length
+from polycenter.framework import LengthCenterFunction, coordinate_map_length
 from polycenter.geometry import Polygon, distance_matrix
 from polycenter.sampling import random_convex_polygon, random_polygon
 
@@ -148,18 +149,25 @@ def test_parse_print_parse_fixpoint(source):
     assert to_source(second.expr) == printed
 
 
+def test_nesting_deeper_than_the_limit_is_a_syntax_error():
+    assert ev("(" * (MAX_DEPTH - 1) + "d(1,2)" + ")" * (MAX_DEPTH - 1)) == 3.0
+    for source in (
+        "(" * 5000 + "d(1,2)" + ")" * 5000,
+        "-" * 5000 + "d(1,2)",
+        "2^" * 5000 + "2",
+        "sqrt(" * 5000 + "perim" + ")" * 5000,
+    ):
+        with pytest.raises(ExprSyntaxError, match="nests deeper") as err:
+            parse(source)
+        assert err.value.position <= 5 * MAX_DEPTH
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("(" * 5000 + "d(1,2)" + ")" * 5000)
+    assert err.value.position == MAX_DEPTH
+
+
 def test_printer_drops_redundant_parens():
     assert to_source(parse("((2)+(3))").expr) == "2+3"
     assert to_source(parse("d((1),2)").expr) if False else True
-
-
-def test_parsed_center_metadata():
-    assert parse("d(1,2)+d(2,3)").arity_policy == "fixed-n"
-    assert parse("d(1,2)+d(2,3)").min_n == 3
-    assert parse("d(1,6)").min_n == 6
-    assert parse("d(n,1)+d(1,2)").arity_policy == "n-generic"
-    assert parse("perim").arity_policy == "n-generic"
-    assert parse("2+2").arity_policy == "n-generic"
 
 
 # ------------------------------------------------------------- admission
@@ -176,6 +184,52 @@ def test_admit_rejects_single_side():
         admit(parse("d(1,2)"), 5)
     assert err.value.prop == "relabel-invariance"
     assert err.value.witness is not None
+
+
+def test_admit_stops_at_the_first_failing_trial(monkeypatch):
+    # one trial evaluates the input, its reversal, a moved copy and four
+    # rescalings; d(1,2) fails reversal symmetry in the first trial
+    calls = []
+    real = dsl.evaluate
+
+    def counting(pc, D):
+        calls.append(D)
+        return real(pc, D)
+
+    monkeypatch.setattr(dsl, "evaluate", counting)
+    with pytest.raises(AxiomViolation) as err:
+        admit(parse("d(1,2)"), 5)
+    assert err.value.prop == "relabel-invariance"
+    assert 0 < len(calls) <= 7
+
+
+def test_admit_rejects_motion_dependence():
+    # reversal swaps the two factors of a commutative product, so only a
+    # rigid motion moves the rounding residue this expression amplifies
+    with pytest.raises(AxiomViolation) as err:
+        admit(parse("(sqrt(d(n,1)*d(1,2))^2-d(n,1)*d(1,2))*10^12"), 5)
+    assert err.value.prop == "motion-invariance"
+    assert set(err.value.witness) == {"matrix", "value", "moved_value"}
+
+
+def test_admit_witness_keys():
+    with pytest.raises(AxiomViolation) as err:
+        admit(parse("d(1,2)"), 5)
+    assert set(err.value.witness) == {"matrix", "value", "reversed_value"}
+    with pytest.raises(AxiomViolation) as err:
+        admit(parse("d(n,1)+d(1,2)+d(n,1)^2+d(1,2)^2"), 5)
+    assert set(err.value.witness) == {"matrix", "values"}
+    with pytest.raises(AxiomViolation) as err:
+        admit(parse("sqrt(perim)"), 5)
+    assert set(err.value.witness) == {"slopes"}
+
+
+def test_center_function_evaluates_the_expression():
+    pc = parse("d(n,1)*d(1,2)")
+    g = center_function(pc)
+    assert isinstance(g, LengthCenterFunction) and g.name == pc.source
+    D = distance_matrix(random_polygon(random.Random(4), 6))
+    assert g.evaluate(D) == evaluate(pc, D)
 
 
 def test_admit_full_perimeter():
@@ -239,9 +293,7 @@ def test_slot_shifted_circumcenter_weight_is_rejected():
 def test_parsed_g1_matches_builtin_coordinates_exactly():
     pc = parse("d(n,1)+d(1,2)")
     rng = random.Random(3)
-    from polycenter.framework import LengthCenterFunction
-
-    g = LengthCenterFunction("parsed", lambda D: evaluate(pc, D))
+    g = center_function(pc)
     for _ in range(50):
         # Convex samples: the built-in perimeter entry guards its domain.
         p = random_convex_polygon(rng, rng.randrange(3, 9))

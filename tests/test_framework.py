@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from polycenter.catalog import CATALOG
+from polycenter.dsl import center_function, parse
 from polycenter.errors import AllZero, DomainViolation, EvalError, ZeroSum
 from polycenter.framework import (
     BarycentricWeights,
     LengthCenterFunction,
     ProjectiveCoords,
     VertexCenterFunction,
+    coordinate_map,
     coordinate_map_length,
     coordinate_map_vertex,
     geometric_center,
@@ -121,6 +124,13 @@ def test_geometric_center_vertex_and_length_routes():
     assert geometric_center(g, TRI345).as_tuple() == pytest.approx((1.0, 1.5))
 
 
+def test_coordinate_map_measures_distances_for_length_functions():
+    f = VertexCenterFunction("opposite-side", f_opposite_side)
+    assert coordinate_map(f, TRI345) == coordinate_map_vertex(f, TRI345)
+    g = LengthCenterFunction("adjacent", g_adjacent)
+    assert coordinate_map(g, TRI345) == coordinate_map_length(g, distance_matrix(TRI345))
+
+
 # -------------------------------------------------------------- lift / lower
 
 
@@ -182,3 +192,39 @@ def test_verify_axioms_flags_inhomogeneity():
     )
     report = verify_axioms(f, lambda rng: random_polygon(rng, 5), trials=40)
     assert not report.homogeneity_ok
+
+
+# Reports recorded before the axiom trials were shared with `admit`; the
+# sampling stream, the motion draws and every value must stay the same.
+PINNED_REPORTS = [
+    (
+        CATALOG["perimeter"].function, random_convex_polygon, 5, 3,
+        "AxiomReport(relabel_ok=True, motion_ok=True, homogeneity_ok=True, "
+        "estimated_degree=1.0, max_violation=2.6175429475179426e-16)",
+    ),
+    (
+        CATALOG["lamina"].function, random_convex_polygon, 6, 2,
+        "AxiomReport(relabel_ok=True, motion_ok=True, homogeneity_ok=True, "
+        "estimated_degree=2.0, max_violation=8.154922304610085e-16)",
+    ),
+    (
+        center_function(parse("d(n,1)*d(1,2)")), random_polygon, 6, 1,
+        "AxiomReport(relabel_ok=True, motion_ok=True, homogeneity_ok=True, "
+        "estimated_degree=2.0, max_violation=3.684160979962305e-16)",
+    ),
+    (
+        center_function(parse("d(1,2)+1")), random_polygon, 5, 0,
+        "AxiomReport(relabel_ok=False, motion_ok=True, homogeneity_ok=False, "
+        "estimated_degree=None, max_violation=0.6342819672740858)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fg, make, n, seed, expected",
+    PINNED_REPORTS,
+    ids=["perimeter", "lamina", "product", "inhomogeneous"],
+)
+def test_verify_axioms_reports_are_pinned(fg, make, n, seed, expected):
+    report = verify_axioms(fg, lambda rng: make(rng, n), trials=20, seed=seed)
+    assert repr(report) == expected

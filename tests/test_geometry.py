@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from polycenter.framework import _SCALES
 from polycenter.geometry import (
     DihedralElement,
     DistanceMatrix,
@@ -13,13 +14,10 @@ from polycenter.geometry import (
     Similarity,
     apply_motion,
     cayley_menger_quad,
-    classify,
     distance_matrix,
     is_convex,
     is_nondegenerate,
-    is_simple,
     relabel,
-    sigma_of,
     signed_area,
 )
 
@@ -111,8 +109,9 @@ def test_dihedral_inverse_and_relations(n):
 def test_sigma_fixes_vertex_one_and_reverses():
     # 1-based: sigma(1) = 1, sigma(k) = n + 2 - k
     for n in (3, 4, 5, 8):
-        assert sigma_of(0, n) == 0
-        assert [sigma_of(i, n) for i in range(n)] == [0] + list(range(n - 1, 0, -1))
+        sigma = DihedralElement.sigma(n)
+        assert sigma.apply(0) == 0
+        assert [sigma.apply(i) for i in range(n)] == [0] + list(range(n - 1, 0, -1))
 
 
 def test_relabel_rotation_and_reflection():
@@ -182,6 +181,40 @@ def test_scaled_matrix():
     assert D.d[0][1] == 6.0 and D.d[1][2] == 10.0
 
 
+def test_derived_matrices_pass_validation():
+    rng = random.Random(12)
+    for n in (3, 6, 9):
+        p = Polygon.from_pairs(
+            [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+        )
+        D = distance_matrix(p)
+        perm = DihedralElement(n, rng.randrange(n), True).permutation()
+        for derived in (D.permuted(perm), D.scaled(rng.uniform(0.0, 5.0)), D.scaled(0.0)):
+            assert DistanceMatrix.from_rows(derived.d).d == derived.d
+
+
+def test_scaled_matrix_equals_measuring_the_scaled_polygon():
+    # the axiom checks rescale matrices instead of re-measuring polygons
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randrange(3, 9)
+        p = Polygon.from_pairs(
+            [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+        )
+        D = distance_matrix(p)
+        for t in _SCALES:
+            measured = distance_matrix(Polygon(tuple(v.scaled(t) for v in p.vertices)))
+            assert D.scaled(t).d == measured.d
+
+
+def test_scaled_matrix_rejects_bad_factors():
+    D = distance_matrix(TRI345)  # 3 * 1e308 overflows
+    for t in (-1.0, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError):
+            D.scaled(t)
+    assert D.scaled(1e307).d[1][2] == 5e307
+
+
 # ----------------------------------------------------------- cayley-menger
 
 
@@ -241,29 +274,24 @@ def test_signed_area_orientation():
 
 
 def test_classify_square():
-    shape = classify(SQUARE)
-    assert shape.nondegenerate and shape.simple and shape.convex
+    assert is_nondegenerate(SQUARE) and is_convex(SQUARE)
 
 
 def test_classify_mountain_profile():
-    # the valley vertex sits exactly on the closing base edge, so the
-    # boundary touches itself: non-degenerate but not (strictly) simple
-    shape = classify(MOUNTAIN)
-    assert shape.nondegenerate and not shape.simple and not shape.convex
+    # the valley vertex sits exactly on the closing base edge
+    assert is_nondegenerate(MOUNTAIN) and not is_convex(MOUNTAIN)
 
 
 def test_classify_lifted_valley_is_simple():
     p = Polygon.from_pairs(
         [(0, 0), (0.5, 0.9), (1, 0.2), (1.5, 0.9), (2, 0)]
     )
-    shape = classify(p)
-    assert shape.nondegenerate and shape.simple and not shape.convex
+    assert is_nondegenerate(p) and not is_convex(p)
 
 
 def test_classify_pentagram():
     star = regular(5, winding=2)
     assert is_nondegenerate(star)
-    assert not is_simple(star)
     assert not is_convex(star)
 
 
