@@ -8,7 +8,6 @@ points without going through coordinate maps and serve as cross-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,6 +21,7 @@ from .geometry import (
     DistanceMatrix,
     Point2,
     Polygon,
+    distance_matrix,
     is_convex,
     is_nondegenerate,
 )
@@ -131,19 +131,10 @@ def lamina_centroid(p: Polygon) -> Point2:
 def _distance_sums(p: Polygon) -> list[float]:
     """Sum of distances from each vertex to all vertices.
 
-    Each pairwise distance is measured once and stored in both rows; rows
-    are summed in index order, so the sums match summing v.distance_to(w)
-    over w bit for bit.
+    Rows of the distance matrix are summed in index order, so the sums
+    match summing v.distance_to(w) over w bit for bit.
     """
-    n = p.n
-    xs = [v.x for v in p.vertices]
-    ys = [v.y for v in p.vertices]
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        xi, yi, row = xs[i], ys[i], rows[i]
-        for j in range(i + 1, n):
-            row[j] = rows[j][i] = math.hypot(xi - xs[j], yi - ys[j])
-    return [sum(row) for row in rows]
+    return [sum(row) for row in distance_matrix(p).d]
 
 
 def _f_first_vertex_is_medoid(p: Polygon) -> float:
@@ -161,9 +152,10 @@ def medoid(p: Polygon) -> int:
     """
     if not is_nondegenerate(p):
         raise DomainViolation("medoid needs pairwise distinct vertices")
-    sums = _distance_sums(p)
+    D = distance_matrix(p)
+    sums = [sum(row) for row in D.d]
     order = sorted(range(p.n), key=lambda i: sums[i])
-    threshold = TIE_REL * p.diameter()
+    threshold = TIE_REL * D.max_entry()
     if sums[order[1]] - sums[order[0]] <= threshold:
         raise Tie(
             f"vertices {order[0] + 1} and {order[1] + 1} tie for the minimum distance sum"

@@ -146,11 +146,7 @@ def predicates(p: Polygon, tol: float = ORACLE_TOL) -> dict[str, bool]:
 # ------------------------------------------------------------ full report
 
 
-def characterize(
-    p: Polygon,
-    tol: float = COINCIDENCE_TOL,
-    oracle_tol: float = ORACLE_TOL,
-) -> CharacterizationReport:
+def characterize(p: Polygon, tol: float = COINCIDENCE_TOL) -> CharacterizationReport:
     """Probe coincidences next to measured shape predicates.
 
     Consistency cross-checks, each skipped where it does not apply:
@@ -161,7 +157,7 @@ def characterize(
     """
     if not is_nondegenerate(p):
         raise DegenerateVertex("characterization needs pairwise distinct vertices")
-    flags = predicates(p, oracle_tol)
+    flags = predicates(p)
     convex = is_convex(p)
     f1 = coincidence(F1, p, tol).coincident
     f2 = coincidence(F2_ODD, p, tol).coincident if p.n % 2 == 1 else None

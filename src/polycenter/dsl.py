@@ -17,23 +17,25 @@ Grammar (whitespace-insensitive; precedence pow > unary > mul/div > add/sub):
 literals or n-relative forms like `n-1` and are reduced mod n to 1..n at
 evaluation time. `d(i,i)` is rejected while parsing when the two index
 expressions are structurally identical, and at evaluation when they
-collide after reduction. `perim` sums the n side lengths. Nesting deeper
-than MAX_DEPTH levels is a syntax error.
+collide after reduction. `perim` sums the n side lengths. Nesting or a
+tree deeper than MAX_DEPTH levels is a syntax error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from functools import cached_property
+from typing import ClassVar, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
 from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, axiom_trials
 from .geometry import DistanceMatrix
 from .sampling import random_polygon
 
-# Deepest nesting of parentheses, calls, powers and signs the parser
-# accepts; parsing and evaluation recurse once per level.
+# Deepest nesting (parentheses, calls, powers, signs) and tallest tree (node
+# `height`; each + - * / of a chain adds a level) the parser accepts; parsing,
+# evaluation and printing recurse once per level.
 MAX_DEPTH = 100
 
 
@@ -63,6 +65,7 @@ class Index:
 @dataclass(frozen=True)
 class Const:
     value: float
+    height: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,17 @@ class Dist:
     i: Index
     j: Index
     pos: int = field(default=0, compare=False)
+    height: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # "neg" | "sqrt" | "abs"
     arg: "Expr"
+
+    @cached_property
+    def height(self) -> int:
+        return self.arg.height + 1
 
 
 @dataclass(frozen=True)
@@ -84,11 +92,19 @@ class Binary:
     left: "Expr"
     right: "Expr"
 
+    @cached_property
+    def height(self) -> int:
+        return max(self.left.height, self.right.height) + 1
+
 
 @dataclass(frozen=True)
 class Aggregate:
     op: str  # "perim" | "min" | "max"
     args: tuple["Expr", ...]
+
+    @cached_property
+    def height(self) -> int:
+        return max((a.height for a in self.args), default=0) + 1
 
 
 Expr = Union[Const, Dist, Unary, Binary, Aggregate]
@@ -176,25 +192,28 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            node = Binary(op, node, self.term())
+            tok = self.take()
+            node = Binary(tok.text, node, self.term())
+            self.check_depth(node.height, tok.pos)
         return node
 
     # term = unary { ("*"|"/") unary }
     def term(self) -> Expr:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
-            node = Binary(op, node, self.unary())
+            tok = self.take()
+            node = Binary(tok.text, node, self.unary())
+            self.check_depth(node.height, tok.pos)
         return node
+
+    def check_depth(self, levels: int, pos: int) -> None:
+        if levels > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
 
     def descend(self) -> None:
         """Parse the next operand one level deeper (parenthesis, call, power, sign)."""
         self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ExprSyntaxError(
-                f"expression nests deeper than {MAX_DEPTH} levels", self.peek().pos
-            )
+        self.check_depth(self.depth, self.peek().pos)
 
     # unary = { ("+"|"-") } power
     def unary(self) -> Expr:
@@ -209,6 +228,8 @@ class _Parser:
         for s in reversed(signs):
             if s == "-":
                 node = Unary("neg", node)
+        # every node built below a chain operand is in this one's tree
+        self.check_depth(node.height, self.peek().pos)
         return node
 
     # power = atom [ "^" unary ]

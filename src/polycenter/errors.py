@@ -66,6 +66,10 @@ class InfeasibleDistances(DomainViolation):
     """No planar vertex placement realizes the given distance matrix."""
 
 
+class NonFinite(DomainViolation, ValueError):
+    """A coordinate or distance is infinite or NaN, or overflows when measured."""
+
+
 class EvalError(PolycenterError):
     """Expression evaluation hit a guarded operation (division by zero,
     square root of a negative, fractional power of a negative base)."""

@@ -311,8 +311,11 @@ def axiom_trials(
 
     Length functions read rescaled matrices from `DistanceMatrix.scaled`;
     for the powers of two in `_SCALES` that equals measuring the rescaled
-    polygon bit for bit.
+    polygon bit for bit. Raises ValueError for fewer than one trial, which
+    would report every axiom as holding.
     """
+    if trials < 1:
+        raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
     rng = random.Random(seed)
     is_vertex = isinstance(fg, VertexCenterFunction)
     for _ in range(trials):
@@ -335,7 +338,6 @@ def verify_axioms(
     sampler: Callable[[random.Random], Polygon],
     trials: int = 100,
     seed: int = 0,
-    tol: float = CHECK_TOL,
 ) -> AxiomReport:
     """Check the defining properties on sampled inputs.
 
@@ -354,8 +356,8 @@ def verify_axioms(
     for trial in axiom_trials(fg, sampler, trials, seed):
         relabel_gap, motion_gap = trial.relabel_gap(), trial.motion_gap()
         worst = max(worst, relabel_gap, motion_gap)
-        relabel_ok = relabel_ok and relabel_gap <= tol
-        motion_ok = motion_ok and motion_gap <= tol
+        relabel_ok = relabel_ok and relabel_gap <= CHECK_TOL
+        motion_ok = motion_ok and motion_gap <= CHECK_TOL
         fit = trial.slope_fit()
         if fit is not None:
             slopes.append(fit[0])

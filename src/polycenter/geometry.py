@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * vertices are numbered 1..n in prose and command-line output, 0..n-1 in code;
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
-* signed area is positive for counterclockwise vertex order.
+* signed area is positive for counterclockwise vertex order;
+* `distance_matrix` alone measures all pairwise distances of a polygon.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainViolation
+from .errors import DomainViolation, NonFinite
 
 # Cross products smaller than this (relative to the operand magnitudes) are
 # treated as zero when testing collinearity.
 COLLINEAR_EPS = 1e-12
 
 
-def _require_finite(value: float, what: str) -> float:
+def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
+        raise NonFinite(f"{what} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,8 @@ class Polygon:
         )
 
     def diameter(self) -> float:
-        vs = self.vertices
-        return max(
-            vs[i].distance_to(vs[j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        """Largest pairwise distance; raises NonFinite when it overflows."""
+        return distance_matrix(self).max_entry()
 
     def vertex_mean(self) -> Point2:
         sx = sum(v.x for v in self.vertices)
@@ -219,7 +215,8 @@ def apply_motion(m: RigidMotion | Similarity, p: Polygon) -> Polygon:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """A symmetric matrix of pairwise distances with zero diagonal."""
+    """A symmetric matrix of pairwise distances with zero diagonal. Construction
+    validates every entry; matrices measured or derived here skip it (`_derived`)."""
 
     d: tuple[tuple[float, ...], ...]
 
@@ -302,14 +299,21 @@ class DistanceMatrix:
 
 
 def distance_matrix(p: Polygon) -> DistanceMatrix:
-    n = p.n
+    """All pairwise distances of p, each measured once and not revalidated.
+
+    Overflow is the one way an entry could be invalid, and none exceeds the
+    diagonal of p's bounding box, so that is checked once: NonFinite when it
+    overflows, even where every pairwise distance would still be finite."""
+    xs = [v.x for v in p.vertices]
+    ys = [v.y for v in p.vertices]
+    _require_finite(math.hypot(max(xs) - min(xs), max(ys) - min(ys)), "polygon extent")
+    n = len(xs)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
+        xi, yi, row = xs[i], ys[i], rows[i]
         for j in range(i + 1, n):
-            dij = p.vertices[i].distance_to(p.vertices[j])
-            rows[i][j] = dij
-            rows[j][i] = dij
-    return DistanceMatrix.from_rows(rows)
+            row[j] = rows[j][i] = math.hypot(xi - xs[j], yi - ys[j])
+    return DistanceMatrix._derived(tuple(map(tuple, rows)))
 
 
 def _det(mat: list[list[float]]) -> float:
@@ -380,12 +384,9 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
 
 
 def is_nondegenerate(p: Polygon) -> bool:
-    vs = p.vertices
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if vs[i].distance_to(vs[j]) == 0.0:
-                return False
-    return True
+    """Whether the vertices are pairwise distinct: finite points are at
+    distance zero only when equal, and -0.0 equals and hashes like 0.0."""
+    return len(set(p.vertices)) == p.n
 
 
 def is_convex(p: Polygon) -> bool:
@@ -407,6 +408,6 @@ def is_convex(p: Polygon) -> bool:
     return True
 
 
-def require_nondegenerate(p: Polygon, what: str = "polygon") -> None:
+def require_nondegenerate(p: Polygon) -> None:
     if not is_nondegenerate(p):
-        raise DomainViolation(f"{what} has coincident vertices")
+        raise DomainViolation("polygon has coincident vertices")

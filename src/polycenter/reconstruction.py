@@ -48,6 +48,8 @@ def _place(D: DistanceMatrix) -> tuple[list[Point2], float]:
     n = D.n
     d12 = D.entry(0, 1)
     scale = D.max_entry()
+    # a product, not **: float ** raises OverflowError where * gives inf
+    height_tol = RESIDUAL_TOL * scale
     if d12 <= 0.0:
         raise InfeasibleDistances("d(1,2) must be positive to fix the base edge")
     placed: list[Point2] = [Point2(0.0, 0.0), Point2(d12, 0.0)]
@@ -56,7 +58,7 @@ def _place(D: DistanceMatrix) -> tuple[list[Point2], float]:
         r2 = D.entry(1, k)
         x = (r1 * r1 + d12 * d12 - r2 * r2) / (2.0 * d12)
         h_sq = r1 * r1 - x * x
-        if h_sq < -((RESIDUAL_TOL * scale) ** 2):
+        if h_sq < -(height_tol * height_tol):
             raise InfeasibleDistances(
                 f"no real placement for vertex {k + 1}: height^2 = {h_sq:.3e}"
             )
@@ -88,9 +90,8 @@ def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
     if signed_area(poly) > 0.0:
         poly = Polygon(tuple(Point2(v.x, -v.y) for v in placed))
     measured = distance_matrix(poly)
-    n = D.n
     max_residual = max(
-        abs(measured.d[i][j] - D.d[i][j]) for i in range(n) for j in range(i + 1, n)
+        abs(a - b) for mrow, drow in zip(measured.d, D.d) for a, b in zip(mrow, drow)
     )
     if max_residual > RESIDUAL_TOL * scale:
         raise InfeasibleDistances(

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Iterable, Optional
 
 from .geometry import (
     Point2,
     Polygon,
     RigidMotion,
     Similarity,
+    distance_matrix,
     is_convex,
     is_nondegenerate,
 )
@@ -46,24 +47,30 @@ def regular_polygon(
     )
 
 
-def random_polygon(
-    rng: random.Random, n: int, box: float = 2.0, min_separation: float = 5e-2
-) -> Polygon:
-    """Vertices uniform in a square, kept pairwise well separated."""
+def random_polygon(rng: random.Random, n: int, min_separation: float = 5e-2) -> Polygon:
+    """Vertices uniform in the square [-2, 2]^2, kept pairwise well separated."""
     while True:
-        pts = [
-            Point2(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(n)
-        ]
-        ok = all(
-            pts[i].distance_to(pts[j]) >= min_separation
-            for i in range(n)
-            for j in range(i + 1, n)
+        p = Polygon(
+            tuple(Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n))
         )
-        if ok:
-            return Polygon(tuple(pts))
+        rows = distance_matrix(p).d
+        if all(v >= min_separation for i, row in enumerate(rows) for v in row[i + 1:]):
+            return p
 
 
-def random_convex_polygon(rng: random.Random, n: int, scale: float = 1.0) -> Polygon:
+def _walk(steps: Iterable[tuple[float, float]]) -> Polygon:
+    """The polygon from the origin through the partial sums of steps; the
+    last step, which returns to the start, adds no vertex."""
+    pts = []
+    x = y = 0.0
+    for dx, dy in steps:
+        pts.append(Point2(x, y))
+        x += dx
+        y += dy
+    return Polygon(tuple(pts))
+
+
+def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
     """Random convex n-gon: sorted direction deltas closing up to zero.
 
     Draws two independent coordinate samples, pairs their gaps into edge
@@ -71,8 +78,8 @@ def random_convex_polygon(rng: random.Random, n: int, scale: float = 1.0) -> Pol
     Retries until strictly convex under the package-wide classification.
     """
     while True:
-        xs = sorted(rng.uniform(-scale, scale) for _ in range(n))
-        ys = sorted(rng.uniform(-scale, scale) for _ in range(n))
+        xs = sorted(rng.uniform(-1.0, 1.0) for _ in range(n))
+        ys = sorted(rng.uniform(-1.0, 1.0) for _ in range(n))
         # split interior values into two chains per axis
         def deltas(vals: list[float]) -> list[float]:
             lo, hi = vals[0], vals[-1]
@@ -92,15 +99,8 @@ def random_convex_polygon(rng: random.Random, n: int, scale: float = 1.0) -> Pol
         dx = deltas(xs)
         dy = deltas(ys)
         rng.shuffle(dy)
-        vecs = sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0]))
-        pts = []
-        x = y = 0.0
-        for vx, vy in vecs:
-            pts.append(Point2(x, y))
-            x += vx
-            y += vy
-        p = Polygon(tuple(pts))
-        if is_convex(p) and is_nondegenerate(p) and p.diameter() > 0.1 * scale:
+        p = _walk(sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0])))
+        if is_convex(p) and is_nondegenerate(p) and p.diameter() > 0.1:
             return p
 
 
@@ -134,13 +134,7 @@ def random_equiangular_polygon(rng: random.Random, n: int) -> Polygon:
         lengths = _closure_lengths(rng, directions, jitter=0.35)
         if lengths is None:
             continue
-        pts = []
-        x = y = 0.0
-        for t, l in zip(directions, lengths):
-            pts.append(Point2(x, y))
-            x += l * math.cos(t)
-            y += l * math.sin(t)
-        p = Polygon(tuple(pts))
+        p = _walk((l * math.cos(t), l * math.sin(t)) for t, l in zip(directions, lengths))
         if is_convex(p):
             return p
 
@@ -162,21 +156,13 @@ def random_convex_nonequiangular(rng: random.Random, n: int) -> Polygon:
         lengths = _closure_lengths(rng, directions, jitter=0.2)
         if lengths is None:
             continue
-        pts = []
-        x = y = 0.0
-        for t, l in zip(directions, lengths):
-            pts.append(Point2(x, y))
-            x += l * math.cos(t)
-            y += l * math.sin(t)
-        p = Polygon(tuple(pts))
+        p = _walk((l * math.cos(t), l * math.sin(t)) for t, l in zip(directions, lengths))
         if is_convex(p):
             return p
 
 
-def random_equilateral_polygon(
-    rng: random.Random, n: int, side: float = 1.0
-) -> Polygon:
-    """Closed chain of n equal-length steps, not necessarily convex."""
+def random_equilateral_polygon(rng: random.Random, n: int) -> Polygon:
+    """Closed chain of n unit steps, not necessarily convex."""
     while True:
         angles = [rng.uniform(0.0, _TWO_PI) for _ in range(n - 2)]
         sx = sum(math.cos(t) for t in angles)
@@ -188,24 +174,18 @@ def random_equilateral_polygon(
         spread = math.acos(min(1.0, norm / 2.0))
         angles.append(back + spread)
         angles.append(back - spread)
-        pts = []
-        x = y = 0.0
-        for t in angles:
-            pts.append(Point2(x, y))
-            x += side * math.cos(t)
-            y += side * math.sin(t)
-        p = Polygon(tuple(pts))
-        if is_nondegenerate(p) and p.diameter() >= 0.5 * side:
+        p = _walk((math.cos(t), math.sin(t)) for t in angles)
+        if is_nondegenerate(p) and p.diameter() >= 0.5:
             return p
 
 
-def random_rigid_motion(rng: random.Random, shift: float = 3.0) -> RigidMotion:
+def random_rigid_motion(rng: random.Random) -> RigidMotion:
+    """A rotation by a uniform angle, then a shift uniform in [-3, 3]^2."""
     return RigidMotion(
-        rng.uniform(0.0, _TWO_PI),
-        Point2(rng.uniform(-shift, shift), rng.uniform(-shift, shift)),
+        rng.uniform(0.0, _TWO_PI), Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
     )
 
 
-def random_similarity(rng: random.Random, shift: float = 3.0) -> Similarity:
+def random_similarity(rng: random.Random) -> Similarity:
     scale = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-    return Similarity(scale, random_rigid_motion(rng, shift))
+    return Similarity(scale, random_rigid_motion(rng))

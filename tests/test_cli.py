@@ -298,6 +298,15 @@ def test_check_axioms_deeply_nested_expression_exits_2(capsys):
     assert "ExprSyntaxError: expression nests deeper than" in err
 
 
+def test_long_operator_chain_exits_2(tmp_path, capsys):
+    # each operator of a chain is one level of the tree that evaluation walks
+    doc = write_doc(tmp_path, "tri.json", TRI345)
+    expr = "+".join(["d(1,2)+d(1,3)"] * 2500)
+    rc, out, err = invoke(capsys, ["center", doc, "--expr", expr])
+    assert rc == 2 and out == ""
+    assert err.startswith("polycenter: ExprSyntaxError: expression nests deeper than")
+
+
 def test_check_axioms_rejects_solver_names(capsys):
     rc, _, err = invoke(capsys, ["check-axioms", "--name", "chebyshev"])
     assert rc == 2
@@ -411,6 +420,29 @@ def test_plot_unwritable_output_exits_2(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("polycenter: DocumentError: cannot write")
     assert len(err.strip().splitlines()) == 1
+
+
+# --------------------------------------------------------- extreme scales
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e200])
+def test_extreme_coordinates_end_in_an_exit_code(tmp_path, capsys, scale):
+    # distances overflow at 1e308, their squares at 1e200
+    doc = write_doc(
+        tmp_path, "far.json", {"vertices": [[-scale, -scale], [scale, -scale], [0, scale]]}
+    )
+    names = list(polycenter.CATALOG) + ["median", "chebyshev"]
+    runs = [["center", doc, "--name", nm] for nm in names]
+    runs += [["coords", doc, "--name", nm] for nm in polycenter.CATALOG]
+    runs += [
+        ["center", doc, "--expr", "d(1,2)"],
+        ["characterize", doc],
+        ["plot", doc, "--centers", ",".join(names), "-o", str(tmp_path / "far.svg")],
+    ]
+    for argv in runs:
+        rc, _, err = invoke(capsys, argv)
+        assert rc in (0, 2, 3, 4, 5), argv
+        assert len(err.splitlines()) == (rc != 0), (argv, err)
 
 
 # ------------------------------------------------------------------- misc

@@ -165,6 +165,24 @@ def test_nesting_deeper_than_the_limit_is_a_syntax_error():
     assert err.value.position == MAX_DEPTH
 
 
+def test_operator_chains_count_toward_the_nesting_limit():
+    # a chain is one tree level per operator; evaluation recurses per level
+    assert ev("+".join(["d(1,2)"] * MAX_DEPTH)) == 3.0 * MAX_DEPTH
+    stacked = "d(1,2)"
+    for _ in range(3):
+        # each chain is short, but the first operand of a chain sits below
+        # all of its operators
+        stacked = "(" + stacked + ")" + "+d(1,2)" * 40
+    for source in (
+        "+".join(["d(1,2)+d(1,3)"] * 2500),
+        "*".join(["d(1,2)"] * (MAX_DEPTH + 1)),
+        "sqrt(" + "-".join(["d(1,2)"] * MAX_DEPTH) + ")",
+        stacked,
+    ):
+        with pytest.raises(ExprSyntaxError, match="nests deeper"):
+            parse(source)
+
+
 def test_printer_drops_redundant_parens():
     assert to_source(parse("((2)+(3))").expr) == "2+3"
     assert to_source(parse("d((1),2)").expr) if False else True
@@ -236,6 +254,13 @@ def test_admit_full_perimeter():
     g = admit(parse("d(1,2)+d(2,3)+d(3,4)+d(4,5)+d(5,1)"), 5)
     D = distance_matrix(random_polygon(random.Random(1), 5))
     assert g.evaluate(D) == pytest.approx(ev("perim", D))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_admit_needs_at_least_one_trial(trials):
+    # with no trial run, d(1,2) would be admitted
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        admit(parse("d(1,2)"), 5, trials=trials)
 
 
 def test_admit_rejects_inhomogeneous():

@@ -194,6 +194,14 @@ def test_verify_axioms_flags_inhomogeneity():
     assert not report.homogeneity_ok
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_axioms_needs_at_least_one_trial(trials):
+    # with no trial run, every axiom would be reported as holding
+    f = VertexCenterFunction("x1", lambda p: p.vertices[0].x)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        verify_axioms(f, lambda rng: random_polygon(rng, 4), trials=trials)
+
+
 # Reports recorded before the axiom trials were shared with `admit`; the
 # sampling stream, the motion draws and every value must stay the same.
 PINNED_REPORTS = [
