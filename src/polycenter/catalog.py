@@ -8,6 +8,7 @@ points without going through coordinate maps and serve as cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,12 +25,16 @@ from .geometry import (
     distance_matrix,
     is_convex,
     is_nondegenerate,
+    vertex_coordinates,
 )
 from .reconstruction import convex_distances
 
 # Distance sums within this fraction of the diameter of the minimum count
 # as tied when picking the medoid vertex.
 TIE_REL = 1e-10
+# The medoid indicator is 1.0 when vertex 1's distance sum is within this
+# fraction of the smallest sum, or within this amount if that is below 1.
+MEDOID_REL = 1e-12
 # Total wedge sums below this magnitude mean the outline bounds no area.
 AREA_EPS = 1e-12
 
@@ -137,11 +142,37 @@ def _distance_sums(p: Polygon) -> list[float]:
     return [sum(row) for row in distance_matrix(p).d]
 
 
+def _distance_sum(xs: list[float], ys: list[float], i: int) -> float:
+    """Row i of the distance matrix summed in index order, bit for bit: it
+    measures hypot(xi - x, yi - y) where the matrix may hold
+    hypot(x - xi, y - yi), and the two are equal."""
+    xi, yi = xs[i], ys[i]
+    return sum(math.hypot(xi - x, yi - y) for x, y in zip(xs, ys))
+
+
+def _medoid_bound(s: float) -> float:
+    """Largest distance sum still counted as tied with a sum s; monotone in s."""
+    return s + MEDOID_REL * max(1.0, s)
+
+
 def _f_first_vertex_is_medoid(p: Polygon) -> float:
-    """1.0 when vertex 1 minimizes the sum of distances to all vertices."""
+    """1.0 when vertex 1 minimizes the sum of distances to all vertices.
+
+    Vertex 1 is first compared with one vertex j, the one nearest the
+    vertex mean, in O(n): a sum above _medoid_bound(sum of j) is above
+    _medoid_bound of the smallest sum too, so the answer is 0.0. Only
+    otherwise are all n sums measured. The extent is checked before either,
+    so an overflowing polygon raises NonFinite whichever path it would take.
+    """
+    xs, ys = vertex_coordinates(p)
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    offsets = [math.hypot(x - mx, y - my) for x, y in zip(xs, ys)]
+    j = offsets.index(min(offsets))
+    if _distance_sum(xs, ys, 0) > _medoid_bound(_distance_sum(xs, ys, j)):
+        return 0.0
     sums = _distance_sums(p)
-    smin = min(sums)
-    return 1.0 if sums[0] <= smin + 1e-12 * max(1.0, smin) else 0.0
+    return 1.0 if sums[0] <= _medoid_bound(min(sums)) else 0.0
 
 
 def medoid(p: Polygon) -> int:

@@ -40,10 +40,14 @@ class PolygonDocument:
 def _number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{where}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DocumentError(f"{where}: integer out of float range") from None
     # json.load accepts the Infinity/NaN extensions; keep them out here.
-    if not math.isfinite(value):
+    if not math.isfinite(x):
         raise DocumentError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return x
 
 
 def document_from_data(data: object, path: str = "$") -> PolygonDocument:
@@ -118,7 +122,7 @@ def read_document(path: str) -> PolygonDocument:
     except OSError as exc:
         reason = exc.strerror or str(exc)
         raise DocumentError(f"cannot read {path}: {reason}", path) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes not UTF-8, an integer too long to read
         raise DocumentError(
             f"{path} is not valid JSON: {exc}", path
         ) from exc

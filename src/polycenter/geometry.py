@@ -298,15 +298,24 @@ class DistanceMatrix:
         return self._derived(tuple(tuple(t * v for v in row) for row in self.d))
 
 
-def distance_matrix(p: Polygon) -> DistanceMatrix:
-    """All pairwise distances of p, each measured once and not revalidated.
+def vertex_coordinates(p: Polygon) -> tuple[list[float], list[float]]:
+    """The x and the y coordinates of p's vertices, in order.
 
-    Overflow is the one way an entry could be invalid, and none exceeds the
-    diagonal of p's bounding box, so that is checked once: NonFinite when it
-    overflows, even where every pairwise distance would still be finite."""
+    No distance between two vertices exceeds the diagonal of p's bounding
+    box, so it is checked here once: NonFinite when it overflows, even where
+    every pairwise distance would still be finite."""
     xs = [v.x for v in p.vertices]
     ys = [v.y for v in p.vertices]
     _require_finite(math.hypot(max(xs) - min(xs), max(ys) - min(ys)), "polygon extent")
+    return xs, ys
+
+
+def distance_matrix(p: Polygon) -> DistanceMatrix:
+    """All pairwise distances of p, each measured once and not revalidated.
+
+    Overflow is the one way an entry could be invalid, and
+    `vertex_coordinates` rules it out."""
+    xs, ys = vertex_coordinates(p)
     n = len(xs)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):

@@ -3,16 +3,17 @@
 The viewBox is the bounding box of the polygon together with every marker
 point, padded by 10% of its larger side. The y axis is mirrored by hand
 (SVG y grows downward) and every coordinate is written with a fixed
-``%.8g`` format, so identical inputs produce byte-identical files.
+``%.8g`` format, so identical inputs produce byte-identical files. An
+extent that overflows any of these numbers raises NonFinite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
-from xml.sax.saxutils import escape
 
-from .errors import DocumentError
+from .errors import DocumentError, NonFinite
 from .framework import BarycentricWeights, ProjectiveCoords
 from .geometry import Point2, Polygon
 
@@ -48,6 +49,11 @@ def _fmt(x: float) -> str:
     return "0" if out == "-0" else out
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data, as xml.sax.saxutils.escape writes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
     points = [v for v in p.vertices]
     marked = [r for r in records if r.point is not None]
@@ -71,6 +77,11 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
 
     width = 640.0
     height = width * vh / vw
+    # Every other number written is a fraction of side, a coordinate
+    # between the viewBox edges, or one mirrored through lo_y + hi_y.
+    bounds = (vx, vy, vw, vh, height, hi_x + margin, hi_y + margin, lo_y + hi_y)
+    if not all(map(math.isfinite, bounds)):
+        raise NonFinite("plot extent must be finite")
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -102,7 +113,7 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
         lines.append(
             f'<text x="{_fmt(x + 1.8 * radius)}" y="{_fmt(y - 1.8 * radius)}" '
             f'font-family="sans-serif" font-size="{_fmt(font)}" '
-            f'fill="{color}">{escape(rec.name)}</text>'
+            f'fill="{color}">{_escape(rec.name)}</text>'
         )
 
     for rec in records:

@@ -445,6 +445,34 @@ def test_extreme_coordinates_end_in_an_exit_code(tmp_path, capsys, scale):
         assert len(err.splitlines()) == (rc != 0), (argv, err)
 
 
+def test_integer_past_float_range_exits_2(tmp_path, capsys):
+    doc = write_doc(tmp_path, "big.json", {"vertices": [[0, 0], [10**400, 0], [0, 1]]})
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "centroid"])
+    assert rc == 2 and out == ""
+    assert err == f"polycenter: DocumentError: {doc}: $.vertices[1][0]: integer out of float range\n"
+
+
+def test_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    # json.load refuses integers longer than sys.get_int_max_str_digits()
+    doc = tmp_path / "long.json"
+    doc.write_text('{"vertices": [[0, 0], [1' + "0" * 5000 + ", 0], [0, 1]]}", encoding="utf-8")
+    rc, out, err = invoke(capsys, ["center", str(doc), "--name", "centroid"])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"polycenter: DocumentError: {doc} is not valid JSON:")
+    assert len(err.splitlines()) == 1
+
+
+def test_plot_of_an_overflowing_extent_exits_3_without_writing(tmp_path, capsys):
+    doc = write_doc(
+        tmp_path, "far.json", {"vertices": [[-1e308, -1e308], [1e308, -1e308], [0, 1e308]]}
+    )
+    target = tmp_path / "far.svg"
+    rc, out, err = invoke(capsys, ["plot", doc, "--centers", "centroid", "-o", str(target)])
+    assert rc == 3 and out == ""
+    assert err == "polycenter: NonFinite: plot extent must be finite\n"
+    assert not target.exists()
+
+
 # ------------------------------------------------------------------- misc
 
 
