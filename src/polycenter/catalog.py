@@ -124,9 +124,8 @@ def lamina_centroid_direct(p: Polygon) -> Point2:
 
 
 def lamina_centroid(p: Polygon) -> Point2:
-    """Area centroid of a convex polygon via the catalog center function."""
-    if not is_convex(p):
-        raise DomainViolation("lamina centroid entry is defined on convex polygons")
+    """Area centroid of a convex polygon via the catalog center function,
+    whose `lamina` guard raises DomainViolation on other polygons."""
     return geometric_center(CATALOG["lamina"].function, p)
 
 

@@ -53,13 +53,17 @@ class CharacterizationReport:
 
 
 def f1_cosine(p: Polygon) -> float:
-    """Cosine of the angle at vertex 1 between the edges to vertices 2 and n."""
+    """Cosine of the angle at vertex 1 between the edges to vertices 2 and n.
+
+    The dot product of the two unit edge vectors: no product of lengths
+    that could overflow or underflow, and the same bits at every
+    power-of-two scale."""
     u = p.vertices[1] - p.vertices[0]
     w = p.vertices[-1] - p.vertices[0]
     nu, nw = u.norm(), w.norm()
     if nu == 0.0 or nw == 0.0:
         raise DegenerateVertex("vertex 1 coincides with a neighbour")
-    return u.dot(w) / (nu * nw)
+    return (u.x / nu) * (w.x / nw) + (u.y / nu) * (w.y / nw)
 
 
 def f2_odd(p: Polygon) -> float:

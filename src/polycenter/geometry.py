@@ -325,48 +325,30 @@ def distance_matrix(p: Polygon) -> DistanceMatrix:
     return DistanceMatrix._derived(tuple(map(tuple, rows)))
 
 
-def _det(mat: list[list[float]]) -> float:
-    """Determinant by minor expansion; exact-shape small matrices only."""
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    if m == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0.0
-    for col in range(m):
-        a = mat[0][col]
-        if a == 0.0:
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
-        total += (-1.0) ** col * a * _det(minor)
-    return total
-
-
 def cayley_menger_quad(
     e12: float, e23: float, e34: float, e41: float, d13: float, d24: float
 ) -> float:
-    """Bordered determinant of squared lengths for four labeled points.
+    """Bordered (Cayley-Menger) determinant of squared lengths for four
+    labeled points.
 
     Arguments are the four consecutive side lengths and the two diagonals of
-    a labeled quadrilateral. The determinant vanishes exactly when some
-    planar placement realizes all six lengths; it scales as t**8 under
+    a labeled quadrilateral. The determinant is 288 V**2, V the volume of
+    the tetrahedron with these edges, so it vanishes exactly when some
+    planar placement realizes all six lengths; it scales as t**6 under
     scaling every length by t.
     """
-    for name, v in (("e12", e12), ("e23", e23), ("e34", e34), ("e41", e41),
-                    ("d13", d13), ("d24", d24)):
-        _require_finite(v, name)
-        if v < 0.0:
+    for name, length in (("e12", e12), ("e23", e23), ("e34", e34), ("e41", e41),
+                         ("d13", d13), ("d24", d24)):
+        _require_finite(length, name)
+        if length < 0.0:
             raise ValueError(f"{name} is negative")
-    q12, q23, q34, q41 = e12 * e12, e23 * e23, e34 * e34, e41 * e41
-    q13, q24 = d13 * d13, d24 * d24
-    mat = [
-        [0.0, 1.0, 1.0, 1.0, 1.0],
-        [1.0, 0.0, q12, q13, q41],
-        [1.0, q12, 0.0, q23, q24],
-        [1.0, q13, q23, 0.0, q34],
-        [1.0, q41, q24, q34, 0.0],
-    ]
-    return _det(mat)
+    # eight times the Gram determinant of the edge vectors at vertex 1:
+    # a, b, c their squared lengths, u, v, w twice their dot products
+    a, b, c = e12 * e12, d13 * d13, e41 * e41
+    u = b + c - e34 * e34
+    v = a + c - d24 * d24
+    w = a + b - e23 * e23
+    return 2.0 * (4.0 * a * b * c - a * u * u - b * v * v - c * w * w + u * v * w)
 
 
 # --------------------------------------------------------- shape predicates
@@ -399,22 +381,32 @@ def is_nondegenerate(p: Polygon) -> bool:
 
 
 def is_convex(p: Polygon) -> bool:
-    """Same-side test: for each edge, all other vertices strictly on one side."""
-    n = p.n
-    for i in range(n):
-        a, b = p.vertices[i], p.vertex(i + 1)
-        side = 0
-        for j in range(n):
-            if j == i or j == (i + 1) % n:
-                continue
-            o = _orient(a, b, p.vertices[j])
-            if o == 0:
-                return False
-            if side == 0:
-                side = o
-            elif o != side:
-                return False
-    return True
+    """One-pass turn test (O'Rourke, Computational Geometry in C, ch. 1).
+
+    Every turn v[i-2] -> v[i-1] -> v[i] must have the same nonzero sign under
+    `_orient`, and the edge directions must wrap around exactly once: a
+    {5/2} star turns the same way at every vertex but wraps twice. A wrap
+    is an edge whose atan2 angle steps back, against the turns, past the
+    branch cut from that of the edge before it.
+
+    No turn is decided where its products may overflow (an edge component
+    past about 1e154): `_orient` reads the NaN cross product there as a
+    clockwise turn, so such polygons are reported not convex.
+    """
+    vs = p.vertices
+    sign = _orient(vs[-2], vs[-1], vs[0])
+    if sign == 0:
+        return False
+    for i in range(1, p.n):
+        if _orient(vs[i - 2], vs[i - 1], vs[i]) != sign:
+            return False
+    edges = [(b.x - a.x, b.y - a.y) for a, b in zip(vs[-1:] + vs[:-1], vs)]
+    reach = max(max(abs(dx), abs(dy)) for dx, dy in edges)
+    if not math.isfinite(2.0 * reach * reach):
+        return False
+    angles = [math.atan2(dy, dx) for dx, dy in edges]
+    wraps = sum(sign * (angles[i] - angles[i - 1]) < 0.0 for i in range(p.n))
+    return wraps == 1
 
 
 def require_nondegenerate(p: Polygon) -> None:

@@ -48,16 +48,6 @@ class EnclosingCircle:
 # ------------------------------------------------------------ geometric median
 
 
-def _distance_sum_gradient(p: Polygon, x: Point2) -> tuple[Point2, float]:
-    """Sum of unit vectors from x toward each vertex, and its norm."""
-    gx = gy = 0.0
-    for v in p.vertices:
-        d = x.distance_to(v)
-        gx += (v.x - x.x) / d
-        gy += (v.y - x.y) / d
-    return Point2(gx, gy), math.hypot(gx, gy)
-
-
 def _vertex_pull(p: Polygon, k: int) -> tuple[Point2, float, float]:
     """Unit-vector sum at vertex k over the other vertices, its norm, and
     the sum of reciprocal distances (the local curvature scale)."""
@@ -92,9 +82,8 @@ def geometric_median(
     x = p.vertex_mean()
     best: Optional[MedianResult] = None
     for it in range(1, max_iter + 1):
-        near = next(
-            (k for k, v in enumerate(p.vertices) if x.distance_to(v) <= snap), None
-        )
+        dists = [x.distance_to(v) for v in p.vertices]
+        near = next((k for k, d in enumerate(dists) if d <= snap), None)
         if near is not None:
             pull, pull_norm, recip = _vertex_pull(p, near)
             if pull_norm <= 1.0:
@@ -108,17 +97,20 @@ def geometric_median(
                 p.vertices[near].y + step * pull.y / pull_norm,
             )
             continue
-        grad, residual = _distance_sum_gradient(p, x)
-        best = MedianResult(x, it, residual, None)
-        if residual <= target:
-            return best
-        # fixed-point step: distance-weighted vertex mean
-        wx = wy = wsum = 0.0
-        for v in p.vertices:
-            w = 1.0 / x.distance_to(v)
+        # the unit-vector sum toward the vertices (its norm is the residual)
+        # and the weights of the fixed-point step, a distance-weighted mean
+        gx = gy = wx = wy = wsum = 0.0
+        for v, d in zip(p.vertices, dists):
+            gx += (v.x - x.x) / d
+            gy += (v.y - x.y) / d
+            w = 1.0 / d
             wx += w * v.x
             wy += w * v.y
             wsum += w
+        residual = math.hypot(gx, gy)
+        best = MedianResult(x, it, residual, None)
+        if residual <= target:
+            return best
         x = Point2(wx / wsum, wy / wsum)
     raise NoConvergence(
         f"median iteration did not reach residual {target:.2e} in {max_iter} steps",

@@ -104,8 +104,9 @@ def validate(D: DistanceMatrix) -> FeasibilityReport:
     """Reconstruction attempt plus scale-free planarity determinants.
 
     Each 4-index subset containing indices {1,2} contributes one bordered
-    determinant of its six distances, divided by max(D)**8 so the check is
-    scale-free. All of them vanish on planar-compatible inputs.
+    determinant of its six distances, measured on lengths divided by the
+    largest entry of D, so the check is scale-free by construction. All of
+    them vanish on planar-compatible inputs.
     """
     n = D.n
     scale = D.max_entry()
@@ -113,15 +114,14 @@ def validate(D: DistanceMatrix) -> FeasibilityReport:
     if scale > 0.0:
         for k in range(2, n):
             for l in range(k + 1, n):
-                det = cayley_menger_quad(
-                    D.entry(0, 1),
-                    D.entry(1, k),
-                    D.entry(k, l),
-                    D.entry(l, 0),
-                    D.entry(0, k),
-                    D.entry(1, l),
-                )
-                checks.append(det / scale**8)
+                checks.append(cayley_menger_quad(
+                    D.entry(0, 1) / scale,
+                    D.entry(1, k) / scale,
+                    D.entry(k, l) / scale,
+                    D.entry(l, 0) / scale,
+                    D.entry(0, k) / scale,
+                    D.entry(1, l) / scale,
+                ))
     try:
         result = reconstruct(D)
         return FeasibilityReport(True, result.max_residual, tuple(checks))

@@ -76,7 +76,8 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
     vh = (hi_y - lo_y) + 2 * margin
 
     width = 640.0
-    height = width * vh / vw
+    # divide first: the ratio is finite wherever the viewBox is
+    height = width * (vh / vw)
     # Every other number written is a fraction of side, a coordinate
     # between the viewBox edges, or one mirrored through lo_y + hi_y.
     bounds = (vx, vy, vw, vh, height, hi_x + margin, hi_y + margin, lo_y + hi_y)

@@ -172,6 +172,9 @@ def test_lamina_map_guard_rejects_nonconvex():
     dart = Polygon.from_pairs([(0, 0), (4, 0), (1, 1), (0, 4)])
     with pytest.raises(DomainViolation):
         geometric_center(CATALOG["lamina"].function, dart)
+    # lamina_centroid relies on the same guard
+    with pytest.raises(DomainViolation):
+        lamina_centroid(dart)
 
 
 # ------------------------------------------------------------------- medoid

@@ -41,6 +41,15 @@ def test_f1_cosine_values():
     assert f1_cosine(MOUNTAIN) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_f1_cosine_has_the_same_bits_at_every_power_of_two_scale():
+    # no product of edge lengths, which underflowed to 0 near 2**-900
+    p = random_convex_polygon(random.Random(3), 7)
+    want = [f1_cosine(p.shifted(s)) for s in range(p.n)]
+    for k in range(-1000, 1001, 50):
+        q = Polygon.from_pairs([(2.0**k * v.x, 2.0**k * v.y) for v in p.vertices])
+        assert [f1_cosine(q.shifted(s)) for s in range(q.n)] == want, k
+
+
 def test_f1_rejects_zero_edge():
     p = Polygon.from_pairs([(0, 0), (0, 0), (1, 1)])
     with pytest.raises(DegenerateVertex):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import polycenter
 from polycenter.cli import _rounded, main
 from polycenter.documents import read_document
+from polycenter.sampling import random_convex_polygon
 
 SQUARE = {"name": "square", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 TRI345 = {"vertices": [[0, 0], [3, 0], [0, 4]]}
@@ -443,6 +445,16 @@ def test_extreme_coordinates_end_in_an_exit_code(tmp_path, capsys, scale):
         rc, _, err = invoke(capsys, argv)
         assert rc in (0, 2, 3, 4, 5), argv
         assert len(err.splitlines()) == (rc != 0), (argv, err)
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+def test_characterize_a_tiny_or_huge_polygon_exits_0(tmp_path, capsys, k):
+    p = random_convex_polygon(random.Random(3), 7)
+    pairs = [[2.0**k * v.x, 2.0**k * v.y] for v in p.vertices]
+    doc = write_doc(tmp_path, "scaled.json", {"vertices": pairs})
+    rc, out, err = invoke(capsys, ["characterize", doc])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["n"] == 7
 
 
 def test_integer_past_float_range_exits_2(tmp_path, capsys):

@@ -213,3 +213,20 @@ def test_check_minimal_center_is_deterministic():
     a = check_minimal_center("median", SQUARE, med, trials=4, seed=3)
     b = check_minimal_center("median", SQUARE, med, trials=4, seed=3)
     assert a == b
+
+
+def test_a_median_iteration_measures_each_vertex_distance_once(monkeypatch):
+    p = random_convex_polygon(random.Random(6), 64)
+    calls = 0
+    distance_to = Point2.distance_to
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return distance_to(self, other)
+
+    monkeypatch.setattr(Point2, "distance_to", counting)
+    with pytest.raises(NoConvergence):
+        geometric_median(p, max_iter=1)
+    # snap scan, gradient and weights each measured all 64: 192
+    assert calls == 64

@@ -97,6 +97,21 @@ def test_validate_rejects_regular_tetrahedron():
         reconstruct(D)
 
 
+@pytest.mark.parametrize("t", [2.0**-20, 0.5, 1.0, 2.0, 10.0, 4e40])
+def test_validate_scores_a_regular_tetrahedron_alike_at_every_side(t):
+    D = matrix([[0, t, t, t], [t, 0, t, t], [t, t, 0, t], [t, t, t, 0]])
+    assert validate(D).cm_checks == (4.0,)
+
+
+def test_validate_checks_are_scale_free():
+    rng = random.Random(12)
+    for _ in range(20):
+        D = distance_matrix(random_polygon(rng, rng.randrange(4, 9)))
+        want = validate(D).cm_checks
+        for k in (-500, -300, -1, 1, 300, 500):
+            assert validate(D.scaled(2.0**k)).cm_checks == want
+
+
 def test_validate_rejects_perturbed_square_diagonal():
     s = math.sqrt(2.0)
     bad = s + 0.1

@@ -1,9 +1,11 @@
+import json
 import subprocess
 import sys
 from xml.sax.saxutils import escape
 
 import pytest
 
+from polycenter.cli import main
 from polycenter.errors import NonFinite
 from polycenter.geometry import Point2, Polygon
 from polycenter.svg import CenterRecord, render_svg
@@ -33,10 +35,22 @@ def test_center_names_are_escaped_like_saxutils():
     ([(-1e308, 0), (1e308, 0), (0, 1)], None),
     # the viewBox is finite, its far edge and a label beside the marker are not
     ([(1.797e308, 0), (1.7e308, 0), (1.7e308, 1e306)], (1.797e308, 0.0)),
-    # the viewBox is finite, the height attribute, 640 times its height, is not
-    ([(0, 0), (1e306, 0), (0, 1e306)], None),
 ])
 def test_an_extent_that_overflows_raises(pairs, marker):
     records = [] if marker is None else [CenterRecord("v", point=Point2(*marker))]
     with pytest.raises(NonFinite, match="plot extent must be finite"):
         render_svg(Polygon.from_pairs(pairs), records)
+
+
+def test_a_finite_viewbox_with_a_huge_height_renders(tmp_path, capsys):
+    # 640 times the viewBox height overflows; 640 times the ratio 1 does not
+    pairs = [(0, 0), (1e306, 0), (0, 1e306)]
+    text = render_svg(Polygon.from_pairs(pairs), [])
+    assert 'width="640" height="640">' in text
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"vertices": pairs}), encoding="utf-8")
+    target = tmp_path / "huge.svg"
+    rc = main(["plot", str(doc), "--centers", "centroid", "-o", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert 'width="640" height="640">' in target.read_text(encoding="utf-8")
