@@ -4,15 +4,23 @@ Stable names: ``centroid``, ``perimeter``, ``lamina``, ``medoid``,
 ``circumcenter``. Each entry pairs a center function (vertex- or
 length-based) with a domain guard; the direct evaluators compute the same
 points without going through coordinate maps and serve as cross-checks.
+
+The first four entries also carry an all-shifts evaluator, which returns a
+whole coordinate map from work the n shifts share: one distance matrix for
+`medoid`, one vertex mean and wedge total for `lamina`, the side list for
+`perimeter`. The sums they share are taken with `math.fsum`, which is
+correctly rounded and so independent of the vertex a shift starts from;
+that is what makes each all-shifts evaluator equal its per-shift
+definition bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
-from .errors import Collinear, DomainViolation, Tie, ZeroArea
+from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
 from .framework import (
     LengthCenterFunction,
     VertexCenterFunction,
@@ -43,11 +51,24 @@ def _wedge(a: Point2, b: Point2) -> float:
     return a.x * b.y - a.y * b.x
 
 
+def _total(terms: Iterable[float]) -> float:
+    """`math.fsum` of nonnegative terms: correctly rounded, so the same in
+    any order, and inf where it overflows (fsum raises OverflowError)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 # ----------------------------------------------------------- vertex centroid
 
 
 def _f_const_one(p: Polygon) -> float:
     return 1.0
+
+
+def _ones(p: Polygon) -> tuple[float, ...]:
+    return (1.0,) * p.n
 
 
 def centroid_vertices(p: Polygon) -> Point2:
@@ -61,6 +82,12 @@ def centroid_vertices(p: Polygon) -> Point2:
 def _g_adjacent_edge_sum(D: DistanceMatrix) -> float:
     # lengths of the two sides meeting at vertex 1
     return D.d[D.n - 1][0] + D.d[0][1]
+
+
+def _adjacent_edge_sums(D: DistanceMatrix) -> list[float]:
+    """_g_adjacent_edge_sum on every rotation, read off the sides."""
+    d, n = D.d, D.n
+    return [d[k - 1][k] + d[k][(k + 1) % n] for k in range(n)]
 
 
 def perimeter_centroid(p: Polygon) -> Point2:
@@ -84,6 +111,30 @@ def perimeter_centroid(p: Polygon) -> Point2:
 # ----------------------------------------------------------- lamina centroid
 
 
+def _lamina_fan(p: Polygon) -> tuple[list[float], float]:
+    """The fan wedges |(B-Vj)^(B-Vj+1)|, j = 1..n, about the vertex mean B,
+    and 1/n of their total.
+
+    B and the total are `math.fsum` sums, so the wedges of p.shifted(k) are
+    these rotated by k, bit for bit, and the share is the same. The extent
+    is checked first, so no difference from B overflows; NonFinite when it,
+    or the sum behind B, does.
+    """
+    xs, ys = vertex_coordinates(p)
+    n = len(xs)
+    try:
+        bx, by = math.fsum(xs) / n, math.fsum(ys) / n
+    except OverflowError:
+        raise NonFinite("vertex mean must be finite") from None
+    dx = [bx - x for x in xs]
+    dy = [by - y for y in ys]
+    wedges = [
+        abs(ux * wy - uy * wx)
+        for ux, uy, wx, wy in zip(dx, dy, dx[1:] + dx[:1], dy[1:] + dy[:1])
+    ]
+    return wedges, _total(wedges) / n
+
+
 def _f_lamina(p: Polygon) -> float:
     """Unsigned wedge sum anchored at the vertex mean.
 
@@ -92,14 +143,14 @@ def _f_lamina(p: Polygon) -> float:
     total, so the induced weights recover the area centroid on convex
     polygons.
     """
-    n = p.n
-    b = p.vertex_mean()
-    total = abs(_wedge(b - p.vertices[0], b - p.vertices[1]))
-    total += abs(_wedge(b - p.vertices[n - 1], b - p.vertices[0]))
-    total += sum(
-        abs(_wedge(b - p.vertices[j], b - p.vertex(j + 1))) for j in range(n)
-    ) / n
-    return total
+    wedges, share = _lamina_fan(p)
+    return wedges[0] + wedges[-1] + share
+
+
+def _lamina_all_shifts(p: Polygon) -> list[float]:
+    """_f_lamina on every shift from one fan: O(n)."""
+    wedges, share = _lamina_fan(p)
+    return [wedges[k] + wedges[k - 1] + share for k in range(len(wedges))]
 
 
 def lamina_centroid_direct(p: Polygon) -> Point2:
@@ -135,18 +186,18 @@ def lamina_centroid(p: Polygon) -> Point2:
 def _distance_sums(p: Polygon) -> list[float]:
     """Sum of distances from each vertex to all vertices.
 
-    Rows of the distance matrix are summed in index order, so the sums
-    match summing v.distance_to(w) over w bit for bit.
+    Rows of the distance matrix are summed with `_total`, so each sum
+    matches summing v.distance_to(w) over w in any order, bit for bit.
     """
-    return [sum(row) for row in distance_matrix(p).d]
+    return [_total(row) for row in distance_matrix(p).d]
 
 
 def _distance_sum(xs: list[float], ys: list[float], i: int) -> float:
-    """Row i of the distance matrix summed in index order, bit for bit: it
-    measures hypot(xi - x, yi - y) where the matrix may hold
+    """Row i of the distance matrix summed like `_distance_sums`, bit for
+    bit: it measures hypot(xi - x, yi - y) where the matrix may hold
     hypot(x - xi, y - yi), and the two are equal."""
     xi, yi = xs[i], ys[i]
-    return sum(math.hypot(xi - x, yi - y) for x, y in zip(xs, ys))
+    return _total(math.hypot(xi - x, yi - y) for x, y in zip(xs, ys))
 
 
 def _medoid_bound(s: float) -> float:
@@ -172,6 +223,13 @@ def _f_first_vertex_is_medoid(p: Polygon) -> float:
         return 0.0
     sums = _distance_sums(p)
     return 1.0 if sums[0] <= _medoid_bound(min(sums)) else 0.0
+
+
+def _medoid_indicators(p: Polygon) -> list[float]:
+    """_f_first_vertex_is_medoid on every shift from one matrix: O(n^2)."""
+    sums = _distance_sums(p)
+    bound = _medoid_bound(min(sums))
+    return [1.0 if s <= bound else 0.0 for s in sums]
 
 
 def medoid(p: Polygon) -> int:
@@ -253,7 +311,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "centroid": CatalogEntry(
         "centroid",
         "vertex",
-        VertexCenterFunction("centroid", _f_const_one),
+        VertexCenterFunction("centroid", _f_const_one, all_shifts=_ones),
         False,
         "vertex mean (constant function)",
     ),
@@ -265,6 +323,7 @@ CATALOG: dict[str, CatalogEntry] = {
             _g_adjacent_edge_sum,
             convex_distances,
             "convex polygons",
+            all_shifts=_adjacent_edge_sums,
         ),
         True,
         "boundary mass center (adjacent side sum)",
@@ -272,7 +331,10 @@ CATALOG: dict[str, CatalogEntry] = {
     "lamina": CatalogEntry(
         "lamina",
         "vertex",
-        VertexCenterFunction("lamina", _f_lamina, is_convex, "convex polygons"),
+        VertexCenterFunction(
+            "lamina", _f_lamina, is_convex, "convex polygons",
+            all_shifts=_lamina_all_shifts,
+        ),
         True,
         "area centroid (wedge sums about the vertex mean)",
     ),
@@ -280,7 +342,8 @@ CATALOG: dict[str, CatalogEntry] = {
         "medoid",
         "vertex",
         VertexCenterFunction(
-            "medoid", _f_first_vertex_is_medoid, is_nondegenerate, "distinct vertices"
+            "medoid", _f_first_vertex_is_medoid, is_nondegenerate, "distinct vertices",
+            all_shifts=_medoid_indicators,
         ),
         False,
         "vertex minimizing the distance sum (indicator)",

@@ -21,6 +21,12 @@ per map, on the input as given, and then evaluates all n shifts. An input
 on which a numerically fragile guard would answer differently for different
 shifts (a near-collinear or near-infeasible matrix under the
 reconstruction-based `perimeter` guard) is decided by the unshifted input.
+
+The per-shift `evaluator` is the definition, and it is what `evaluate` and
+the axiom checks call. A center function may also carry `all_shifts`, which
+returns the n values of a map at once from work the shifts share; it must
+equal the evaluator on every shift bit for bit, errors included, and
+`cyclic_values` then uses it in place of the n relabeled copies.
 """
 
 from __future__ import annotations
@@ -73,13 +79,16 @@ class _CenterFunction(Generic[_Input]):
     """A named evaluator with an optional domain guard.
 
     The guard must give the same answer on every cyclic relabeling of its
-    input; coordinate maps check it once per map.
+    input; coordinate maps check it once per map. `all_shifts`, when given,
+    returns the evaluator's values on shifts 0..n-1 of an input the guard
+    accepts, all at once and bit for bit.
     """
 
     name: str
     evaluator: Callable[[_Input], float]
     domain_guard: Optional[Callable[[_Input], bool]] = None
     domain_note: str = ""
+    all_shifts: Optional[Callable[[_Input], Sequence[float]]] = None
     reads: ClassVar[str]
 
     def evaluate(self, x: _Input) -> float:
@@ -140,7 +149,14 @@ class BarycentricWeights:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if abs(sum(self.values) - 1.0) > 1e-12:
+        # relative to the weights' magnitude: `normalize` divides by a sum
+        # that may be far smaller than the values it divides
+        try:
+            mass = math.fsum(map(abs, self.values))
+        except OverflowError:
+            mass = math.inf
+        if not (math.isfinite(mass)
+                and abs(math.fsum(self.values) - 1.0) <= 1e-12 * max(1.0, mass)):
             raise ValueError("weights must sum to 1")
 
     @property
@@ -174,15 +190,17 @@ def cyclic_values(
 
     Equal to fg.evaluate on x.shifted(k) (vertex functions) or x.rotated(k)
     (length functions) for k = 0..n-1, with the same errors, except that the
-    domain guard runs once, on x as given.
+    domain guard runs once, on x as given. With `fg.all_shifts` no
+    relabeled copy is built.
     """
     _check_domain(fg, x)
-    if isinstance(fg, VertexCenterFunction):
-        relabelings = (x.shifted(k) for k in range(x.n))
+    if fg.all_shifts is not None:
+        values = fg.all_shifts(x)
+    elif isinstance(fg, VertexCenterFunction):
+        values = map(fg.evaluator, (x.shifted(k) for k in range(x.n)))
     else:
-        relabelings = x.rotations()
-    evaluator = fg.evaluator
-    return tuple(_finite(fg, evaluator(y)) for y in relabelings)
+        values = map(fg.evaluator, x.rotations())
+    return tuple(_finite(fg, v) for v in values)
 
 
 def _projective(fg: CenterFunction, values: tuple[float, ...]) -> ProjectiveCoords:

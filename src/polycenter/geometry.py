@@ -6,12 +6,15 @@ Conventions used throughout the package:
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
 * signed area is positive for counterclockwise vertex order;
-* `distance_matrix` alone measures all pairwise distances of a polygon.
+* `distance_matrix` alone measures all pairwise distances of a polygon;
+* `DistanceMatrix.rotations` yields views, not copies: each row of a
+  rotation is sliced when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -213,10 +216,49 @@ def apply_motion(m: RigidMotion | Similarity, p: Polygon) -> Polygon:
 # -------------------------------------------------------------- distances
 
 
+class _RotatedRows(Sequence):
+    """The rows of a matrix rotated by k, each sliced when it is read.
+
+    Row i is row i + k of the matrix rotated by k, which is the slice
+    [k, k + n) of that row written twice; the doubled rows are built once
+    per `rotations` call and shared by its n views. The sequence compares,
+    hashes and prints like the tuple of rows it reads as, so a view equals
+    `rotated(k)`.
+    """
+
+    __slots__ = ("_doubled", "_cut")
+
+    def __init__(self, doubled: tuple[tuple[float, ...], ...], k: int) -> None:
+        self._doubled = doubled[k:] + doubled[:k]
+        self._cut = slice(k, k + len(doubled))
+
+    def __len__(self) -> int:
+        return len(self._doubled)
+
+    def __getitem__(self, i):
+        if i.__class__ is int:
+            return self._doubled[i][self._cut]
+        return tuple(self)[i]  # a slice, or another index type
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _RotatedRows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A symmetric matrix of pairwise distances with zero diagonal. Construction
-    validates every entry; matrices measured or derived here skip it (`_derived`)."""
+    validates every entry; matrices measured or derived here skip it (`_derived`).
+
+    `d` is a tuple of row tuples, except in the views from `rotations`, where
+    it is a read-only sequence of row tuples that compares equal to one."""
 
     d: tuple[tuple[float, ...], ...]
 
@@ -262,22 +304,24 @@ class DistanceMatrix:
         )
 
     @classmethod
-    def _derived(cls, d: tuple[tuple[float, ...], ...]) -> "DistanceMatrix":
+    def _derived(cls, d: Sequence[tuple[float, ...]]) -> "DistanceMatrix":
         """Wrap rows derived from a valid matrix, skipping revalidation."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "d", d)
         return matrix
 
     def rotations(self) -> Iterator["DistanceMatrix"]:
-        """rotated(0), ..., rotated(n-1), sliced from doubled rows.
+        """rotated(0), ..., rotated(n-1) as views of this matrix.
 
+        The rows are doubled once, O(n^2); a view then copies no row up
+        front but slices each one when it is read, so an evaluator that
+        reads a few entries costs O(n) per rotation, not O(n^2). A view
+        equals, and hashes like, `rotated(k)`.
         They are not revalidated: a rotation of a valid matrix is still
         square, finite, nonnegative, zero on the diagonal and symmetric.
         """
-        n = self.n
-        doubled = [row + row for row in self.d] * 2
-        for k in range(n):
-            yield self._derived(tuple(row[k:k + n] for row in doubled[k:k + n]))
+        doubled = tuple(row + row for row in self.d)
+        return (self._derived(_RotatedRows(doubled, k)) for k in range(self.n))
 
     def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input;

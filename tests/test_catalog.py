@@ -215,7 +215,7 @@ def test_distance_sums_match_row_by_row_sums_bitwise():
         p = random_polygon(rng, n, min_separation=0.0)
         for k in range(0, n, max(1, n // 8)):
             q = p.shifted(k)
-            expected = [sum(v.distance_to(w) for w in q.vertices) for v in q.vertices]
+            expected = [math.fsum(v.distance_to(w) for w in q.vertices) for v in q.vertices]
             assert _distance_sums(q) == expected
 
 

@@ -12,7 +12,7 @@ import pytest
 import polycenter
 from polycenter.cli import _rounded, main
 from polycenter.documents import read_document
-from polycenter.sampling import random_convex_polygon
+from polycenter.sampling import random_convex_polygon, random_polygon
 
 SQUARE = {"name": "square", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 TRI345 = {"vertices": [[0, 0], [3, 0], [0, 4]]}
@@ -227,6 +227,18 @@ def test_zero_sum_coordinates_exit_4(tmp_path, capsys):
     rc, _, err = invoke(capsys, ["center", doc, "--expr", "d(1,2)-d(2,3)"])
     assert rc == 4
     assert "ZeroSum" in err
+
+
+def test_nearly_cancelling_coordinates_normalize(tmp_path, capsys):
+    # the coordinates nearly cancel, so the weights are large and their
+    # float sum misses 1 by more than 1e-12, though not relative to them
+    p = random_polygon(random.Random(1), 8)
+    doc = write_doc(tmp_path, "p8.json", {"vertices": [[v.x, v.y] for v in p.vertices]})
+    rc, out, err = invoke(capsys, ["center", doc, "--expr", "d(n,1)-d(1,2)+0.00001*d(1,2)"])
+    assert rc == 0 and err == ""
+    weights = json.loads(out)["weights"]
+    assert max(map(abs, weights)) > 1.0
+    assert math.fsum(weights) == pytest.approx(1.0)
 
 
 def test_all_zero_coordinates_exit_4(tmp_path, capsys):

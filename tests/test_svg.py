@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from xml.sax.saxutils import escape
 
 import pytest
 
+import polycenter
 from polycenter.cli import main
 from polycenter.errors import NonFinite
 from polycenter.geometry import Point2, Polygon
@@ -18,8 +20,12 @@ def test_cli_import_leaves_out_the_xml_and_url_modules():
         "import sys, polycenter.cli; "
         "print(sorted({'xml.sax.saxutils', 'urllib.request'} & set(sys.modules)))"
     )
+    # the child imports the same polycenter, installed or not
+    src = os.path.dirname(os.path.dirname(polycenter.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == "[]\n"
 

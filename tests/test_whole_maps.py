@@ -1,0 +1,221 @@
+"""Whole-map evaluators against the per-shift definition, and their cost.
+
+A coordinate map is one center function evaluated on the n cyclic
+relabelings of its input. `centroid`, `perimeter`, `lamina` and `medoid`
+also carry an all-shifts evaluator that returns the n values at once; on
+every input here it must give what the per-shift evaluator gives on the
+relabeled copies `Polygon.shifted(k)` and `DistanceMatrix.rotated(k)`, bit
+for bit, error for error.
+"""
+
+import dataclasses
+import math
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polycenter import catalog
+from polycenter.catalog import CATALOG
+from polycenter.dsl import evaluate, parse
+from polycenter.errors import NonFinite
+from polycenter.framework import (
+    LengthCenterFunction,
+    VertexCenterFunction,
+    _check_domain,
+    _finite,
+    coordinate_map,
+    cyclic_values,
+)
+from polycenter.geometry import DistanceMatrix, Polygon, distance_matrix
+from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
+
+WHOLE = ("centroid", "perimeter", "lamina", "medoid")
+
+
+def per_shift(fg, x):
+    """The definition: the guard once on x, then the evaluator on each
+    relabeled copy, each value checked in index order."""
+    _check_domain(fg, x)
+    if isinstance(fg, VertexCenterFunction):
+        copies = [x.shifted(k) for k in range(x.n)]
+    else:
+        copies = [x.rotated(k) for k in range(x.n)]
+    return tuple(_finite(fg, fg.evaluator(y)) for y in copies)
+
+
+def outcome(call, fg, p):
+    """repr of the values, or the class and message of the error, where
+    length functions read the distances of p."""
+    try:
+        x = p if isinstance(fg, VertexCenterFunction) else distance_matrix(p)
+        return repr(call(fg, x))
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+def assert_whole_maps_match(p):
+    for name in WHOLE:
+        fg = CATALOG[name].function
+        assert fg.all_shifts is not None
+        assert outcome(cyclic_values, fg, p) == outcome(per_shift, fg, p), name
+
+
+def scaled(p, t):
+    return Polygon.from_pairs([(t * v.x, t * v.y) for v in p.vertices])
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+EXPONENTS = st.integers(-40, 40)
+
+
+@st.composite
+def random_polygons(draw):
+    rng = random.Random(draw(SEEDS))
+    p = random_polygon(rng, draw(st.integers(3, 24)), min_separation=0.0)
+    return scaled(p, 2.0 ** draw(EXPONENTS))
+
+
+@st.composite
+def convex_polygons(draw):
+    rng = random.Random(draw(SEEDS))
+    p = random_convex_polygon(rng, draw(st.integers(3, 40)))
+    return scaled(p, 2.0 ** draw(EXPONENTS))
+
+
+@st.composite
+def regular_polygons(draw):
+    """Regular n-gons, whose distance sums tie up to rounding, scaled by an
+    exact power of two and rotated by a phase."""
+    n = draw(st.integers(3, 40))
+    phase = draw(st.sampled_from([0.0, 0.1, math.pi / n]))
+    return regular_polygon(n, radius=2.0 ** draw(EXPONENTS), phase=phase)
+
+
+@st.composite
+def duplicated_vertices(draw):
+    """A polygon with one vertex repeated somewhere in its cycle."""
+    rng = random.Random(draw(SEEDS))
+    vs = list(random_convex_polygon(rng, draw(st.integers(3, 16))).vertices)
+    vs.insert(draw(st.integers(0, len(vs))), vs[draw(st.integers(0, len(vs) - 1))])
+    return Polygon(tuple(vs))
+
+
+@st.composite
+def huge_polygons(draw):
+    """Coordinates up to 2^1023: at the top exponent the extent overflows,
+    below it the distance sums may."""
+    rng = random.Random(draw(SEEDS))
+    p = random_polygon(rng, draw(st.integers(3, 16)), min_separation=0.0)
+    return scaled(p, 2.0 ** draw(st.integers(1015, 1022)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_polygons())
+def test_random_polygons(p):
+    assert_whole_maps_match(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_polygons())
+def test_convex_polygons(p):
+    assert_whole_maps_match(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_polygons())
+def test_regular_polygons_and_medoid_ties(p):
+    assert_whole_maps_match(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(duplicated_vertices())
+def test_duplicated_vertices(p):
+    assert_whole_maps_match(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(huge_polygons())
+def test_huge_polygons(p):
+    assert_whole_maps_match(p)
+
+
+@pytest.mark.parametrize("p", [
+    regular_polygon(32, winding=3),
+    regular_polygon(5, winding=2),
+    Polygon.from_pairs([(-1e308, 0), (1e308, 0), (0, 1)]),
+    Polygon.from_pairs([(0, 0), (1, 0), (1, 1), (1, 0)]),
+], ids=["star-32-3", "star-5-2", "extent-overflows", "repeated-vertex"])
+def test_rejected_and_overflowing_inputs(p):
+    assert_whole_maps_match(p)
+
+
+# ------------------------------------------------------------------ cost
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_medoid_map_builds_one_distance_matrix(monkeypatch):
+    calls = count_calls(monkeypatch, catalog, "distance_matrix")
+    p = random_convex_polygon(random.Random(0), 128)
+    values = coordinate_map(CATALOG["medoid"].function, p).values
+    assert sum(values) >= 1.0
+    assert len(calls) == 1
+
+
+def test_whole_maps_build_no_relabeled_copies(monkeypatch):
+    p = random_convex_polygon(random.Random(1), 32)
+    shifted = count_calls(monkeypatch, Polygon, "shifted")
+    rotations = count_calls(monkeypatch, DistanceMatrix, "rotations")
+    for name in WHOLE:
+        coordinate_map(CATALOG[name].function, p)
+    assert shifted == [] and rotations == []
+    # the per-shift path, which the counters do see
+    for name in WHOLE:
+        coordinate_map(dataclasses.replace(CATALOG[name].function, all_shifts=None), p)
+    assert len(shifted) == 3 * p.n and len(rotations) == 1
+
+
+def test_a_length_map_copies_no_rotated_matrix():
+    n = 64
+    D = distance_matrix(random_convex_polygon(random.Random(2), n))
+    pc = parse("d(n,1)+d(1,2)")
+    views = []
+    g = LengthCenterFunction("kept", lambda M: views.append(M) or evaluate(pc, M))
+    tracemalloc.start()
+    try:
+        values = cyclic_values(g, D)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert values == tuple(evaluate(pc, D.rotated(k)) for k in range(n))
+    assert views == [D.rotated(k) for k in range(n)]
+    # n rotated copies would hold n row tuples of n floats each: n**3 slots
+    # of 8 bytes; the n views hold one doubled matrix and n row orders
+    assert held < n**3
+
+
+def test_distance_sums_that_overflow_read_as_infinite():
+    # a finite extent whose distance sums all pass the largest float: every
+    # vertex ties at inf, as when the sums were taken in index order
+    p = Polygon.from_pairs([(-8e307, 0), (8e307, 0), (0, 8e307)])
+    assert catalog._distance_sums(p) == [math.inf] * 3
+    assert coordinate_map(CATALOG["medoid"].function, p).values == (1.0, 1.0, 1.0)
+
+
+def test_a_vertex_mean_that_overflows_raises_non_finite():
+    p = Polygon.from_pairs([(1.7e308, 0), (1.7e308 + 2**971, 0), (1.7e308, 2**971)])
+    with pytest.raises(NonFinite, match="vertex mean must be finite"):
+        catalog._f_lamina(p)
