@@ -5,20 +5,21 @@ Stable names: ``centroid``, ``perimeter``, ``lamina``, ``medoid``,
 length-based) with a domain guard; the direct evaluators compute the same
 points without going through coordinate maps and serve as cross-checks.
 
-The first four entries also carry an all-shifts evaluator, which returns a
-whole coordinate map from work the n shifts share: one distance matrix for
-`medoid`, one vertex mean and wedge total for `lamina`, the side list for
-`perimeter`. The sums they share are taken with `math.fsum`, which is
-correctly rounded and so independent of the vertex a shift starts from;
-that is what makes each all-shifts evaluator equal its per-shift
-definition bit for bit.
+The first four entries are defined once, by their whole coordinate map,
+computed from work the n shifts share: one distance matrix for `medoid`
+(which `medoid()` reads too), one vertex mean and wedge total for
+`lamina`, the side list for `perimeter`. Their per-shift evaluator is
+entry 0 of the map. The sums a map shares are taken with `math.fsum`,
+which is correctly rounded and so independent of the vertex a shift
+starts from; that is what makes entry 0 of a shifted input's map equal
+the matching entry of the input's own, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
 from .framework import (
@@ -37,11 +38,8 @@ from .geometry import (
 )
 from .reconstruction import convex_distances
 
-# Distance sums within this fraction of the diameter of the minimum count
-# as tied when picking the medoid vertex.
-TIE_REL = 1e-10
 # The medoid indicator is 1.0 when vertex 1's distance sum is within this
-# fraction of the smallest sum, or within this amount if that is below 1.
+# fraction of the smallest sum.
 MEDOID_REL = 1e-12
 # Total wedge sums below this magnitude mean the outline bounds no area.
 AREA_EPS = 1e-12
@@ -60,11 +58,13 @@ def _total(terms: Iterable[float]) -> float:
         return math.inf
 
 
+def _entry_zero(all_shifts: Callable[..., Sequence[float]]) -> Callable[..., float]:
+    """The per-shift evaluator of a center defined by its whole map: the
+    value on an input is entry 0 of the input's map."""
+    return lambda x: all_shifts(x)[0]
+
+
 # ----------------------------------------------------------- vertex centroid
-
-
-def _f_const_one(p: Polygon) -> float:
-    return 1.0
 
 
 def _ones(p: Polygon) -> tuple[float, ...]:
@@ -79,13 +79,8 @@ def centroid_vertices(p: Polygon) -> Point2:
 # -------------------------------------------------------- perimeter centroid
 
 
-def _g_adjacent_edge_sum(D: DistanceMatrix) -> float:
-    # lengths of the two sides meeting at vertex 1
-    return D.d[D.n - 1][0] + D.d[0][1]
-
-
 def _adjacent_edge_sums(D: DistanceMatrix) -> list[float]:
-    """_g_adjacent_edge_sum on every rotation, read off the sides."""
+    """Entry k: the lengths of the two sides meeting at vertex k + 1."""
     d, n = D.d, D.n
     return [d[k - 1][k] + d[k][(k + 1) % n] for k in range(n)]
 
@@ -111,13 +106,15 @@ def perimeter_centroid(p: Polygon) -> Point2:
 # ----------------------------------------------------------- lamina centroid
 
 
-def _lamina_fan(p: Polygon) -> tuple[list[float], float]:
-    """The fan wedges |(B-Vj)^(B-Vj+1)|, j = 1..n, about the vertex mean B,
-    and 1/n of their total.
+def _lamina_all_shifts(p: Polygon) -> list[float]:
+    """Unsigned wedge sums anchored at the vertex mean, from one fan: O(n).
 
-    B and the total are `math.fsum` sums, so the wedges of p.shifted(k) are
-    these rotated by k, bit for bit, and the share is the same. The extent
-    is checked first, so no difference from B overflows; NonFinite when it,
+    With B the vertex mean, entry 0 is |(B-V1)^(B-V2)| + |(B-Vn)^(B-V1)|
+    plus 1/n of the full fan total. Summed over cyclic shifts this triples
+    the fan total, so the induced weights recover the area centroid on
+    convex polygons. B and the total are `math.fsum` sums, so the fan of
+    p.shifted(k) is this one rotated by k, bit for bit. The extent is
+    checked first, so no difference from B overflows; NonFinite when it,
     or the sum behind B, does.
     """
     xs, ys = vertex_coordinates(p)
@@ -132,25 +129,8 @@ def _lamina_fan(p: Polygon) -> tuple[list[float], float]:
         abs(ux * wy - uy * wx)
         for ux, uy, wx, wy in zip(dx, dy, dx[1:] + dx[:1], dy[1:] + dy[:1])
     ]
-    return wedges, _total(wedges) / n
-
-
-def _f_lamina(p: Polygon) -> float:
-    """Unsigned wedge sum anchored at the vertex mean.
-
-    With B the vertex mean: |(B-V1)^(B-V2)| + |(B-Vn)^(B-V1)| plus 1/n of
-    the full fan total. Summed over cyclic shifts this triples the fan
-    total, so the induced weights recover the area centroid on convex
-    polygons.
-    """
-    wedges, share = _lamina_fan(p)
-    return wedges[0] + wedges[-1] + share
-
-
-def _lamina_all_shifts(p: Polygon) -> list[float]:
-    """_f_lamina on every shift from one fan: O(n)."""
-    wedges, share = _lamina_fan(p)
-    return [wedges[k] + wedges[k - 1] + share for k in range(len(wedges))]
+    share = _total(wedges) / n
+    return [wedges[k] + wedges[k - 1] + share for k in range(n)]
 
 
 def lamina_centroid_direct(p: Polygon) -> Point2:
@@ -164,7 +144,7 @@ def lamina_centroid_direct(p: Polygon) -> Point2:
     n = p.n
     u = [_wedge(p.vertices[j], p.vertex(j + 1)) for j in range(n)]
     total = sum(u)
-    if abs(total) <= AREA_EPS * max(1.0, max(abs(w) for w in u) if u else 1.0):
+    if abs(total) <= AREA_EPS * max(abs(w) for w in u):
         raise ZeroArea("outline bounds no area; centroid undefined")
     x = y = 0.0
     for i in range(n):
@@ -192,63 +172,32 @@ def _distance_sums(p: Polygon) -> list[float]:
     return [_total(row) for row in distance_matrix(p).d]
 
 
-def _distance_sum(xs: list[float], ys: list[float], i: int) -> float:
-    """Row i of the distance matrix summed like `_distance_sums`, bit for
-    bit: it measures hypot(xi - x, yi - y) where the matrix may hold
-    hypot(x - xi, y - yi), and the two are equal."""
-    xi, yi = xs[i], ys[i]
-    return _total(math.hypot(xi - x, yi - y) for x, y in zip(xs, ys))
-
-
 def _medoid_bound(s: float) -> float:
-    """Largest distance sum still counted as tied with a sum s; monotone in s."""
-    return s + MEDOID_REL * max(1.0, s)
-
-
-def _f_first_vertex_is_medoid(p: Polygon) -> float:
-    """1.0 when vertex 1 minimizes the sum of distances to all vertices.
-
-    Vertex 1 is first compared with one vertex j, the one nearest the
-    vertex mean, in O(n): a sum above _medoid_bound(sum of j) is above
-    _medoid_bound of the smallest sum too, so the answer is 0.0. Only
-    otherwise are all n sums measured. The extent is checked before either,
-    so an overflowing polygon raises NonFinite whichever path it would take.
-    """
-    xs, ys = vertex_coordinates(p)
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    offsets = [math.hypot(x - mx, y - my) for x, y in zip(xs, ys)]
-    j = offsets.index(min(offsets))
-    if _distance_sum(xs, ys, 0) > _medoid_bound(_distance_sum(xs, ys, j)):
-        return 0.0
-    sums = _distance_sums(p)
-    return 1.0 if sums[0] <= _medoid_bound(min(sums)) else 0.0
+    """Largest distance sum still counted as tied with a sum s; monotone in s
+    and relative: sums of pairwise-distinct vertices are positive."""
+    return s + MEDOID_REL * s
 
 
 def _medoid_indicators(p: Polygon) -> list[float]:
-    """_f_first_vertex_is_medoid on every shift from one matrix: O(n^2)."""
+    """Entry k is 1.0 when vertex k + 1 minimizes the sum of distances to
+    all vertices, from one matrix: O(n^2)."""
     sums = _distance_sums(p)
     bound = _medoid_bound(min(sums))
     return [1.0 if s <= bound else 0.0 for s in sums]
 
 
 def medoid(p: Polygon) -> int:
-    """0-based index of the vertex minimizing the distance sum.
-
-    Raises Tie when a second vertex comes within TIE_REL of the minimum,
-    measured against the polygon diameter.
+    """0-based index of the vertex minimizing the distance sum: the one
+    vertex whose `medoid` indicator is 1. Raises Tie when more than one is.
     """
     if not is_nondegenerate(p):
         raise DomainViolation("medoid needs pairwise distinct vertices")
-    D = distance_matrix(p)
-    sums = [sum(row) for row in D.d]
-    order = sorted(range(p.n), key=lambda i: sums[i])
-    threshold = TIE_REL * D.max_entry()
-    if sums[order[1]] - sums[order[0]] <= threshold:
+    marked = [i for i, v in enumerate(_medoid_indicators(p)) if v]
+    if len(marked) > 1:
         raise Tie(
-            f"vertices {order[0] + 1} and {order[1] + 1} tie for the minimum distance sum"
+            f"vertices {marked[0] + 1} and {marked[1] + 1} tie for the minimum distance sum"
         )
-    return order[0]
+    return marked[0]
 
 
 # -------------------------------------------------------- triangle circumcenter
@@ -311,7 +260,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "centroid": CatalogEntry(
         "centroid",
         "vertex",
-        VertexCenterFunction("centroid", _f_const_one, all_shifts=_ones),
+        VertexCenterFunction("centroid", _entry_zero(_ones), all_shifts=_ones),
         False,
         "vertex mean (constant function)",
     ),
@@ -320,7 +269,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "length",
         LengthCenterFunction(
             "perimeter",
-            _g_adjacent_edge_sum,
+            _entry_zero(_adjacent_edge_sums),
             convex_distances,
             "convex polygons",
             all_shifts=_adjacent_edge_sums,
@@ -332,7 +281,7 @@ CATALOG: dict[str, CatalogEntry] = {
         "lamina",
         "vertex",
         VertexCenterFunction(
-            "lamina", _f_lamina, is_convex, "convex polygons",
+            "lamina", _entry_zero(_lamina_all_shifts), is_convex, "convex polygons",
             all_shifts=_lamina_all_shifts,
         ),
         True,
@@ -342,7 +291,8 @@ CATALOG: dict[str, CatalogEntry] = {
         "medoid",
         "vertex",
         VertexCenterFunction(
-            "medoid", _f_first_vertex_is_medoid, is_nondegenerate, "distinct vertices",
+            "medoid", _entry_zero(_medoid_indicators), is_nondegenerate,
+            "distinct vertices",
             all_shifts=_medoid_indicators,
         ),
         False,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Callable, Optional
@@ -255,6 +256,17 @@ def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
     return convert
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float of at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse reports "invalid float value: ..."
+
+
 def _add_selection(sp: argparse.ArgumentParser) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", help="catalog center name")
@@ -282,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", help="polygon document (JSON)")
     _add_selection(sp)
     _add_precision(sp)
-    sp.add_argument("--tol", type=float, default=1e-12, help="median tolerance")
+    sp.add_argument("--tol", type=_tolerance, default=1e-12, help="median tolerance, at least 0")
     sp.add_argument(
-        "--max-iter", dest="max_iter", type=int, default=10000,
-        help="median iteration budget",
+        "--max-iter", dest="max_iter", type=_int_in(1), default=10000,
+        help="median iteration budget, at least 1",
     )
     sp.add_argument("--seed", type=int, default=0, help="chebyshev shuffle seed")
     sp.set_defaults(handler=_cmd_center)
@@ -313,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("characterize", help="shape predicates and coincidences")
     sp.add_argument("file", help="polygon document (JSON)")
     sp.add_argument(
-        "--tol", type=float, default=COINCIDENCE_TOL,
-        help="coincidence spread tolerance",
+        "--tol", type=_tolerance, default=COINCIDENCE_TOL,
+        help="coincidence spread tolerance, at least 0",
     )
     _add_precision(sp)
     sp.set_defaults(handler=_cmd_characterize)

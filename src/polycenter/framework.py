@@ -22,11 +22,12 @@ on which a numerically fragile guard would answer differently for different
 shifts (a near-collinear or near-infeasible matrix under the
 reconstruction-based `perimeter` guard) is decided by the unshifted input.
 
-The per-shift `evaluator` is the definition, and it is what `evaluate` and
-the axiom checks call. A center function may also carry `all_shifts`, which
-returns the n values of a map at once from work the shifts share; it must
-equal the evaluator on every shift bit for bit, errors included, and
-`cyclic_values` then uses it in place of the n relabeled copies.
+The per-shift `evaluator` is what `evaluate` and the axiom checks call. A
+center function may also carry `all_shifts`, which returns the n values of
+a map at once from work the shifts share; the two must agree on every shift
+bit for bit, errors included, and `cyclic_values` then uses `all_shifts` in
+place of the n relabeled copies. A function defined by its whole map, as
+the catalog's are, takes entry 0 of that map as its evaluator.
 """
 
 from __future__ import annotations
@@ -229,12 +230,19 @@ def coordinate_map(fg: CenterFunction, p: Polygon) -> ProjectiveCoords:
 
 def normalize(coords: ProjectiveCoords) -> BarycentricWeights:
     """Scale coordinates to sum 1. Raises ZeroSum when the sum is negligible
-    next to the largest coordinate magnitude."""
-    total = sum(coords.values)
+    next to the largest coordinate magnitude. The coordinates are first
+    scaled by the power of two that brings the largest magnitude into
+    [0.5, 1), so finite ones cannot sum past the float range; the scaling
+    is exact for every coordinate above 2^-1021 times the largest."""
     largest = max(abs(v) for v in coords.values)
-    if abs(total) <= ZERO_SUM_REL * largest:
-        raise ZeroSum(f"coordinate sum {total:.3e} is negligible at scale {largest:.3e}")
-    return BarycentricWeights(tuple(v / total for v in coords.values))
+    e = math.frexp(largest)[1]
+    values = [math.ldexp(v, -e) for v in coords.values]
+    total = sum(values)
+    if abs(total) <= ZERO_SUM_REL * math.ldexp(largest, -e):
+        raise ZeroSum(
+            f"coordinate sum {math.ldexp(total, e):.3e} is negligible at scale {largest:.3e}"
+        )
+    return BarycentricWeights(tuple(v / total for v in values))
 
 
 def geometric_center(fg: CenterFunction, p: Polygon) -> Point2:

@@ -1,7 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from polycenter.catalog import (
     CATALOG,
@@ -150,6 +153,24 @@ def test_lamina_matches_shoelace_moments():
         want = shoelace_centroid(p)
         assert lamina_centroid_direct(p).distance_to(want) < 1e-9
         assert lamina_centroid(p).distance_to(want) < 1e-9
+
+
+def wedge_products(p):
+    return [t for v, w in zip(p.vertices, p.vertices[1:] + p.vertices[:1])
+            for t in (v.x * w.y, v.y * w.x)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(-500, 500))
+@example(3, 7, -30)
+@example(3, 7, -300)
+def test_lamina_direct_commutes_with_scaling(seed, n, k):
+    p = random_convex_polygon(random.Random(seed), n)
+    t = 2.0**k
+    q = Polygon.from_pairs([(t * v.x, t * v.y) for v in p.vertices])
+    assume(all(w == 0.0 or abs(w) >= sys.float_info.min for w in wedge_products(q)))
+    got, want = lamina_centroid_direct(q), lamina_centroid_direct(p)
+    assert (got.x, got.y) == (t * want.x, t * want.y)
 
 
 def test_lamina_differs_from_vertex_mean_on_trapezoid():

@@ -241,6 +241,31 @@ def test_nearly_cancelling_coordinates_normalize(tmp_path, capsys):
     assert math.fsum(weights) == pytest.approx(1.0)
 
 
+QUAD_NEAR_MAX = [
+    [-1.7592729819018495e306, 9.44762327641518e306],
+    [8.75370936200776e306, -1.0802895994406287e306],
+    [-9.672397494839219e306, -6.564236983296014e306],
+    [-1.0545418179555092e307, -1.9805799201117533e306],
+]
+EQUILATERAL_4E102 = [[0.0, 0.0], [4.4e102, 0.0], [2.2e102, 4.4e102 * math.sqrt(3) / 2]]
+
+
+@pytest.mark.parametrize("pairs, expr, k", [
+    (QUAD_NEAR_MAX, "perim", -1000),
+    (EQUILATERAL_4E102, "d(n,1)^3+d(1,2)^3", -300),  # cubes underflow at 2^-1000
+], ids=["perim", "cubes"])
+def test_coordinates_summing_past_the_float_range_normalize(tmp_path, capsys, pairs, expr, k):
+    weights = []
+    for t in (1.0, 2.0**k):
+        doc = write_doc(tmp_path, "p.json", {"vertices": [[t * x, t * y] for x, y in pairs]})
+        rc, out, err = invoke(capsys, ["center", doc, "--expr", expr])
+        assert rc == 0 and err == ""
+        weights.append(json.loads(out)["weights"])
+        rc, out, err = invoke(capsys, ["coords", doc, "--expr", expr])
+        assert rc == 0 and err == ""
+    assert weights[0] == weights[1]
+
+
 def test_all_zero_coordinates_exit_4(tmp_path, capsys):
     doc = write_doc(tmp_path, "tri.json", TRI345)
     rc, _, err = invoke(capsys, ["center", doc, "--expr", "0*d(1,2)"])
@@ -255,6 +280,50 @@ def test_median_budget_exhaustion_exits_5(tmp_path, capsys):
     )
     assert rc == 5
     assert "NoConvergence" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "{doc}", "--name", "median", "--tol", "nan"],
+    ["center", "{doc}", "--name", "median", "--tol", "inf"],
+    ["center", "{doc}", "--name", "median", "--tol", "-1"],
+    ["characterize", "{doc}", "--tol", "nan"],
+    ["characterize", "{doc}", "--tol", "inf"],
+    ["characterize", "{doc}", "--tol", "-1"],
+    ["center", "{doc}", "--name", "median", "--max-iter", "0"],
+    ["center", "{doc}", "--name", "median", "--max-iter", "-3"],
+], ids=lambda argv: " ".join(argv[-2:]) + f" ({argv[0]})")
+def test_out_of_range_tolerance_or_budget_exits_2(tmp_path, capsys, argv):
+    doc = write_doc(tmp_path, "tri.json", TRI345)
+    rc, out, err = invoke(capsys, [doc if a == "{doc}" else a for a in argv])
+    assert rc == 2 and out == ""
+    flag, value = argv[-2:]
+    bound = "at least 1" if flag == "--max-iter" else "finite and at least 0"
+    assert f"argument {flag}: must be {bound}, got {value}" in err
+
+
+def test_zero_tolerance_is_accepted(tmp_path, capsys):
+    doc = write_doc(tmp_path, "sq.json", SQUARE)
+    rc, out, err = invoke(capsys, ["characterize", doc, "--tol", "0"])
+    assert rc == 0 and err == ""
+    # the square's center is the exact median: residual 0 after one step
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "median", "--tol", "0"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["point"] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("k", [-300, -30, 0, 300])
+def test_medoid_vertex_and_weights_commute_with_scaling(tmp_path, capsys, k):
+    p = random_convex_polygon(random.Random(3), 7)
+    outputs = []
+    for t in (1.0, 2.0**k):
+        doc = write_doc(tmp_path, "p.json", {"vertices": [[t * v.x, t * v.y] for v in p.vertices]})
+        rc, out, err = invoke(capsys, ["center", doc, "--name", "medoid"])
+        assert rc == 0 and err == ""
+        outputs.append(json.loads(out))
+    base, data = outputs
+    assert data["weights"] == base["weights"]
+    assert data["vertex"] == base["vertex"]
+    assert data["weights"][data["vertex"] - 1] == 1.0
 
 
 # ------------------------------------------------------------- check-axioms

@@ -95,15 +95,45 @@ NEARLY_CANCELLING = st.tuples(
 ).map(lambda xs_eps: tuple(xs_eps[0]) + (xs_eps[1] - math.fsum(xs_eps[0]),))
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=64).map(tuple),
-                 NEARLY_CANCELLING))
+                 NEARLY_CANCELLING,
+                 st.lists(FINITE, min_size=3, max_size=16).map(tuple)))
 def test_normalize_returns_accepted_weights_or_raises_zero_sum(values):
     assume(any(v != 0.0 for v in values))
     try:
         normalize(ProjectiveCoords(values))  # a ValueError here fails
     except ZeroSum:
         pass
+
+
+def normalized(values):
+    try:
+        return normalize(ProjectiveCoords(tuple(values)))
+    except ZeroSum:
+        return ZeroSum
+
+
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(2.0**-20, 1.7e308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(MAGNITUDES, st.booleans()), min_size=3, max_size=16))
+def test_normalize_of_coordinates_summing_past_the_float_range(signed):
+    # Coordinates of at least 2^-20 stay normal, so exact, at 2^-1000, where
+    # they cannot overflow: the weights and the ZeroSum decision must match.
+    values = [-m if negative else m for m, negative in signed]
+    assume(any(v != 0.0 for v in values))
+    assert normalized(values) == normalized([v * 2.0**-1000 for v in values])
+
+
+def test_normalize_coordinates_at_the_top_of_the_range():
+    assert normalize(ProjectiveCoords((1e308,) * 3)).values == (1 / 3,) * 3
+    with pytest.raises(ZeroSum, match="coordinate sum 0.000e[+]00 is negligible at scale 1.000e[+]308"):
+        normalize(ProjectiveCoords((1e308, -5e307, -5e307)))
 
 
 def test_coordinate_map_vertex_fixture():

@@ -1,8 +1,12 @@
-"""The medoid indicator rules most shifts out from two distance sums.
+"""The medoid indicator against its full definition.
 
-Its full definition, measuring all n sums for every shift, is kept here as
-the reference; the indicator must give the same value or the same error on
-every shift.
+The catalog defines `medoid` once, by its whole map: one distance matrix,
+n `math.fsum` row sums, and a 1 for every sum within MEDOID_REL of the
+smallest. The definition is kept here as the reference, measuring all n
+sums for the shift it is asked about; entry k of the map and the per-shift
+evaluator on shift k must give its value or its error on every shift.
+(The module keeps the name it had when the indicator still ruled shifts
+out from two sums.)
 """
 
 import math
@@ -13,23 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycenter import catalog
-from polycenter.catalog import (
-    CATALOG,
-    _distance_sum,
-    _distance_sums,
-    _f_first_vertex_is_medoid,
-    _medoid_bound,
-)
+from polycenter.catalog import CATALOG, _distance_sums, _medoid_bound, _medoid_indicators
 from polycenter.errors import NonFinite
 from polycenter.framework import coordinate_map_vertex
-from polycenter.geometry import Polygon, vertex_coordinates
+from polycenter.geometry import Polygon
 from polycenter.sampling import random_convex_polygon
+
+MEDOID = CATALOG["medoid"].function
 
 
 def reference_indicator(p):
     sums = _distance_sums(p)
     smin = min(sums)
-    return 1.0 if sums[0] <= smin + 1e-12 * max(1.0, smin) else 0.0
+    return 1.0 if sums[0] <= smin + 1e-12 * smin else 0.0
 
 
 def outcome(f, p):
@@ -40,9 +40,12 @@ def outcome(f, p):
 
 
 def assert_every_shift_agrees(p):
+    whole = outcome(_medoid_indicators, p)
     for k in range(p.n):
         q = p.shifted(k)
-        assert outcome(_f_first_vertex_is_medoid, q) == outcome(reference_indicator, q), k
+        expected = outcome(reference_indicator, q)
+        assert outcome(MEDOID.evaluator, q) == expected, k
+        assert (whole if isinstance(whole, tuple) else whole[k]) == expected, k
 
 
 SCALES = st.sampled_from([1e-3, 0.1, 1.0, 3.0, 1e3, 1e6])
@@ -110,9 +113,6 @@ def mirrored(polygons):
 @given(mirrored(repeated_coordinates()))
 def test_repeated_coordinates(p):
     assert_every_shift_agrees(p)
-    xs, ys = vertex_coordinates(p)
-    # repr tells -0.0 from 0.0: bit for bit
-    assert repr([_distance_sum(xs, ys, i) for i in range(p.n)]) == repr(_distance_sums(p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,15 +134,16 @@ def test_exact_ties(p):
 
 
 def test_the_tolerance_boundary_itself():
-    # Vertex 1 at (1.5, t) sits next to the central vertex 5, the one
-    # nearest the vertex mean. Bisect t to where vertex 1's sum crosses
-    # _medoid_bound of vertex 5's, then step t by single ulps across it.
+    # Vertex 1 at (1.5, t) sits next to the central vertex 5, whose sum is
+    # the smallest. Bisect t to where vertex 1's sum crosses _medoid_bound
+    # of vertex 5's, then step t by single ulps across it.
     def place(t):
         return Polygon.from_pairs([(1.5, t), (3.0, 0.0), (1.5, 2.0), (1.5, -2.0), (1.5, 0.0)])
 
     def excess(t):
-        xs, ys = vertex_coordinates(place(t))
-        return _distance_sum(xs, ys, 0) - _medoid_bound(_distance_sum(xs, ys, 4))
+        sums = _distance_sums(place(t))
+        assert min(sums) == sums[4]
+        return sums[0] - _medoid_bound(sums[4])
 
     lo, hi = 0.0, 0.5
     while math.nextafter(lo, hi) != hi:
@@ -164,7 +165,7 @@ def test_extreme_scales_give_the_same_value_or_error(scale, pairs):
     assert_every_shift_agrees(p)
     if scale == 1e308:
         with pytest.raises(NonFinite, match="polygon extent must be finite"):
-            _f_first_vertex_is_medoid(p)
+            MEDOID.evaluator(p)
 
 
 def test_convex_128_gon_builds_few_matrices(monkeypatch):
@@ -177,7 +178,9 @@ def test_convex_128_gon_builds_few_matrices(monkeypatch):
 
     monkeypatch.setattr(catalog, "distance_matrix", counted)
     p = random_convex_polygon(random.Random(0), 128)
-    coords = coordinate_map_vertex(CATALOG["medoid"].function, p)
+    coords = coordinate_map_vertex(MEDOID, p)
     assert sum(coords.values) >= 1.0
-    # the full definition builds one matrix per shift, 128
-    assert len(calls) <= 4
+    # measuring every shift's sums would build one matrix per shift, 128
+    assert len(calls) == 1
+    MEDOID.evaluator(p)
+    assert len(calls) == 2

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycenter import catalog
-from polycenter.catalog import CATALOG
+from polycenter.catalog import CATALOG, medoid
 from polycenter.dsl import evaluate, parse
-from polycenter.errors import NonFinite
+from polycenter.errors import DomainViolation, NonFinite, Tie
 from polycenter.framework import (
     LengthCenterFunction,
     VertexCenterFunction,
@@ -218,4 +218,37 @@ def test_distance_sums_that_overflow_read_as_infinite():
 def test_a_vertex_mean_that_overflows_raises_non_finite():
     p = Polygon.from_pairs([(1.7e308, 0), (1.7e308 + 2**971, 0), (1.7e308, 2**971)])
     with pytest.raises(NonFinite, match="vertex mean must be finite"):
-        catalog._f_lamina(p)
+        CATALOG["lamina"].function.evaluator(p)
+
+
+# ------------------------------------------------------------ medoid vertex
+
+
+@st.composite
+def signed_zero_duplicates(draw):
+    """A convex polygon with a vertex repeated as (-0.0, y) beside (0.0, y),
+    which the guard must reject as a duplicate."""
+    rng = random.Random(draw(SEEDS))
+    vs = random_convex_polygon(rng, draw(st.integers(3, 12))).vertices
+    y = vs[0].y
+    pairs = [(0.0, y)] + [(v.x - vs[0].x, v.y) for v in vs[1:]]
+    pairs.insert(draw(st.integers(1, len(pairs))), (-0.0, y))
+    return Polygon.from_pairs(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_polygons(), convex_polygons(), regular_polygons(),
+                 signed_zero_duplicates()))
+def test_medoid_is_the_one_vertex_its_indicator_marks(p):
+    try:
+        marks = cyclic_values(CATALOG["medoid"].function, p)
+    except DomainViolation:
+        with pytest.raises(DomainViolation):
+            medoid(p)
+        return
+    marked = [k for k, v in enumerate(marks) if v == 1.0]
+    if len(marked) > 1:
+        with pytest.raises(Tie, match=f"vertices {marked[0] + 1} and {marked[1] + 1} tie"):
+            medoid(p)
+    else:
+        assert medoid(p) == marked[0]
