@@ -192,7 +192,12 @@ def medoid(p: Polygon) -> int:
     """
     if not is_nondegenerate(p):
         raise DomainViolation("medoid needs pairwise distinct vertices")
-    marked = [i for i, v in enumerate(_medoid_indicators(p)) if v]
+    return marked_vertex(_medoid_indicators(p))
+
+
+def marked_vertex(marks: Sequence[float]) -> int:
+    """0-based index of the vertex a `medoid` map marks; Tie if it marks more."""
+    marked = [i for i, v in enumerate(marks) if v]
     if len(marked) > 1:
         raise Tie(
             f"vertices {marked[0] + 1} and {marked[1] + 1} tie for the minimum distance sum"

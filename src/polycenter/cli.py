@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Optional
 
-from .catalog import CATALOG, CatalogEntry, medoid
+from .catalog import CATALOG, CatalogEntry, marked_vertex
 from .characterization import COINCIDENCE_TOL, characterize
 from .documents import (
     PolygonDocument,
@@ -139,9 +139,9 @@ def compute_record(
         )
     else:
         fg = _catalog_entry(name).function
-        if name == "medoid":
-            extras = (("vertex", medoid(p) + 1),)  # raises Tie before any output
     coords = coordinate_map(fg, p)
+    if expr is None and name == "medoid":
+        extras = (("vertex", marked_vertex(coords.values) + 1),)  # raises Tie before any output
     weights = normalize(coords)
     return CenterRecord(
         name=fg.name,

@@ -354,6 +354,13 @@ def vertex_coordinates(p: Polygon) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
+def unit_factor(largest: float) -> float:
+    """The power of two t that brings t * largest into [0.5, 1), or as near
+    as a finite t gets for a subnormal `largest`; 1 for 0. Multiplying by t
+    is exact wherever the product stays normal."""
+    return math.ldexp(1.0, min(-math.frexp(largest)[1], 1023))
+
+
 def distance_matrix(p: Polygon) -> DistanceMatrix:
     """All pairwise distances of p, each measured once and not revalidated.
 
@@ -398,22 +405,23 @@ def cayley_menger_quad(
 # --------------------------------------------------------- shape predicates
 
 
+def shoelace(xs: list[float], ys: list[float]) -> float:
+    """Twice the signed area of the outline through (xs[i], ys[i]), in order."""
+    total = 0.0
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        total += x0 * y1 - x1 * y0
+    return total
+
+
 def signed_area(p: Polygon) -> float:
     """Shoelace area; positive for counterclockwise vertex order."""
-    total = 0.0
-    for i in range(p.n):
-        a = p.vertices[i]
-        b = p.vertex(i + 1)
-        total += a.x * b.y - b.x * a.y
-    return 0.5 * total
+    return 0.5 * shoelace([v.x for v in p.vertices], [v.y for v in p.vertices])
 
 
-def _orient(a: Point2, b: Point2, c: Point2) -> int:
-    """Sign of the turn a->b->c with a relative collinearity threshold."""
-    u = b - a
-    v = c - a
-    cr = u.cross(v)
-    if abs(cr) <= COLLINEAR_EPS * u.norm() * v.norm():
+def _orient(ux: float, uy: float, vx: float, vy: float) -> int:
+    """Sign of the turn a->b->c from u = b - a and v = c - a; 0 when nearly collinear."""
+    cr = ux * vy - uy * vx
+    if abs(cr) <= COLLINEAR_EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
         return 0
     return 1 if cr > 0.0 else -1
 
@@ -433,22 +441,23 @@ def is_convex(p: Polygon) -> bool:
     is an edge whose atan2 angle steps back, against the turns, past the
     branch cut from that of the edge before it.
 
-    No turn is decided where its products may overflow (an edge component
-    past about 1e154): `_orient` reads the NaN cross product there as a
-    clockwise turn, so such polygons are reported not convex.
+    The coordinates are read times `unit_factor` of their largest
+    magnitude, which is exact, so no product overflows at any scale.
     """
     vs = p.vertices
-    sign = _orient(vs[-2], vs[-1], vs[0])
-    if sign == 0:
+    t = unit_factor(max(max(abs(v.x), abs(v.y)) for v in vs))
+    xs, ys = [t * v.x for v in vs], [t * v.y for v in vs]
+    # edge i runs from vertex i - 1 to vertex i
+    ex = [b - a for a, b in zip(xs[-1:] + xs[:-1], xs)]
+    ey = [b - a for a, b in zip(ys[-1:] + ys[:-1], ys)]
+    turns = (
+        _orient(ex[i - 1], ey[i - 1], xs[i] - xs[i - 2], ys[i] - ys[i - 2])
+        for i in range(p.n)
+    )
+    sign = next(turns)
+    if sign == 0 or any(turn != sign for turn in turns):
         return False
-    for i in range(1, p.n):
-        if _orient(vs[i - 2], vs[i - 1], vs[i]) != sign:
-            return False
-    edges = [(b.x - a.x, b.y - a.y) for a, b in zip(vs[-1:] + vs[:-1], vs)]
-    reach = max(max(abs(dx), abs(dy)) for dx, dy in edges)
-    if not math.isfinite(2.0 * reach * reach):
-        return False
-    angles = [math.atan2(dy, dx) for dx, dy in edges]
+    angles = [math.atan2(dy, dx) for dx, dy in zip(ex, ey)]
     wraps = sum(sign * (angles[i] - angles[i - 1]) < 0.0 for i in range(p.n))
     return wraps == 1
 

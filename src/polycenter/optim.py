@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainViolation, NoConvergence
-from .geometry import Point2, Polygon, relabel, require_nondegenerate
-from .sampling import random_rigid_motion
-from .geometry import DihedralElement, Similarity
+from .geometry import (
+    DihedralElement, Point2, Polygon, apply_motion, relabel, require_nondegenerate,
+)
+from .sampling import random_similarity
 
 # Multiplicative slack when testing circle membership.
 _IN_CIRCLE_SLACK = 1 + 1e-14
@@ -219,15 +220,9 @@ def check_minimal_center(
     rng = random.Random(seed)
     score = 0.0
     for _ in range(trials):
-        sim = Similarity(
-            math.exp(rng.uniform(math.log(0.5), math.log(2.0))),
-            random_rigid_motion(rng),
-        )
-        alpha = DihedralElement(
-            p.n, rng.randrange(p.n), rng.random() < 0.5
-        )
-        moved = Polygon(tuple(sim.apply(v) for v in p.vertices))
-        moved = relabel(alpha, moved)
+        sim = random_similarity(rng)
+        alpha = DihedralElement(p.n, rng.randrange(p.n), rng.random() < 0.5)
+        moved = relabel(alpha, apply_motion(sim, p))
         resolved = _solve(kind, moved)
         expected = sim.apply(candidate)
         score = max(score, resolved.distance_to(expected))

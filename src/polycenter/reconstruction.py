@@ -17,15 +17,15 @@ from .geometry import (
     Point2,
     Polygon,
     cayley_menger_quad,
-    distance_matrix,
     is_convex,
-    signed_area,
+    shoelace,
+    unit_factor,
 )
 
 # A reconstruction is accepted when no measured distance deviates from its
 # input by more than this fraction of the largest input distance.
 RESIDUAL_TOL = 1e-6
-# Vertical components below this magnitude snap to the x-axis.
+# Heights below this fraction of the largest input distance snap to the x-axis.
 SNAP_EPS = 1e-12
 
 
@@ -44,38 +44,9 @@ class FeasibilityReport:
     cm_checks: tuple[float, ...]
 
 
-def _place(D: DistanceMatrix) -> tuple[list[Point2], float]:
-    n = D.n
-    d12 = D.entry(0, 1)
-    scale = D.max_entry()
-    # a product, not **: float ** raises OverflowError where * gives inf
-    height_tol = RESIDUAL_TOL * scale
-    if d12 <= 0.0:
-        raise InfeasibleDistances("d(1,2) must be positive to fix the base edge")
-    placed: list[Point2] = [Point2(0.0, 0.0), Point2(d12, 0.0)]
-    for k in range(2, n):
-        r1 = D.entry(0, k)
-        r2 = D.entry(1, k)
-        x = (r1 * r1 + d12 * d12 - r2 * r2) / (2.0 * d12)
-        h_sq = r1 * r1 - x * x
-        if h_sq < -(height_tol * height_tol):
-            raise InfeasibleDistances(
-                f"no real placement for vertex {k + 1}: height^2 = {h_sq:.3e}"
-            )
-        h = math.sqrt(max(h_sq, 0.0))
-        if h < SNAP_EPS * max(1.0, scale):
-            placed.append(Point2(x, 0.0))
-            continue
-        up = Point2(x, h)
-        down = Point2(x, -h)
-
-        def residual(cand: Point2) -> float:
-            return max(
-                abs(cand.distance_to(placed[j]) - D.entry(j, k)) for j in range(k)
-            )
-        r_up, r_down = residual(up), residual(down)
-        placed.append(down if r_down <= r_up else up)
-    return placed, scale
+def _miss(x: float, y: float, xs: list[float], ys: list[float], lengths: list[float]) -> float:
+    """Largest gap between the distances from (x, y) to (xs, ys) and lengths."""
+    return max(abs(math.hypot(x - a, y - b) - r) for a, b, r in zip(xs, ys, lengths))
 
 
 def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
@@ -84,20 +55,44 @@ def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
     Raises InfeasibleDistances when trilateration has no real solution or
     when the best placement leaves a residual above RESIDUAL_TOL relative
     to the largest input distance.
+
+    Lengths are read times `unit_factor` of the largest (exact), so no square
+    overflows. Each vertex keeps its residual against those placed before it;
+    as mirroring changes no distance, the largest is the whole matrix's.
     """
-    placed, scale = _place(D)
-    poly = Polygon(tuple(placed))
-    if signed_area(poly) > 0.0:
-        poly = Polygon(tuple(Point2(v.x, -v.y) for v in placed))
-    measured = distance_matrix(poly)
-    max_residual = max(
-        abs(a - b) for mrow, drow in zip(measured.d, D.d) for a, b in zip(mrow, drow)
-    )
-    if max_residual > RESIDUAL_TOL * scale:
-        raise InfeasibleDistances(
-            f"best planar placement misses the inputs by {max_residual:.3e}"
-        )
-    return ReconstructionResult(poly, max_residual)
+    d = D.d
+    scale = D.max_entry()
+    t = unit_factor(scale)
+    unit = t * scale
+    tol = RESIDUAL_TOL * unit
+    row0, row1 = d[0], d[1]
+    d12 = t * row0[1]
+    if d12 <= 0.0:
+        raise InfeasibleDistances("d(1,2) must be positive to fix the base edge")
+    xs, ys = [0.0, d12], [0.0, 0.0]
+    worst = 0.0
+    for k in range(2, len(d)):
+        r1, r2 = t * row0[k], t * row1[k]
+        x = (r1 * r1 + d12 * d12 - r2 * r2) / (2.0 * d12)
+        h_sq = r1 * r1 - x * x
+        if h_sq < -(tol * tol):
+            raise InfeasibleDistances(
+                f"no real placement for vertex {k + 1}: height^2 = {h_sq / t / t:.3e}"
+            )
+        h = math.sqrt(max(h_sq, 0.0))
+        lengths = [t * r for r in d[k][:k]]
+        # snapped to the axis, or on the side that misses less (below on a tie)
+        sides = (0.0,) if h < SNAP_EPS * unit else (-h, h)
+        miss, y = min((_miss(x, side, xs, ys, lengths), side) for side in sides)
+        xs.append(x)
+        ys.append(y)
+        worst = max(worst, miss)
+    if worst > tol:
+        raise InfeasibleDistances(f"best planar placement misses the inputs by {worst / t:.3e}")
+    if shoelace(xs, ys) > 0.0:
+        ys = [-y for y in ys]
+    poly = Polygon(tuple(Point2(x / t, y / t) for x, y in zip(xs, ys)))
+    return ReconstructionResult(poly, worst / t)
 
 
 def validate(D: DistanceMatrix) -> FeasibilityReport:
@@ -112,16 +107,11 @@ def validate(D: DistanceMatrix) -> FeasibilityReport:
     scale = D.max_entry()
     checks: list[float] = []
     if scale > 0.0:
-        for k in range(2, n):
-            for l in range(k + 1, n):
-                checks.append(cayley_menger_quad(
-                    D.entry(0, 1) / scale,
-                    D.entry(1, k) / scale,
-                    D.entry(k, l) / scale,
-                    D.entry(l, 0) / scale,
-                    D.entry(0, k) / scale,
-                    D.entry(1, l) / scale,
-                ))
+        e = [[v / scale for v in row] for row in D.d]
+        checks = [
+            cayley_menger_quad(e[0][1], e[1][k], e[k][l], e[l][0], e[0][k], e[1][l])
+            for k in range(2, n) for l in range(k + 1, n)
+        ]
     try:
         result = reconstruct(D)
         return FeasibilityReport(True, result.max_residual, tuple(checks))

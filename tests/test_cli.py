@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import polycenter
+from polycenter import catalog
 from polycenter.cli import _rounded, main
 from polycenter.documents import read_document
 from polycenter.sampling import random_convex_polygon, random_polygon
@@ -311,6 +312,33 @@ def test_zero_tolerance_is_accepted(tmp_path, capsys):
     assert json.loads(out)["point"] == [0.5, 0.5]
 
 
+def test_center_medoid_measures_one_distance_matrix(tmp_path, capsys, monkeypatch):
+    # the "vertex" field is read off the marks of the map itself
+    calls = 0
+    measure = catalog.distance_matrix
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return measure(p)
+
+    monkeypatch.setattr(catalog, "distance_matrix", counted)
+    doc = write_doc(tmp_path, "tri.json", TRI345)
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "medoid"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["vertex"] == 1
+    assert calls == 1
+
+
+def test_center_medoid_of_coincident_vertices_exits_3(tmp_path, capsys):
+    doc = write_doc(tmp_path, "dup.json", {"vertices": [[0, 0], [1, 0], [1, 0], [0, 1]]})
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "medoid"])
+    assert rc == 3 and out == ""
+    assert err == (
+        "polycenter: DomainViolation: medoid: polygon outside domain (distinct vertices)\n"
+    )
+
+
 @pytest.mark.parametrize("k", [-300, -30, 0, 300])
 def test_medoid_vertex_and_weights_commute_with_scaling(tmp_path, capsys, k):
     p = random_convex_polygon(random.Random(3), 7)
@@ -388,6 +416,17 @@ def test_long_operator_chain_exits_2(tmp_path, capsys):
     rc, out, err = invoke(capsys, ["center", doc, "--expr", expr])
     assert rc == 2 and out == ""
     assert err.startswith("polycenter: ExprSyntaxError: expression nests deeper than")
+
+
+@pytest.mark.parametrize("argv, rc, line", [
+    (["--name", "circumcenter", "--n", "5"],
+     3, "DomainViolation: circumcenter: distances outside domain (non-collinear triangles)"),
+    (["--expr", "d(1,4)", "--n", "3"],
+     2, "ExprIndexError: d(1,4) collides at n=3 (at position 0)"),
+])
+def test_check_axioms_without_a_report_exits_as_elsewhere(capsys, argv, rc, line):
+    # a report exits 0 whatever it finds; input that yields none does not
+    assert invoke(capsys, ["check-axioms", *argv]) == (rc, "", f"polycenter: {line}\n")
 
 
 def test_check_axioms_rejects_solver_names(capsys):
@@ -536,6 +575,30 @@ def test_characterize_a_tiny_or_huge_polygon_exits_0(tmp_path, capsys, k):
     rc, out, err = invoke(capsys, ["characterize", doc])
     assert rc == 0 and err == ""
     assert json.loads(out)["n"] == 7
+    assert json.loads(out)["convex"] is True
+
+
+def test_perimeter_of_a_triangle_whose_squared_sides_overflow_exits_0(tmp_path, capsys):
+    doc = write_doc(
+        tmp_path, "far.json", {"vertices": [[-1e200, -1e200], [1e200, -1e200], [0, 1e200]]}
+    )
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "perimeter"])
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    assert data["weights"][0] == data["weights"][1] < data["weights"][2]
+
+
+@pytest.mark.parametrize("k", [-900, -300, 900])
+def test_perimeter_weights_commute_with_scaling(tmp_path, capsys, k):
+    p = random_convex_polygon(random.Random(3), 7)
+    outputs = []
+    for t in (1.0, 2.0**k):
+        pairs = [[t * v.x, t * v.y] for v in p.vertices]
+        doc = write_doc(tmp_path, "p.json", {"vertices": pairs})
+        rc, out, err = invoke(capsys, ["center", doc, "--name", "perimeter"])
+        assert rc == 0 and err == ""
+        outputs.append(json.loads(out))
+    assert outputs[1]["weights"] == outputs[0]["weights"]
 
 
 def test_integer_past_float_range_exits_2(tmp_path, capsys):
