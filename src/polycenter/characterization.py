@@ -21,9 +21,12 @@ from typing import Optional
 
 from .errors import DegenerateVertex, ParityMismatch
 from .framework import CenterFunction, VertexCenterFunction, cyclic_values
-from .geometry import Polygon, distance_matrix, is_convex, is_nondegenerate, signed_area
+from .geometry import (
+    Polygon, distance_matrix, is_convex, is_nondegenerate, shoelace, unit_factor,
+)
 
-# Cyclic values within this band (relative, floored at unit scale) coincide.
+# Cyclic values within this band (relative, floored at unit scale; lengths
+# read at unit scale first) coincide.
 COINCIDENCE_TOL = 1e-9
 # Angle/side oracles run looser than the algebraic probes.
 ORACLE_TOL = 1e-7
@@ -94,12 +97,19 @@ def coincidence(
 
     The spread is (max - min) relative to the largest magnitude, floored at
     unit scale so value sets hovering at zero (e.g. right-angle cosines)
-    compare absolutely instead of blowing up.
+    compare absolutely instead of blowing up. The length probes F2_ODD and
+    F3_EVEN are compared at unit scale: times `unit_factor` of their largest
+    value, which is exact, so their spread is the same at every power-of-two
+    scale of p.
     """
     x = p if isinstance(fg, VertexCenterFunction) else distance_matrix(p)
     values = cyclic_values(fg, x)
-    largest = max(abs(v) for v in values)
-    spread = (max(values) - min(values)) / max(1.0, largest)
+    read = values
+    if fg is F2_ODD or fg is F3_EVEN:
+        t = unit_factor(max(values))
+        read = [t * v for v in values]
+    largest = max(abs(v) for v in read)
+    spread = (max(read) - min(read)) / max(1.0, largest)
     return CoincidenceReport(values, spread <= tol, spread)
 
 
@@ -113,15 +123,22 @@ def interior_angles(p: Polygon) -> tuple[float, ...]:
     positive) converts each signed turn into an interior angle, so a valley
     vertex of a non-convex outline is reported as its reflex angle rather
     than its unsigned opening.
+
+    The coordinates are read times `unit_factor` of their largest
+    magnitude, which is exact, so no cross or dot product overflows or
+    underflows at any scale.
     """
-    orient = 1.0 if signed_area(p) >= 0.0 else -1.0
+    vs = p.vertices
+    t = unit_factor(max(max(abs(v.x), abs(v.y)) for v in vs))
+    xs, ys = [t * v.x for v in vs], [t * v.y for v in vs]
+    orient = 1.0 if shoelace(xs, ys) >= 0.0 else -1.0
     out = []
     for i in range(p.n):
-        e_in = p.vertices[i] - p.vertex(i - 1)
-        e_out = p.vertex(i + 1) - p.vertices[i]
-        turn = math.atan2(e_in.cross(e_out), e_in.dot(e_out))
-        angle = math.pi - orient * turn
-        out.append(angle)
+        j = (i + 1) % p.n
+        ix, iy = xs[i] - xs[i - 1], ys[i] - ys[i - 1]
+        ox, oy = xs[j] - xs[i], ys[j] - ys[i]
+        turn = math.atan2(ix * oy - iy * ox, ix * ox + iy * oy)
+        out.append(math.pi - orient * turn)
     return tuple(out)
 
 

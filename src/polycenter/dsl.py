@@ -24,9 +24,12 @@ tree deeper than MAX_DEPTH levels is a syntax error.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Union
+from itertools import chain
+from operator import getitem
+from typing import Callable, ClassVar, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
 from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, axiom_trials
@@ -114,6 +117,8 @@ Expr = Union[Const, Dist, Unary, Binary, Aggregate]
 class ParsedCenter:
     expr: Expr
     source: str
+    # n -> the tree compiled for n-gons (`_compile`), one per n evaluated
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -362,48 +367,67 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------- evaluation
 
 
-def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> float:
-    """Evaluate on a distance matrix. Division by zero, square roots of
-    negatives, and fractional powers of negatives raise EvalError; index
-    pairs that collide after mod-n reduction raise ExprIndexError."""
-    e = expr_or_center.expr if isinstance(expr_or_center, ParsedCenter) else expr_or_center
-    n = D.n
+# A compiled expression reads entry (i, j) of a matrix as rows[i][j + k],
+# from the (rows, k) pair of `DistanceMatrix.rows_and_offset`.
+_Program = Callable[[Sequence[Sequence[float]], int], float]
 
-    def ev(node: Expr) -> float:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Dist):
-            i = node.i.resolve(n)
-            j = node.j.resolve(n)
-            if i == j:
-                raise ExprIndexError(
-                    f"d({node.i.render()},{node.j.render()}) collides at n={n}",
-                    node.pos,
-                )
-            return D.d[i][j]
-        if isinstance(node, Unary):
-            v = ev(node.arg)
-            if node.op == "neg":
-                return -v
-            if node.op == "abs":
-                return abs(v)
+
+def _compile(node: Expr, n: int) -> _Program:
+    """node for n-gons as nested closures, each index pair resolved once.
+
+    Operands run left to right and give the values and errors a walk of the
+    tree gives; a pair that collides at n, or a node that is not an
+    expression, becomes a closure that raises when it runs."""
+    if isinstance(node, Const):
+        value = node.value
+        return lambda rows, k: value
+    if isinstance(node, Dist):
+        i = node.i.resolve(n)
+        j = node.j.resolve(n)
+        if i == j:
+            return _raiser(
+                ExprIndexError,
+                f"d({node.i.render()},{node.j.render()}) collides at n={n}",
+                node.pos,
+            )
+        return lambda rows, k: rows[i][j + k]
+    if isinstance(node, Unary):
+        arg = _compile(node.arg, n)
+        if node.op == "neg":
+            return lambda rows, k: -arg(rows, k)
+        if node.op == "abs":
+            return lambda rows, k: abs(arg(rows, k))
+
+        def sqrt(rows, k):
+            v = arg(rows, k)
             if v < 0.0:
                 raise EvalError(f"sqrt of negative value {v!r}")
             return math.sqrt(v)
-        if isinstance(node, Binary):
-            a = ev(node.left)
-            b = ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
+
+        return sqrt
+    if isinstance(node, Binary):
+        left = _compile(node.left, n)
+        right = _compile(node.right, n)
+        if node.op == "+":
+            return lambda rows, k: left(rows, k) + right(rows, k)
+        if node.op == "-":
+            return lambda rows, k: left(rows, k) - right(rows, k)
+        if node.op == "*":
+            return lambda rows, k: left(rows, k) * right(rows, k)
+        if node.op == "/":
+
+            def divide(rows, k):
+                a = left(rows, k)
+                b = right(rows, k)
                 if b == 0.0:
                     raise EvalError("division by zero")
                 return a / b
-            # pow
+
+            return divide
+
+        def power(rows, k):
+            a = left(rows, k)
+            b = right(rows, k)
             if a == 0.0 and b < 0.0:
                 raise EvalError("zero base with negative exponent")
             if a < 0.0 and b != int(b):
@@ -412,14 +436,44 @@ def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> fl
                 return a**b
             except OverflowError as exc:
                 raise EvalError(f"power overflow: {a!r}^{b!r}") from exc
-        if isinstance(node, Aggregate):
-            if node.op == "perim":
-                return sum(D.d[i][(i + 1) % n] for i in range(n))
-            vals = [ev(a) for a in node.args]
-            return min(vals) if node.op == "min" else max(vals)
-        raise TypeError(f"not an expression node: {node!r}")
 
-    value = ev(e)
+        return power
+    if isinstance(node, Aggregate):
+        if node.op == "perim":
+            # side i is entry (i, i + 1 mod n), summed in index order
+            return lambda rows, k: sum(
+                map(getitem, rows, chain(range(k + 1, k + n), (k,)))
+            )
+        args = [_compile(a, n) for a in node.args]
+        pick = min if node.op == "min" else max
+        return lambda rows, k: pick([f(rows, k) for f in args])
+    return _raiser(TypeError, f"not an expression node: {node!r}")
+
+
+def _raiser(error: type[Exception], *args: object) -> _Program:
+    """A program that raises a fresh error(*args) whenever it runs."""
+
+    def raise_(rows, k):
+        raise error(*args)
+
+    return raise_
+
+
+def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> float:
+    """Evaluate on a distance matrix. Division by zero, square roots of
+    negatives, and fractional powers of negatives raise EvalError; index
+    pairs that collide after mod-n reduction raise ExprIndexError.
+
+    A ParsedCenter compiles once per n and keeps the result; a bare tree
+    compiles on every call. Entries are read in place, views included."""
+    n = D.n
+    if isinstance(expr_or_center, ParsedCenter):
+        program = expr_or_center._programs.get(n)
+        if program is None:
+            program = expr_or_center._programs[n] = _compile(expr_or_center.expr, n)
+    else:
+        program = _compile(expr_or_center, n)
+    value = program(*D.rows_and_offset())
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value!r}")
     return value

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * signed area is positive for counterclockwise vertex order;
 * `distance_matrix` alone measures all pairwise distances of a polygon;
 * `DistanceMatrix.rotations` yields views, not copies: each row of a
-  rotation is sliced when it is read.
+  rotation is sliced when it is read, and `rows_and_offset` reads an entry
+  without slicing its row.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .errors import DomainViolation, NonFinite
@@ -210,7 +214,15 @@ class Similarity:
 
 
 def apply_motion(m: RigidMotion | Similarity, p: Polygon) -> Polygon:
-    return Polygon(tuple(m.apply(v) for v in p.vertices))
+    """m applied to every vertex; the same points as `m.apply`, with the
+    rotation's cosine and sine taken once."""
+    vs = p.vertices
+    if isinstance(m, Similarity):
+        vs = [v.scaled(m.scale) for v in vs]
+        m = m.motion
+    c, s = math.cos(m.angle), math.sin(m.angle)
+    tx, ty = m.translation.x, m.translation.y
+    return Polygon(tuple(Point2(c * v.x - s * v.y + tx, s * v.x + c * v.y + ty) for v in vs))
 
 
 # -------------------------------------------------------------- distances
@@ -323,23 +335,29 @@ class DistanceMatrix:
         doubled = tuple(row + row for row in self.d)
         return (self._derived(_RotatedRows(doubled, k)) for k in range(self.n))
 
+    def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
+        """(rows, k) such that entry (i, j) is rows[i][j + k], read in place:
+        (d, 0) for a matrix, the doubled rows and k for a view of rotation k."""
+        d = self.d
+        if d.__class__ is _RotatedRows:
+            return d._doubled, d._cut.start
+        return d, 0
+
     def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input;
         not revalidated, as it reads only entries of this valid matrix."""
-        n = self.n
-        return self._derived(
-            tuple(tuple(self.d[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-        )
+        pick = itemgetter(*perm)
+        return self._derived(tuple(map(pick, pick(self.d))))
 
     def max_entry(self) -> float:
-        return max(max(row) for row in self.d)
+        return max(map(max, self.d))
 
     def scaled(self, t: float) -> "DistanceMatrix":
         """Every entry times t. Raises ValueError unless t is nonnegative
         and keeps the largest entry finite; the result is not revalidated."""
         if not (t >= 0.0 and math.isfinite(t * self.max_entry())):
             raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-        return self._derived(tuple(tuple(t * v for v in row) for row in self.d))
+        return self._derived(tuple(map(tuple, map(map, repeat(partial(mul, t)), self.d))))
 
 
 def vertex_coordinates(p: Polygon) -> tuple[list[float], list[float]]:

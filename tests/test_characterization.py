@@ -223,3 +223,41 @@ def test_regular_polygons_check_every_box():
         assert rep.regular and rep.equiangular and rep.equilateral
         assert rep.f1_coincident
         assert rep.consistent_with_theorems
+
+
+def _scaled(p, k):
+    return Polygon.from_pairs([(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in p.vertices])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_convex_polygon(rng, rng.randrange(3, 10)),
+        lambda rng: random_equiangular_polygon(rng, rng.randrange(3, 10)),
+        lambda rng: random_equilateral_polygon(rng, rng.choice([3, 5, 7, 9])),
+        lambda rng: regular_polygon(rng.randrange(3, 10)),
+    ],
+    ids=["convex", "equiangular", "equilateral", "regular"],
+)
+def test_the_report_is_the_same_at_every_power_of_two_scale(make):
+    rng = random.Random(31)
+    for _ in range(8):
+        p = make(rng)
+        expected = characterize(p)
+        for k in range(-1000, 1001, 37):
+            assert characterize(_scaled(p, k)) == expected, k
+
+
+def test_length_probes_spread_alike_at_every_scale():
+    p = random_convex_polygon(random.Random(3), 7)
+    spread = coincidence(F2_ODD, p).spread
+    for k in (-1000, -300, -30, -1, 1, 300, 1000):
+        assert coincidence(F2_ODD, _scaled(p, k)).spread == spread
+
+
+def test_interior_angles_have_the_same_bits_at_every_scale():
+    p = random_convex_polygon(random.Random(4), 9)
+    angles = interior_angles(p)
+    for k in range(-1000, 1001, 50):
+        assert interior_angles(_scaled(p, k)) == angles
+        assert interior_angles(_scaled(Polygon(p.vertices[::-1]), k)) == angles[::-1]

@@ -663,3 +663,19 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "center" in proc.stdout and "reconstruct" in proc.stdout
+
+
+def test_characterize_reports_alike_at_every_power_of_two_scale(tmp_path, capsys):
+    # the seeded 7-gon reported f2_coincident true below unit scale, where
+    # the middle-side spread was compared against an absolute floor of 1
+    p = random_convex_polygon(random.Random(3), 7)
+    reports = {}
+    for k in [*range(-1000, 1001, 25), -30, -1, 1, 999]:
+        pairs = [[math.ldexp(v.x, k), math.ldexp(v.y, k)] for v in p.vertices]
+        doc = write_doc(tmp_path, "scaled.json", {"vertices": pairs})
+        rc, out, err = invoke(capsys, ["characterize", doc])
+        assert rc == 0 and err == "", k
+        reports[k] = out
+    assert set(reports.values()) == {reports[0]}
+    report = json.loads(reports[0])
+    assert report["f2_coincident"] is False and report["consistent_with_theorems"] is True

@@ -347,3 +347,17 @@ def test_apply_motion_keeps_vertex_order():
     moved = apply_motion(m, TRI345)
     assert moved.n == 3
     assert moved.vertices[0].distance_to(m.apply(TRI345.vertices[0])) == 0.0
+
+
+def test_apply_motion_equals_moving_each_vertex():
+    # apply_motion takes the cosine and sine once per motion; the points
+    # must be the bits m.apply gives vertex by vertex
+    rng = random.Random(9)
+    for _ in range(200):
+        pts = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(rng.randrange(3, 12))]
+        p = Polygon.from_pairs(pts)
+        angle = rng.choice([0.0, math.pi / 2, rng.uniform(-10.0, 10.0)])
+        rigid = RigidMotion(angle, Point2(rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        for m in (rigid, Similarity(rng.uniform(0.01, 100.0), rigid)):
+            expected = tuple(m.apply(v) for v in p.vertices)
+            assert repr(apply_motion(m, p).vertices) == repr(expected)
