@@ -254,65 +254,58 @@ def triangle_circumcenter(p: Polygon) -> Point2:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    kind: str  # "vertex" | "length"
+    """A center function, and whether its axiom checks sample convex
+    polygons; the name and the kind are read off the function."""
+
     function: Union[VertexCenterFunction, LengthCenterFunction]
     convex_only: bool
-    description: str
+
+    @property
+    def name(self) -> str:
+        return self.function.name
+
+    @property
+    def kind(self) -> str:
+        """What the function reads: "vertex" (a polygon) or "length" (distances)."""
+        return "vertex" if isinstance(self.function, VertexCenterFunction) else "length"
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "centroid": CatalogEntry(
-        "centroid",
-        "vertex",
-        VertexCenterFunction("centroid", _entry_zero(_ones), all_shifts=_ones),
-        False,
-        "vertex mean (constant function)",
-    ),
-    "perimeter": CatalogEntry(
-        "perimeter",
-        "length",
-        LengthCenterFunction(
-            "perimeter",
-            _entry_zero(_adjacent_edge_sums),
-            convex_distances,
-            "convex polygons",
-            all_shifts=_adjacent_edge_sums,
+    entry.name: entry
+    for entry in (
+        CatalogEntry(
+            VertexCenterFunction("centroid", _entry_zero(_ones), all_shifts=_ones), False
         ),
-        True,
-        "boundary mass center (adjacent side sum)",
-    ),
-    "lamina": CatalogEntry(
-        "lamina",
-        "vertex",
-        VertexCenterFunction(
-            "lamina", _entry_zero(_lamina_all_shifts), is_convex, "convex polygons",
-            all_shifts=_lamina_all_shifts,
+        CatalogEntry(
+            LengthCenterFunction(
+                "perimeter",
+                _entry_zero(_adjacent_edge_sums),
+                convex_distances,
+                "convex polygons",
+                all_shifts=_adjacent_edge_sums,
+            ),
+            True,
         ),
-        True,
-        "area centroid (wedge sums about the vertex mean)",
-    ),
-    "medoid": CatalogEntry(
-        "medoid",
-        "vertex",
-        VertexCenterFunction(
-            "medoid", _entry_zero(_medoid_indicators), is_nondegenerate,
-            "distinct vertices",
-            all_shifts=_medoid_indicators,
+        CatalogEntry(
+            VertexCenterFunction(
+                "lamina", _entry_zero(_lamina_all_shifts), is_convex, "convex polygons",
+                all_shifts=_lamina_all_shifts,
+            ),
+            True,
         ),
-        False,
-        "vertex minimizing the distance sum (indicator)",
-    ),
-    "circumcenter": CatalogEntry(
-        "circumcenter",
-        "length",
-        LengthCenterFunction(
-            "circumcenter",
-            _g_circumcenter,
-            _guard_circumcenter,
-            "non-collinear triangles",
+        CatalogEntry(
+            VertexCenterFunction(
+                "medoid", _entry_zero(_medoid_indicators), is_nondegenerate,
+                "distinct vertices",
+                all_shifts=_medoid_indicators,
+            ),
+            False,
         ),
-        False,
-        "triangle circumcenter (squared-side weights)",
-    ),
+        CatalogEntry(
+            LengthCenterFunction(
+                "circumcenter", _g_circumcenter, _guard_circumcenter, "non-collinear triangles"
+            ),
+            False,
+        ),
+    )
 }

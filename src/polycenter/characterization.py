@@ -153,10 +153,11 @@ def _relative_spread(values: tuple[float, ...]) -> float:
     return (max(values) - min(values)) / largest
 
 
-def predicates(p: Polygon, tol: float = ORACLE_TOL) -> dict[str, bool]:
-    """Directly measured equiangular / equilateral / regular flags."""
-    equiangular = _relative_spread(interior_angles(p)) <= tol
-    equilateral = _relative_spread(side_lengths(p)) <= tol
+def predicates(p: Polygon) -> dict[str, bool]:
+    """Directly measured equiangular / equilateral / regular flags, each
+    spread within ORACLE_TOL."""
+    equiangular = _relative_spread(interior_angles(p)) <= ORACLE_TOL
+    equilateral = _relative_spread(side_lengths(p)) <= ORACLE_TOL
     return {
         "equiangular": equiangular,
         "equilateral": equilateral,

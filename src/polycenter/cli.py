@@ -63,7 +63,11 @@ def _rounded(value: object, prec: int) -> object:
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return None  # JSON has no inf or nan
         out = float(f"{value:.{prec}g}")
+        if math.isinf(out):
+            return value  # rounding up would leave the float range
         return 0.0 if out == 0.0 else out
     if isinstance(value, (list, tuple)):
         return [_rounded(v, prec) for v in value]
@@ -73,7 +77,7 @@ def _rounded(value: object, prec: int) -> object:
 
 
 def _emit(data: object, prec: int) -> None:
-    print(json.dumps(_rounded(data, prec), indent=2))
+    print(json.dumps(_rounded(data, prec), indent=2, allow_nan=False))
 
 
 def _record_data(rec: CenterRecord) -> dict:
@@ -86,9 +90,6 @@ def _record_data(rec: CenterRecord) -> dict:
         data["point"] = [rec.point.x, rec.point.y]
     for key, value in rec.extra:
         data[key] = value
-    if rec.error is not None:
-        data["error"] = rec.error
-        data["error_type"] = rec.error_type
     return data
 
 
@@ -112,7 +113,6 @@ def compute_record(
     expr: Optional[str] = None,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    seed: int = 0,
 ) -> CenterRecord:
     """One CenterRecord for a catalog name, a solver name, or an expression."""
     extras: tuple[tuple[str, object], ...] = ()
@@ -128,7 +128,7 @@ def compute_record(
             extra.append(("at_vertex", result.at_vertex + 1))
         return CenterRecord(name="median", point=result.point, extra=tuple(extra))
     elif name == "chebyshev":
-        circle = chebyshev_center(p, seed=seed)
+        circle = chebyshev_center(p)
         return CenterRecord(
             name="chebyshev",
             point=circle.center,
@@ -163,7 +163,6 @@ def _cmd_center(args: argparse.Namespace) -> int:
         expr=args.expr,
         tol=args.tol,
         max_iter=args.max_iter,
-        seed=args.seed,
     )
     _emit(_record_data(rec), args.precision)
     return 0
@@ -230,7 +229,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     records = []
     for nm in names:
         try:
-            records.append(compute_record(p, name=nm, seed=args.seed))
+            records.append(compute_record(p, name=nm))
         except PolycenterError as exc:
             records.append(
                 CenterRecord(name=nm, error=str(exc), error_type=type(exc).__name__)
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter", dest="max_iter", type=_int_in(1), default=10000,
         help="median iteration budget, at least 1",
     )
-    sp.add_argument("--seed", type=int, default=0, help="chebyshev shuffle seed")
     sp.set_defaults(handler=_cmd_center)
 
     sp = sub.add_parser("coords", help="projective coordinates only")
@@ -344,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated center names (empty: outline only)",
     )
     sp.add_argument("-o", "--output", required=True, help="SVG output path")
-    sp.add_argument("--seed", type=int, default=0, help="chebyshev shuffle seed")
     sp.set_defaults(handler=_cmd_plot)
 
     return parser

@@ -50,69 +50,55 @@ def _number(value: object, where: str) -> float:
     return x
 
 
-def document_from_data(data: object, path: str = "$") -> PolygonDocument:
-    """Build a document from already-decoded JSON data."""
+def document_from_data(data: object) -> PolygonDocument:
+    """Build a document from already-decoded JSON data; diagnostics give
+    JSON paths from the root, `$`."""
     if not isinstance(data, dict):
-        raise DocumentError(f"{path}: expected an object", path)
+        raise DocumentError("$: expected an object", "$")
     unknown = set(data) - {"name", "vertices", "distances"}
     if unknown:
-        raise DocumentError(
-            f"{path}: unknown keys {sorted(unknown)}", path
-        )
+        raise DocumentError(f"$: unknown keys {sorted(unknown)}", "$")
     name = data.get("name", "")
     if not isinstance(name, str):
-        raise DocumentError(f"{path}.name: expected a string", path)
+        raise DocumentError("$.name: expected a string", "$")
     has_v = "vertices" in data
     has_d = "distances" in data
     if has_v == has_d:
-        raise DocumentError(
-            f"{path}: exactly one of vertices/distances is required", path
-        )
+        raise DocumentError("$: exactly one of vertices/distances is required", "$")
 
     if has_v:
         raw = data["vertices"]
         if not isinstance(raw, list) or len(raw) < 3:
-            raise DocumentError(
-                f"{path}.vertices: expected an array of at least 3 pairs", path
-            )
+            raise DocumentError("$.vertices: expected an array of at least 3 pairs", "$")
         points = []
         for k, pair in enumerate(raw):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise DocumentError(
-                    f"{path}.vertices[{k}]: expected [x, y]", path
-                )
+                raise DocumentError(f"$.vertices[{k}]: expected [x, y]", "$")
             points.append(
                 Point2(
-                    _number(pair[0], f"{path}.vertices[{k}][0]"),
-                    _number(pair[1], f"{path}.vertices[{k}][1]"),
+                    _number(pair[0], f"$.vertices[{k}][0]"),
+                    _number(pair[1], f"$.vertices[{k}][1]"),
                 )
             )
-        try:
-            return PolygonDocument(name, Polygon(tuple(points)), None)
-        except ValueError as exc:
-            raise DocumentError(f"{path}.vertices: {exc}", path) from exc
+        return PolygonDocument(name, Polygon(tuple(points)), None)
 
     raw = data["distances"]
     if not isinstance(raw, list) or len(raw) < 3:
-        raise DocumentError(
-            f"{path}.distances: expected at least 3 rows", path
-        )
+        raise DocumentError("$.distances: expected at least 3 rows", "$")
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != len(raw):
-            raise DocumentError(
-                f"{path}.distances[{i}]: expected {len(raw)} entries", path
-            )
+            raise DocumentError(f"$.distances[{i}]: expected {len(raw)} entries", "$")
         rows.append(
             tuple(
-                _number(v, f"{path}.distances[{i}][{j}]")
+                _number(v, f"$.distances[{i}][{j}]")
                 for j, v in enumerate(row)
             )
         )
     try:
         return PolygonDocument(name, None, DistanceMatrix(tuple(rows)))
     except ValueError as exc:
-        raise DocumentError(f"{path}.distances: {exc}", path) from exc
+        raise DocumentError(f"$.distances: {exc}", "$") from exc
 
 
 def read_document(path: str) -> PolygonDocument:

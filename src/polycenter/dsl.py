@@ -321,11 +321,25 @@ def parse(source: str) -> ParsedCenter:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
+def _positional(v: float) -> str:
+    """The shortest repr digits of a finite v >= 0 in positional notation,
+    which the grammar's NUMBER reads back to v; no ".0" on whole numbers."""
+    text = repr(v)
+    if "e" not in text:
+        return text[:-2] if text.endswith(".0") else text
+    # repr writes one digit before the point, and an exponent below -4
+    # or above 15, so the point lies left of the digits or past the last
+    mantissa, exponent = text.split("e")
+    digits = mantissa.replace(".", "")
+    point = 1 + int(exponent)
+    if point <= 0:
+        return "0." + "0" * -point + digits
+    return digits + "0" * (point - len(digits))
+
+
 def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
-        v = e.value
-        text = str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-        return text, 5
+        return _positional(e.value), 5
     if isinstance(e, Dist):
         return f"d({e.i.render()},{e.j.render()})", 5
     if isinstance(e, Aggregate):
@@ -337,7 +351,8 @@ def _render(e: Expr) -> tuple[str, int]:
         if e.op in ("sqrt", "abs"):
             return f"{e.op}({_render(e.arg)[0]})", 5
         text, prec = _render(e.arg)
-        if prec < 4:
+        # "--x" reads as -(-x) and nests one level per sign, as the tree does
+        if prec < 3:
             text = f"({text})"
         return f"-{text}", 3
     if isinstance(e, Binary):

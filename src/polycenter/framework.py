@@ -53,7 +53,7 @@ from .sampling import random_rigid_motion
 # |sum of coordinates| at or below this fraction of the largest coordinate
 # magnitude means no affine normalization exists.
 ZERO_SUM_REL = 1e-10
-# Default tolerance for projective comparison and the relabel/motion checks.
+# Tolerance of the relabel and motion checks.
 CHECK_TOL = 1e-9
 # Homogeneity slope estimates must sit within this band of one constant.
 SLOPE_TOL = 1e-6
@@ -127,20 +127,6 @@ class ProjectiveCoords:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def proportional_to(self, other: "ProjectiveCoords", tol: float = CHECK_TOL) -> bool:
-        """Projective equality: normalize each by its largest-magnitude entry
-        and compare in the max norm."""
-        if self.n != other.n:
-            return False
-        a = _normalize_by_largest(self.values)
-        b = _normalize_by_largest(other.values)
-        return max(abs(x - y) for x, y in zip(a, b)) <= tol
-
-
-def _normalize_by_largest(values: Sequence[float]) -> tuple[float, ...]:
-    pivot = max(values, key=abs)
-    return tuple(v / pivot for v in values)
 
 
 @dataclass(frozen=True)
@@ -372,7 +358,8 @@ def verify_axioms(
     scales whose log-log slope estimates the homogeneity degree.
     Homogeneity passes when every trial's slope sits within SLOPE_TOL of
     the cross-trial mean and the per-trial fit is equally tight. Trials
-    where the function vanishes contribute nothing to the slope.
+    where the function vanishes contribute nothing to the slope; one where
+    it changes sign fits no power and makes max_violation infinite.
     """
     worst = 0.0
     relabel_ok = True
@@ -390,11 +377,11 @@ def verify_axioms(
             fit_devs.append(fit[1])
 
     # a function that vanished on every sample reveals no degree
-    homogeneity_ok = not slopes
+    homogeneity_ok = True
     degree: Optional[float] = None
-    finite = [s for s in slopes if math.isfinite(s)]
-    if finite:
-        mean = sum(finite) / len(finite)
+    if slopes:
+        finite = [s for s in slopes if math.isfinite(s)]
+        mean = sum(finite) / len(finite) if finite else math.nan
         # a sign change left a nan slope and an infinite fit deviation
         spread = max(fit_devs + [abs(s - mean) for s in finite])
         homogeneity_ok = spread <= SLOPE_TOL

@@ -132,10 +132,6 @@ class DihedralElement:
         object.__setattr__(self, "exponent_a", self.exponent_a % self.n)
 
     @staticmethod
-    def identity(n: int) -> "DihedralElement":
-        return DihedralElement(n, 0, False)
-
-    @staticmethod
     def rho(n: int, power: int = 1) -> "DihedralElement":
         return DihedralElement(n, power, False)
 
@@ -158,11 +154,6 @@ class DihedralElement:
             raise ValueError("cannot compose elements of different groups")
         a = self.exponent_a + (-other.exponent_a if self.flip else other.exponent_a)
         return DihedralElement(self.n, a, self.flip ^ other.flip)
-
-    def inverse(self) -> "DihedralElement":
-        if self.flip:
-            return self
-        return DihedralElement(self.n, -self.exponent_a, False)
 
 
 def relabel(alpha: DihedralElement, p: Polygon) -> Polygon:
@@ -299,10 +290,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return len(self.d)
-
-    def entry(self, i: int, j: int) -> float:
-        """Distance by cyclic 0-based indices."""
-        return self.d[i % self.n][j % self.n]
 
     def rotated(self, k: int) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (i+k, j+k) of the input."""

@@ -155,16 +155,18 @@ def _in_circle(center: Point2, radius: float, q: Point2) -> bool:
     return center.distance_to(q) <= radius * _IN_CIRCLE_SLACK
 
 
-def chebyshev_center(p: Polygon, seed: int = 0) -> EnclosingCircle:
+def chebyshev_center(p: Polygon) -> EnclosingCircle:
     """Smallest circle enclosing the vertex set.
 
-    Randomized incremental (move-to-front) construction over a seeded
-    shuffle of the vertices; exact up to floating point, deterministic for
-    a fixed seed. The support holds 2 or 3 vertex indices on the boundary.
+    Randomized incremental (move-to-front) construction over one fixed
+    shuffle of the vertex indices; exact up to floating point, and
+    deterministic for a labeled input. The support holds 2 or 3 vertex
+    indices on the boundary; with four or more cocircular vertices, which
+    of them it names depends on the labeling.
     """
     require_nondegenerate(p)
     order = list(range(p.n))
-    random.Random(seed).shuffle(order)
+    random.Random(0).shuffle(order)
     pts = p.vertices
 
     center: Optional[Point2] = None

@@ -1,7 +1,9 @@
 """Deterministic SVG rendering of a polygon with labeled center markers.
 
 The viewBox is the bounding box of the polygon together with every marker
-point, padded by 10% of its larger side. The y axis is mirrored by hand
+point, padded by 10% of its larger side; strokes, markers and labels are
+fractions of that side too, so the drawing scales with its input (a box
+that is a single point gets the side 1e-9). The y axis is mirrored by hand
 (SVG y grows downward) and every coordinate is written with a fixed
 ``%.8g`` format, so identical inputs produce byte-identical files. An
 extent that overflows any of these numbers raises NonFinite.
@@ -63,7 +65,7 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
     ys = [q.y for q in points]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
-    side = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
+    side = max(hi_x - lo_x, hi_y - lo_y) or 1e-9
     margin = 0.10 * side
 
     # mirror y about the bbox midline so screen-up matches plane-up

@@ -11,8 +11,9 @@ import pytest
 
 import polycenter
 from polycenter import catalog
-from polycenter.cli import _rounded, main
+from polycenter.cli import _EXIT_RULES, _rounded, main
 from polycenter.documents import read_document
+from polycenter.errors import PolycenterError
 from polycenter.sampling import random_convex_polygon, random_polygon
 
 SQUARE = {"name": "square", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
@@ -189,6 +190,30 @@ def test_name_and_expr_are_mutually_exclusive(tmp_path, capsys):
     )
     assert rc == 2
     assert "not allowed with" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "sq.json", "--name", "chebyshev", "--seed", "1"],
+    ["plot", "sq.json", "--centers", "chebyshev", "-o", "sq.svg", "--seed", "1"],
+])
+def test_the_chebyshev_seed_is_not_an_option(capsys, argv):
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.endswith("polycenter: error: unrecognized arguments: --seed 1\n")
+
+
+def _error_classes(klass=PolycenterError):
+    for sub in klass.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = set(_error_classes())
+    assert len(classes) >= 17
+    for klass in classes:
+        codes = [code for rule, code in _EXIT_RULES if issubclass(klass, rule)]
+        assert codes and codes[0] in (2, 3, 4, 5), klass
 
 
 def test_no_subcommand_exits_2(capsys):
@@ -427,6 +452,38 @@ def test_long_operator_chain_exits_2(tmp_path, capsys):
 def test_check_axioms_without_a_report_exits_as_elsewhere(capsys, argv, rc, line):
     # a report exits 0 whatever it finds; input that yields none does not
     assert invoke(capsys, ["check-axioms", *argv]) == (rc, "", f"polycenter: {line}\n")
+
+
+def _strict_json(text):
+    """json.loads that rejects the Infinity, -Infinity and NaN extensions."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("expr", ["perim-8", "perim-5"])
+def test_check_axioms_reports_a_sign_change_as_an_unbounded_violation(capsys, expr):
+    # perim-8 changes sign under rescaling on every sample at n=5, perim-5
+    # on some; either way the violation is unbounded, printed as null
+    rc, out, err = invoke(capsys, ["check-axioms", "--expr", expr, "--n", "5",
+                                   "--trials", "10"])
+    assert rc == 0 and err == ""
+    report = _strict_json(out)
+    assert report["homogeneity_ok"] is False
+    assert report["estimated_degree"] is None
+    assert report["max_violation"] is None
+
+
+def test_output_near_the_float_limit_stays_json(tmp_path, capsys):
+    # 1.7e308 rounds to 2e+308 at one digit, past the float range
+    doc = write_doc(tmp_path, "far.json",
+                    {"vertices": [[1.7e308, 0], [1.7e308, 1], [1.6e308, 0]]})
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "centroid", "--precision", "1"])
+    assert rc == 0 and err == ""
+    x, y = _strict_json(out)["point"]
+    assert math.isfinite(x) and y == 0.3
 
 
 def test_check_axioms_rejects_solver_names(capsys):

@@ -2,10 +2,25 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polycenter.catalog import CATALOG
 import polycenter.dsl as dsl
-from polycenter.dsl import MAX_DEPTH, admit, center_function, evaluate, parse, to_source
+from polycenter.dsl import (
+    MAX_DEPTH,
+    Aggregate,
+    Binary,
+    Const,
+    Dist,
+    Index,
+    Unary,
+    admit,
+    center_function,
+    evaluate,
+    parse,
+    to_source,
+)
 from polycenter.errors import (
     AxiomViolation,
     EvalError,
@@ -181,6 +196,89 @@ def test_operator_chains_count_toward_the_nesting_limit():
     ):
         with pytest.raises(ExprSyntaxError, match="nests deeper"):
             parse(source)
+
+
+# Trees the parser can build: nonnegative finite constants, indices that
+# are literals from 1 or n-relative, d(i,j) with structurally distinct i, j.
+_INDICES = st.one_of(
+    st.builds(Index, st.just("literal"), st.integers(1, 12)),
+    st.builds(Index, st.just("n"), st.integers(-12, 12)),
+)
+_CONSTS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-4, exclude_max=True),
+).map(Const)
+_LEAVES = st.one_of(
+    _CONSTS,
+    st.tuples(_INDICES, _INDICES).filter(lambda ij: ij[0] != ij[1]).map(lambda ij: Dist(*ij)),
+    st.just(Aggregate("perim", ())),
+)
+
+
+def _parents(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "sqrt", "abs"]), children),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+        st.builds(
+            Aggregate, st.sampled_from(["min", "max"]),
+            st.lists(children, min_size=1, max_size=3).map(tuple),
+        ),
+    )
+
+
+# (node, leaf) -> a parent of node, one level taller
+_SPINE_STEPS = (
+    [lambda e, _, op=op: Unary(op, e) for op in ("neg", "sqrt", "abs")]
+    + [lambda e, x, op=op: Binary(op, e, x) for op in "+-*/^"]
+    + [lambda e, x, op=op: Binary(op, x, e) for op in "+-*/^"]
+    + [lambda e, x: Aggregate("min", (x, e)), lambda e, x: Aggregate("max", (e, x))]
+)
+
+
+@st.composite
+def _tall_trees(draw):
+    """A spine of up to MAX_DEPTH nodes, each with a leaf beside it."""
+    node = draw(_LEAVES)
+    for _ in range(draw(st.integers(0, MAX_DEPTH - 1))):
+        node = draw(st.sampled_from(_SPINE_STEPS))(node, draw(_LEAVES))
+    return node
+
+
+_TREES = st.one_of(
+    st.recursive(_LEAVES, _parents, max_leaves=24).filter(lambda e: e.height <= MAX_DEPTH),
+    _tall_trees(),
+)
+
+
+def _chain(op, depth, leaf=Dist(Index("literal", 1), Index("n", 0))):
+    node = leaf
+    for _ in range(depth - 1):
+        node = op(node)
+    return node
+
+
+@settings(deadline=None)
+@given(_TREES)
+@example(Binary("*", Binary("+", Const(1.0), Const(2.0)), Const(3.0)))
+@example(Binary("^", Const(2.0), Binary("-", Const(3.0), Const(4.0))))
+@example(Binary("*", Const(1e20), Dist(Index("literal", 1), Index("literal", 2))))
+@example(Const(0.00001))
+@example(_chain(lambda e: Unary("neg", e), MAX_DEPTH))
+@example(_chain(lambda e: Binary("-", e, Const(1.0)), MAX_DEPTH))
+@example(_chain(lambda e: Binary("^", Const(2.0), e), MAX_DEPTH))
+@example(_chain(lambda e: Binary("^", e, Const(2.0)), MAX_DEPTH))
+def test_printed_trees_parse_back(e):
+    assert e.height <= MAX_DEPTH
+    assert parse(to_source(e)).expr == e
+
+
+@given(st.sampled_from("+-"), st.integers(0, 99), st.integers(0, 99))
+def test_a_fractional_index_offset_is_a_syntax_error(sign, whole, frac):
+    source = f"d(n{sign}{whole}.{frac},1)"
+    with pytest.raises(ExprSyntaxError, match="index offset must be an integer") as err:
+        parse(source)
+    assert err.value.position == 4
 
 
 def test_printer_drops_redundant_parens():

@@ -25,6 +25,8 @@ from polycenter.framework import (
 from polycenter.geometry import Point2, Polygon, distance_matrix
 from polycenter.sampling import random_convex_polygon, random_polygon
 
+from helpers import proportional_to
+
 TRI345 = Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
 
 # exact in floating point: all three side lengths come out as 3.0
@@ -72,9 +74,9 @@ def test_projective_coords_reject_all_zero():
 
 def test_projective_proportionality():
     a = ProjectiveCoords((7.0, 8.0, 9.0))
-    assert a.proportional_to(ProjectiveCoords((14.0, 16.0, 18.0)))
-    assert a.proportional_to(ProjectiveCoords((-7.0, -8.0, -9.0)))
-    assert not a.proportional_to(ProjectiveCoords((7.0, 8.0, 10.0)))
+    assert proportional_to(a, ProjectiveCoords((14.0, 16.0, 18.0)))
+    assert proportional_to(a, ProjectiveCoords((-7.0, -8.0, -9.0)))
+    assert not proportional_to(a, ProjectiveCoords((7.0, 8.0, 10.0)))
 
 
 def test_barycentric_weights_sum_to_one():

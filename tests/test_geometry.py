@@ -21,6 +21,8 @@ from polycenter.geometry import (
     signed_area,
 )
 
+from helpers import entry, identity, inverse
+
 SQUARE = Polygon.from_pairs([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRI345 = Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
 
@@ -95,15 +97,15 @@ def test_dihedral_composition_matches_permutations(n):
 def test_dihedral_inverse_and_relations(n):
     rho = DihedralElement.rho(n)
     sig = DihedralElement.sigma(n)
-    ident = DihedralElement.identity(n).permutation()
+    ident = identity(n).permutation()
     assert sig.compose(sig).permutation() == ident
     assert DihedralElement.rho(n, n).permutation() == ident
     # sigma rho sigma = rho^{-1}
     conj = sig.compose(rho).compose(sig)
     assert conj.permutation() == DihedralElement.rho(n, -1).permutation()
     for g in (rho, sig, rho.compose(sig), DihedralElement.rho(n, 2)):
-        assert g.compose(g.inverse()).permutation() == ident
-        assert g.inverse().compose(g).permutation() == ident
+        assert g.compose(inverse(g)).permutation() == ident
+        assert inverse(g).compose(g).permutation() == ident
 
 
 def test_sigma_fixes_vertex_one_and_reverses():
@@ -138,8 +140,8 @@ def test_relabel_composes_contravariantly():
 def test_distance_matrix_of_triangle():
     D = distance_matrix(TRI345)
     assert D.d == ((0.0, 3.0, 4.0), (3.0, 0.0, 5.0), (4.0, 5.0, 0.0))
-    assert D.entry(0, 1) == 3.0
-    assert D.entry(-1, 0) == 4.0
+    assert entry(D, 0, 1) == 3.0
+    assert entry(D, -1, 0) == 4.0
     assert D.max_entry() == 5.0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polycenter.errors import NoConvergence
-from polycenter.geometry import Point2, Polygon
+from polycenter.geometry import DihedralElement, Point2, Polygon, relabel
 from polycenter.optim import (
     MedianResult,
     check_minimal_center,
@@ -70,6 +70,19 @@ def test_median_random_polygons_match_grid():
         assert got.residual <= 1e-8
         ox, oy = grid_median(p)
         assert math.hypot(got.point.x - ox, got.point.y - oy) < 1e-4
+
+
+def test_median_steps_off_a_vertex_that_pulls_harder_than_one():
+    # the vertex mean is vertex 1, whose other vertices pull with a
+    # unit-vector sum of norm about 2, so the iteration steps off it
+    p = Polygon.from_pairs([(0, 0), (4, 0.1), (4, -0.1), (5, 0), (-13, 0)])
+    assert p.vertex_mean() == p.vertices[0]
+    got = geometric_median(p)
+    assert got == MedianResult(Point2(3.94226497308103, 0.0), 35, got.residual, None)
+    assert got.residual <= 1e-12
+    ox, oy = grid_median(p, stages=6)
+    assert math.hypot(got.point.x - ox, got.point.y - oy) < 1e-6
+    assert distance_sum(p, got.point.x, got.point.y) <= distance_sum(p, ox, oy) + 1e-12
 
 
 def test_median_captured_at_wide_vertex():
@@ -171,12 +184,14 @@ def test_chebyshev_matches_brute_force():
         assert got.center.distance_to(c) <= 1e-9 * max(1.0, r)
 
 
-def test_chebyshev_seed_does_not_change_the_circle():
+def test_chebyshev_relabeling_does_not_change_the_circle():
+    # a relabeled polygon feeds the vertices to the fixed shuffle in another order
     rng = random.Random(13)
     for _ in range(10):
         p = random_polygon(rng, 7)
-        a = chebyshev_center(p, seed=0)
-        b = chebyshev_center(p, seed=99)
+        alpha = DihedralElement(7, rng.randrange(1, 7), rng.random() < 0.5)
+        a = chebyshev_center(p)
+        b = chebyshev_center(relabel(alpha, p))
         assert a.center.distance_to(b.center) < 1e-9
         assert abs(a.radius - b.radius) < 1e-9
 

@@ -1,10 +1,14 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import polycenter
 from polycenter.cli import main
@@ -60,3 +64,44 @@ def test_a_finite_viewbox_with_a_huge_height_renders(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert 'width="640" height="640">' in target.read_text(encoding="utf-8")
+
+
+_LENGTHS = re.compile(r' (viewBox|d|stroke-width|cx|cy|r|x|y|font-size)="([^"]*)"')
+
+
+def _lengths(text):
+    """Every number the SVG gives in drawing units, in document order."""
+    return [float(tok) for _, value in _LENGTHS.findall(text)
+            for tok in value.split() if tok not in ("M", "L", "Z")]
+
+
+@given(st.integers(-100, 100))
+def test_the_drawing_scales_with_its_input(k):
+    pairs = [(0.3, -1.2), (2.5, 0.7), (-0.4, 1.9), (0.1, 0.2)]
+    marks = [(0.5, 0.4), (3.1, -1.7)]
+    t = math.ldexp(1.0, k)
+
+    def svg(scale):
+        p = Polygon.from_pairs([(scale * x, scale * y) for x, y in pairs])
+        records = [CenterRecord(f"m{i}", point=Point2(scale * x, scale * y))
+                   for i, (x, y) in enumerate(marks)]
+        return render_svg(p, records)
+
+    base, scaled = svg(1.0), svg(t)
+    assert base.splitlines()[0].split("width=")[1] == scaled.splitlines()[0].split("width=")[1]
+    want, got = _lengths(base), _lengths(scaled)
+    assert len(got) == len(want) > 20
+    for a, b in zip(got, want):
+        assert abs(a - t * b) <= 1e-7 * abs(t * b)
+
+
+def test_a_tiny_triangle_is_drawn_at_its_own_scale():
+    text = render_svg(Polygon.from_pairs([(0, 0), (1e-12, 0), (0, 1e-12)]),
+                      [CenterRecord("c", point=Point2(1e-12 / 3, 1e-12 / 3))])
+    assert 'viewBox="-1e-13 -1e-13 1.2e-12 1.2e-12"' in text
+    assert 'r="1.2e-14"' in text
+
+
+def test_a_box_that_is_one_point_gets_the_side_floor():
+    text = render_svg(Polygon.from_pairs([(2, 3)] * 3), [])
+    assert 'viewBox="2 3 2e-10 2e-10"' in text
