@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
@@ -79,10 +80,25 @@ def centroid_vertices(p: Polygon) -> Point2:
 # -------------------------------------------------------- perimeter centroid
 
 
-def _adjacent_edge_sums(D: DistanceMatrix) -> list[float]:
-    """Entry k: the lengths of the two sides meeting at vertex k + 1."""
-    d, n = D.d, D.n
-    return [d[k - 1][k] + d[k][(k + 1) % n] for k in range(n)]
+def _adjacent_edge_sums(x: Union[Polygon, DistanceMatrix]) -> list[float]:
+    """Entry k: the lengths of the two sides meeting at vertex k + 1, read
+    from a matrix or measured on a polygon as `distance_matrix` measures
+    them (hypot ignores the sign of a difference), so both give the same
+    bits: O(n)."""
+    if isinstance(x, Polygon):
+        xs, ys = vertex_coordinates(x)
+        sides = list(map(math.hypot, map(sub, xs, xs[1:] + xs[:1]),
+                         map(sub, ys, ys[1:] + ys[:1])))
+    else:
+        d, n = x.d, x.n
+        sides = [d[k][(k + 1) % n] for k in range(n)]
+    return [sides[k - 1] + sides[k] for k in range(len(sides))]
+
+
+def _convex(x: Union[Polygon, DistanceMatrix]) -> bool:
+    """The `perimeter` guard: `is_convex` on a polygon, O(n), and
+    `convex_distances` on a matrix."""
+    return is_convex(x) if isinstance(x, Polygon) else convex_distances(x)
 
 
 def perimeter_centroid(p: Polygon) -> Point2:
@@ -280,7 +296,7 @@ CATALOG: dict[str, CatalogEntry] = {
             LengthCenterFunction(
                 "perimeter",
                 _entry_zero(_adjacent_edge_sums),
-                convex_distances,
+                _convex,
                 "convex polygons",
                 all_shifts=_adjacent_edge_sums,
             ),

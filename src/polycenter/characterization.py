@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import DegenerateVertex, ParityMismatch
 from .framework import CenterFunction, VertexCenterFunction, cyclic_values
 from .geometry import (
-    Polygon, distance_matrix, is_convex, is_nondegenerate, shoelace, unit_factor,
+    Polygon, is_convex, is_nondegenerate, shoelace, unit_coordinates, unit_factor,
 )
 
 # Cyclic values within this band (relative, floored at unit scale; lengths
@@ -102,8 +102,7 @@ def coincidence(
     value, which is exact, so their spread is the same at every power-of-two
     scale of p.
     """
-    x = p if isinstance(fg, VertexCenterFunction) else distance_matrix(p)
-    values = cyclic_values(fg, x)
+    values = cyclic_values(fg, p)
     read = values
     if fg is F2_ODD or fg is F3_EVEN:
         t = unit_factor(max(values))
@@ -124,13 +123,10 @@ def interior_angles(p: Polygon) -> tuple[float, ...]:
     vertex of a non-convex outline is reported as its reflex angle rather
     than its unsigned opening.
 
-    The coordinates are read times `unit_factor` of their largest
-    magnitude, which is exact, so no cross or dot product overflows or
-    underflows at any scale.
+    The coordinates are read at unit scale (`unit_coordinates`), so no
+    cross or dot product overflows or underflows at any scale.
     """
-    vs = p.vertices
-    t = unit_factor(max(max(abs(v.x), abs(v.y)) for v in vs))
-    xs, ys = [t * v.x for v in vs], [t * v.y for v in vs]
+    _, xs, ys = unit_coordinates(p)
     orient = 1.0 if shoelace(xs, ys) >= 0.0 else -1.0
     out = []
     for i in range(p.n):

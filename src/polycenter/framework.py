@@ -17,10 +17,10 @@ vertex combination is the point the function designates.
 A domain guard must be invariant under cyclic relabeling: its answer on the
 input holds for every shift. `cyclic_values`, the one kernel behind both
 coordinate maps and the coincidence probes, therefore checks the guard once
-per map, on the input as given, and then evaluates all n shifts. An input
+per map, on the input as given, and then evaluates all n shifts. A matrix
 on which a numerically fragile guard would answer differently for different
 shifts (a near-collinear or near-infeasible matrix under the
-reconstruction-based `perimeter` guard) is decided by the unshifted input.
+reconstruction-based `perimeter` guard) is decided by the unshifted matrix.
 
 The per-shift `evaluator` is what `evaluate` and the axiom checks call. A
 center function may also carry `all_shifts`, which returns the n values of
@@ -28,6 +28,14 @@ a map at once from work the shifts share; the two must agree on every shift
 bit for bit, errors included, and `cyclic_values` then uses `all_shifts` in
 place of the n relabeled copies. A function defined by its whole map, as
 the catalog's are, takes entry 0 of that map as its evaluator.
+
+A length function's map on a polygon reads the distances measured from it.
+Without `all_shifts` that is `distance_matrix(p)`. With it, `all_shifts` and
+the guard read the polygon itself: both accept either a matrix or the
+polygon it is measured from, and `all_shifts` measures what it reads as
+`distance_matrix` does, so its values keep their bits. The polygon's extent
+is checked first, as `distance_matrix` checks it, and the guard decides on
+the polygon: `perimeter` reads the n sides once and asks `is_convex(p)`.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .geometry import (
     apply_motion,
     distance_matrix,
     relabel,
+    vertex_coordinates,
 )
 from .reconstruction import reconstruct
 from .sampling import random_rigid_motion
@@ -82,7 +91,8 @@ class _CenterFunction(Generic[_Input]):
     The guard must give the same answer on every cyclic relabeling of its
     input; coordinate maps check it once per map. `all_shifts`, when given,
     returns the evaluator's values on shifts 0..n-1 of an input the guard
-    accepts, all at once and bit for bit.
+    accepts, all at once and bit for bit; for a length function, it and the
+    guard also read a polygon in place of its distances (module docstring).
     """
 
     name: str
@@ -178,8 +188,14 @@ def cyclic_values(
     Equal to fg.evaluate on x.shifted(k) (vertex functions) or x.rotated(k)
     (length functions) for k = 0..n-1, with the same errors, except that the
     domain guard runs once, on x as given. With `fg.all_shifts` no
-    relabeled copy is built.
+    relabeled copy is built. A length function given a polygon reads the
+    distances measured from it, as the module docstring describes.
     """
+    if isinstance(fg, LengthCenterFunction) and isinstance(x, Polygon):
+        if fg.all_shifts is None:
+            x = distance_matrix(x)
+        else:
+            vertex_coordinates(x)  # the extent check of distance_matrix
     _check_domain(fg, x)
     if fg.all_shifts is not None:
         values = fg.all_shifts(x)
@@ -201,8 +217,11 @@ def coordinate_map_vertex(f: VertexCenterFunction, p: Polygon) -> ProjectiveCoor
     return _projective(f, cyclic_values(f, p))
 
 
-def coordinate_map_length(g: LengthCenterFunction, D: DistanceMatrix) -> ProjectiveCoords:
-    """Entry k is g evaluated on the matrix reindexed to start at vertex k."""
+def coordinate_map_length(
+    g: LengthCenterFunction, D: Union[DistanceMatrix, Polygon]
+) -> ProjectiveCoords:
+    """Entry k is g evaluated on the matrix reindexed to start at vertex k;
+    D may be the polygon the matrix is measured from."""
     return _projective(g, cyclic_values(g, D))
 
 
@@ -211,7 +230,7 @@ def coordinate_map(fg: CenterFunction, p: Polygon) -> ProjectiveCoords:
     measured from p."""
     if isinstance(fg, VertexCenterFunction):
         return coordinate_map_vertex(fg, p)
-    return coordinate_map_length(fg, distance_matrix(p))
+    return coordinate_map_length(fg, p)
 
 
 def normalize(coords: ProjectiveCoords) -> BarycentricWeights:

@@ -366,6 +366,16 @@ def unit_factor(largest: float) -> float:
     return math.ldexp(1.0, min(-math.frexp(largest)[1], 1023))
 
 
+def unit_coordinates(p: Polygon) -> tuple[float, list[float], list[float]]:
+    """t, `unit_factor` of p's largest coordinate magnitude, and p's x and y
+    coordinates times t, which is exact, so that no product of two of them
+    overflows at any scale of p."""
+    xs = [v.x for v in p.vertices]
+    ys = [v.y for v in p.vertices]
+    t = unit_factor(max(max(xs), -min(xs), max(ys), -min(ys)))
+    return t, [t * x for x in xs], [t * y for y in ys]
+
+
 def distance_matrix(p: Polygon) -> DistanceMatrix:
     """All pairwise distances of p, each measured once and not revalidated.
 
@@ -446,12 +456,10 @@ def is_convex(p: Polygon) -> bool:
     is an edge whose atan2 angle steps back, against the turns, past the
     branch cut from that of the edge before it.
 
-    The coordinates are read times `unit_factor` of their largest
-    magnitude, which is exact, so no product overflows at any scale.
+    The coordinates are read at unit scale (`unit_coordinates`), so no
+    product overflows at any scale.
     """
-    vs = p.vertices
-    t = unit_factor(max(max(abs(v.x), abs(v.y)) for v in vs))
-    xs, ys = [t * v.x for v in vs], [t * v.y for v in vs]
+    _, xs, ys = unit_coordinates(p)
     # edge i runs from vertex i - 1 to vertex i
     ex = [b - a for a, b in zip(xs[-1:] + xs[:-1], xs)]
     ey = [b - a for a, b in zip(ys[-1:] + ys[:-1], ys)]

@@ -21,6 +21,7 @@ from typing import Optional
 from .errors import DomainViolation, NoConvergence
 from .geometry import (
     DihedralElement, Point2, Polygon, apply_motion, relabel, require_nondegenerate,
+    unit_coordinates,
 )
 from .sampling import random_similarity
 
@@ -122,17 +123,25 @@ def geometric_median(
 # -------------------------------------------------------- enclosing circle
 
 
-def _circle_from_two(a: Point2, b: Point2) -> tuple[Point2, float]:
-    c = Point2((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    return c, max(c.distance_to(a), c.distance_to(b))
+def _gap(center: Point2, q: tuple[float, float]) -> float:
+    """`center.distance_to` a point given by its coordinates."""
+    return math.hypot(center.x - q[0], center.y - q[1])
 
 
-def _circle_from_three(a: Point2, b: Point2, c: Point2) -> Optional[tuple[Point2, float]]:
-    ox = (min(a.x, b.x, c.x) + max(a.x, b.x, c.x)) / 2.0
-    oy = (min(a.y, b.y, c.y) + max(a.y, b.y, c.y)) / 2.0
-    ax, ay = a.x - ox, a.y - oy
-    bx, by = b.x - ox, b.y - oy
-    cx, cy = c.x - ox, c.y - oy
+def _circle_from_two(a: tuple[float, float], b: tuple[float, float]) -> tuple[Point2, float]:
+    c = Point2((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    return c, max(_gap(c, a), _gap(c, b))
+
+
+def _circle_from_three(
+    a: tuple[float, float], b: tuple[float, float], c: tuple[float, float]
+) -> Optional[tuple[Point2, float]]:
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    ox = (min(ax, bx, cx) + max(ax, bx, cx)) / 2.0
+    oy = (min(ay, by, cy) + max(ay, by, cy)) / 2.0
+    ax, ay = ax - ox, ay - oy
+    bx, by = bx - ox, by - oy
+    cx, cy = cx - ox, cy - oy
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     if d == 0.0:
         return None
@@ -147,12 +156,13 @@ def _circle_from_three(a: Point2, b: Point2, c: Point2) -> Optional[tuple[Point2
         + (cx * cx + cy * cy) * (bx - ax)
     ) / d
     center = Point2(x, y)
-    radius = max(center.distance_to(q) for q in (a, b, c))
+    radius = max(_gap(center, q) for q in (a, b, c))
     return center, radius
 
 
-def _in_circle(center: Point2, radius: float, q: Point2) -> bool:
-    return center.distance_to(q) <= radius * _IN_CIRCLE_SLACK
+def _in_circle(center: Point2, radius: float, q: tuple[float, float]) -> bool:
+    # `_gap` written out: this test runs about ten times per vertex
+    return math.hypot(center.x - q[0], center.y - q[1]) <= radius * _IN_CIRCLE_SLACK
 
 
 def chebyshev_center(p: Polygon) -> EnclosingCircle:
@@ -163,11 +173,17 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
     deterministic for a labeled input. The support holds 2 or 3 vertex
     indices on the boundary; with four or more cocircular vertices, which
     of them it names depends on the labeling.
+
+    The construction reads the coordinates at unit scale
+    (`unit_coordinates`) and scales the circle back, so no squared term
+    overflows or underflows: at 2^k times p, the circle is 2^k times p's,
+    on the same support.
     """
     require_nondegenerate(p)
     order = list(range(p.n))
     random.Random(0).shuffle(order)
-    pts = p.vertices
+    t, xs, ys = unit_coordinates(p)
+    pts = list(zip(xs, ys))
 
     center: Optional[Point2] = None
     radius = 0.0
@@ -177,7 +193,7 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
         if center is not None and _in_circle(center, radius, pts[pi]):
             continue
         # circle through pts[pi] and the prefix
-        center, radius, support = pts[pi], 0.0, (pi,)
+        center, radius, support = Point2(*pts[pi]), 0.0, (pi,)
         for j in range(i):
             pj = order[j]
             if _in_circle(center, radius, pts[pj]):
@@ -195,7 +211,9 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
                 center, radius = cand
                 support = (pi, pj, pk)
     assert center is not None
-    return EnclosingCircle(center, radius, tuple(sorted(support)))
+    return EnclosingCircle(
+        Point2(center.x / t, center.y / t), radius / t, tuple(sorted(support))
+    )
 
 
 # --------------------------------------------------------- equivariance check

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polycenter
-from polycenter import catalog
+from polycenter import catalog, documents, reconstruction
 from polycenter.cli import _EXIT_RULES, _rounded, main
 from polycenter.documents import read_document
 from polycenter.errors import PolycenterError
@@ -355,6 +355,36 @@ def test_center_medoid_measures_one_distance_matrix(tmp_path, capsys, monkeypatc
     assert calls == 1
 
 
+def test_center_perimeter_of_distances_reconstructs_once(tmp_path, capsys, monkeypatch):
+    # the document is embedded once, and the convexity guard reads that polygon
+    calls = []
+    embed = reconstruction.reconstruct
+
+    def counted(D):
+        calls.append(D)
+        return embed(D)
+
+    for module in (documents, reconstruction):
+        monkeypatch.setattr(module, "reconstruct", counted)
+    quad = {"distances": [
+        [0.0, 4.0, 5.830951894845301, 4.123105625617661],
+        [4.0, 0.0, 3.1622776601683795, 5.0],
+        [5.830951894845301, 3.1622776601683795, 0.0, 4.123105625617661],
+        [4.123105625617661, 5.0, 4.123105625617661, 0.0],
+    ]}
+    doc = write_doc(tmp_path, "quad.json", quad)
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "perimeter"])
+    assert rc == 0 and err == ""
+    assert len(calls) == 1
+    assert out == (
+        '{\n  "name": "perimeter",\n  "projective": [\n    8.12310562562,\n'
+        '    7.16227766017,\n    7.28538328579,\n    8.24621125124\n  ],\n'
+        '  "weights": [\n    0.2635918964,\n    0.232413369713,\n    0.2364081036,\n'
+        '    0.267586630287\n  ],\n  "point": [\n    2.37928062714,\n'
+        '    -1.77957083195\n  ]\n}\n'
+    )
+
+
 def test_center_medoid_of_coincident_vertices_exits_3(tmp_path, capsys):
     doc = write_doc(tmp_path, "dup.json", {"vertices": [[0, 0], [1, 0], [1, 0], [0, 1]]})
     rc, out, err = invoke(capsys, ["center", doc, "--name", "medoid"])
@@ -656,6 +686,24 @@ def test_perimeter_weights_commute_with_scaling(tmp_path, capsys, k):
         assert rc == 0 and err == ""
         outputs.append(json.loads(out))
     assert outputs[1]["weights"] == outputs[0]["weights"]
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+def test_chebyshev_of_a_tiny_or_huge_polygon_keeps_its_circle(tmp_path, capsys, k):
+    # squared coordinates underflowed at 2^-900, to a wrong point on the
+    # support (4, 6), and overflowed at 2^900
+    p = random_convex_polygon(random.Random(3), 7)
+    records = []
+    for e in (0, k):
+        pairs = [[math.ldexp(v.x, e), math.ldexp(v.y, e)] for v in p.vertices]
+        doc = write_doc(tmp_path, "p.json", {"vertices": pairs})
+        rc, out, err = invoke(capsys, ["center", doc, "--name", "chebyshev"])
+        assert rc == 0 and err == ""
+        records.append(json.loads(out))
+    assert records[1]["support"] == records[0]["support"] == [2, 4, 6]
+    for got, want in zip(records[1]["point"] + [records[1]["radius"]],
+                         records[0]["point"] + [records[0]["radius"]]):
+        assert math.ldexp(got, -k) == pytest.approx(want, rel=1e-11)
 
 
 def test_integer_past_float_range_exits_2(tmp_path, capsys):

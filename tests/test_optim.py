@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polycenter.errors import NoConvergence
 from polycenter.geometry import DihedralElement, Point2, Polygon, relabel
@@ -194,6 +196,29 @@ def test_chebyshev_relabeling_does_not_change_the_circle():
         b = chebyshev_center(relabel(alpha, p))
         assert a.center.distance_to(b.center) < 1e-9
         assert abs(a.radius - b.radius) < 1e-9
+
+
+SAMPLED = st.one_of(
+    st.builds(lambda seed, n: random_polygon(random.Random(seed), n),
+              st.integers(0, 2**32 - 1), st.integers(3, 24)),
+    st.builds(lambda seed, n: random_convex_polygon(random.Random(seed), n),
+              st.integers(0, 2**32 - 1), st.integers(3, 40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SAMPLED, st.integers(-1000, 1000))
+def test_the_chebyshev_circle_scales_with_the_polygon_bit_for_bit(p, k):
+    pairs = [(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in p.vertices]
+    # 2^k p is representable: every coordinate scaled exactly
+    assume(all(math.ldexp(x, -k) == v.x and math.ldexp(y, -k) == v.y
+               for (x, y), v in zip(pairs, p.vertices)))
+    at_one = chebyshev_center(p)
+    at_scale = chebyshev_center(Polygon.from_pairs(pairs))
+    assert at_scale.center.x == math.ldexp(at_one.center.x, k)
+    assert at_scale.center.y == math.ldexp(at_one.center.y, k)
+    assert at_scale.radius == math.ldexp(at_one.radius, k)
+    assert at_scale.support == at_one.support
 
 
 def test_chebyshev_supports_lie_on_the_boundary():

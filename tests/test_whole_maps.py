@@ -14,10 +14,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from polycenter import catalog
+from polycenter import catalog, framework, geometry, reconstruction
 from polycenter.catalog import CATALOG, medoid
 from polycenter.dsl import evaluate, parse
 from polycenter.errors import DomainViolation, NonFinite, Tie
@@ -27,9 +27,11 @@ from polycenter.framework import (
     _check_domain,
     _finite,
     coordinate_map,
+    coordinate_map_length,
     cyclic_values,
 )
-from polycenter.geometry import DistanceMatrix, Polygon, distance_matrix
+from polycenter.geometry import DistanceMatrix, Point2, Polygon, distance_matrix, is_convex
+from polycenter.reconstruction import convex_distances
 from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
 
 WHOLE = ("centroid", "perimeter", "lamina", "medoid")
@@ -152,6 +154,97 @@ def test_rejected_and_overflowing_inputs(p):
     assert_whole_maps_match(p)
 
 
+# ------------------------------------------------ perimeter on a polygon
+
+
+@st.composite
+def stars(draw):
+    """Regular stars {n/w}, which turn one way at every vertex but wind
+    more than once."""
+    n = draw(st.integers(5, 40).filter(lambda n: n != 6))
+    w = draw(st.sampled_from([w for w in range(2, (n + 1) // 2) if math.gcd(n, w) == 1]))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    return regular_polygon(n, winding=w, phase=phase)
+
+
+@st.composite
+def near_collinear(draw):
+    """A convex polygon with one vertex moved onto the segment between its
+    neighbours, or off it by a tiny fraction of that segment, either way."""
+    rng = random.Random(draw(SEEDS))
+    vs = list(random_convex_polygon(rng, draw(st.integers(3, 16))).vertices)
+    i = draw(st.integers(0, len(vs) - 1))
+    a, b = vs[i - 1], vs[(i + 1) % len(vs)]
+    along = draw(st.floats(0.01, 0.99))
+    off = draw(st.sampled_from([0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-10, -1e-10]))
+    dx, dy = b.x - a.x, b.y - a.y
+    vs[i] = Point2(a.x + along * dx - off * dy, a.y + along * dy + off * dx)
+    return Polygon(tuple(vs))
+
+
+@st.composite
+def at_any_scale(draw, polygons):
+    p = draw(polygons)
+    k = draw(st.integers(-1000, 1000))
+    return Polygon.from_pairs([(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in p.vertices])
+
+
+def result_of(call):
+    """repr of the value, or the class and message of the error."""
+    try:
+        return repr(call())
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+UNIT_POLYGONS = st.one_of(
+    st.builds(lambda seed, n: random_polygon(random.Random(seed), n, min_separation=0.0),
+              SEEDS, st.integers(3, 24)),
+    st.builds(lambda seed, n: random_convex_polygon(random.Random(seed), n),
+              SEEDS, st.integers(3, 40)),
+    stars(),
+    near_collinear(),
+    duplicated_vertices(),
+)
+
+
+def perimeter_follows_the_polygon(p):
+    """Assert that the perimeter map on p gives the values and errors of the
+    map of its measured matrix, bit for bit, with the guard decided by
+    `is_convex(p)`; return whether the matrix guard agrees with it."""
+    g = CATALOG["perimeter"].function
+    on_polygon = result_of(lambda: coordinate_map(g, p))
+    decided_by_p = result_of(lambda: coordinate_map_length(
+        dataclasses.replace(g, domain_guard=lambda D: is_convex(p)), distance_matrix(p)))
+    assert on_polygon == decided_by_p
+    try:
+        agree = is_convex(p) == convex_distances(distance_matrix(p))
+    except NonFinite:
+        return True  # the extent check comes first on both paths
+    if agree:
+        assert on_polygon == result_of(lambda: coordinate_map_length(g, distance_matrix(p)))
+    return agree
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(at_any_scale(UNIT_POLYGONS), huge_polygons()))
+def test_a_perimeter_map_on_a_polygon_matches_the_matrix_path(p):
+    if not perimeter_follows_the_polygon(p):
+        event("the guards disagree")
+
+
+@pytest.mark.parametrize("p, agree", [
+    # an extent that overflows raises NonFinite before the guard rejects a bowtie
+    (Polygon.from_pairs([(-1e308, 0), (1e308, 1), (1e308, 0), (-1e308, 1)]), True),
+    # nearly collinear: the reconstruction of its matrix passes as convex
+    (Polygon.from_pairs([(1.3716511313423347, -0.21899471413149862),
+                         (1.3525352844077727, -0.285377600209741),
+                         (1.3907669782768965, -0.15261182805325624)]), False),
+], ids=["overflowing-bowtie", "near-collinear"])
+def test_the_perimeter_guard_decides_on_the_polygon(p, agree):
+    assert perimeter_follows_the_polygon(p) is agree
+
+
 # ------------------------------------------------------------------ cost
 
 
@@ -173,6 +266,18 @@ def test_a_medoid_map_builds_one_distance_matrix(monkeypatch):
     values = coordinate_map(CATALOG["medoid"].function, p).values
     assert sum(values) >= 1.0
     assert len(calls) == 1
+
+
+def test_a_perimeter_map_measures_no_matrix_and_reconstructs_nothing(monkeypatch):
+    p = random_convex_polygon(random.Random(0), 128)
+    matrices = [count_calls(monkeypatch, module, "distance_matrix")
+                for module in (framework, catalog, geometry)]
+    embeddings = [count_calls(monkeypatch, module, "reconstruct")
+                  for module in (framework, reconstruction)]
+    values = coordinate_map(CATALOG["perimeter"].function, p).values
+    assert len(values) == 128 and min(values) > 0.0
+    assert sum(map(len, matrices)) == 0
+    assert sum(map(len, embeddings)) == 0
 
 
 def test_whole_maps_build_no_relabeled_copies(monkeypatch):
