@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,11 +8,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polycenter
-from polycenter import catalog, documents, reconstruction
+from polycenter import catalog, cli, documents, reconstruction
 from polycenter.cli import _EXIT_RULES, _rounded, main
 from polycenter.documents import read_document
 from polycenter.errors import PolycenterError
@@ -447,7 +452,27 @@ def test_check_axioms_reports_violations_with_exit_0(capsys):
 def test_check_axioms_rejects_fewer_than_three_vertices(capsys):
     rc, out, err = invoke(capsys, ["check-axioms", "--name", "centroid", "--n", "2"])
     assert rc == 2 and out == ""
-    assert "argument --n: must be at least 3, got 2" in err
+    assert "argument --n: must be from 3 to 128, got 2" in err
+
+
+@pytest.mark.parametrize("selection, n", [
+    (["--name", "centroid"], "129"),
+    (["--expr", "d(n,1)+d(1,2)"], "256"),
+])
+def test_check_axioms_rejects_more_than_128_vertices(capsys, selection, n):
+    # random_polygon keeps about e^-16 of 256-gon draws, so --n 256 never returned
+    rc, out, err = invoke(capsys, ["check-axioms", *selection, "--n", n, "--trials", "1"])
+    assert rc == 2 and out == ""
+    usage, error = err.split("\npolycenter check-axioms: error: ")
+    assert usage.startswith("usage: polycenter check-axioms ")
+    assert error == f"argument --n: must be from 3 to 128, got {n}\n"
+
+
+def test_check_axioms_at_128_vertices_exits_0(capsys):
+    rc, out, err = invoke(capsys, ["check-axioms", "--name", "lamina", "--n", "128",
+                                   "--trials", "1"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["n"] == 128
 
 
 def test_check_axioms_rejects_zero_trials(capsys):
@@ -784,3 +809,89 @@ def test_characterize_reports_alike_at_every_power_of_two_scale(tmp_path, capsys
     assert set(reports.values()) == {reports[0]}
     report = json.loads(reports[0])
     assert report["f2_coincident"] is False and report["consistent_with_theorems"] is True
+
+
+# ------------------------------------------------------------ parser reuse
+
+
+def run_with_columns(columns, argv):
+    """(code, stdout, stderr) of one main call under COLUMNS=columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS=columns), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def reuse_docs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reuse")
+    return {f"{{{key}}}": write_doc(tmp, f"{key}.json", data)
+            for key, data in (("sq", SQUARE), ("tri", TRI345), ("mat", TRIMAT))}
+
+
+REUSE_ARGVS = [
+    ["center", "{sq}", "--name", "centroid"],
+    ["center", "{tri}", "--expr", "d(n,1)+d(1,2)", "--precision", "3"],
+    ["coords", "{tri}", "--name", "perimeter"],
+    ["characterize", "{sq}", "--tol", "0"],
+    ["reconstruct", "{mat}"],
+    ["check-axioms", "--name", "centroid", "--n", "4", "--trials", "2"],
+    ["center", "{sq}", "--name", "circumcenter"],
+    ["center", "{sq}", "--expr", "d(1,2)-d(1,2)"],
+    ["center", "{tri}", "--name", "median", "--max-iter", "1"],
+    ["center", "{sq}", "--name", "nope"],
+    ["center", "{sq}", "--name", "centroid", "--precision", "101"],
+    ["center", "{sq}", "--name", "centroid", "--precision", "x"],
+    ["characterize", "{sq}", "--tol", "nan"],
+    ["center", "{tri}", "--name", "median", "--max-iter", "0"],
+    ["check-axioms", "--name", "centroid", "--n", "2"],
+    ["check-axioms", "--expr", "d(1,2)", "--n", "129"],
+    ["center", "{sq}"],
+    ["center", "{sq}", "--name", "centroid", "--expr", "d(1,2)"],
+    ["center", "{sq}", "--name", "centroid", "--bogus"],
+    ["frobnicate", "{sq}"],
+    [],
+    ["--help"],
+    ["check-axioms", "--help"],
+]
+HELP = REUSE_ARGVS.index(["check-axioms", "--help"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(REUSE_ARGVS) - 1), st.sampled_from(["40", "120"])),
+                min_size=1, max_size=8))
+@example([(HELP, "40"), (HELP, "120"), (0, "40")])
+def test_a_reused_parser_keeps_no_state(reuse_docs, calls):
+    argvs = [([reuse_docs.get(a, a) for a in REUSE_ARGVS[i]], columns) for i, columns in calls]
+    reused = [run_with_columns(columns, argv) for argv, columns in argvs]
+    fresh = []
+    for argv, columns in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run_with_columns(columns, argv))
+    assert reused == fresh
+    assert {code for code, _, _ in reused} <= {0, 2, 3, 4, 5}
+
+
+def test_help_is_formatted_for_the_columns_of_each_call():
+    narrow = run_with_columns("40", ["check-axioms", "--help"])
+    wide = run_with_columns("120", ["check-axioms", "--help"])
+    assert narrow[0] == wide[0] == 0
+    assert max(map(len, wide[1].splitlines())) > 40 >= max(map(len, narrow[1].splitlines()))
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    doc = write_doc(tmp_path, "sq.json", SQUARE)
+    assert invoke(capsys, ["center", doc, "--name", "centroid"])[0] == 0
+    assert invoke(capsys, ["center", doc, "--precision", "x"])[0] == 2
+    assert len(built) == 1
+    assert build() is not build()

@@ -283,7 +283,13 @@ def test_a_fractional_index_offset_is_a_syntax_error(sign, whole, frac):
 
 def test_printer_drops_redundant_parens():
     assert to_source(parse("((2)+(3))").expr) == "2+3"
-    assert to_source(parse("d((1),2)").expr) if False else True
+    assert to_source(parse("(d(1,2))*((3))").expr) == "d(1,2)*3"
+
+
+def test_a_parenthesized_index_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="index must be an integer or n±integer") as err:
+        parse("d((1),2)")
+    assert err.value.position == 2
 
 
 # ------------------------------------------------------------- admission
