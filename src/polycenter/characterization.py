@@ -9,6 +9,8 @@ Three probe functions drive the classification:
 * for even n, the skip-one diagonal from vertex n/2 (equal across shifts
   on the rectangle-like family).
 
+Each probe is entry 0 of its whole map, which is O(n) and copies no polygon.
+
 Direct angle/side measurement provides the independent oracle the probe
 results are compared against.
 """
@@ -17,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import sub
 from typing import Optional
 
 from .errors import DegenerateVertex, ParityMismatch
 from .framework import CenterFunction, VertexCenterFunction, cyclic_values
 from .geometry import (
-    Polygon, is_convex, is_nondegenerate, shoelace, unit_coordinates, unit_factor,
+    Point2, Polygon, is_convex, is_nondegenerate, shoelace, unit_coordinates, unit_factor,
 )
 
 # Cyclic values within this band (relative, floored at unit scale; lengths
@@ -55,39 +59,56 @@ class CharacterizationReport:
 # ------------------------------------------------------------------- probes
 
 
-def f1_cosine(p: Polygon) -> float:
-    """Cosine of the angle at vertex 1 between the edges to vertices 2 and n.
+def _cosines(p: Polygon) -> list[float]:
+    """Entry k: `f1_cosine` of p.shifted(k), the dot product of the unit
+    vectors from vertex k + 1 to its neighbours, from n edges and lengths:
+    O(n), with no product of lengths to overflow or underflow at any scale.
+    The first shift whose `Point2` differences overflow or vanish raises."""
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    ux, uy = list(map(sub, xs[1:] + xs[:1], xs)), list(map(sub, ys[1:] + ys[:1], ys))
+    wx, wy = list(map(sub, xs[-1:] + xs[:-1], xs)), list(map(sub, ys[-1:] + ys[:-1], ys))
+    nu = list(map(math.hypot, ux, uy))
+    nw = nu[-1:] + nu[:-1]  # w_k is u_(k-1) negated, and hypot ignores signs
+    if 0.0 in nu or not all(map(math.isfinite, ux + uy)):
+        for k in range(p.n):
+            Point2(ux[k], uy[k]), Point2(wx[k], wy[k])  # NonFinite on overflow
+            if nu[k] == 0.0 or nw[k] == 0.0:
+                raise DegenerateVertex("vertex 1 coincides with a neighbour")
+    return [(a / m) * (c / l) + (b / m) * (d / l)
+            for a, b, m, c, d, l in zip(ux, uy, nu, wx, wy, nw)]
 
-    The dot product of the two unit edge vectors: no product of lengths
-    that could overflow or underflow, and the same bits at every
-    power-of-two scale."""
-    u = p.vertices[1] - p.vertices[0]
-    w = p.vertices[-1] - p.vertices[0]
-    nu, nw = u.norm(), w.norm()
-    if nu == 0.0 or nw == 0.0:
-        raise DegenerateVertex("vertex 1 coincides with a neighbour")
-    return (u.x / nu) * (w.x / nw) + (u.y / nu) * (w.y / nw)
+
+def _chords(p: Polygon, skip: int) -> list[float]:
+    """Entry k: the distance between vertices (n - skip) // 2 and that plus
+    skip (0-based) of p.shifted(k), measured as `Point2.distance_to` does:
+    O(n). n must have the parity of skip."""
+    if p.n % 2 != skip % 2:
+        raise ParityMismatch(f"needs {('even', 'odd')[skip % 2]} vertex count, got {p.n}")
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    chords = list(map(math.hypot, map(sub, xs, xs[skip:] + xs[:skip]),
+                      map(sub, ys, ys[skip:] + ys[:skip])))
+    first = (p.n - skip) // 2
+    return chords[first:] + chords[:first]
+
+
+def f1_cosine(p: Polygon) -> float:
+    """Cosine of the angle at vertex 1 between the edges to vertices 2 and n."""
+    return _cosines(p)[0]
 
 
 def f2_odd(p: Polygon) -> float:
     """Length of the side between the two middle vertices; odd n only."""
-    if p.n % 2 == 0:
-        raise ParityMismatch(f"needs odd vertex count, got {p.n}")
-    mid = (p.n + 1) // 2  # 1-based middle vertex
-    return p.vertices[mid - 1].distance_to(p.vertices[mid])
+    return _chords(p, 1)[0]
 
 
 def f3_even(p: Polygon) -> float:
     """Length of the diagonal from vertex n/2 to vertex n/2 + 2; even n only."""
-    if p.n % 2 == 1:
-        raise ParityMismatch(f"needs even vertex count, got {p.n}")
-    half = p.n // 2  # 1-based
-    return p.vertices[half - 1].distance_to(p.vertex(half + 1))
+    return _chords(p, 2)[0]
 
 
-F1 = VertexCenterFunction("angle-cosine", f1_cosine)
-F2_ODD = VertexCenterFunction("middle-side", f2_odd)
-F3_EVEN = VertexCenterFunction("half-skip-diagonal", f3_even)
+F1 = VertexCenterFunction("angle-cosine", f1_cosine, all_shifts=_cosines)
+F2_ODD = VertexCenterFunction("middle-side", f2_odd, all_shifts=partial(_chords, skip=1))
+F3_EVEN = VertexCenterFunction("half-skip-diagonal", f3_even, all_shifts=partial(_chords, skip=2))
 
 
 def coincidence(

@@ -81,10 +81,12 @@ def geometric_median(
     snap = _VERTEX_SNAP * max(1.0, diam)
     target = max(tol / max(diam, 1e-30), 1e-13)
 
-    x = p.vertex_mean()
-    best: Optional[MedianResult] = None
+    # the iterate is (cx, cy); a Point2 is built only for what is returned
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    cx, cy = p.vertex_mean().as_tuple()
+    best: Optional[tuple[float, float, int, float]] = None
     for it in range(1, max_iter + 1):
-        dists = [x.distance_to(v) for v in p.vertices]
+        dists = [math.hypot(cx - a, cy - b) for a, b in zip(xs, ys)]
         near = next((k for k, d in enumerate(dists) if d <= snap), None)
         if near is not None:
             pull, pull_norm, recip = _vertex_pull(p, near)
@@ -94,29 +96,29 @@ def geometric_median(
                     p.vertices[near], it, max(pull_norm - 1.0, 0.0), near
                 )
             step = (pull_norm - 1.0) / recip
-            x = Point2(
-                p.vertices[near].x + step * pull.x / pull_norm,
-                p.vertices[near].y + step * pull.y / pull_norm,
-            )
-            continue
-        # the unit-vector sum toward the vertices (its norm is the residual)
-        # and the weights of the fixed-point step, a distance-weighted mean
-        gx = gy = wx = wy = wsum = 0.0
-        for v, d in zip(p.vertices, dists):
-            gx += (v.x - x.x) / d
-            gy += (v.y - x.y) / d
-            w = 1.0 / d
-            wx += w * v.x
-            wy += w * v.y
-            wsum += w
-        residual = math.hypot(gx, gy)
-        best = MedianResult(x, it, residual, None)
-        if residual <= target:
-            return best
-        x = Point2(wx / wsum, wy / wsum)
+            cx = xs[near] + step * pull.x / pull_norm
+            cy = ys[near] + step * pull.y / pull_norm
+        else:
+            # the unit-vector sum toward the vertices (its norm is the residual)
+            # and the weights of the fixed-point step, a distance-weighted mean
+            gx = gy = wx = wy = wsum = 0.0
+            for a, b, d in zip(xs, ys, dists):
+                gx += (a - cx) / d
+                gy += (b - cy) / d
+                w = 1.0 / d
+                wx += w * a
+                wy += w * b
+                wsum += w
+            residual = math.hypot(gx, gy)
+            if residual <= target:
+                return MedianResult(Point2(cx, cy), it, residual, None)
+            best = (cx, cy, it, residual)
+            cx, cy = wx / wsum, wy / wsum
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            Point2(cx, cy)  # raises NonFinite, as the iterate's Point2 did
     raise NoConvergence(
         f"median iteration did not reach residual {target:.2e} in {max_iter} steps",
-        best,
+        None if best is None else MedianResult(Point2(*best[:2]), *best[2:], None),
     )
 
 

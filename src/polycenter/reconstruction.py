@@ -44,9 +44,18 @@ class FeasibilityReport:
     cm_checks: tuple[float, ...]
 
 
-def _miss(x: float, y: float, xs: list[float], ys: list[float], lengths: list[float]) -> float:
-    """Largest gap between the distances from (x, y) to (xs, ys) and lengths."""
-    return max(abs(math.hypot(x - a, y - b) - r) for a, b, r in zip(xs, ys, lengths))
+def _miss(x: float, y: float, xs: list[float], ys: list[float], lengths: list[float],
+          bound: float = math.inf) -> float:
+    """Largest gap between the distances from (x, y) to (xs, ys) and lengths,
+    read only until it reaches bound; below bound it is the whole largest gap."""
+    worst = 0.0
+    for a, b, r in zip(xs, ys, lengths):
+        gap = abs(math.hypot(x - a, y - b) - r)
+        if gap > worst:
+            worst = gap
+            if worst >= bound:
+                break
+    return worst
 
 
 def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
@@ -81,9 +90,12 @@ def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
             )
         h = math.sqrt(max(h_sq, 0.0))
         lengths = [t * r for r in d[k][:k]]
-        # snapped to the axis, or on the side that misses less (below on a tie)
-        sides = (0.0,) if h < SNAP_EPS * unit else (-h, h)
-        miss, y = min((_miss(x, side, xs, ys, lengths), side) for side in sides)
+        # snapped to the axis, or on the side that misses less (below on a
+        # tie), reading above only until it misses as much as below
+        y = 0.0 if h < SNAP_EPS * unit else -h
+        miss = _miss(x, y, xs, ys, lengths)
+        if y and (above := _miss(x, h, xs, ys, lengths, miss)) < miss:
+            y, miss = h, above
         xs.append(x)
         ys.append(y)
         worst = max(worst, miss)

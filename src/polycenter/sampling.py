@@ -14,7 +14,6 @@ from .geometry import (
     Polygon,
     RigidMotion,
     Similarity,
-    distance_matrix,
     is_convex,
     is_nondegenerate,
 )
@@ -47,14 +46,29 @@ def regular_polygon(
     )
 
 
+def _separated(p: Polygon, min_separation: float) -> bool:
+    """Whether no two vertices lie closer than min_separation, as
+    `distance_matrix` measures them. Pairs are read in x order, and one
+    whose x coordinates differ by min_separation or more passes unmeasured,
+    since hypot(dx, dy) >= |dx|."""
+    pts = sorted(v.as_tuple() for v in p.vertices)
+    for i, (x, y) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            u, w = pts[j]
+            if u - x >= min_separation:
+                break
+            if not math.hypot(x - u, y - w) >= min_separation:
+                return False
+    return True
+
+
 def random_polygon(rng: random.Random, n: int, min_separation: float = 5e-2) -> Polygon:
     """Vertices uniform in the square [-2, 2]^2, kept pairwise well separated."""
     while True:
         p = Polygon(
             tuple(Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n))
         )
-        rows = distance_matrix(p).d
-        if all(v >= min_separation for i, row in enumerate(rows) for v in row[i + 1:]):
+        if _separated(p, min_separation):
             return p
 
 
