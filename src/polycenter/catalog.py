@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
@@ -32,6 +31,7 @@ from .geometry import (
     DistanceMatrix,
     Point2,
     Polygon,
+    chords,
     distance_matrix,
     is_convex,
     is_nondegenerate,
@@ -82,13 +82,10 @@ def centroid_vertices(p: Polygon) -> Point2:
 
 def _adjacent_edge_sums(x: Union[Polygon, DistanceMatrix]) -> list[float]:
     """Entry k: the lengths of the two sides meeting at vertex k + 1, read
-    from a matrix or measured on a polygon as `distance_matrix` measures
-    them (hypot ignores the sign of a difference), so both give the same
-    bits: O(n)."""
+    from a matrix or measured on a polygon: O(n)."""
     if isinstance(x, Polygon):
-        xs, ys = vertex_coordinates(x)
-        sides = list(map(math.hypot, map(sub, xs, xs[1:] + xs[:1]),
-                         map(sub, ys, ys[1:] + ys[:1])))
+        vertex_coordinates(x)  # the extent check of distance_matrix
+        sides = chords(x, 1)
     else:
         d, n = x.d, x.n
         sides = [d[k][(k + 1) % n] for k in range(n)]

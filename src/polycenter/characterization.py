@@ -21,12 +21,13 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from operator import sub
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DegenerateVertex, ParityMismatch
 from .framework import CenterFunction, VertexCenterFunction, cyclic_values
 from .geometry import (
-    Point2, Polygon, is_convex, is_nondegenerate, shoelace, unit_coordinates, unit_factor,
+    Point2, Polygon, chords, is_convex, is_nondegenerate, shoelace, unit_coordinates,
+    unit_factor,
 )
 
 # Cyclic values within this band (relative, floored at unit scale; lengths
@@ -80,15 +81,12 @@ def _cosines(p: Polygon) -> list[float]:
 
 def _chords(p: Polygon, skip: int) -> list[float]:
     """Entry k: the distance between vertices (n - skip) // 2 and that plus
-    skip (0-based) of p.shifted(k), measured as `Point2.distance_to` does:
-    O(n). n must have the parity of skip."""
+    skip (0-based) of p.shifted(k): O(n). n must have the parity of skip."""
     if p.n % 2 != skip % 2:
         raise ParityMismatch(f"needs {('even', 'odd')[skip % 2]} vertex count, got {p.n}")
-    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
-    chords = list(map(math.hypot, map(sub, xs, xs[skip:] + xs[:skip]),
-                      map(sub, ys, ys[skip:] + ys[:skip])))
+    lengths = chords(p, skip)
     first = (p.n - skip) // 2
-    return chords[first:] + chords[:first]
+    return lengths[first:] + lengths[:first]
 
 
 def f1_cosine(p: Polygon) -> float:
@@ -159,11 +157,7 @@ def interior_angles(p: Polygon) -> tuple[float, ...]:
     return tuple(out)
 
 
-def side_lengths(p: Polygon) -> tuple[float, ...]:
-    return tuple(p.vertices[i].distance_to(p.vertex(i + 1)) for i in range(p.n))
-
-
-def _relative_spread(values: tuple[float, ...]) -> float:
+def _relative_spread(values: Sequence[float]) -> float:
     largest = max(abs(v) for v in values)
     if largest == 0.0:
         return 0.0
@@ -174,7 +168,7 @@ def predicates(p: Polygon) -> dict[str, bool]:
     """Directly measured equiangular / equilateral / regular flags, each
     spread within ORACLE_TOL."""
     equiangular = _relative_spread(interior_angles(p)) <= ORACLE_TOL
-    equilateral = _relative_spread(side_lengths(p)) <= ORACLE_TOL
+    equilateral = _relative_spread(chords(p, 1)) <= ORACLE_TOL
     return {
         "equiangular": equiangular,
         "equilateral": equilateral,

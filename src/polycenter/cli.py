@@ -6,7 +6,7 @@ plot. Exit codes are stable and documented in the README:
 * 0 — success
 * 2 — input or parse error (files, schema, expression syntax, flag values)
 * 3 — domain violation (ties, collinearity, infeasible distances, ...)
-* 4 — coordinate map undefined (all-zero or zero-sum coordinates)
+* 4 — all-zero coordinates; for `center`, also zero-sum ones (a point at infinity)
 * 5 — iteration budget exhausted without convergence
 
 All numeric output is rounded to ``--precision`` significant digits
@@ -173,9 +173,9 @@ def _cmd_coords(args: argparse.Namespace) -> int:
     if args.name in _SOLVER_NAMES:
         raise _UsageError(f"{args.name} has no coordinate map; use `center`")
     p = read_document(args.file).polygon()
-    rec = compute_record(p, name=args.name, expr=args.expr)
-    assert rec.projective is not None
-    _emit(list(rec.projective.values), args.precision)
+    fg = (center_function(parse(args.expr)) if args.expr is not None
+          else _catalog_entry(args.name).function)
+    _emit(list(coordinate_map(fg, p).values), args.precision)
     return 0
 
 

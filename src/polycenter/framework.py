@@ -54,6 +54,7 @@ from .geometry import (
     apply_motion,
     distance_matrix,
     relabel,
+    unit_factor,
     vertex_coordinates,
 )
 from .reconstruction import reconstruct
@@ -236,17 +237,15 @@ def coordinate_map(fg: CenterFunction, p: Polygon) -> ProjectiveCoords:
 def normalize(coords: ProjectiveCoords) -> BarycentricWeights:
     """Scale coordinates to sum 1. Raises ZeroSum when the sum is negligible
     next to the largest coordinate magnitude. The coordinates are first
-    scaled by the power of two that brings the largest magnitude into
-    [0.5, 1), so finite ones cannot sum past the float range; the scaling
-    is exact for every coordinate above 2^-1021 times the largest."""
+    scaled by `unit_factor` of the largest magnitude, so finite ones cannot
+    sum past the float range; the scaling is exact for every coordinate
+    above 2^-1021 times the largest."""
     largest = max(abs(v) for v in coords.values)
-    e = math.frexp(largest)[1]
-    values = [math.ldexp(v, -e) for v in coords.values]
+    t = unit_factor(largest)
+    values = [t * v for v in coords.values]
     total = sum(values)
-    if abs(total) <= ZERO_SUM_REL * math.ldexp(largest, -e):
-        raise ZeroSum(
-            f"coordinate sum {math.ldexp(total, e):.3e} is negligible at scale {largest:.3e}"
-        )
+    if abs(total) <= ZERO_SUM_REL * (t * largest):
+        raise ZeroSum(f"coordinate sum {total / t:.3e} is negligible at scale {largest:.3e}")
     return BarycentricWeights(tuple(v / total for v in values))
 
 

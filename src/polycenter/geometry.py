@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
 * signed area is positive for counterclockwise vertex order;
-* `distance_matrix` alone measures all pairwise distances of a polygon;
+* `distance_matrix` alone measures all pairwise distances of a polygon,
+  and `chords` measures one cyclic diagonal of it (the sides at skip 1)
+  with the same bits;
 * `DistanceMatrix.rotations` yields views, not copies: each row of a
   rotation is sliced when it is read, and `rows_and_offset` reads an entry
   without slicing its row.
@@ -19,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Iterator
 
 from .errors import DomainViolation, NonFinite
@@ -98,9 +100,7 @@ class Polygon:
         return Polygon(self.vertices[k:] + self.vertices[:k])
 
     def perimeter(self) -> float:
-        return sum(
-            self.vertices[i].distance_to(self.vertex(i + 1)) for i in range(self.n)
-        )
+        return sum(chords(self, 1))
 
     def diameter(self) -> float:
         """Largest pairwise distance; raises NonFinite when it overflows."""
@@ -293,14 +293,7 @@ class DistanceMatrix:
 
     def rotated(self, k: int) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (i+k, j+k) of the input."""
-        n = self.n
-        k %= n
-        return DistanceMatrix(
-            tuple(
-                tuple(self.d[(i + k) % n][(j + k) % n] for j in range(n))
-                for i in range(n)
-            )
-        )
+        return self.permuted(tuple((i + k) % self.n for i in range(self.n)))
 
     @classmethod
     def _derived(cls, d: Sequence[tuple[float, ...]]) -> "DistanceMatrix":
@@ -389,6 +382,14 @@ def distance_matrix(p: Polygon) -> DistanceMatrix:
         for j in range(i + 1, n):
             row[j] = rows[j][i] = math.hypot(xi - xs[j], yi - ys[j])
     return DistanceMatrix._derived(tuple(map(tuple, rows)))
+
+
+def chords(p: Polygon, skip: int) -> list[float]:
+    """Entry i: the distance from vertex i to vertex i + skip (0-based,
+    cyclic), which `distance_matrix` holds at (i, i + skip): O(n)."""
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    return list(map(math.hypot, map(sub, xs, xs[skip:] + xs[:skip]),
+                    map(sub, ys, ys[skip:] + ys[:skip])))
 
 
 def cayley_menger_quad(

@@ -50,20 +50,20 @@ class EnclosingCircle:
 # ------------------------------------------------------------ geometric median
 
 
-def _vertex_pull(p: Polygon, k: int) -> tuple[Point2, float, float]:
-    """Unit-vector sum at vertex k over the other vertices, its norm, and
-    the sum of reciprocal distances (the local curvature scale)."""
+def _vertex_pull(xs: list[float], ys: list[float], k: int) -> tuple[float, float, float, float]:
+    """Unit-vector sum at vertex k over the other vertices (x and y), its
+    norm, and the sum of reciprocal distances (the local curvature scale)."""
     gx = gy = 0.0
     recip = 0.0
-    vk = p.vertices[k]
-    for j, v in enumerate(p.vertices):
+    xk, yk = xs[k], ys[k]
+    for j, (x, y) in enumerate(zip(xs, ys)):
         if j == k:
             continue
-        d = vk.distance_to(v)
-        gx += (v.x - vk.x) / d
-        gy += (v.y - vk.y) / d
+        d = math.hypot(xk - x, yk - y)
+        gx += (x - xk) / d
+        gy += (y - yk) / d
         recip += 1.0 / d
-    return Point2(gx, gy), math.hypot(gx, gy), recip
+    return gx, gy, math.hypot(gx, gy), recip
 
 
 def geometric_median(
@@ -89,15 +89,15 @@ def geometric_median(
         dists = [math.hypot(cx - a, cy - b) for a, b in zip(xs, ys)]
         near = next((k for k, d in enumerate(dists) if d <= snap), None)
         if near is not None:
-            pull, pull_norm, recip = _vertex_pull(p, near)
+            pull_x, pull_y, pull_norm, recip = _vertex_pull(xs, ys, near)
             if pull_norm <= 1.0:
                 # the vertex itself is the minimizer
                 return MedianResult(
                     p.vertices[near], it, max(pull_norm - 1.0, 0.0), near
                 )
             step = (pull_norm - 1.0) / recip
-            cx = xs[near] + step * pull.x / pull_norm
-            cy = ys[near] + step * pull.y / pull_norm
+            cx = xs[near] + step * pull_x / pull_norm
+            cy = ys[near] + step * pull_y / pull_norm
         else:
             # the unit-vector sum toward the vertices (its norm is the residual)
             # and the weights of the fixed-point step, a distance-weighted mean

@@ -142,6 +142,19 @@ def test_coords_rejects_solver_names(tmp_path, capsys):
     assert "no coordinate map" in err
 
 
+@pytest.mark.parametrize("data, selection, values", [
+    (TRI345, ["--expr", "d(n,1)-d(1,2)"], [1.0, -2.0, 1.0]),  # a point at infinity
+    (SQUARE, ["--name", "medoid"], [1.0, 1.0, 1.0, 1.0]),  # four tied vertices
+], ids=["zero-sum", "medoid-tie"])
+def test_coords_prints_a_map_that_has_no_center(tmp_path, capsys, data, selection, values):
+    # `center` on such input exits 4 or 3 (test_zero_sum_coordinates_exit_4,
+    # test_medoid_tie_exits_3)
+    doc = write_doc(tmp_path, "p.json", data)
+    rc, out, err = invoke(capsys, ["coords", doc, *selection])
+    assert rc == 0 and err == ""
+    assert json.loads(out) == values
+
+
 # ------------------------------------------------------------- exit codes
 
 
