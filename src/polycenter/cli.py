@@ -388,3 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

@@ -53,6 +53,8 @@ from .geometry import (
     Polygon,
     apply_motion,
     distance_matrix,
+    moved_coordinates,
+    pairwise_distances,
     relabel,
     unit_factor,
     vertex_coordinates,
@@ -68,6 +70,9 @@ CHECK_TOL = 1e-9
 # Homogeneity slope estimates must sit within this band of one constant.
 SLOPE_TOL = 1e-6
 _SCALES = (0.5, 1.0, 2.0, 4.0)
+_RESCALES = (0.5, 2.0, 4.0)  # the copies a trial rescales; by 1 it is the sample
+_CENTRED_LOGS = tuple(math.log(t) - sum(map(math.log, _SCALES)) / len(_SCALES) for t in _SCALES)
+_SXX = sum(dx ** 2 for dx in _CENTRED_LOGS)
 
 
 def _check_domain(fg: "CenterFunction", x: object) -> None:
@@ -319,14 +324,10 @@ class AxiomTrial:
             return None
         if len({v > 0.0 for v in self.scaled}) != 1:
             return math.nan, math.inf
-        xs = [math.log(t) for t in _SCALES]
         ys = [math.log(abs(v)) for v in self.scaled]
-        mx = sum(xs) / len(xs)
         my = sum(ys) / len(ys)
-        sxx = sum((x - mx) ** 2 for x in xs)
-        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        slope = sxy / sxx
-        dev = max(abs(y - (my + slope * (x - mx))) for x, y in zip(xs, ys))
+        slope = sum(dx * (y - my) for dx, y in zip(_CENTRED_LOGS, ys)) / _SXX
+        dev = max(abs(y - (my + slope * dx)) for dx, y in zip(_CENTRED_LOGS, ys))
         return slope, dev
 
 
@@ -339,28 +340,32 @@ def axiom_trials(
     """The trials behind `verify_axioms` and `dsl.admit`, one at a time, so
     a caller that stops at a failing trial evaluates nothing further.
 
-    Length functions read rescaled matrices from `DistanceMatrix.scaled`;
-    for the powers of two in `_SCALES` that equals measuring the rescaled
-    polygon bit for bit. Raises ValueError for fewer than one trial, which
-    would report every axiom as holding.
+    A trial makes 6 evaluations: the sample, its reversal, a moved copy (of
+    a length function's sample, measured from moved coordinates) and the
+    rescalings by 1/2, 2 and 4; the one by 1 is the sample, as a center
+    function gives equal values on equal inputs. Raises ValueError for fewer
+    than one trial, which would report every axiom as holding.
     """
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
     rng = random.Random(seed)
-    is_vertex = isinstance(fg, VertexCenterFunction)
     for _ in range(trials):
         p = sampler(rng)
-        moved = apply_motion(random_rigid_motion(rng), p)
+        motion = random_rigid_motion(rng)
         sigma = DihedralElement.sigma(p.n)
-        if is_vertex:
-            inputs = [p, relabel(sigma, p), moved]
-            inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _SCALES]
+        if isinstance(fg, VertexCenterFunction):
+            inputs = [p, relabel(sigma, p), apply_motion(motion, p)]
+            inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _RESCALES]
         else:
-            D = distance_matrix(p)
-            inputs = [D, D.permuted(sigma.permutation()), distance_matrix(moved)]
-            inputs += [D.scaled(t) for t in _SCALES]
-        base, rev, mv, *scaled = (fg.evaluate(y) for y in inputs)
-        yield AxiomTrial(inputs[0], base, rev, mv, tuple(scaled))
+            xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+            mxs, mys = moved_coordinates(motion, xs, ys)
+            if not all(map(math.isfinite, mxs + mys)):
+                apply_motion(motion, p)  # raises the moved copy's NonFinite
+            D = pairwise_distances(xs, ys)
+            inputs = [D, D.permuted(sigma.permutation()), pairwise_distances(mxs, mys)]
+            inputs += D.rescalings(_RESCALES)
+        base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
+        yield AxiomTrial(inputs[0], base, rev, mv, (half, base, double, quadruple))
 
 
 def verify_axioms(

@@ -6,9 +6,9 @@ Conventions used throughout the package:
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
 * signed area is positive for counterclockwise vertex order;
-* `distance_matrix` alone measures all pairwise distances of a polygon,
-  and `chords` measures one cyclic diagonal of it (the sides at skip 1)
-  with the same bits;
+* `pairwise_distances` alone measures all pairwise distances of a list
+  of points (`distance_matrix` those of a polygon), and `chords` measures
+  one cyclic diagonal of a polygon (the sides at skip 1) with the same bits;
 * `DistanceMatrix.rotations` yields views, not copies: each row of a
   rotation is sliced when it is read, and `rows_and_offset` reads an entry
   without slicing its row.
@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
-from operator import itemgetter, mul, sub
+from functools import cache
+from operator import itemgetter, sub
 from typing import Iterator
 
 from .errors import DomainViolation, NonFinite
@@ -136,6 +135,7 @@ class DihedralElement:
         return DihedralElement(n, power, False)
 
     @staticmethod
+    @cache
     def sigma(n: int) -> "DihedralElement":
         return DihedralElement(n, 0, True)
 
@@ -178,11 +178,7 @@ class RigidMotion:
     translation: Point2 = Point2(0.0, 0.0)
 
     def apply(self, v: Point2) -> Point2:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return Point2(
-            c * v.x - s * v.y + self.translation.x,
-            s * v.x + c * v.y + self.translation.y,
-        )
+        return Point2(*[c[0] for c in moved_coordinates(self, [v.x], [v.y])])
 
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """self after other."""
@@ -205,15 +201,21 @@ class Similarity:
 
 
 def apply_motion(m: RigidMotion | Similarity, p: Polygon) -> Polygon:
-    """m applied to every vertex; the same points as `m.apply`, with the
-    rotation's cosine and sine taken once."""
-    vs = p.vertices
+    """m applied to every vertex, as `m.apply` applies it."""
     if isinstance(m, Similarity):
-        vs = [v.scaled(m.scale) for v in vs]
-        m = m.motion
+        return apply_motion(m.motion, Polygon(tuple(v.scaled(m.scale) for v in p.vertices)))
+    xs, ys = moved_coordinates(m, [v.x for v in p.vertices], [v.y for v in p.vertices])
+    return Polygon(tuple(map(Point2, xs, ys)))
+
+
+def moved_coordinates(m: RigidMotion, xs: list[float],
+                      ys: list[float]) -> tuple[list[float], list[float]]:
+    """The points (xs[i], ys[i]) moved by m, unchecked: a coordinate that
+    overflows is infinite here, where `Point2` raises NonFinite."""
     c, s = math.cos(m.angle), math.sin(m.angle)
     tx, ty = m.translation.x, m.translation.y
-    return Polygon(tuple(Point2(c * v.x - s * v.y + tx, s * v.x + c * v.y + ty) for v in vs))
+    return ([c * x - s * y + tx for x, y in zip(xs, ys)],
+            [s * x + c * y + ty for x, y in zip(xs, ys)])
 
 
 # -------------------------------------------------------------- distances
@@ -333,23 +335,30 @@ class DistanceMatrix:
         return max(map(max, self.d))
 
     def scaled(self, t: float) -> "DistanceMatrix":
-        """Every entry times t. Raises ValueError unless t is nonnegative
-        and keeps the largest entry finite; the result is not revalidated."""
-        if not (t >= 0.0 and math.isfinite(t * self.max_entry())):
-            raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-        return self._derived(tuple(map(tuple, map(map, repeat(partial(mul, t)), self.d))))
+        """Every entry times t (`rescalings`)."""
+        return self.rescalings((t,))[0]
+
+    def rescalings(self, factors: Sequence[float]) -> list["DistanceMatrix"]:
+        """Every entry times t for each t in factors, not revalidated; ValueError
+        at the first t that is negative or makes the largest entry infinite."""
+        largest = self.max_entry()
+        for t in factors:
+            if not (t >= 0.0 and math.isfinite(t * largest)):
+                raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
+        return [self._derived(tuple([tuple([t * v for v in row]) for row in self.d]))
+                for t in factors]
+
+
+def _bounded(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    """xs and ys; NonFinite when their bounding box's diagonal overflows."""
+    _require_finite(math.hypot(max(xs) - min(xs), max(ys) - min(ys)), "polygon extent")
+    return xs, ys
 
 
 def vertex_coordinates(p: Polygon) -> tuple[list[float], list[float]]:
-    """The x and the y coordinates of p's vertices, in order.
-
-    No distance between two vertices exceeds the diagonal of p's bounding
-    box, so it is checked here once: NonFinite when it overflows, even where
-    every pairwise distance would still be finite."""
-    xs = [v.x for v in p.vertices]
-    ys = [v.y for v in p.vertices]
-    _require_finite(math.hypot(max(xs) - min(xs), max(ys) - min(ys)), "polygon extent")
-    return xs, ys
+    """The x and the y coordinates of p's vertices, in order; the diagonal of
+    their bounding box, which bounds every distance, is checked (`_bounded`)."""
+    return _bounded([v.x for v in p.vertices], [v.y for v in p.vertices])
 
 
 def unit_factor(largest: float) -> float:
@@ -363,18 +372,20 @@ def unit_coordinates(p: Polygon) -> tuple[float, list[float], list[float]]:
     """t, `unit_factor` of p's largest coordinate magnitude, and p's x and y
     coordinates times t, which is exact, so that no product of two of them
     overflows at any scale of p."""
-    xs = [v.x for v in p.vertices]
-    ys = [v.y for v in p.vertices]
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
     t = unit_factor(max(max(xs), -min(xs), max(ys), -min(ys)))
     return t, [t * x for x in xs], [t * y for y in ys]
 
 
 def distance_matrix(p: Polygon) -> DistanceMatrix:
-    """All pairwise distances of p, each measured once and not revalidated.
+    """All pairwise distances of p (`pairwise_distances`)."""
+    return pairwise_distances([v.x for v in p.vertices], [v.y for v in p.vertices])
 
-    Overflow is the one way an entry could be invalid, and
-    `vertex_coordinates` rules it out."""
-    xs, ys = vertex_coordinates(p)
+
+def pairwise_distances(xs: list[float], ys: list[float]) -> DistanceMatrix:
+    """All pairwise distances of the points (xs[i], ys[i]), each measured
+    once; not revalidated, as the extent check rules out overflow."""
+    _bounded(xs, ys)
     n = len(xs)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):

@@ -46,12 +46,12 @@ def regular_polygon(
     )
 
 
-def _separated(p: Polygon, min_separation: float) -> bool:
-    """Whether no two vertices lie closer than min_separation, as
+def _separated(pts: list[tuple[float, float]], min_separation: float) -> bool:
+    """Whether no two of the points lie closer than min_separation, as
     `distance_matrix` measures them. Pairs are read in x order, and one
     whose x coordinates differ by min_separation or more passes unmeasured,
     since hypot(dx, dy) >= |dx|."""
-    pts = sorted(v.as_tuple() for v in p.vertices)
+    pts = sorted(pts)
     for i, (x, y) in enumerate(pts):
         for j in range(i + 1, len(pts)):
             u, w = pts[j]
@@ -65,11 +65,9 @@ def _separated(p: Polygon, min_separation: float) -> bool:
 def random_polygon(rng: random.Random, n: int, min_separation: float = 5e-2) -> Polygon:
     """Vertices uniform in the square [-2, 2]^2, kept pairwise well separated."""
     while True:
-        p = Polygon(
-            tuple(Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n))
-        )
-        if _separated(p, min_separation):
-            return p
+        pts = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
+        if _separated(pts, min_separation):
+            return Polygon.from_pairs(pts)
 
 
 def _walk(steps: Iterable[tuple[float, float]]) -> Polygon:

@@ -792,20 +792,39 @@ def _console_script_target(name):
     return match.group(1)
 
 
-def test_console_script_help():
-    # Runs the console script's target the way its installed wrapper does,
-    # so the test does not depend on the package being installed.
-    module, attr = _console_script_target("polycenter").split(":")
+def _python(args):
+    """A fresh interpreter run with args, importing this checkout's package."""
     src = str(Path(polycenter.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; from {module} import {attr}; sys.exit({attr}())", "--help"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _console_script(argv):
+    # Runs the console script's target the way its installed wrapper does,
+    # so the test does not depend on the package being installed.
+    module, attr = _console_script_target("polycenter").split(":")
+    return _python(["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())", *argv])
+
+
+def test_console_script_help():
+    proc = _console_script(["--help"])
     assert proc.returncode == 0
     assert "center" in proc.stdout and "reconstruct" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-axioms", "--expr", "d(1,2)", "--trials", "0"],
+    ["check-axioms", "--expr", "d(1,2)+", "--trials", "3"],
+    ["check-axioms", "--name", "perimeter", "--trials", "2"],
+])
+def test_python_dash_m_runs_the_console_script(argv):
+    want = _console_script(argv)
+    assert want.returncode == (0 if argv[1] == "--name" else 2)
+    for form in (["-m", "polycenter.cli"], ["-m", "polycenter"]):
+        got = _python([*form, *argv])
+        assert (got.returncode, got.stdout, got.stderr) == (
+            want.returncode, want.stdout, want.stderr)
 
 
 def test_characterize_reports_alike_at_every_power_of_two_scale(tmp_path, capsys):

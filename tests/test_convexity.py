@@ -1,36 +1,41 @@
 """`is_convex` decides convexity in one pass over the turns.
 
 The same-side test it replaced, n(n-2) orientation tests per call, is kept
-here as the reference. Both decide each turn with `geometry._orient`, so
-they must agree on every input whose turn products stay finite: random,
-convex, star, nearly collinear and very flat polygons, each also reversed
-and scaled by powers of two.
+here as the reference. Both read the coordinates at `unit_factor` scale
+and decide each turn with `geometry._orient`, so they must agree on
+random, convex, star, nearly collinear and very flat polygons, each also
+reversed and scaled by powers of two.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycenter import geometry
 from polycenter.errors import NonFinite
-from polycenter.geometry import Polygon, _orient, is_convex
+from polycenter.geometry import Polygon, _orient, is_convex, unit_factor
 from polycenter.sampling import random_convex_polygon
 
 
 def same_side_is_convex(p):
-    """For each edge, all other vertices strictly on one side."""
+    """For each edge, all other vertices strictly on one side. The polygon
+    is read at `unit_factor` scale, as `is_convex` reads it (exact wherever
+    the scaled coordinates stay normal), so no turn product underflows or
+    overflows at the polygon's own scale."""
     n = p.n
+    t = unit_factor(max(abs(c) for v in p.vertices for c in v.as_tuple()))
+    pts = [(t * v.x, t * v.y) for v in p.vertices]
     for i in range(n):
-        a, b = p.vertices[i], p.vertex(i + 1)
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
         side = 0
         for j in range(n):
             if j == i or j == (i + 1) % n:
                 continue
-            c = p.vertices[j]
-            o = _orient(b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y)
+            cx, cy = pts[j]
+            o = _orient(bx - ax, by - ay, cx - ax, cy - ay)
             if o == 0:
                 return False
             if side == 0:
@@ -116,6 +121,8 @@ def assert_agrees(pairs, reverse, k):
 
 @settings(max_examples=300, deadline=None)
 @given(random_pairs(), REVERSE, EXPONENT)
+# a right triangle whose turn products underflow at its own scale
+@example([(0.0, 0.0), (0.0, 1.1229899982262316e-212), (1.632641740679245e-221, 0.0)], False, 0)
 def test_random_polygons_agree(pairs, reverse, k):
     assert_agrees(pairs, reverse, k)
 
