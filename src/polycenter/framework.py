@@ -49,12 +49,12 @@ from .errors import AllZero, DomainViolation, EvalError, ZeroSum
 from .geometry import (
     DihedralElement,
     DistanceMatrix,
+    MeasuredRows,
     Point2,
     Polygon,
     apply_motion,
     distance_matrix,
     moved_coordinates,
-    pairwise_distances,
     relabel,
     unit_factor,
     vertex_coordinates,
@@ -340,11 +340,20 @@ def axiom_trials(
     """The trials behind `verify_axioms` and `dsl.admit`, one at a time, so
     a caller that stops at a failing trial evaluates nothing further.
 
-    A trial makes 6 evaluations: the sample, its reversal, a moved copy (of
-    a length function's sample, measured from moved coordinates) and the
-    rescalings by 1/2, 2 and 4; the one by 1 is the sample, as a center
+    A trial makes 6 evaluations: the sample, its reversal, a moved copy and
+    the rescalings by 1/2, 2 and 4; the one by 1 is the sample, as a center
     function gives equal values on equal inputs. Raises ValueError for fewer
     than one trial, which would report every axiom as holding.
+
+    A length function reads views (`geometry.MeasuredRows`), not
+    matrices: the sample is a view over the sample's coordinates, the
+    reversal reads it through sigma's permutation, the moved copy is a view
+    over the moved coordinates and each rescaling is the sample times t. An
+    evaluation measures only the distances it reads, and a dense reader
+    measures the sample's matrix once. The checks still fail in the order
+    of built matrices: a moved coordinate that overflows (`apply_motion`'s
+    NonFinite), the sample's extent, the moved copy's, then a rescaling
+    (ValueError).
     """
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
@@ -361,9 +370,9 @@ def axiom_trials(
             mxs, mys = moved_coordinates(motion, xs, ys)
             if not all(map(math.isfinite, mxs + mys)):
                 apply_motion(motion, p)  # raises the moved copy's NonFinite
-            D = pairwise_distances(xs, ys)
-            inputs = [D, D.permuted(sigma.permutation()), pairwise_distances(mxs, mys)]
-            inputs += D.rescalings(_RESCALES)
+            sample, moved = MeasuredRows(xs, ys), MeasuredRows(mxs, mys)
+            inputs = [sample.matrix(), sample.permuted(sigma.permutation()), moved.matrix()]
+            inputs += sample.rescalings(_RESCALES)
         base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
         yield AxiomTrial(inputs[0], base, rev, mv, (half, base, double, quadruple))
 

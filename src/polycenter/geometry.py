@@ -11,7 +11,10 @@ Conventions used throughout the package:
   one cyclic diagonal of a polygon (the sides at skip 1) with the same bits;
 * `DistanceMatrix.rotations` yields views, not copies: each row of a
   rotation is sliced when it is read, and `rows_and_offset` reads an entry
-  without slicing its row.
+  without slicing its row;
+* `MeasuredRows` are the rows of `pairwise_distances` as a view that
+  measures an entry when it is read, and measures its whole matrix once
+  for a reader that reads it all.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -102,8 +106,9 @@ class Polygon:
         return sum(chords(self, 1))
 
     def diameter(self) -> float:
-        """Largest pairwise distance; raises NonFinite when it overflows."""
-        return distance_matrix(self).max_entry()
+        """Largest pairwise distance, the largest entry of `distance_matrix`;
+        raises NonFinite when the extent overflows. No matrix is built."""
+        return _largest_distance(*vertex_coordinates(self))
 
     def vertex_mean(self) -> Point2:
         sx = sum(v.x for v in self.vertices)
@@ -257,13 +262,150 @@ class _RotatedRows(Sequence):
         return repr(tuple(self))
 
 
+class MeasuredRows(Sequence):
+    """The rows of `pairwise_distances(xs, ys)` times t, each entry measured
+    when it is read.
+
+    `MeasuredRows(xs, ys)` checks the extent now, so no read overflows;
+    `matrix()` is the matrix these rows read as, and `permuted` and
+    `rescalings` derive the others. Entry (i, j) is
+    t * hypot(xs[i] - xs[j], ys[i] - ys[j]): the bits the matrix holds there
+    times t, as hypot ignores sign. Row i read by an int is a
+    `_MeasuredRow`, which measures an entry when it is read. Any bulk read
+    (iteration, a slice, ==, hash, repr, and so `max_entry`) builds the
+    whole matrix once, and every later read is from it; a view from
+    `permuted` or `rescalings` builds its whole matrix from its source's, so
+    dense readers of all of them measure the source once. A triangle's 3
+    distances are measured when it is made, as its readers (the catalog's
+    `circumcenter`) read each of them several times, one entry at a time.
+    The sequence compares, hashes and prints like the tuple of rows it
+    reads as.
+    """
+
+    __slots__ = ("_xs", "_ys", "_t", "_source", "_perm", "_diagonal", "_rows")
+
+    def __init__(self, xs: list[float], ys: list[float], t: float = 1.0,
+                 source: "MeasuredRows | None" = None,
+                 perm: tuple[int, ...] | None = None) -> None:
+        self._xs, self._ys, self._t = xs, ys, t
+        self._source, self._perm = source, perm
+        self._diagonal = _extent(xs, ys) if source is None else source._diagonal
+        self._rows = None
+        if len(xs) == 3:
+            self._whole()
+
+    def matrix(self) -> "DistanceMatrix":
+        """The matrix these rows read as: this view, or its rows once whole."""
+        return DistanceMatrix._derived(self if self._rows is None else self._rows)
+
+    def _whole(self) -> tuple[tuple[float, ...], ...]:
+        """Every row, built on the first call."""
+        if self._rows is None:
+            if self._source is None:
+                self._rows = _pairwise_rows(self._xs, self._ys)
+            elif self._perm is not None:
+                self._rows = _permuted_rows(self._source._whole(), self._perm)
+            else:
+                self._rows = _scaled_rows(self._source._whole(), self._t)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __getitem__(self, i):
+        rows = self._rows
+        if rows is None:
+            if i.__class__ is int:
+                return _MeasuredRow(self, i)
+            rows = self._whole()
+        return rows[i]
+
+    def __iter__(self) -> Iterator[tuple[float, ...]]:
+        return iter(self._whole())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _RotatedRows, MeasuredRows)):
+            return self._whole() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._whole())
+
+    def __repr__(self) -> str:
+        return repr(self._whole())
+
+    def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
+        """`DistanceMatrix.permuted(perm)` of these rows, read through the
+        permuted coordinates, or built whole once these rows are."""
+        if self._rows is not None:
+            return DistanceMatrix._derived(_permuted_rows(self._rows, perm))
+        xs, ys = self._xs, self._ys
+        rows = MeasuredRows([xs[k] for k in perm], [ys[k] for k in perm], self._t, self, perm)
+        return DistanceMatrix._derived(rows)
+
+    def rescalings(self, factors: Sequence[float]) -> list["DistanceMatrix"]:
+        """`DistanceMatrix.scaled(t)` of these rows (at t = 1) for each t in
+        factors, as views, or built whole once these rows are; the ValueError
+        of `scaled` at the first t that fails. The largest entry is measured
+        (`_largest_distance`) only when 2t times the extent diagonal, which
+        bounds it, is not finite."""
+        xs, ys, diagonal = self._xs, self._ys, self._diagonal
+        largest = None
+        for t in factors:
+            if t >= 0.0 and math.isfinite(2.0 * t * diagonal):
+                continue
+            if largest is None:
+                largest = _largest_distance(xs, ys)
+            if not (t >= 0.0 and math.isfinite(t * largest)):
+                raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
+        if self._rows is not None:
+            return [DistanceMatrix._derived(_scaled_rows(self._rows, t)) for t in factors]
+        return [DistanceMatrix._derived(MeasuredRows(xs, ys, t, self)) for t in factors]
+
+
+class _MeasuredRow(Sequence):
+    """Row i of a `MeasuredRows` view: an entry read by an int is measured
+    then, and any other read is from the view's whole matrix."""
+
+    __slots__ = ("_rows", "_i", "_x", "_y")
+
+    def __init__(self, rows: MeasuredRows, i: int) -> None:
+        self._rows, self._i = rows, i
+        self._x, self._y = rows._xs[i], rows._ys[i]
+
+    def _whole(self) -> tuple[float, ...]:
+        return self._rows._whole()[self._i]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, j):
+        if j.__class__ is int:
+            rows = self._rows
+            return rows._t * math.hypot(self._x - rows._xs[j], self._y - rows._ys[j])
+        return self._whole()[j]
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._whole())
+
+    def __eq__(self, other: object) -> bool:
+        return self._whole() == other
+
+    def __hash__(self) -> int:
+        return hash(self._whole())
+
+    def __repr__(self) -> str:
+        return repr(self._whole())
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A symmetric matrix of pairwise distances with zero diagonal. Construction
     validates every entry; matrices measured or derived here skip it (`_derived`).
 
-    `d` is a tuple of row tuples, except in the views from `rotations`, where
-    it is a read-only sequence of row tuples that compares equal to one."""
+    `d` is a tuple of row tuples, except in views: those from `rotations`
+    and `MeasuredRows`, where it is a read-only sequence of rows that
+    compares equal to the tuple of row tuples it reads as."""
 
     d: tuple[tuple[float, ...], ...]
 
@@ -319,7 +461,8 @@ class DistanceMatrix:
 
     def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
         """(rows, k) such that entry (i, j) is rows[i][j + k], read in place:
-        (d, 0) for a matrix, the doubled rows and k for a view of rotation k."""
+        (d, 0) for a matrix or a measured view, which measures the entry
+        then, and the doubled rows and k for a view of rotation k."""
         d = self.d
         if d.__class__ is _RotatedRows:
             return d._doubled, d._cut.start
@@ -328,37 +471,53 @@ class DistanceMatrix:
     def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input;
         not revalidated, as it reads only entries of this valid matrix."""
-        pick = itemgetter(*perm)
-        return self._derived(tuple(map(pick, pick(self.d))))
+        return self._derived(_permuted_rows(self.d, perm))
 
     def max_entry(self) -> float:
         return max(map(max, self.d))
 
     def scaled(self, t: float) -> "DistanceMatrix":
-        """Every entry times t (`rescalings`)."""
-        return self.rescalings((t,))[0]
-
-    def rescalings(self, factors: Sequence[float]) -> list["DistanceMatrix"]:
-        """Every entry times t for each t in factors, not revalidated; ValueError
-        at the first t that is negative or makes the largest entry infinite."""
-        largest = self.max_entry()
-        for t in factors:
-            if not (t >= 0.0 and math.isfinite(t * largest)):
-                raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-        return [self._derived(tuple([tuple([t * v for v in row]) for row in self.d]))
-                for t in factors]
+        """Every entry times t, not revalidated; ValueError when t is negative
+        or makes the largest entry infinite."""
+        if not (t >= 0.0 and math.isfinite(t * self.max_entry())):
+            raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
+        return self._derived(_scaled_rows(self.d, t))
 
 
-def _bounded(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """xs and ys; NonFinite when their bounding box's diagonal overflows."""
-    _require_finite(math.hypot(max(xs) - min(xs), max(ys) - min(ys)), "polygon extent")
-    return xs, ys
+def _permuted_rows(rows: Sequence[tuple[float, ...]],
+                   perm: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
+    """Row i is row perm[i] of rows, its entry j entry perm[j] of that row."""
+    pick = itemgetter(*perm)
+    return tuple(map(pick, pick(rows)))
+
+
+def _scaled_rows(rows: Sequence[tuple[float, ...]], t: float) -> tuple[tuple[float, ...], ...]:
+    """Every entry of rows times t."""
+    return tuple([tuple([t * v for v in row]) for row in rows])
+
+
+def _extent(xs: list[float], ys: list[float]) -> float:
+    """The diagonal of the bounding box of the points (xs[i], ys[i]), which
+    bounds every distance between them; NonFinite when it overflows."""
+    diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    _require_finite(diagonal, "polygon extent")
+    return diagonal
+
+
+def _largest_distance(xs: list[float], ys: list[float]) -> float:
+    """The largest entry of `pairwise_distances(xs, ys)`, from the n(n-1)/2
+    pairs with no matrix: `math.dist` and `math.hypot` share one norm, so
+    each distance keeps its bits."""
+    pts = list(zip(xs, ys))
+    return max(max(map(math.dist, repeat(pts[i]), pts[i + 1:])) for i in range(len(pts) - 1))
 
 
 def vertex_coordinates(p: Polygon) -> tuple[list[float], list[float]]:
     """The x and the y coordinates of p's vertices, in order; the diagonal of
-    their bounding box, which bounds every distance, is checked (`_bounded`)."""
-    return _bounded([v.x for v in p.vertices], [v.y for v in p.vertices])
+    their bounding box, which bounds every distance, is checked (`_extent`)."""
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    _extent(xs, ys)
+    return xs, ys
 
 
 def unit_factor(largest: float) -> float:
@@ -385,14 +544,20 @@ def distance_matrix(p: Polygon) -> DistanceMatrix:
 def pairwise_distances(xs: list[float], ys: list[float]) -> DistanceMatrix:
     """All pairwise distances of the points (xs[i], ys[i]), each measured
     once; not revalidated, as the extent check rules out overflow."""
-    _bounded(xs, ys)
+    _extent(xs, ys)
+    return DistanceMatrix._derived(_pairwise_rows(xs, ys))
+
+
+def _pairwise_rows(xs: list[float], ys: list[float]) -> tuple[tuple[float, ...], ...]:
+    """The rows of `pairwise_distances(xs, ys)`, with no extent check."""
     n = len(xs)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         xi, yi, row = xs[i], ys[i], rows[i]
         for j in range(i + 1, n):
             row[j] = rows[j][i] = math.hypot(xi - xs[j], yi - ys[j])
-    return DistanceMatrix._derived(tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
+
 
 
 def chords(p: Polygon, skip: int) -> list[float]:
