@@ -5,22 +5,26 @@ Stable names: ``centroid``, ``perimeter``, ``lamina``, ``medoid``,
 length-based) with a domain guard; the direct evaluators compute the same
 points without going through coordinate maps and serve as cross-checks.
 
-The first four entries are defined once, by their whole coordinate map,
+The vertex entries are defined once, by their whole coordinate map,
 computed from work the n shifts share: one distance matrix for `medoid`
 (which `medoid()` reads too), one vertex mean and wedge total for
-`lamina`, the side list for `perimeter`. Their per-shift evaluator is
-entry 0 of the map. The sums a map shares are taken with `math.fsum`,
-which is correctly rounded and so independent of the vertex a shift
-starts from; that is what makes entry 0 of a shifted input's map equal
-the matching entry of the input's own, bit for bit.
+`lamina`. Their per-shift evaluator is entry 0 of the map. The sums a map
+shares are taken with `math.fsum`, which is correctly rounded and so
+independent of the vertex a shift starts from; that is what makes entry 0
+of a shifted input's map equal the matching entry of the input's own, bit
+for bit.
+
+The length entries are guarded expressions (`dsl`), whose guards read a
+matrix or the polygon it is measured from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
+from .dsl import center_function, parse
 from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
 from .framework import (
     LengthCenterFunction,
@@ -44,6 +48,9 @@ from .reconstruction import convex_distances
 MEDOID_REL = 1e-12
 # Total wedge sums below this magnitude mean the outline bounds no area.
 AREA_EPS = 1e-12
+# The length entries' expressions: the sides at vertex 1, and Kimberling's X(3).
+ADJACENT_SIDES = "d(n,1)+d(1,2)"
+X3_CIRCUMCENTER = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 
 
 def _wedge(a: Point2, b: Point2) -> float:
@@ -80,18 +87,6 @@ def centroid_vertices(p: Polygon) -> Point2:
 # -------------------------------------------------------- perimeter centroid
 
 
-def _adjacent_edge_sums(x: Union[Polygon, DistanceMatrix]) -> list[float]:
-    """Entry k: the lengths of the two sides meeting at vertex k + 1, read
-    from a matrix or measured on a polygon: O(n)."""
-    if isinstance(x, Polygon):
-        vertex_coordinates(x)  # the extent check of distance_matrix
-        sides = chords(x, 1)
-    else:
-        d, n = x.d, x.n
-        sides = [d[k][(k + 1) % n] for k in range(n)]
-    return [sides[k - 1] + sides[k] for k in range(len(sides))]
-
-
 def _convex(x: Union[Polygon, DistanceMatrix]) -> bool:
     """The `perimeter` guard: `is_convex` on a polygon, O(n), and
     `convex_distances` on a matrix."""
@@ -105,14 +100,13 @@ def perimeter_centroid(p: Polygon) -> Point2:
     """
     if not is_convex(p):
         raise DomainViolation("perimeter centroid is defined on convex polygons")
-    n = p.n
-    per = p.perimeter()
+    sides = chords(p, 1)
+    per = sum(sides)
     x = y = 0.0
-    for i in range(n):
-        w = (p.vertex(i - 1).distance_to(p.vertices[i])
-             + p.vertices[i].distance_to(p.vertex(i + 1))) / (2.0 * per)
-        x += w * p.vertices[i].x
-        y += w * p.vertices[i].y
+    for i, v in enumerate(p.vertices):
+        w = (sides[i - 1] + sides[i]) / (2.0 * per)
+        x += w * v.x
+        y += w * v.y
     return Point2(x, y)
 
 
@@ -226,18 +220,12 @@ def _heron_product(a: float, b: float, c: float) -> float:
     return (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
 
 
-def _g_circumcenter(D: DistanceMatrix) -> float:
-    # weight of vertex 1: a^2 (b^2 + c^2 - a^2) with a the opposite side
-    a = D.d[1][2]
-    b = D.d[2][0]
-    c = D.d[0][1]
-    return a * a * (b * b + c * c - a * a)
-
-
-def _guard_circumcenter(D: DistanceMatrix) -> bool:
-    if D.n != 3:
+def _guard_circumcenter(x: Union[Polygon, DistanceMatrix]) -> bool:
+    """A triangle, read from a matrix or a polygon, of positive Heron product."""
+    if x.n != 3:
         return False
-    return _heron_product(D.d[1][2], D.d[2][0], D.d[0][1]) > 0.0
+    c, a, b = chords(x, 1) if isinstance(x, Polygon) else (x.d[0][1], x.d[1][2], x.d[2][0])
+    return _heron_product(a, b, c) > 0.0
 
 
 def triangle_circumcenter(p: Polygon) -> Point2:
@@ -248,9 +236,7 @@ def triangle_circumcenter(p: Polygon) -> Point2:
     """
     if p.n != 3:
         raise DomainViolation("circumcenter is defined for triangles only")
-    a = p.vertices[1].distance_to(p.vertices[2])
-    b = p.vertices[2].distance_to(p.vertices[0])
-    c = p.vertices[0].distance_to(p.vertices[1])
+    c, a, b = chords(p, 1)
     if _heron_product(a, b, c) <= 0.0:
         raise Collinear("triangle vertices are collinear")
     wa = a * a * (b * b + c * c - a * a)
@@ -290,13 +276,8 @@ CATALOG: dict[str, CatalogEntry] = {
             VertexCenterFunction("centroid", _entry_zero(_ones), all_shifts=_ones), False
         ),
         CatalogEntry(
-            LengthCenterFunction(
-                "perimeter",
-                _entry_zero(_adjacent_edge_sums),
-                _convex,
-                "convex polygons",
-                all_shifts=_adjacent_edge_sums,
-            ),
+            replace(center_function(parse(ADJACENT_SIDES)), name="perimeter",
+                    domain_guard=_convex, domain_note="convex polygons"),
             True,
         ),
         CatalogEntry(
@@ -315,9 +296,8 @@ CATALOG: dict[str, CatalogEntry] = {
             False,
         ),
         CatalogEntry(
-            LengthCenterFunction(
-                "circumcenter", _g_circumcenter, _guard_circumcenter, "non-collinear triangles"
-            ),
+            replace(center_function(parse(X3_CIRCUMCENTER)), name="circumcenter",
+                    domain_guard=_guard_circumcenter, domain_note="non-collinear triangles"),
             False,
         ),
     )

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import getitem
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar, Optional, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
 from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, axiom_trials
-from .geometry import DistanceMatrix
+from .geometry import DistanceMatrix, Polygon, chords
 from .sampling import random_polygon
 
 # Deepest nesting (parentheses, calls, powers, signs) and tallest tree (node
@@ -119,6 +119,8 @@ class ParsedCenter:
     source: str
     # n -> the tree compiled for n-gons (`_compile`), one per n evaluated
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # n -> the tree compiled to read chord lists, and the offsets it reads
+    _chord_programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -383,12 +385,13 @@ def to_source(e: Expr) -> str:
 
 
 # A compiled expression reads entry (i, j) of a matrix as rows[i][j + k],
-# from the (rows, k) pair of `DistanceMatrix.rows_and_offset`.
+# from the (rows, k) pair of `DistanceMatrix.rows_and_offset` or `_chord_map`.
 _Program = Callable[[Sequence[Sequence[float]], int], float]
 
 
-def _compile(node: Expr, n: int) -> _Program:
-    """node for n-gons as nested closures, each index pair resolved once.
+def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program:
+    """node for n-gons as nested closures, each index pair resolved once;
+    with a set of offsets, reading chord lists and adding each offset read.
 
     Operands run left to right and give the values and errors a walk of the
     tree gives; a pair that collides at n, or a node that is not an
@@ -405,9 +408,13 @@ def _compile(node: Expr, n: int) -> _Program:
                 f"d({node.i.render()},{node.j.render()}) collides at n={n}",
                 node.pos,
             )
+        if offsets is not None:
+            # entry i + k of the doubled chord list s = j - i mod n
+            i, j = (j - i) % n, i
+            offsets.add(i)
         return lambda rows, k: rows[i][j + k]
     if isinstance(node, Unary):
-        arg = _compile(node.arg, n)
+        arg = _compile(node.arg, n, offsets)
         if node.op == "neg":
             return lambda rows, k: -arg(rows, k)
         if node.op == "abs":
@@ -421,8 +428,8 @@ def _compile(node: Expr, n: int) -> _Program:
 
         return sqrt
     if isinstance(node, Binary):
-        left = _compile(node.left, n)
-        right = _compile(node.right, n)
+        left = _compile(node.left, n, offsets)
+        right = _compile(node.right, n, offsets)
         if node.op == "+":
             return lambda rows, k: left(rows, k) + right(rows, k)
         if node.op == "-":
@@ -456,10 +463,11 @@ def _compile(node: Expr, n: int) -> _Program:
     if isinstance(node, Aggregate):
         if node.op == "perim":
             # side i is entry (i, i + 1 mod n), summed in index order
-            return lambda rows, k: sum(
-                map(getitem, rows, chain(range(k + 1, k + n), (k,)))
-            )
-        args = [_compile(a, n) for a in node.args]
+            if offsets is not None:
+                offsets.add(1)
+                return lambda rows, k: sum(rows[1][k:k + n])
+            return lambda rows, k: sum(map(getitem, rows, chain(range(k + 1, k + n), (k,))))
+        args = [_compile(a, n, offsets) for a in node.args]
         pick = min if node.op == "min" else max
         return lambda rows, k: pick([f(rows, k) for f in args])
     return _raiser(TypeError, f"not an expression node: {node!r}")
@@ -472,6 +480,12 @@ def _raiser(error: type[Exception], *args: object) -> _Program:
         raise error(*args)
 
     return raise_
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise EvalError(f"non-finite value {value!r}")
+    return value
 
 
 def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> float:
@@ -488,18 +502,30 @@ def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> fl
             program = expr_or_center._programs[n] = _compile(expr_or_center.expr, n)
     else:
         program = _compile(expr_or_center, n)
-    value = program(*D.rows_and_offset())
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite value {value!r}")
-    return value
+    return _finite(program(*D.rows_and_offset()))
+
+
+def _chord_map(pc: ParsedCenter, p: Polygon) -> list[float]:
+    """`evaluate(pc, R)` for R in `distance_matrix(p).rotations()`, bit for
+    bit and error for error, from one `chords(p, s)` per offset s read, as
+    hypot ignores sign; p's extent is the caller's to check."""
+    compiled = pc._chord_programs.get(p.n)
+    if compiled is None:
+        offsets: set[int] = set()
+        compiled = pc._chord_programs[p.n] = (_compile(pc.expr, p.n, offsets), offsets)
+    program, offsets = compiled
+    table = {s: chords(p, s) * 2 for s in offsets}
+    return [_finite(program(table, k)) for k in range(p.n)]
 
 
 # ----------------------------------------------------------------- admission
 
 
 def center_function(pc: ParsedCenter) -> LengthCenterFunction:
-    """The length center function that evaluates pc; checks no axiom."""
-    return LengthCenterFunction(pc.source, lambda D: evaluate(pc, D))
+    """The length center function that evaluates pc, and maps a polygon from
+    its chords (`_chord_map`); checks no axiom."""
+    return LengthCenterFunction(pc.source, lambda D: evaluate(pc, D),
+                                all_shifts=lambda p: _chord_map(pc, p))
 
 
 def admit(

@@ -24,18 +24,15 @@ reconstruction-based `perimeter` guard) is decided by the unshifted matrix.
 
 The per-shift `evaluator` is what `evaluate` and the axiom checks call. A
 center function may also carry `all_shifts`, which returns the n values of
-a map at once from work the shifts share; the two must agree on every shift
-bit for bit, errors included, and `cyclic_values` then uses `all_shifts` in
-place of the n relabeled copies. A function defined by its whole map, as
-the catalog's are, takes entry 0 of that map as its evaluator.
+a polygon's map at once from work the shifts share; the two must agree on
+every shift bit for bit, errors included. A vertex function defined by its
+whole map, as the catalog's are, takes entry 0 of that map as its evaluator.
 
-A length function's map on a polygon reads the distances measured from it.
-Without `all_shifts` that is `distance_matrix(p)`. With it, `all_shifts` and
-the guard read the polygon itself: both accept either a matrix or the
-polygon it is measured from, and `all_shifts` measures what it reads as
-`distance_matrix` does, so its values keep their bits. The polygon's extent
-is checked first, as `distance_matrix` checks it, and the guard decides on
-the polygon: `perimeter` reads the n sides once and asks `is_convex(p)`.
+A length function's map on a polygon reads the distances measured from it:
+`all_shifts` measures what it reads with the bits of `distance_matrix(p)`,
+which is measured in its absence. The extent is checked first, once, and the
+guard then decides on the polygon (`perimeter` asks `is_convex(p)`). A matrix
+always maps through its rotations and the evaluator.
 """
 
 from __future__ import annotations
@@ -96,16 +93,16 @@ class _CenterFunction(Generic[_Input]):
 
     The guard must give the same answer on every cyclic relabeling of its
     input; coordinate maps check it once per map. `all_shifts`, when given,
-    returns the evaluator's values on shifts 0..n-1 of an input the guard
-    accepts, all at once and bit for bit; for a length function, it and the
-    guard also read a polygon in place of its distances (module docstring).
+    reads a polygon the guard accepts and returns the evaluator's n values
+    on its map at once, bit for bit; a length guard then also reads a
+    polygon in place of its distances (module docstring).
     """
 
     name: str
     evaluator: Callable[[_Input], float]
     domain_guard: Optional[Callable[[_Input], bool]] = None
     domain_note: str = ""
-    all_shifts: Optional[Callable[[_Input], Sequence[float]]] = None
+    all_shifts: Optional[Callable[[Polygon], Sequence[float]]] = None
     reads: ClassVar[str]
 
     def evaluate(self, x: _Input) -> float:
@@ -193,17 +190,17 @@ def cyclic_values(
 
     Equal to fg.evaluate on x.shifted(k) (vertex functions) or x.rotated(k)
     (length functions) for k = 0..n-1, with the same errors, except that the
-    domain guard runs once, on x as given. With `fg.all_shifts` no
-    relabeled copy is built. A length function given a polygon reads the
+    domain guard runs once, on x as given. On a polygon, `fg.all_shifts`
+    builds no relabeled copy. A length function given a polygon reads the
     distances measured from it, as the module docstring describes.
     """
-    if isinstance(fg, LengthCenterFunction) and isinstance(x, Polygon):
-        if fg.all_shifts is None:
-            x = distance_matrix(x)
-        else:
-            vertex_coordinates(x)  # the extent check of distance_matrix
+    whole = fg.all_shifts is not None and isinstance(x, Polygon)
+    if whole and isinstance(fg, LengthCenterFunction):
+        vertex_coordinates(x)  # the extent check of distance_matrix
+    elif isinstance(fg, LengthCenterFunction) and isinstance(x, Polygon):
+        x = distance_matrix(x)
     _check_domain(fg, x)
-    if fg.all_shifts is not None:
+    if whole:
         values = fg.all_shifts(x)
     elif isinstance(fg, VertexCenterFunction):
         values = map(fg.evaluator, (x.shifted(k) for k in range(x.n)))
@@ -264,15 +261,12 @@ def geometric_center(fg: CenterFunction, p: Polygon) -> Point2:
 
 def lift_length_to_vertex(g: LengthCenterFunction) -> VertexCenterFunction:
     """View a length function as a vertex function by measuring distances."""
-
-    def evaluator(p: Polygon) -> float:
-        return g.evaluator(distance_matrix(p))
-
     guard = None
     if g.domain_guard is not None:
         guard = lambda p: g.domain_guard(distance_matrix(p))  # noqa: E731
     return VertexCenterFunction(
-        f"{g.name} (lifted)", evaluator, guard, g.domain_note
+        f"{g.name} (lifted)", lambda p: g.evaluator(distance_matrix(p)), guard, g.domain_note,
+        all_shifts=lambda p: list(map(g.evaluator, distance_matrix(p).rotations())),
     )
 
 

@@ -18,12 +18,13 @@ from polycenter.catalog import (
 )
 from polycenter.errors import Collinear, DomainViolation, Tie, ZeroArea
 from polycenter.framework import (
+    coordinate_map,
     coordinate_map_length,
     coordinate_map_vertex,
     geometric_center,
     verify_axioms,
 )
-from polycenter.geometry import Point2, Polygon, distance_matrix
+from polycenter.geometry import DihedralElement, Point2, Polygon, distance_matrix, relabel
 from polycenter.sampling import random_convex_polygon, random_polygon
 
 TRI345 = Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
@@ -300,3 +301,28 @@ def test_catalog_entry_satisfies_axioms(name):
     assert report.homogeneity_ok, name
     if report.estimated_degree is not None:
         assert report.estimated_degree == pytest.approx(DEGREES[name], abs=1e-4)
+
+
+# ------------------------------------------------------- dihedral covariance
+
+
+@st.composite
+def relabeled_inputs(draw):
+    """A catalog name, a convex n-gon (n = 3..40; a triangle for
+    `circumcenter`) and a rotation or reflection of its labels."""
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    n = 3 if name == "circumcenter" else draw(st.integers(3, 40))
+    p = random_convex_polygon(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+    alpha = DihedralElement(n, draw(st.integers(0, n - 1)), draw(st.booleans()))
+    return name, p, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(relabeled_inputs())
+def test_a_relabeled_map_is_the_map_permuted_bit_for_bit(case):
+    # the paper's covariance: relabeling by alpha permutes the coordinates
+    name, p, alpha = case
+    fg = CATALOG[name].function
+    want = coordinate_map(fg, p).values
+    got = coordinate_map(fg, relabel(alpha, p)).values
+    assert got == tuple(want[alpha.apply(i)] for i in range(p.n))

@@ -147,9 +147,9 @@ def test_a_perim_map_compiles_once_and_slices_no_row(monkeypatch):
     compiles, reads = [], []
     real_compile, real_getitem = dsl._compile, _RotatedRows.__getitem__
 
-    def counting_compile(node, n):
+    def counting_compile(node, n, offsets=None):
         compiles.append(n)
-        return real_compile(node, n)
+        return real_compile(node, n, offsets)
 
     def counting_getitem(self, i):
         reads.append(i)

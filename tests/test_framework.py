@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polycenter import framework
 from polycenter.catalog import CATALOG
 from polycenter.dsl import center_function, parse
 from polycenter.errors import AllZero, DomainViolation, EvalError, ZeroSum
@@ -193,6 +194,20 @@ def test_lift_measures_distances():
     g = LengthCenterFunction("adjacent", g_adjacent)
     lifted = lift_length_to_vertex(g)
     assert lifted.evaluate(TRI345) == g.evaluate(distance_matrix(TRI345))
+
+
+def test_a_lifted_map_measures_two_matrices(monkeypatch):
+    # one for the guard and one for the n values, not one per shift
+    g = CATALOG["perimeter"].function
+    p = random_convex_polygon(random.Random(4), 8)
+    lifted = lift_length_to_vertex(g)
+    real = framework.distance_matrix
+    calls = []
+    monkeypatch.setattr(framework, "distance_matrix", lambda q: calls.append(q) or real(q))
+    values = coordinate_map(lifted, p).values
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert values == coordinate_map(g, p).values
 
 
 def test_lower_reconstructs():

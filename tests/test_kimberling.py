@@ -7,7 +7,8 @@ classical center written as an expression, its homogeneity degree, and an
 oracle that constructs the center with numpy without that formula: line
 intersections of angle bisectors, perpendicular bisectors and altitudes,
 the midpoint of O and H, Lemoine's least-squares property of the symmedian
-point, and the Nagel line.
+point, the Nagel line, the cevians to the incircle's contact points, and
+the incenter of the medial triangle.
 """
 
 import math
@@ -17,8 +18,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycenter.catalog import CATALOG
 from polycenter.dsl import admit, center_function, parse
-from polycenter.framework import geometric_center, verify_axioms
+from polycenter.framework import cyclic_values, geometric_center, verify_axioms
+from polycenter.geometry import distance_matrix
 from polycenter.sampling import random_polygon
 
 
@@ -70,14 +73,36 @@ def nagel_point(A, B, C):
     return (A + B + C) - 2 * incenter(A, B, C)
 
 
+def _foot(P, Q, R):
+    """The foot of the perpendicular from P to the line through Q and R."""
+    u = _unit(R - Q)
+    return Q + ((P - Q) @ u) * u
+
+
+def gergonne_point(A, B, C):
+    # the cevians to the points where the incircle touches the opposite
+    # sides, which are the feet of the perpendiculars from the incenter
+    incircle = incenter(A, B, C)
+    return _intersect(A, _foot(incircle, B, C) - A, B, _foot(incircle, C, A) - B)
+
+
+def spieker_center(A, B, C):
+    # the incenter of the medial triangle
+    return incenter((B + C) / 2, (C + A) / 2, (A + B) / 2)
+
+
 KIMBERLING = {
     "X(1)": ("d(2,3)", 1, incenter),
     "X(3)": ("d(2,3)^2*(d(3,1)^2+d(1,2)^2-d(2,3)^2)", 4, circumcenter),
     "X(4)": ("(d(1,2)^2+d(2,3)^2-d(3,1)^2)*(d(3,1)^2+d(2,3)^2-d(1,2)^2)", 4, orthocenter),
     "X(5)": ("d(2,3)^2*(d(3,1)^2+d(1,2)^2)-(d(3,1)^2-d(1,2)^2)^2", 4, nine_point_center),
     "X(6)": ("d(2,3)^2", 2, symmedian_point),
+    "X(7)": ("(d(1,2)+d(2,3)-d(3,1))*(d(2,3)+d(3,1)-d(1,2))", 2, gergonne_point),
     "X(8)": ("d(1,2)+d(3,1)-d(2,3)", 1, nagel_point),
+    "X(10)": ("d(1,2)+d(3,1)", 1, spieker_center),
 }
+# X(3) written with `*`, as the catalog's `circumcenter` is
+X3_PRODUCTS = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,3 +126,12 @@ def test_admission_accepts_each_center_with_its_degree():
         report = verify_axioms(center_function(pc), lambda rng: random_polygon(rng, 3), 20)
         assert report.relabel_ok and report.motion_ok and report.homogeneity_ok, name
         assert abs(report.estimated_degree - degree) <= 1e-6, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_catalog_circumcenter_is_x3(seed):
+    p = random_polygon(random.Random(seed), 3)
+    fg, x3 = CATALOG["circumcenter"].function, center_function(parse(X3_PRODUCTS))
+    assert cyclic_values(fg, p) == cyclic_values(x3, p)
+    assert cyclic_values(fg, distance_matrix(p)) == cyclic_values(x3, distance_matrix(p))

@@ -2,10 +2,12 @@
 
 A coordinate map is one center function evaluated on the n cyclic
 relabelings of its input. `centroid`, `perimeter`, `lamina` and `medoid`
-also carry an all-shifts evaluator that returns the n values at once; on
-every input here it must give what the per-shift evaluator gives on the
-relabeled copies `Polygon.shifted(k)` and `DistanceMatrix.rotated(k)`, bit
-for bit, error for error.
+also carry an all-shifts evaluator that returns the n values of a
+polygon's map at once; on every input here the map must give what the
+per-shift evaluator gives on the relabeled copies `Polygon.shifted(k)` and
+`DistanceMatrix.rotated(k)`, bit for bit, error for error. `perimeter` is
+compared on the polygon's matrix here, and on the polygon itself below
+and in `test_chord_maps.py`.
 """
 
 import dataclasses
