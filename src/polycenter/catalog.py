@@ -26,11 +26,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .dsl import center_function, parse
 from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
-from .framework import (
-    LengthCenterFunction,
-    VertexCenterFunction,
-    geometric_center,
-)
+from .framework import LengthCenterFunction, VertexCenterFunction
 from .geometry import (
     DistanceMatrix,
     Point2,
@@ -77,11 +73,6 @@ def _entry_zero(all_shifts: Callable[..., Sequence[float]]) -> Callable[..., flo
 
 def _ones(p: Polygon) -> tuple[float, ...]:
     return (1.0,) * p.n
-
-
-def centroid_vertices(p: Polygon) -> Point2:
-    """Arithmetic mean of the vertices."""
-    return p.vertex_mean()
 
 
 # -------------------------------------------------------- perimeter centroid
@@ -159,12 +150,6 @@ def lamina_centroid_direct(p: Polygon) -> Point2:
         x += w * p.vertices[i].x
         y += w * p.vertices[i].y
     return Point2(x, y)
-
-
-def lamina_centroid(p: Polygon) -> Point2:
-    """Area centroid of a convex polygon via the catalog center function,
-    whose `lamina` guard raises DomainViolation on other polygons."""
-    return geometric_center(CATALOG["lamina"].function, p)
 
 
 # -------------------------------------------------------------------- medoid

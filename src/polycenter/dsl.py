@@ -462,11 +462,13 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program
         return power
     if isinstance(node, Aggregate):
         if node.op == "perim":
-            # side i is entry (i, i + 1 mod n), summed in index order
+            # side i is entry (i, i + 1 mod n), summed in index order; each row
+            # is read by index, so a measured view measures n entries
             if offsets is not None:
                 offsets.add(1)
                 return lambda rows, k: sum(rows[1][k:k + n])
-            return lambda rows, k: sum(map(getitem, rows, chain(range(k + 1, k + n), (k,))))
+            return lambda rows, k: sum(map(getitem, map(rows.__getitem__, range(n)),
+                                           chain(range(k + 1, k + n), (k,))))
         args = [_compile(a, n, offsets) for a in node.args]
         pick = min if node.op == "min" else max
         return lambda rows, k: pick([f(rows, k) for f in args])
@@ -488,20 +490,16 @@ def _finite(value: float) -> float:
     return value
 
 
-def evaluate(expr_or_center: Union[Expr, ParsedCenter], D: DistanceMatrix) -> float:
+def evaluate(pc: ParsedCenter, D: DistanceMatrix) -> float:
     """Evaluate on a distance matrix. Division by zero, square roots of
     negatives, and fractional powers of negatives raise EvalError; index
     pairs that collide after mod-n reduction raise ExprIndexError.
 
-    A ParsedCenter compiles once per n and keeps the result; a bare tree
-    compiles on every call. Entries are read in place, views included."""
-    n = D.n
-    if isinstance(expr_or_center, ParsedCenter):
-        program = expr_or_center._programs.get(n)
-        if program is None:
-            program = expr_or_center._programs[n] = _compile(expr_or_center.expr, n)
-    else:
-        program = _compile(expr_or_center, n)
+    pc compiles once per n and keeps the result. Entries are read in place,
+    views included."""
+    program = pc._programs.get(D.n)
+    if program is None:
+        program = pc._programs[D.n] = _compile(pc.expr, D.n)
     return _finite(program(*D.rows_and_offset()))
 
 

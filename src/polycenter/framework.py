@@ -340,14 +340,15 @@ def axiom_trials(
     than one trial, which would report every axiom as holding.
 
     A length function reads views (`geometry.MeasuredRows`), not
-    matrices: the sample is a view over the sample's coordinates, the
-    reversal reads it through sigma's permutation, the moved copy is a view
-    over the moved coordinates and each rescaling is the sample times t. An
-    evaluation measures only the distances it reads, and a dense reader
-    measures the sample's matrix once. The checks still fail in the order
-    of built matrices: a moved coordinate that overflows (`apply_motion`'s
-    NonFinite), the sample's extent, the moved copy's, then a rescaling
-    (ValueError).
+    matrices: the sample, its reversal and each rescaling are views over
+    the sample's coordinates (the reversal's permuted by sigma, a
+    rescaling's times its t), and the moved copy is a view over the moved
+    coordinates. An evaluation measures only the distances it reads, each
+    time it reads them. Each coordinate set's extent is checked once: the
+    reversal and the rescalings take the sample's checked diagonal. The
+    checks fail in the order of built matrices: a moved coordinate that
+    overflows (`apply_motion`'s NonFinite), the sample's extent, the moved
+    copy's, then a rescaling (ValueError).
     """
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
@@ -365,8 +366,11 @@ def axiom_trials(
             if not all(map(math.isfinite, mxs + mys)):
                 apply_motion(motion, p)  # raises the moved copy's NonFinite
             sample, moved = MeasuredRows(xs, ys), MeasuredRows(mxs, mys)
-            inputs = [sample.matrix(), sample.permuted(sigma.permutation()), moved.matrix()]
-            inputs += sample.rescalings(_RESCALES)
+            perm, diagonal = sigma.permutation(), sample.diagonal
+            views = [sample, MeasuredRows([xs[k] for k in perm], [ys[k] for k in perm], 1.0,
+                                          diagonal), moved]
+            views += [MeasuredRows(xs, ys, t, diagonal) for t in _RESCALES]
+            inputs = list(map(DistanceMatrix._derived, views))
         base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
         yield AxiomTrial(inputs[0], base, rev, mv, (half, base, double, quadruple))
 

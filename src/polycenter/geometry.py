@@ -6,15 +6,13 @@ Conventions used throughout the package:
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
 * signed area is positive for counterclockwise vertex order;
-* `pairwise_distances` alone measures all pairwise distances of a list
-  of points (`distance_matrix` those of a polygon), and `chords` measures
-  one cyclic diagonal of a polygon (the sides at skip 1) with the same bits;
+* `distance_matrix` measures all pairwise distances of a polygon, and
+  `chords` one cyclic diagonal (the sides at skip 1) with the same bits;
 * `DistanceMatrix.rotations` yields views, not copies: each row of a
   rotation is sliced when it is read, and `rows_and_offset` reads an entry
   without slicing its row;
-* `MeasuredRows` are the rows of `pairwise_distances` as a view that
-  measures an entry when it is read, and measures its whole matrix once
-  for a reader that reads it all.
+* `MeasuredRows` are the rows of the distance matrix of a list of points
+  times a factor, as a view that measures an entry each time it is read.
 """
 
 from __future__ import annotations
@@ -226,13 +224,34 @@ def moved_coordinates(m: RigidMotion, xs: list[float],
 # -------------------------------------------------------------- distances
 
 
-class _RotatedRows(Sequence):
+class _Rows(Sequence):
+    """A read-only sequence that iterates, compares, hashes and prints like
+    the tuple its `_whole()` builds."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return iter(self._whole())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _Rows)):
+            return self._whole() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._whole())
+
+    def __repr__(self) -> str:
+        return repr(self._whole())
+
+
+class _RotatedRows(_Rows):
     """The rows of a matrix rotated by k, each sliced when it is read.
 
     Row i is row i + k of the matrix rotated by k, which is the slice
     [k, k + n) of that row written twice; the doubled rows are built once
-    per `rotations` call and shared by its n views. The sequence compares,
-    hashes and prints like the tuple of rows it reads as, so a view equals
+    per `rotations` call, shared by its n views and read in place by
+    `rows_and_offset`. A view reads as the tuple of its rows, so it equals
     `rotated(k)`.
     """
 
@@ -248,133 +267,61 @@ class _RotatedRows(Sequence):
     def __getitem__(self, i):
         if i.__class__ is int:
             return self._doubled[i][self._cut]
-        return tuple(self)[i]  # a slice, or another index type
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _RotatedRows)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class MeasuredRows(Sequence):
-    """The rows of `pairwise_distances(xs, ys)` times t, each entry measured
-    when it is read.
-
-    `MeasuredRows(xs, ys)` checks the extent now, so no read overflows;
-    `matrix()` is the matrix these rows read as, and `permuted` and
-    `rescalings` derive the others. Entry (i, j) is
-    t * hypot(xs[i] - xs[j], ys[i] - ys[j]): the bits the matrix holds there
-    times t, as hypot ignores sign. Row i read by an int is a
-    `_MeasuredRow`, which measures an entry when it is read. Any bulk read
-    (iteration, a slice, ==, hash, repr, and so `max_entry`) builds the
-    whole matrix once, and every later read is from it; a view from
-    `permuted` or `rescalings` builds its whole matrix from its source's, so
-    dense readers of all of them measure the source once. A triangle's 3
-    distances are measured when it is made, as its readers (the catalog's
-    `circumcenter`) read each of them several times, one entry at a time.
-    The sequence compares, hashes and prints like the tuple of rows it
-    reads as.
-    """
-
-    __slots__ = ("_xs", "_ys", "_t", "_source", "_perm", "_diagonal", "_rows")
-
-    def __init__(self, xs: list[float], ys: list[float], t: float = 1.0,
-                 source: "MeasuredRows | None" = None,
-                 perm: tuple[int, ...] | None = None) -> None:
-        self._xs, self._ys, self._t = xs, ys, t
-        self._source, self._perm = source, perm
-        self._diagonal = _extent(xs, ys) if source is None else source._diagonal
-        self._rows = None
-        if len(xs) == 3:
-            self._whole()
-
-    def matrix(self) -> "DistanceMatrix":
-        """The matrix these rows read as: this view, or its rows once whole."""
-        return DistanceMatrix._derived(self if self._rows is None else self._rows)
+        return self._whole()[i]  # a slice, or another index type
 
     def _whole(self) -> tuple[tuple[float, ...], ...]:
-        """Every row, built on the first call."""
-        if self._rows is None:
-            if self._source is None:
-                self._rows = _pairwise_rows(self._xs, self._ys)
-            elif self._perm is not None:
-                self._rows = _permuted_rows(self._source._whole(), self._perm)
-            else:
-                self._rows = _scaled_rows(self._source._whole(), self._t)
-        return self._rows
+        cut = self._cut
+        return tuple([row[cut] for row in self._doubled])
+
+
+class MeasuredRows(_Rows):
+    """The rows of the distance matrix of the points (xs[i], ys[i]) times t,
+    each entry measured when it is read.
+
+    Entry (i, j) is t * hypot(xs[i] - xs[j], ys[i] - ys[j]): the bits
+    `distance_matrix` holds there times t, as hypot ignores sign. Row i
+    read by an int is a `_MeasuredRow`; any other read (iteration, a slice,
+    ==, hash, repr, and so `max_entry`) measures the whole matrix again, as
+    no view keeps one. The constructor checks what `distance_matrix` and
+    `DistanceMatrix.scaled(t)` check: the extent (NonFinite), unless its
+    checked `diagonal` is given, then a t that is negative or makes the
+    largest entry infinite (ValueError). That entry is measured
+    (`_largest_distance`) only when 2t times the diagonal, which bounds it,
+    is not finite.
+    """
+
+    __slots__ = ("_xs", "_ys", "_t", "diagonal")
+
+    def __init__(self, xs: list[float], ys: list[float], t: float = 1.0,
+                 diagonal: float | None = None) -> None:
+        if diagonal is None:
+            diagonal = _extent(xs, ys)
+        if not (t >= 0.0 and (math.isfinite(2.0 * t * diagonal)
+                              or math.isfinite(t * _largest_distance(xs, ys)))):
+            raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
+        self._xs, self._ys, self._t, self.diagonal = xs, ys, t, diagonal
 
     def __len__(self) -> int:
         return len(self._xs)
 
     def __getitem__(self, i):
-        rows = self._rows
-        if rows is None:
-            if i.__class__ is int:
-                return _MeasuredRow(self, i)
-            rows = self._whole()
-        return rows[i]
+        if i.__class__ is int:
+            return _MeasuredRow(self, i)
+        return self._whole()[i]
 
-    def __iter__(self) -> Iterator[tuple[float, ...]]:
-        return iter(self._whole())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _RotatedRows, MeasuredRows)):
-            return self._whole() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._whole())
-
-    def __repr__(self) -> str:
-        return repr(self._whole())
-
-    def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
-        """`DistanceMatrix.permuted(perm)` of these rows, read through the
-        permuted coordinates, or built whole once these rows are."""
-        if self._rows is not None:
-            return DistanceMatrix._derived(_permuted_rows(self._rows, perm))
-        xs, ys = self._xs, self._ys
-        rows = MeasuredRows([xs[k] for k in perm], [ys[k] for k in perm], self._t, self, perm)
-        return DistanceMatrix._derived(rows)
-
-    def rescalings(self, factors: Sequence[float]) -> list["DistanceMatrix"]:
-        """`DistanceMatrix.scaled(t)` of these rows (at t = 1) for each t in
-        factors, as views, or built whole once these rows are; the ValueError
-        of `scaled` at the first t that fails. The largest entry is measured
-        (`_largest_distance`) only when 2t times the extent diagonal, which
-        bounds it, is not finite."""
-        xs, ys, diagonal = self._xs, self._ys, self._diagonal
-        largest = None
-        for t in factors:
-            if t >= 0.0 and math.isfinite(2.0 * t * diagonal):
-                continue
-            if largest is None:
-                largest = _largest_distance(xs, ys)
-            if not (t >= 0.0 and math.isfinite(t * largest)):
-                raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-        if self._rows is not None:
-            return [DistanceMatrix._derived(_scaled_rows(self._rows, t)) for t in factors]
-        return [DistanceMatrix._derived(MeasuredRows(xs, ys, t, self)) for t in factors]
+    def _whole(self) -> tuple[tuple[float, ...], ...]:
+        return _scaled_rows(_pairwise_rows(self._xs, self._ys), self._t)
 
 
-class _MeasuredRow(Sequence):
+class _MeasuredRow(_Rows):
     """Row i of a `MeasuredRows` view: an entry read by an int is measured
-    then, and any other read is from the view's whole matrix."""
+    then, and any other read measures the whole row."""
 
-    __slots__ = ("_rows", "_i", "_x", "_y")
+    __slots__ = ("_rows", "_x", "_y")
 
     def __init__(self, rows: MeasuredRows, i: int) -> None:
-        self._rows, self._i = rows, i
+        self._rows = rows
         self._x, self._y = rows._xs[i], rows._ys[i]
-
-    def _whole(self) -> tuple[float, ...]:
-        return self._rows._whole()[self._i]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -385,17 +332,10 @@ class _MeasuredRow(Sequence):
             return rows._t * math.hypot(self._x - rows._xs[j], self._y - rows._ys[j])
         return self._whole()[j]
 
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._whole())
-
-    def __eq__(self, other: object) -> bool:
-        return self._whole() == other
-
-    def __hash__(self) -> int:
-        return hash(self._whole())
-
-    def __repr__(self) -> str:
-        return repr(self._whole())
+    def _whole(self) -> tuple[float, ...]:
+        rows, x, y = self._rows, self._x, self._y
+        t = rows._t
+        return tuple([t * math.hypot(x - u, y - v) for u, v in zip(rows._xs, rows._ys)])
 
 
 @dataclass(frozen=True)
@@ -471,7 +411,8 @@ class DistanceMatrix:
     def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input;
         not revalidated, as it reads only entries of this valid matrix."""
-        return self._derived(_permuted_rows(self.d, perm))
+        pick = itemgetter(*perm)
+        return self._derived(tuple(map(pick, pick(self.d))))
 
     def max_entry(self) -> float:
         return max(map(max, self.d))
@@ -482,13 +423,6 @@ class DistanceMatrix:
         if not (t >= 0.0 and math.isfinite(t * self.max_entry())):
             raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
         return self._derived(_scaled_rows(self.d, t))
-
-
-def _permuted_rows(rows: Sequence[tuple[float, ...]],
-                   perm: tuple[int, ...]) -> tuple[tuple[float, ...], ...]:
-    """Row i is row perm[i] of rows, its entry j entry perm[j] of that row."""
-    pick = itemgetter(*perm)
-    return tuple(map(pick, pick(rows)))
 
 
 def _scaled_rows(rows: Sequence[tuple[float, ...]], t: float) -> tuple[tuple[float, ...], ...]:
@@ -505,7 +439,7 @@ def _extent(xs: list[float], ys: list[float]) -> float:
 
 
 def _largest_distance(xs: list[float], ys: list[float]) -> float:
-    """The largest entry of `pairwise_distances(xs, ys)`, from the n(n-1)/2
+    """The largest distance between the points (xs[i], ys[i]), from the n(n-1)/2
     pairs with no matrix: `math.dist` and `math.hypot` share one norm, so
     each distance keeps its bits."""
     pts = list(zip(xs, ys))
@@ -537,19 +471,14 @@ def unit_coordinates(p: Polygon) -> tuple[float, list[float], list[float]]:
 
 
 def distance_matrix(p: Polygon) -> DistanceMatrix:
-    """All pairwise distances of p (`pairwise_distances`)."""
-    return pairwise_distances([v.x for v in p.vertices], [v.y for v in p.vertices])
-
-
-def pairwise_distances(xs: list[float], ys: list[float]) -> DistanceMatrix:
-    """All pairwise distances of the points (xs[i], ys[i]), each measured
-    once; not revalidated, as the extent check rules out overflow."""
-    _extent(xs, ys)
-    return DistanceMatrix._derived(_pairwise_rows(xs, ys))
+    """All pairwise distances of p, each measured once; not revalidated, as
+    the extent check (`vertex_coordinates`) rules out overflow."""
+    return DistanceMatrix._derived(_pairwise_rows(*vertex_coordinates(p)))
 
 
 def _pairwise_rows(xs: list[float], ys: list[float]) -> tuple[tuple[float, ...], ...]:
-    """The rows of `pairwise_distances(xs, ys)`, with no extent check."""
+    """The rows of the distance matrix of the points (xs[i], ys[i]), with no
+    extent check."""
     n = len(xs)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -557,7 +486,6 @@ def _pairwise_rows(xs: list[float], ys: list[float]) -> tuple[tuple[float, ...],
         for j in range(i + 1, n):
             row[j] = rows[j][i] = math.hypot(xi - xs[j], yi - ys[j])
     return tuple(map(tuple, rows))
-
 
 
 def chords(p: Polygon, skip: int) -> list[float]:

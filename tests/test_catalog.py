@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from polycenter.catalog import (
     CATALOG,
     _distance_sums,
-    centroid_vertices,
-    lamina_centroid,
     lamina_centroid_direct,
     medoid,
     perimeter_centroid,
@@ -46,7 +44,7 @@ def test_registry_shape():
 
 
 def test_centroid_square():
-    assert centroid_vertices(SQUARE).as_tuple() == (0.5, 0.5)
+    assert SQUARE.vertex_mean().as_tuple() == (0.5, 0.5)
     got = geometric_center(CATALOG["centroid"].function, SQUARE)
     assert got.as_tuple() == (0.5, 0.5)
 
@@ -55,7 +53,7 @@ def test_centroid_matches_mean_everywhere():
     rng = random.Random(1)
     for _ in range(50):
         p = random_polygon(rng, rng.randrange(3, 9))
-        want = centroid_vertices(p)
+        want = p.vertex_mean()
         got = geometric_center(CATALOG["centroid"].function, p)
         assert got.distance_to(want) < 1e-12
 
@@ -143,7 +141,7 @@ def test_lamina_trapezoid_fixture():
     got = lamina_centroid_direct(TRAPEZOID)
     assert got.x == pytest.approx(7 / 9, abs=1e-12)
     assert got.y == pytest.approx(4 / 9, abs=1e-12)
-    via_map = lamina_centroid(TRAPEZOID)
+    via_map = geometric_center(CATALOG["lamina"].function, TRAPEZOID)
     assert via_map.distance_to(got) < 1e-12
 
 
@@ -153,7 +151,7 @@ def test_lamina_matches_shoelace_moments():
         p = random_convex_polygon(rng, rng.randrange(4, 10))
         want = shoelace_centroid(p)
         assert lamina_centroid_direct(p).distance_to(want) < 1e-9
-        assert lamina_centroid(p).distance_to(want) < 1e-9
+        assert geometric_center(CATALOG["lamina"].function, p).distance_to(want) < 1e-9
 
 
 def wedge_products(p):
@@ -177,7 +175,7 @@ def test_lamina_direct_commutes_with_scaling(seed, n, k):
 def test_lamina_differs_from_vertex_mean_on_trapezoid():
     # the two notions of "centroid" split as soon as the shape is lopsided
     assert lamina_centroid_direct(TRAPEZOID).distance_to(
-        centroid_vertices(TRAPEZOID)
+        TRAPEZOID.vertex_mean()
     ) > 1e-2
 
 
@@ -194,9 +192,6 @@ def test_lamina_map_guard_rejects_nonconvex():
     dart = Polygon.from_pairs([(0, 0), (4, 0), (1, 1), (0, 4)])
     with pytest.raises(DomainViolation):
         geometric_center(CATALOG["lamina"].function, dart)
-    # lamina_centroid relies on the same guard
-    with pytest.raises(DomainViolation):
-        lamina_centroid(dart)
 
 
 # ------------------------------------------------------------------- medoid

@@ -645,7 +645,7 @@ def test_plot_embeds_failures_as_comments(tmp_path, capsys):
     target = str(tmp_path / "out.svg")
     rc, _, err = invoke(capsys, ["plot", doc, "--centers", "medoid", "-o", target])
     assert rc == 0 and err == ""  # the picture is still produced
-    text = open(target, encoding="utf-8").read()
+    text = Path(target).read_text(encoding="utf-8")
     assert "<!-- medoid failed: Tie:" in text
 
 

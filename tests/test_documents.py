@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -151,7 +152,7 @@ def test_matrix_write_then_read_is_float_identical(tmp_path):
 def test_written_file_shape(tmp_path):
     path = str(tmp_path / "tri.json")
     write_document(PolygonDocument("tri", TRI345, None), path)
-    text = open(path, "r", encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.endswith("\n")
     data = json.loads(text)
     assert data == {"name": "tri", "vertices": [[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]}

@@ -1,10 +1,10 @@
 """Measured views against the matrices they read as.
 
 `geometry.MeasuredRows` gives the axiom trials views over coordinate
-lists: an entry is measured when it is read, and a bulk read builds the
-whole matrix once. Each view (the sample, its reversal, a moved copy and a
-rescaling) must read as the matrix that `pairwise_distances`, `permuted`
-and `scaled` build: entries by `float.hex`, the sequence protocol,
+lists: an entry is measured each time it is read. Each view (the sample,
+its reversal, a moved copy and a rescaling), built as `axiom_trials`
+builds it, must read as the matrix that `distance_matrix`, `permuted` and
+`scaled` build: entries by `float.hex`, the sequence protocol,
 `rows_and_offset`, `max_entry` and compiled expressions, errors by class
 and message. `Polygon.diameter` measures no matrix and must equal its
 largest entry.
@@ -18,15 +18,16 @@ from itertools import chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import polycenter.dsl as dsl
 import polycenter.geometry as geometry
-from polycenter.catalog import CATALOG
 from polycenter.dsl import ParsedCenter, admit, evaluate, parse
-from polycenter.framework import _RESCALES, axiom_trials
+from polycenter.errors import AxiomViolation
+from polycenter.framework import _RESCALES
 from polycenter.geometry import (
-    DihedralElement, DistanceMatrix, MeasuredRows, Polygon, distance_matrix, moved_coordinates,
-    pairwise_distances,
+    DihedralElement, DistanceMatrix, MeasuredRows, Point2, Polygon, distance_matrix,
+    moved_coordinates,
 )
-from polycenter.sampling import random_convex_polygon, random_polygon, random_rigid_motion
+from polycenter.sampling import random_polygon, random_rigid_motion
 
 from test_compiled_dsl import trees
 from test_distance_kernel import polygons
@@ -44,38 +45,47 @@ def outcome(call):
 
 
 def coordinates(seed, n, k, moved):
+    """A random n-gon's coordinates times 2^k, moved by a random rigid
+    motion or not; None where a moved coordinate overflows, which
+    `axiom_trials` rejects before it makes a view."""
     rng = random.Random(seed)
     p = random_polygon(rng, n)
     xs = [2.0**k * v.x for v in p.vertices]
     ys = [2.0**k * v.y for v in p.vertices]
     if moved:
         xs, ys = moved_coordinates(random_rigid_motion(rng), xs, ys)
-    return xs, ys
+    return (xs, ys) if all(map(math.isfinite, xs + ys)) else None
 
 
 def pairs(seed, n, k, moved, which):
     """(view, matrix) outcomes: the sample, its reversal, or its rescaling by
-    `_RESCALES[which - 2]`, from `MeasuredRows` (by `permuted` and
-    `rescalings`) and from `pairwise_distances` (by `permuted` and `scaled`)."""
-    xs, ys = coordinates(seed, n, k, moved)
-
+    `_RESCALES[which - 2]`, as `MeasuredRows` views (the reversal and the
+    rescalings given the sample's diagonal) and from `distance_matrix` (by
+    `permuted` and `scaled`); None where `coordinates` is."""
+    points = coordinates(seed, n, k, moved)
+    if points is None:
+        return None
+    xs, ys = points
     reversal = DihedralElement.sigma(n).permutation()
 
     def view():
         sample = MeasuredRows(xs, ys)
         if which == 0:
-            return sample.matrix()
-        if which == 1:
-            return sample.permuted(reversal)
-        return sample.rescalings(_RESCALES)[which - 2]
+            rows = sample
+        elif which == 1:
+            rows = MeasuredRows([xs[i] for i in reversal], [ys[i] for i in reversal], 1.0,
+                                sample.diagonal)
+        else:
+            rows = MeasuredRows(xs, ys, _RESCALES[which - 2], sample.diagonal)
+        return DistanceMatrix._derived(rows)
 
     def matrix():
-        D = pairwise_distances(xs, ys)
+        D = distance_matrix(Polygon(tuple(map(Point2, xs, ys))))
         if which == 0:
             return D
         if which == 1:
             return D.permuted(reversal)
-        return [D.scaled(t) for t in _RESCALES][which - 2]
+        return D.scaled(_RESCALES[which - 2])
 
     return outcome(view), outcome(matrix)
 
@@ -91,7 +101,9 @@ views = st.tuples(st.integers(0, 2**32 - 1), st.integers(3, 16), st.sampled_from
 @settings(max_examples=300, deadline=None)
 @given(views, st.lists(st.tuples(st.integers(-20, 19), st.integers(-20, 19)), max_size=40))
 def test_single_reads_give_the_matrix_entries(case, reads):
-    view, matrix = pairs(*case)
+    both = pairs(*case)
+    assume(both is not None)
+    view, matrix = both
     assert view[0] == matrix[0]
     if view[0] != "value":
         assert view == matrix
@@ -109,7 +121,9 @@ def test_single_reads_give_the_matrix_entries(case, reads):
 @settings(max_examples=200, deadline=None)
 @given(views, st.integers(0, 6))
 def test_bulk_reads_give_the_matrix(case, first):
-    view, matrix = pairs(*case)
+    both = pairs(*case)
+    assume(both is not None)
+    view, matrix = both
     if view[0] != "value":
         assert view == matrix
         return
@@ -124,7 +138,7 @@ def test_bulk_reads_give_the_matrix(case, first):
         lambda: V.d[-1][1:] == D.d[-1][1:] and list(V.d[0]) == list(D.d[0]),
         lambda: V.d[n - 1] == D.d[n - 1] and hash(V.d[0]) == hash(D.d[0]),
     ]
-    # any read first, then all of them: the whole matrix is built at most once
+    # any read first, then all of them: no read changes what a later one sees
     for read in bulk[first:] + bulk[:first]:
         assert read()
     assert hexes(V.d) == hexes(D.d)
@@ -133,7 +147,9 @@ def test_bulk_reads_give_the_matrix(case, first):
 @settings(max_examples=200, deadline=None)
 @given(views, trees)
 def test_compiled_expressions_read_views_as_matrices(case, e):
-    view, matrix = pairs(*case)
+    both = pairs(*case)
+    assume(both is not None)
+    view, matrix = both
     if view[0] != "value":
         return
     V, D = view[1], matrix[1]
@@ -144,22 +160,26 @@ def test_compiled_expressions_read_views_as_matrices(case, e):
     assert [[float.hex(rows[i][j + k]) for j in range(D.n)] for i in range(D.n)] == hexes(D.d)
 
 
-def test_the_cases_reach_views_whole_matrices_and_errors():
+def test_the_cases_reach_views_and_errors():
     seen = Counter()
     for seed in range(8):
         for n in (3, 5, 8):
             for k in EXPONENTS:
                 for moved in (False, True):
                     for which in range(5):
-                        view, matrix = pairs(seed, n, k, moved, which)
+                        both = pairs(seed, n, k, moved, which)
+                        if both is None:
+                            seen["moved overflow"] += 1
+                            continue
+                        view, matrix = both
                         assert view[0] == matrix[0]
                         if view[0] == "value":
-                            lazy = view[1].d.__class__ is not tuple
-                            seen["view" if lazy else "whole"] += 1
+                            assert view[1].d.__class__ is MeasuredRows
+                            seen["view"] += 1
                         else:
                             assert view == matrix
                             seen[view[1].split(" must")[0]] += 1
-    assert {"view", "whole", "polygon extent", "scale 2.0"} <= set(seen)
+    assert {"view", "polygon extent", "scale 2.0"} <= set(seen)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,48 +214,36 @@ def counted(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+# The expressions the benchmark admits at n = 8, with the property each
+# fails (None: admitted).
+ADMISSIONS = {
+    "d(n,1)+d(1,2)": None,
+    "perim": None,
+    "d(2,n)": None,
+    "d(n,1)*d(1,2)": None,
+    "sqrt(d(n,1)^2+d(1,2)^2)": None,
+    "d(1,2)": "relabel-invariance",
+    "d(n,1)+d(1,2)+d(n,1)^2+d(1,2)^2": "homogeneity",
+    "d(n,1)-d(1,2)": "relabel-invariance",
+    "d(1,2)-d(2,1)": None,
+}
+
+
 def test_admission_measures_only_what_the_expression_reads(monkeypatch):
+    # no expression, `perim` included, makes a view measure its whole
+    # matrix, and each trial checks two extents: the sample's and the
+    # moved copy's
     calls = Counter()
-    for owner, name in ((geometry, "pairwise_distances"), (geometry, "_pairwise_rows"),
-                        (DistanceMatrix, "scaled"), (DistanceMatrix, "permuted")):
+    for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"),
+                        (geometry, "_largest_distance"), (dsl, "random_polygon")):
         counted(monkeypatch, calls, owner, name)
-    admit(parse("d(n,1)+d(1,2)"), 8)
-    assert calls == Counter()
-    admit(parse("perim"), 8)  # iterates its rows, so it reads whole matrices
-    assert calls["_pairwise_rows"] > 0
-
-
-def test_a_dense_reader_measures_each_sample_once(monkeypatch):
-    measured = []
-    original = geometry._pairwise_rows
-
-    def recording(xs, ys):
-        measured.append((tuple(xs), tuple(ys)))
-        return original(xs, ys)
-
-    monkeypatch.setattr(geometry, "_pairwise_rows", recording)
-    perimeter = CATALOG["perimeter"].function
-    trials = axiom_trials(perimeter, lambda rng: random_convex_polygon(rng, 6), 6, 0)
-    for count, trial in enumerate(trials, 1):
-        # the sample and its moved copy, each once; the reversal and the
-        # rescalings are read off the sample's matrix
-        assert len(measured) == 2 * count
-        assert len(set(measured)) == len(measured)
-        assert repr(trial.input.d) == repr(original(*map(list, measured[-2])))
-
-
-def test_single_reads_measure_entries_and_a_triangle_is_measured_whole(monkeypatch):
-    calls = Counter()
-    counted(monkeypatch, calls, geometry, "_pairwise_rows")
-    for n in (3, 4, 8, 16):
+    for source, prop in ADMISSIONS.items():
         calls.clear()
-        xs, ys = coordinates(n, n, 0, False)
-        V = MeasuredRows(xs, ys).matrix()
-        # a triangle's 3 distances are measured when it is made; a larger
-        # view measures each entry it is given, however many
-        assert calls["_pairwise_rows"] == (n == 3)
-        for read in range(3 * n * n):
-            V.d[read % n][(read + 1) % n]
-        assert calls["_pairwise_rows"] == (n == 3)
-        V.d[0][1:]
-        assert calls["_pairwise_rows"] == 1
+        got = outcome(lambda: admit(parse(source), 8))
+        if prop is None:
+            assert got[0] == "value", source
+            assert calls["random_polygon"] == 64
+        else:
+            assert got[0] == AxiomViolation.__name__ and got[1].startswith(prop), source
+        trials = calls.pop("random_polygon")
+        assert calls == Counter({"_extent": 2 * trials}), source
