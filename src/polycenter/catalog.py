@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .dsl import center_function, parse
 from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
-from .framework import LengthCenterFunction, VertexCenterFunction
+from .framework import LengthCenterFunction, VertexCenterFunction, entry_zero
 from .geometry import (
     DistanceMatrix,
     Point2,
@@ -60,12 +60,6 @@ def _total(terms: Iterable[float]) -> float:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
-
-
-def _entry_zero(all_shifts: Callable[..., Sequence[float]]) -> Callable[..., float]:
-    """The per-shift evaluator of a center defined by its whole map: the
-    value on an input is entry 0 of the input's map."""
-    return lambda x: all_shifts(x)[0]
 
 
 # ----------------------------------------------------------- vertex centroid
@@ -258,7 +252,7 @@ CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
         CatalogEntry(
-            VertexCenterFunction("centroid", _entry_zero(_ones), all_shifts=_ones), False
+            VertexCenterFunction("centroid", entry_zero(_ones), all_shifts=_ones), False
         ),
         CatalogEntry(
             replace(center_function(parse(ADJACENT_SIDES)), name="perimeter",
@@ -267,14 +261,14 @@ CATALOG: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             VertexCenterFunction(
-                "lamina", _entry_zero(_lamina_all_shifts), is_convex, "convex polygons",
+                "lamina", entry_zero(_lamina_all_shifts), is_convex, "convex polygons",
                 all_shifts=_lamina_all_shifts,
             ),
             True,
         ),
         CatalogEntry(
             VertexCenterFunction(
-                "medoid", _entry_zero(_medoid_indicators), is_nondegenerate,
+                "medoid", entry_zero(_medoid_indicators), is_nondegenerate,
                 "distinct vertices",
                 all_shifts=_medoid_indicators,
             ),

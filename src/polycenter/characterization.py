@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from operator import sub
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateVertex, ParityMismatch
-from .framework import CenterFunction, VertexCenterFunction, cyclic_values
+from .framework import CenterFunction, VertexCenterFunction, cyclic_values, entry_zero
 from .geometry import (
     Point2, Polygon, chords, is_convex, is_nondegenerate, shoelace, unit_coordinates,
     unit_factor,
@@ -65,7 +65,7 @@ def _cosines(p: Polygon) -> list[float]:
     vectors from vertex k + 1 to its neighbours, from n edges and lengths:
     O(n), with no product of lengths to overflow or underflow at any scale.
     The first shift whose `Point2` differences overflow or vanish raises."""
-    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    xs, ys = p.xs, p.ys
     ux, uy = list(map(sub, xs[1:] + xs[:1], xs)), list(map(sub, ys[1:] + ys[:1], ys))
     wx, wy = list(map(sub, xs[-1:] + xs[:-1], xs)), list(map(sub, ys[-1:] + ys[:-1], ys))
     nu = list(map(math.hypot, ux, uy))
@@ -89,24 +89,17 @@ def _chords(p: Polygon, skip: int) -> list[float]:
     return lengths[first:] + lengths[:first]
 
 
-def f1_cosine(p: Polygon) -> float:
-    """Cosine of the angle at vertex 1 between the edges to vertices 2 and n."""
-    return _cosines(p)[0]
+def _probe(name: str, all_shifts: Callable[[Polygon], list[float]]) -> VertexCenterFunction:
+    return VertexCenterFunction(name, entry_zero(all_shifts), all_shifts=all_shifts)
 
 
-def f2_odd(p: Polygon) -> float:
-    """Length of the side between the two middle vertices; odd n only."""
-    return _chords(p, 1)[0]
-
-
-def f3_even(p: Polygon) -> float:
-    """Length of the diagonal from vertex n/2 to vertex n/2 + 2; even n only."""
-    return _chords(p, 2)[0]
-
-
-F1 = VertexCenterFunction("angle-cosine", f1_cosine, all_shifts=_cosines)
-F2_ODD = VertexCenterFunction("middle-side", f2_odd, all_shifts=partial(_chords, skip=1))
-F3_EVEN = VertexCenterFunction("half-skip-diagonal", f3_even, all_shifts=partial(_chords, skip=2))
+F1 = _probe("angle-cosine", _cosines)
+F2_ODD = _probe("middle-side", partial(_chords, skip=1))
+F3_EVEN = _probe("half-skip-diagonal", partial(_chords, skip=2))
+# The probes on one polygon: the cosine of the angle at vertex 1 between the
+# edges to vertices 2 and n; the side between the two middle vertices (odd
+# n); the diagonal from vertex n/2 to vertex n/2 + 2 (even n).
+f1_cosine, f2_odd, f3_even = F1.evaluator, F2_ODD.evaluator, F3_EVEN.evaluator
 
 
 def coincidence(

@@ -108,7 +108,8 @@ def read_document(path: str) -> PolygonDocument:
     except OSError as exc:
         reason = exc.strerror or str(exc)
         raise DocumentError(f"cannot read {path}: {reason}", path) from exc
-    except ValueError as exc:  # bad JSON, bytes not UTF-8, an integer too long to read
+    # bad JSON, bytes not UTF-8, an integer too long to read, arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(
             f"{path} is not valid JSON: {exc}", path
         ) from exc

@@ -26,7 +26,8 @@ The per-shift `evaluator` is what `evaluate` and the axiom checks call. A
 center function may also carry `all_shifts`, which returns the n values of
 a polygon's map at once from work the shifts share; the two must agree on
 every shift bit for bit, errors included. A vertex function defined by its
-whole map, as the catalog's are, takes entry 0 of that map as its evaluator.
+whole map, as the catalog's and the coincidence probes are, takes entry 0
+of that map as its evaluator (`entry_zero`).
 
 A length function's map on a polygon reads the distances measured from it:
 `all_shifts` measures what it reads with the bits of `distance_matrix(p)`,
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import AllZero, DomainViolation, EvalError, ZeroSum
@@ -125,6 +127,12 @@ class LengthCenterFunction(_CenterFunction[DistanceMatrix]):
 CenterFunction = Union[VertexCenterFunction, LengthCenterFunction]
 
 
+def entry_zero(all_shifts: Callable[[_Input], Sequence[float]]) -> Callable[[_Input], float]:
+    """The per-shift evaluator of a function defined by its whole map: the
+    value on an input is entry 0 of the input's map."""
+    return lambda x: all_shifts(x)[0]
+
+
 @dataclass(frozen=True)
 class ProjectiveCoords:
     """A tuple of homogeneous coordinates, not all zero."""
@@ -166,9 +174,7 @@ class BarycentricWeights:
     def combine(self, p: Polygon) -> Point2:
         if p.n != self.n:
             raise ValueError("weight count does not match vertex count")
-        x = sum(w * v.x for w, v in zip(self.values, p.vertices))
-        y = sum(w * v.y for w, v in zip(self.values, p.vertices))
-        return Point2(x, y)
+        return Point2(sum(map(mul, self.values, p.xs)), sum(map(mul, self.values, p.ys)))
 
 
 @dataclass(frozen=True)
@@ -361,7 +367,7 @@ def axiom_trials(
             inputs = [p, relabel(sigma, p), apply_motion(motion, p)]
             inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _RESCALES]
         else:
-            xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+            xs, ys = p.xs, p.ys
             mxs, mys = moved_coordinates(motion, xs, ys)
             if not all(map(math.isfinite, mxs + mys)):
                 apply_motion(motion, p)  # raises the moved copy's NonFinite

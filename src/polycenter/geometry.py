@@ -3,6 +3,9 @@
 Conventions used throughout the package:
 
 * vertices are numbered 1..n in prose and command-line output, 0..n-1 in code;
+* a `Polygon`'s `xs` and `ys` are its vertex coordinates as tuples, derived
+  once from the checked vertices; kernels compute on them, and a `Point2`
+  is built only for a point that leaves the library;
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
 * signed area is positive for counterclockwise vertex order;
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
 from operator import itemgetter, sub
@@ -48,23 +51,8 @@ class Point2:
         _require_finite(self.x, "x")
         _require_finite(self.y, "y")
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
     def scaled(self, t: float) -> "Point2":
         return Point2(t * self.x, t * self.y)
-
-    def dot(self, other: "Point2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -75,13 +63,21 @@ class Point2:
 
 @dataclass(frozen=True)
 class Polygon:
-    """An ordered tuple of at least three vertices, indices taken cyclically."""
+    """An ordered tuple of at least three vertices, indices taken cyclically.
+
+    `xs` and `ys` are the vertex coordinates, derived once here; they take
+    no part in ==, hash or repr, and `dataclasses.replace` derives them again.
+    """
 
     vertices: tuple[Point2, ...]
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
+        object.__setattr__(self, "xs", tuple([v.x for v in self.vertices]))
+        object.__setattr__(self, "ys", tuple([v.y for v in self.vertices]))
 
     @staticmethod
     def from_pairs(pairs) -> "Polygon":
@@ -109,9 +105,7 @@ class Polygon:
         return _largest_distance(*vertex_coordinates(self))
 
     def vertex_mean(self) -> Point2:
-        sx = sum(v.x for v in self.vertices)
-        sy = sum(v.y for v in self.vertices)
-        return Point2(sx / self.n, sy / self.n)
+        return Point2(sum(self.xs) / self.n, sum(self.ys) / self.n)
 
 
 # --------------------------------------------------------------- relabeling
@@ -207,12 +201,12 @@ def apply_motion(m: RigidMotion | Similarity, p: Polygon) -> Polygon:
     """m applied to every vertex, as `m.apply` applies it."""
     if isinstance(m, Similarity):
         return apply_motion(m.motion, Polygon(tuple(v.scaled(m.scale) for v in p.vertices)))
-    xs, ys = moved_coordinates(m, [v.x for v in p.vertices], [v.y for v in p.vertices])
+    xs, ys = moved_coordinates(m, p.xs, p.ys)
     return Polygon(tuple(map(Point2, xs, ys)))
 
 
-def moved_coordinates(m: RigidMotion, xs: list[float],
-                      ys: list[float]) -> tuple[list[float], list[float]]:
+def moved_coordinates(m: RigidMotion, xs: Sequence[float],
+                      ys: Sequence[float]) -> tuple[list[float], list[float]]:
     """The points (xs[i], ys[i]) moved by m, unchecked: a coordinate that
     overflows is infinite here, where `Point2` raises NonFinite."""
     c, s = math.cos(m.angle), math.sin(m.angle)
@@ -292,7 +286,7 @@ class MeasuredRows(_Rows):
 
     __slots__ = ("_xs", "_ys", "_t", "diagonal")
 
-    def __init__(self, xs: list[float], ys: list[float], t: float = 1.0,
+    def __init__(self, xs: Sequence[float], ys: Sequence[float], t: float = 1.0,
                  diagonal: float | None = None) -> None:
         if diagonal is None:
             diagonal = _extent(xs, ys)
@@ -430,7 +424,7 @@ def _scaled_rows(rows: Sequence[tuple[float, ...]], t: float) -> tuple[tuple[flo
     return tuple([tuple([t * v for v in row]) for row in rows])
 
 
-def _extent(xs: list[float], ys: list[float]) -> float:
+def _extent(xs: Sequence[float], ys: Sequence[float]) -> float:
     """The diagonal of the bounding box of the points (xs[i], ys[i]), which
     bounds every distance between them; NonFinite when it overflows."""
     diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
@@ -438,7 +432,7 @@ def _extent(xs: list[float], ys: list[float]) -> float:
     return diagonal
 
 
-def _largest_distance(xs: list[float], ys: list[float]) -> float:
+def _largest_distance(xs: Sequence[float], ys: Sequence[float]) -> float:
     """The largest distance between the points (xs[i], ys[i]), from the n(n-1)/2
     pairs with no matrix: `math.dist` and `math.hypot` share one norm, so
     each distance keeps its bits."""
@@ -446,12 +440,11 @@ def _largest_distance(xs: list[float], ys: list[float]) -> float:
     return max(max(map(math.dist, repeat(pts[i]), pts[i + 1:])) for i in range(len(pts) - 1))
 
 
-def vertex_coordinates(p: Polygon) -> tuple[list[float], list[float]]:
-    """The x and the y coordinates of p's vertices, in order; the diagonal of
-    their bounding box, which bounds every distance, is checked (`_extent`)."""
-    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
-    _extent(xs, ys)
-    return xs, ys
+def vertex_coordinates(p: Polygon) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """p.xs and p.ys, once the diagonal of their bounding box, which bounds
+    every distance, is checked (`_extent`)."""
+    _extent(p.xs, p.ys)
+    return p.xs, p.ys
 
 
 def unit_factor(largest: float) -> float:
@@ -465,7 +458,7 @@ def unit_coordinates(p: Polygon) -> tuple[float, list[float], list[float]]:
     """t, `unit_factor` of p's largest coordinate magnitude, and p's x and y
     coordinates times t, which is exact, so that no product of two of them
     overflows at any scale of p."""
-    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    xs, ys = p.xs, p.ys
     t = unit_factor(max(max(xs), -min(xs), max(ys), -min(ys)))
     return t, [t * x for x in xs], [t * y for y in ys]
 
@@ -476,7 +469,7 @@ def distance_matrix(p: Polygon) -> DistanceMatrix:
     return DistanceMatrix._derived(_pairwise_rows(*vertex_coordinates(p)))
 
 
-def _pairwise_rows(xs: list[float], ys: list[float]) -> tuple[tuple[float, ...], ...]:
+def _pairwise_rows(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """The rows of the distance matrix of the points (xs[i], ys[i]), with no
     extent check."""
     n = len(xs)
@@ -491,7 +484,7 @@ def _pairwise_rows(xs: list[float], ys: list[float]) -> tuple[tuple[float, ...],
 def chords(p: Polygon, skip: int) -> list[float]:
     """Entry i: the distance from vertex i to vertex i + skip (0-based,
     cyclic), which `distance_matrix` holds at (i, i + skip): O(n)."""
-    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    xs, ys = p.xs, p.ys
     return list(map(math.hypot, map(sub, xs, xs[skip:] + xs[:skip]),
                     map(sub, ys, ys[skip:] + ys[:skip])))
 
@@ -525,7 +518,7 @@ def cayley_menger_quad(
 # --------------------------------------------------------- shape predicates
 
 
-def shoelace(xs: list[float], ys: list[float]) -> float:
+def shoelace(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Twice the signed area of the outline through (xs[i], ys[i]), in order."""
     total = 0.0
     for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
@@ -535,7 +528,7 @@ def shoelace(xs: list[float], ys: list[float]) -> float:
 
 def signed_area(p: Polygon) -> float:
     """Shoelace area; positive for counterclockwise vertex order."""
-    return 0.5 * shoelace([v.x for v in p.vertices], [v.y for v in p.vertices])
+    return 0.5 * shoelace(p.xs, p.ys)
 
 
 def _orient(ux: float, uy: float, vx: float, vy: float) -> int:
@@ -549,7 +542,7 @@ def _orient(ux: float, uy: float, vx: float, vy: float) -> int:
 def is_nondegenerate(p: Polygon) -> bool:
     """Whether the vertices are pairwise distinct: finite points are at
     distance zero only when equal, and -0.0 equals and hashes like 0.0."""
-    return len(set(p.vertices)) == p.n
+    return len(set(zip(p.xs, p.ys))) == p.n
 
 
 def is_convex(p: Polygon) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainViolation, NoConvergence
 from .geometry import (
@@ -50,7 +50,9 @@ class EnclosingCircle:
 # ------------------------------------------------------------ geometric median
 
 
-def _vertex_pull(xs: list[float], ys: list[float], k: int) -> tuple[float, float, float, float]:
+def _vertex_pull(
+    xs: Sequence[float], ys: Sequence[float], k: int
+) -> tuple[float, float, float, float]:
     """Unit-vector sum at vertex k over the other vertices (x and y), its
     norm, and the sum of reciprocal distances (the local curvature scale)."""
     gx = gy = 0.0
@@ -82,7 +84,7 @@ def geometric_median(
     target = max(tol / max(diam, 1e-30), 1e-13)
 
     # the iterate is (cx, cy); a Point2 is built only for what is returned
-    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    xs, ys = p.xs, p.ys
     cx, cy = p.vertex_mean().as_tuple()
     best: Optional[tuple[float, float, int, float]] = None
     for it in range(1, max_iter + 1):
@@ -124,20 +126,15 @@ def geometric_median(
 
 # -------------------------------------------------------- enclosing circle
 
-
-def _gap(center: Point2, q: tuple[float, float]) -> float:
-    """`center.distance_to` a point given by its coordinates."""
-    return math.hypot(center.x - q[0], center.y - q[1])
+_Pair = tuple[float, float]  # a point's coordinates
 
 
-def _circle_from_two(a: tuple[float, float], b: tuple[float, float]) -> tuple[Point2, float]:
-    c = Point2((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-    return c, max(_gap(c, a), _gap(c, b))
+def _circle_from_two(a: _Pair, b: _Pair) -> tuple[_Pair, float]:
+    c = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    return c, max(math.dist(c, a), math.dist(c, b))
 
 
-def _circle_from_three(
-    a: tuple[float, float], b: tuple[float, float], c: tuple[float, float]
-) -> Optional[tuple[Point2, float]]:
+def _circle_from_three(a: _Pair, b: _Pair, c: _Pair) -> Optional[tuple[_Pair, float]]:
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     ox = (min(ax, bx, cx) + max(ax, bx, cx)) / 2.0
     oy = (min(ay, by, cy) + max(ay, by, cy)) / 2.0
@@ -157,14 +154,8 @@ def _circle_from_three(
         + (bx * bx + by * by) * (ax - cx)
         + (cx * cx + cy * cy) * (bx - ax)
     ) / d
-    center = Point2(x, y)
-    radius = max(_gap(center, q) for q in (a, b, c))
-    return center, radius
-
-
-def _in_circle(center: Point2, radius: float, q: tuple[float, float]) -> bool:
-    # `_gap` written out: this test runs about ten times per vertex
-    return math.hypot(center.x - q[0], center.y - q[1]) <= radius * _IN_CIRCLE_SLACK
+    center = (x, y)
+    return center, max(math.dist(center, q) for q in (a, b, c))
 
 
 def chebyshev_center(p: Polygon) -> EnclosingCircle:
@@ -179,7 +170,8 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
     The construction reads the coordinates at unit scale
     (`unit_coordinates`) and scales the circle back, so no squared term
     overflows or underflows: at 2^k times p, the circle is 2^k times p's,
-    on the same support.
+    on the same support. Candidate centers are (x, y) pairs, measured with
+    `math.dist`; a `Point2` is built only for the circle returned.
     """
     require_nondegenerate(p)
     order = list(range(p.n))
@@ -187,25 +179,25 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
     t, xs, ys = unit_coordinates(p)
     pts = list(zip(xs, ys))
 
-    center: Optional[Point2] = None
+    center: Optional[_Pair] = None
     radius = 0.0
     support: tuple[int, ...] = ()
 
     for i, pi in enumerate(order):
-        if center is not None and _in_circle(center, radius, pts[pi]):
+        if center is not None and math.dist(center, pts[pi]) <= radius * _IN_CIRCLE_SLACK:
             continue
         # circle through pts[pi] and the prefix
-        center, radius, support = Point2(*pts[pi]), 0.0, (pi,)
+        center, radius, support = pts[pi], 0.0, (pi,)
         for j in range(i):
             pj = order[j]
-            if _in_circle(center, radius, pts[pj]):
+            if math.dist(center, pts[pj]) <= radius * _IN_CIRCLE_SLACK:
                 continue
             # circle through pts[pi], pts[pj]
             center, radius = _circle_from_two(pts[pi], pts[pj])
             support = (pi, pj)
             for k in range(j):
                 pk = order[k]
-                if _in_circle(center, radius, pts[pk]):
+                if math.dist(center, pts[pk]) <= radius * _IN_CIRCLE_SLACK:
                     continue
                 cand = _circle_from_three(pts[pi], pts[pj], pts[pk])
                 if cand is None:
@@ -214,7 +206,7 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
                 support = (pi, pj, pk)
     assert center is not None
     return EnclosingCircle(
-        Point2(center.x / t, center.y / t), radius / t, tuple(sorted(support))
+        Point2(center[0] / t, center[1] / t), radius / t, tuple(sorted(support))
     )
 
 

@@ -57,12 +57,9 @@ def _escape(text: str) -> str:
 
 
 def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
-    points = [v for v in p.vertices]
     marked = [r for r in records if r.point is not None]
-    points.extend(r.point for r in marked)  # type: ignore[misc]
-
-    xs = [q.x for q in points]
-    ys = [q.y for q in points]
+    xs = [*p.xs, *(r.point.x for r in marked)]  # type: ignore[union-attr]
+    ys = [*p.ys, *(r.point.y for r in marked)]  # type: ignore[union-attr]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     side = max(hi_x - lo_x, hi_y - lo_y) or 1e-9

@@ -1,17 +1,21 @@
-"""The per-shift probes, the both-sides reconstruction and the `Point2`
-median loop, kept as the references that the whole-map probes, the
-one-sided mirror read and the float iterates must equal bit for bit,
-errors included.
+"""The per-shift probes, the both-sides reconstruction, the `Point2`
+median loop and the `Point2`-centred enclosing circle, kept as the
+references that the whole-map probes, the one-sided mirror read and the
+float iterates and candidate centers must equal bit for bit, errors
+included.
 
 Each is the code as it stood before those kernels were rewritten: every
 probe is evaluated on the n `Polygon.shifted` copies, `reconstruct` measures
-both mirror sides of every vertex in full, and `geometric_median` keeps its
-iterate as a `Point2` and builds a `MedianResult` on every step.
+both mirror sides of every vertex in full, `geometric_median` keeps its
+iterate as a `Point2` and builds a `MedianResult` on every step, and
+`chebyshev_center` builds a `Point2` for every candidate circle, reading the
+coordinates from the vertices.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Optional
 
 from polycenter.characterization import (
@@ -23,7 +27,7 @@ from polycenter.geometry import (
     DistanceMatrix, Point2, Polygon, cayley_menger_quad, distance_matrix, is_convex,
     is_nondegenerate, require_nondegenerate, shoelace, unit_factor,
 )
-from polycenter.optim import _VERTEX_SNAP, MedianResult
+from polycenter.optim import _IN_CIRCLE_SLACK, _VERTEX_SNAP, EnclosingCircle, MedianResult
 from polycenter.reconstruction import (
     RESIDUAL_TOL, SNAP_EPS, FeasibilityReport, ReconstructionResult,
 )
@@ -32,9 +36,9 @@ from polycenter.reconstruction import (
 
 
 def f1_cosine(p: Polygon) -> float:
-    u = p.vertices[1] - p.vertices[0]
-    w = p.vertices[-1] - p.vertices[0]
-    nu, nw = u.norm(), w.norm()
+    v0, v1, vn = p.vertices[0], p.vertices[1], p.vertices[-1]
+    u, w = Point2(v1.x - v0.x, v1.y - v0.y), Point2(vn.x - v0.x, vn.y - v0.y)  # NonFinite
+    nu, nw = math.hypot(u.x, u.y), math.hypot(w.x, w.y)
     if nu == 0.0 or nw == 0.0:
         raise DegenerateVertex("vertex 1 coincides with a neighbour")
     return (u.x / nu) * (w.x / nw) + (u.y / nu) * (w.y / nw)
@@ -219,6 +223,84 @@ def geometric_median(p: Polygon, tol: float = 1e-12, max_iter: int = 10000) -> M
     raise NoConvergence(
         f"median iteration did not reach residual {target:.2e} in {max_iter} steps",
         best,
+    )
+
+
+# -------------------------------------------------------- enclosing circle
+
+
+def _gap(center: Point2, q: tuple[float, float]) -> float:
+    return math.hypot(center.x - q[0], center.y - q[1])
+
+
+def _circle_from_two(a: tuple[float, float], b: tuple[float, float]) -> tuple[Point2, float]:
+    c = Point2((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    return c, max(_gap(c, a), _gap(c, b))
+
+
+def _circle_from_three(
+    a: tuple[float, float], b: tuple[float, float], c: tuple[float, float]
+) -> Optional[tuple[Point2, float]]:
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    ox = (min(ax, bx, cx) + max(ax, bx, cx)) / 2.0
+    oy = (min(ay, by, cy) + max(ay, by, cy)) / 2.0
+    ax, ay = ax - ox, ay - oy
+    bx, by = bx - ox, by - oy
+    cx, cy = cx - ox, cy - oy
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if d == 0.0:
+        return None
+    x = ox + (
+        (ax * ax + ay * ay) * (by - cy)
+        + (bx * bx + by * by) * (cy - ay)
+        + (cx * cx + cy * cy) * (ay - by)
+    ) / d
+    y = oy + (
+        (ax * ax + ay * ay) * (cx - bx)
+        + (bx * bx + by * by) * (ax - cx)
+        + (cx * cx + cy * cy) * (bx - ax)
+    ) / d
+    center = Point2(x, y)
+    return center, max(_gap(center, q) for q in (a, b, c))
+
+
+def _in_circle(center: Point2, radius: float, q: tuple[float, float]) -> bool:
+    return _gap(center, q) <= radius * _IN_CIRCLE_SLACK
+
+
+def chebyshev_center(p: Polygon) -> EnclosingCircle:
+    require_nondegenerate(p)
+    order = list(range(p.n))
+    random.Random(0).shuffle(order)
+    xs, ys = [v.x for v in p.vertices], [v.y for v in p.vertices]
+    t = unit_factor(max(max(xs), -min(xs), max(ys), -min(ys)))
+    pts = [(t * x, t * y) for x, y in zip(xs, ys)]
+
+    center: Optional[Point2] = None
+    radius = 0.0
+    support: tuple[int, ...] = ()
+    for i, pi in enumerate(order):
+        if center is not None and _in_circle(center, radius, pts[pi]):
+            continue
+        center, radius, support = Point2(*pts[pi]), 0.0, (pi,)
+        for j in range(i):
+            pj = order[j]
+            if _in_circle(center, radius, pts[pj]):
+                continue
+            center, radius = _circle_from_two(pts[pi], pts[pj])
+            support = (pi, pj)
+            for k in range(j):
+                pk = order[k]
+                if _in_circle(center, radius, pts[pk]):
+                    continue
+                cand = _circle_from_three(pts[pi], pts[pj], pts[pk])
+                if cand is None:
+                    continue
+                center, radius = cand
+                support = (pi, pj, pk)
+    assert center is not None
+    return EnclosingCircle(
+        Point2(center.x / t, center.y / t), radius / t, tuple(sorted(support))
     )
 
 

@@ -75,8 +75,8 @@ def test_perimeter_coords_and_point_on_tri345():
 def test_perimeter_point_is_medial_incenter_on_tri345():
     # independent oracle: incenter of the midpoint triangle
     m = [
-        TRI345.vertex(i + 1).scaled(0.5) + TRI345.vertex(i + 2).scaled(0.5)
-        for i in range(3)
+        Point2(0.5 * a.x + 0.5 * b.x, 0.5 * a.y + 0.5 * b.y)
+        for a, b in ((TRI345.vertex(i + 1), TRI345.vertex(i + 2)) for i in range(3))
     ]
     sides = [m[(i + 1) % 3].distance_to(m[(i + 2) % 3]) for i in range(3)]
     total = sum(sides)

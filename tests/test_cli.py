@@ -761,6 +761,16 @@ def test_integer_too_long_to_read_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # json.load recurses once per array level and raises RecursionError
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+    rc, out, err = invoke(capsys, ["center", str(doc), "--name", "centroid"])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"polycenter: DocumentError: {doc} is not valid JSON:")
+    assert len(err.splitlines()) == 1
+
+
 def test_plot_of_an_overflowing_extent_exits_3_without_writing(tmp_path, capsys):
     doc = write_doc(
         tmp_path, "far.json", {"vertices": [[-1e308, -1e308], [1e308, -1e308], [0, 1e308]]}

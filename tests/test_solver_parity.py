@@ -1,12 +1,14 @@
 """The solver and characterization kernels against their references.
 
 The probes are whole maps, `reconstruct` reads the losing mirror side only
-until it is decided, `geometric_median` iterates on floats and
+until it is decided, `geometric_median` iterates on floats,
+`chebyshev_center` keeps its candidate centers as float pairs and
 `random_polygon` tests separation in x order. `reference_solvers` keeps
 each as it was: per-shift probes on shifted copies, both sides measured in
-full, a `Point2` iterate, and the distance-matrix rule. Results are
-compared by `repr`, errors by class and message, and `NoConvergence` by
-its best iterate too.
+full, a `Point2` iterate, `Point2` candidate centers, and the
+distance-matrix rule. Results are compared by `repr` (circles by
+`float.hex`), errors by class and message, and `NoConvergence` by its best
+iterate too.
 """
 
 import math
@@ -23,7 +25,7 @@ from polycenter.characterization import (
 from polycenter.errors import DegenerateVertex, NoConvergence
 from polycenter.framework import cyclic_values
 from polycenter.geometry import DistanceMatrix, Point2, Polygon, distance_matrix
-from polycenter.optim import geometric_median
+from polycenter.optim import chebyshev_center, geometric_median
 from polycenter.reconstruction import _miss, reconstruct, validate
 from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
 
@@ -86,13 +88,14 @@ def _scaled(p, k):
 
 
 @st.composite
-def polygons(draw, max_n=128, kinds=tuple(KINDS)):
+def polygons(draw, max_n=128, kinds=tuple(KINDS),
+             exponents=st.sampled_from([0, 0, 1, -1, 30, -30, 300, -300, 1000, -1000])):
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(3, max_n))
     p = KINDS[kind](random.Random(draw(st.integers(0, 2**32))), n)
     if kind == "overflowing":
         return p
-    return _scaled(p, draw(st.sampled_from([0, 0, 1, -1, 30, -30, 300, -300, 1000, -1000])))
+    return _scaled(p, draw(exponents))
 
 
 # ------------------------------------------------------------------- probes
@@ -223,6 +226,59 @@ def test_median_vertex_steps_and_captures_match():
     for p in (stepping, captured):
         for max_iter in (1, 2, 10000):
             _same_median(p, max_iter=max_iter)
+
+
+# ----------------------------------------------------------- enclosing circle
+
+
+def circle_outcome(call):
+    try:
+        c = call()
+    except Exception as exc:  # every error class is part of the outcome
+        return (type(exc), str(exc))
+    return (c.center.x.hex(), c.center.y.hex(), c.radius.hex(), c.support)
+
+
+def _same_circle(p):
+    want = circle_outcome(lambda: ref.chebyshev_center(p))
+    assert circle_outcome(lambda: chebyshev_center(p)) == want
+    return want
+
+
+def _collinear_clusters(rng, n):
+    # a few tight clusters strung along one line, each point off it by at
+    # most 1e-13; some points repeat exactly
+    slope, centers = rng.uniform(-1, 1), [rng.uniform(-2, 2) for _ in range(rng.randrange(1, 4))]
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.05:
+            pts.append(rng.choice(pts))
+            continue
+        x = rng.choice(centers) + rng.uniform(-1e-9, 1e-9)
+        pts.append((x, slope * x + rng.choice([0.0, rng.uniform(-1e-13, 1e-13)])))
+    return Polygon.from_pairs(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygons(max_n=64, exponents=st.integers(-1000, 1000)))
+def test_chebyshev_matches_the_point2_construction(p):
+    _same_circle(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32), st.integers(-1000, 1000))
+def test_chebyshev_matches_on_near_collinear_clusters(n, seed, k):
+    _same_circle(_scaled(_collinear_clusters(random.Random(seed), n), k))
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 600, -600, 1000, -1000])
+def test_chebyshev_matches_on_cocircular_vertices(k):
+    square = Polygon.from_pairs([(0, 0), (1, 0), (1, 1), (0, 1)])
+    outcomes = [_same_circle(_scaled(square, k))]
+    for n in range(3, 33):
+        for phase in (0.0, 0.3):
+            outcomes.append(_same_circle(_scaled(regular_polygon(n, phase=phase), k)))
+    assert all(isinstance(o[0], str) for o in outcomes)  # every one is a circle
 
 
 # --------------------------------------------------------------- separation
