@@ -24,6 +24,7 @@ tree deeper than MAX_DEPTH levels is a syntax error.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,6 +122,8 @@ class ParsedCenter:
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # n -> the tree compiled to read chord lists, and the offsets it reads
     _chord_programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # n -> the tree's static facts at n (`static_facts`)
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -387,6 +390,7 @@ def to_source(e: Expr) -> str:
 # A compiled expression reads entry (i, j) of a matrix as rows[i][j + k],
 # from the (rows, k) pair of `DistanceMatrix.rows_and_offset` or `_chord_map`.
 _Program = Callable[[Sequence[Sequence[float]], int], float]
+_Trace = threading.local  # .values: the list a traced program appends to, one per thread
 
 
 def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program:
@@ -396,6 +400,25 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program
     Operands run left to right and give the values and errors a walk of the
     tree gives; a pair that collides at n, or a node that is not an
     expression, becomes a closure that raises when it runs."""
+    return _program(node, n, offsets, None)
+
+
+def _program(node: Expr, n: int, offsets: Optional[set[int]], trace: Optional[_Trace]) -> _Program:
+    """`_compile`, also appending values to `trace.values` (a 0 from * or / may underflow: nan)."""
+    program = _closure(node, n, offsets, trace)
+    if trace is None:
+        return program
+    suspect = isinstance(node, Binary) and node.op in ("*", "/")
+
+    def traced(rows, k):
+        value = program(rows, k)
+        trace.values.append(value if value or not suspect else math.nan)
+        return value
+
+    return traced
+
+
+def _closure(node: Expr, n: int, offsets: Optional[set[int]], trace: Optional[_Trace]) -> _Program:
     if isinstance(node, Const):
         value = node.value
         return lambda rows, k: value
@@ -414,7 +437,7 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program
             offsets.add(i)
         return lambda rows, k: rows[i][j + k]
     if isinstance(node, Unary):
-        arg = _compile(node.arg, n, offsets)
+        arg = _program(node.arg, n, offsets, trace)
         if node.op == "neg":
             return lambda rows, k: -arg(rows, k)
         if node.op == "abs":
@@ -428,8 +451,8 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program
 
         return sqrt
     if isinstance(node, Binary):
-        left = _compile(node.left, n, offsets)
-        right = _compile(node.right, n, offsets)
+        left = _program(node.left, n, offsets, trace)
+        right = _program(node.right, n, offsets, trace)
         if node.op == "+":
             return lambda rows, k: left(rows, k) + right(rows, k)
         if node.op == "-":
@@ -467,9 +490,13 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program
             if offsets is not None:
                 offsets.add(1)
                 return lambda rows, k: sum(rows[1][k:k + n])
+            if trace is not None:  # each side is an intermediate value too
+                sides = [_program(Dist(Index("literal", i), Index("literal", i % n + 1)), n,
+                                  None, trace) for i in range(1, n + 1)]
+                return lambda rows, k: sum([side(rows, k) for side in sides])
             return lambda rows, k: sum(map(getitem, map(rows.__getitem__, range(n)),
                                            chain(range(k + 1, k + n), (k,))))
-        args = [_compile(a, n, offsets) for a in node.args]
+        args = [_program(a, n, offsets, trace) for a in node.args]
         pick = min if node.op == "min" else max
         return lambda rows, k: pick([f(rows, k) for f in args])
     return _raiser(TypeError, f"not an expression node: {node!r}")
@@ -516,6 +543,51 @@ def _chord_map(pc: ParsedCenter, p: Polygon) -> list[float]:
     return [_finite(program(table, k)) for k in range(p.n)]
 
 
+def _walk(e: Expr, n: int) -> tuple[Optional[tuple[int, int, int]], tuple, tuple]:
+    """e's degree with its nodes' least and greatest (or None); e at n-gons as keys, as given
+    and after the reversal fixing vertex 1 (d(i,j) is d(j,i), + and * operands sorted)."""
+    if isinstance(e, Const):
+        return (0, 0, 0), ("c", repr(e.value)), ("c", repr(e.value))  # -0.0 is not 0.0
+    if isinstance(e, Dist):
+        ends = [e.i.resolve(n), e.j.resolve(n)]
+        return (1, 1, 1), ("d", *sorted(ends)), ("d", *sorted([-i % n for i in ends]))
+    # perim reverses its sum's order; a non-expression node raises when evaluated
+    if getattr(e, "op", "perim") == "perim":
+        return (1, 1, 1), ("perim",), ("perim reversed",)
+    children = (e.arg,) if isinstance(e, Unary) else (
+        (e.left, e.right) if isinstance(e, Binary) else e.args)
+    spans, keys, flipped = zip(*[_walk(c, n) for c in children])
+    if e.op in ("+", "*"):  # exactly commutative in IEEE arithmetic; nothing is reassociated
+        keys, flipped = sorted(keys), sorted(flipped)
+    ks = [span[0] for span in spans if span]
+    if e.op == "^" or len(ks) < len(spans) or (e.op == "sqrt" and ks[0] % 2):
+        k = None
+    elif e.op in ("*", "/", "sqrt"):
+        k = ks[0] + ks[1] if e.op == "*" else ks[0] - ks[1] if e.op == "/" else ks[0] // 2
+    else:
+        k = ks[0] if len(set(ks)) == 1 else None
+    span = k if k is None else (k, min(k, *[s[1] for s in spans]), max(k, *[s[2] for s in spans]))
+    return span, (e.op, *keys), (e.op, *flipped)
+
+
+def static_facts(pc: ParsedCenter, n: int) -> tuple:
+    """(symmetric, degrees, sample) of pc on n-gons, once per n (`_walk`): `sample(D)` is
+    `evaluate(pc, D)`, the least nonzero and the sum of the intermediate magnitudes."""
+    if n not in pc._facts:
+        span, key, flipped = _walk(pc.expr, n)
+        trace = _Trace()
+        program = _program(pc.expr, n, None, trace if span else None)
+
+        def sample(D: DistanceMatrix) -> tuple[float, float, float]:
+            trace.values = values = []
+            value = _finite(program(*D.rows_and_offset()))
+            magnitudes = [abs(v) for v in values if v] or [1.0]  # zeros stay zero at any scale
+            return value, min(magnitudes), sum(magnitudes)
+
+        pc._facts[n] = (key == flipped, span, sample)
+    return pc._facts[n]
+
+
 # ----------------------------------------------------------------- admission
 
 
@@ -523,7 +595,8 @@ def center_function(pc: ParsedCenter) -> LengthCenterFunction:
     """The length center function that evaluates pc, and maps a polygon from
     its chords (`_chord_map`); checks no axiom."""
     return LengthCenterFunction(pc.source, lambda D: evaluate(pc, D),
-                                all_shifts=lambda p: _chord_map(pc, p))
+                                all_shifts=lambda p: _chord_map(pc, p),
+                                static_facts=lambda n: static_facts(pc, n))
 
 
 def admit(
@@ -531,7 +604,8 @@ def admit(
 ) -> LengthCenterFunction:
     """Accept pc as a center function on n-gons, or raise AxiomViolation.
 
-    Runs the trials of `verify_axioms` on random n-gons and raises at the
+    Runs the trials of `verify_axioms` on random n-gons, which evaluate
+    only what pc's tree does not imply (`static_facts`), and raises at the
     first failing trial, naming the property and carrying a witness. On
     top of them, the slopes of all trials must agree with one
     natural-number homogeneity degree.

@@ -34,6 +34,14 @@ A length function's map on a polygon reads the distances measured from it:
 which is measured in its absence. The extent is checked first, once, and the
 guard then decides on the polygon (`perimeter` asks `is_convex(p)`). A matrix
 always maps through its rotations and the evaluator.
+
+An axiom trial evaluates a function on a sample, its reversal, a moved copy
+and three rescalings. A guard-free expression's `static_facts` imply some of
+these values with the bits evaluation gives. IEEE + and * commute exactly,
+so a reversal that leaves the tree's sorted form as it is keeps the value.
+At scale 2^s a tree of degree k gains 2^(k*s) while every intermediate of
+degree j, times 2^(j*s) and at scale 1, is zero or in [2^-1021, 2^1023],
+where IEEE arithmetic commutes with power-of-two scaling (Goldberg 1991).
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ from .geometry import (
     apply_motion,
     distance_matrix,
     moved_coordinates,
-    relabel,
     unit_factor,
     vertex_coordinates,
 )
@@ -70,6 +77,7 @@ CHECK_TOL = 1e-9
 SLOPE_TOL = 1e-6
 _SCALES = (0.5, 1.0, 2.0, 4.0)
 _RESCALES = (0.5, 2.0, 4.0)  # the copies a trial rescales; by 1 it is the sample
+_RESCALE_EXPONENTS = tuple(int(math.log2(t)) for t in _RESCALES)
 _CENTRED_LOGS = tuple(math.log(t) - sum(map(math.log, _SCALES)) / len(_SCALES) for t in _SCALES)
 _SXX = sum(dx ** 2 for dx in _CENTRED_LOGS)
 
@@ -97,7 +105,9 @@ class _CenterFunction(Generic[_Input]):
     input; coordinate maps check it once per map. `all_shifts`, when given,
     reads a polygon the guard accepts and returns the evaluator's n values
     on its map at once, bit for bit; a length guard then also reads a
-    polygon in place of its distances (module docstring).
+    polygon in place of its distances (module docstring). `static_facts(n)`
+    gives an expression's facts on n-gons (`dsl.static_facts`), whose sample
+    agrees with the evaluator in the same way.
     """
 
     name: str
@@ -105,6 +115,7 @@ class _CenterFunction(Generic[_Input]):
     domain_guard: Optional[Callable[[_Input], bool]] = None
     domain_note: str = ""
     all_shifts: Optional[Callable[[Polygon], Sequence[float]]] = None
+    static_facts: Optional[Callable[[int], tuple]] = None
     reads: ClassVar[str]
 
     def evaluate(self, x: _Input) -> float:
@@ -320,15 +331,16 @@ class AxiomTrial:
         fit deviation. None when the function vanishes at some scale
         (0 = t**k * 0 holds for every k); (nan, inf) when its sign changes.
         """
-        if any(v == 0.0 for v in self.scaled):
+        if 0.0 in self.scaled:
             return None
         if len({v > 0.0 for v in self.scaled}) != 1:
             return math.nan, math.inf
-        ys = [math.log(abs(v)) for v in self.scaled]
-        my = sum(ys) / len(ys)
-        slope = sum(dx * (y - my) for dx, y in zip(_CENTRED_LOGS, ys)) / _SXX
-        dev = max(abs(y - (my + slope * dx)) for dx, y in zip(_CENTRED_LOGS, ys))
-        return slope, dev
+        ya, yb, yc, yd = ys = list(map(math.log, map(abs, self.scaled)))
+        my = sum(ys) / 4
+        xa, xb, xc, xd = _CENTRED_LOGS
+        slope = sum([xa * (ya - my), xb * (yb - my), xc * (yc - my), xd * (yd - my)]) / _SXX
+        return slope, max(abs(ya - (my + slope * xa)), abs(yb - (my + slope * xb)),
+                          abs(yc - (my + slope * xc)), abs(yd - (my + slope * xd)))
 
 
 def axiom_trials(
@@ -339,32 +351,35 @@ def axiom_trials(
 ) -> Iterator[AxiomTrial]:
     """The trials behind `verify_axioms` and `dsl.admit`, one at a time, so
     a caller that stops at a failing trial evaluates nothing further.
+    Raises ValueError for fewer than one trial, which would report every
+    axiom as holding.
 
-    A trial makes 6 evaluations: the sample, its reversal, a moved copy and
-    the rescalings by 1/2, 2 and 4; the one by 1 is the sample, as a center
-    function gives equal values on equal inputs. Raises ValueError for fewer
-    than one trial, which would report every axiom as holding.
+    A trial reads fg on the sample, its reversal, a moved copy and the
+    rescalings by 1/2, 2 and 4 (by 1 it is the sample, as a center function
+    gives equal values on equal inputs): 6 evaluations, or as few as 2 when
+    a guard-free length function's `static_facts` imply the others.
 
-    A length function reads views (`geometry.MeasuredRows`), not
-    matrices: the sample, its reversal and each rescaling are views over
-    the sample's coordinates (the reversal's permuted by sigma, a
-    rescaling's times its t), and the moved copy is a view over the moved
-    coordinates. An evaluation measures only the distances it reads, each
-    time it reads them. Each coordinate set's extent is checked once: the
-    reversal and the rescalings take the sample's checked diagonal. The
-    checks fail in the order of built matrices: a moved coordinate that
-    overflows (`apply_motion`'s NonFinite), the sample's extent, the moved
-    copy's, then a rescaling (ValueError).
+    A length function reads views (`geometry.MeasuredRows`) over the
+    sample's coordinates (the reversal's permuted by sigma, a rescaling's
+    times its t) or the moved ones, which measure a distance when it is
+    read. The checks fail in the order of built matrices: a moved
+    coordinate that overflows (`apply_motion`'s NonFinite), the sample's
+    extent, the moved copy's, then a rescaling (ValueError), whose check
+    reads the sample's extent. An implied value's view is built all the
+    same, except a symmetric tree's reversal, which cannot fail its check.
     """
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
     rng = random.Random(seed)
+    perms: dict[int, tuple[int, ...]] = {}  # n -> sigma's permutation
     for _ in range(trials):
         p = sampler(rng)
         motion = random_rigid_motion(rng)
-        sigma = DihedralElement.sigma(p.n)
+        perm = perms.get(p.n) or perms.setdefault(p.n, DihedralElement.sigma(p.n).permutation())
+        facts = fg.static_facts and not fg.domain_guard and fg.static_facts(p.n)
+        symmetric, degrees, traced = facts or (False, None, None)
         if isinstance(fg, VertexCenterFunction):
-            inputs = [p, relabel(sigma, p), apply_motion(motion, p)]
+            inputs = [p, Polygon(tuple([p.vertices[k] for k in perm])), apply_motion(motion, p)]
             inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _RESCALES]
         else:
             xs, ys = p.xs, p.ys
@@ -372,12 +387,22 @@ def axiom_trials(
             if not all(map(math.isfinite, mxs + mys)):
                 apply_motion(motion, p)  # raises the moved copy's NonFinite
             sample, moved = MeasuredRows(xs, ys), MeasuredRows(mxs, mys)
-            perm, diagonal = sigma.permutation(), sample.diagonal
-            views = [sample, MeasuredRows([xs[k] for k in perm], [ys[k] for k in perm], 1.0,
-                                          diagonal), moved]
-            views += [MeasuredRows(xs, ys, t, diagonal) for t in _RESCALES]
-            inputs = list(map(DistanceMatrix._derived, views))
-        base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
+            views = [sample, None if symmetric else MeasuredRows(
+                [xs[k] for k in perm], [ys[k] for k in perm], 1.0, sample.diagonal), moved]
+            views += [MeasuredRows(xs, ys, t, sample.diagonal) for t in _RESCALES]
+            inputs = [v if v is None else DistanceMatrix._derived(v) for v in views]
+        if traced is None:
+            base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
+        else:
+            base, lo, hi = traced(inputs[0])
+            rev = base if symmetric else fg.evaluate(inputs[1])
+            mv = fg.evaluate(inputs[2])
+            shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
+            exact = degrees and math.isfinite(hi) and (
+                math.frexp(hi)[1] + max(shifts) <= 1023 and math.frexp(lo)[1] + min(shifts) > -1021)
+            half, double, quadruple = (
+                [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
+                else map(fg.evaluate, inputs[3:]))
         yield AxiomTrial(inputs[0], base, rev, mv, (half, base, double, quadruple))
 
 
