@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DocumentError
-from .geometry import DistanceMatrix, Point2, Polygon
+from .geometry import DistanceMatrix, Polygon
 from .reconstruction import reconstruct
 
 
@@ -70,17 +70,13 @@ def document_from_data(data: object) -> PolygonDocument:
         raw = data["vertices"]
         if not isinstance(raw, list) or len(raw) < 3:
             raise DocumentError("$.vertices: expected an array of at least 3 pairs", "$")
-        points = []
+        xs, ys = [], []
         for k, pair in enumerate(raw):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise DocumentError(f"$.vertices[{k}]: expected [x, y]", "$")
-            points.append(
-                Point2(
-                    _number(pair[0], f"$.vertices[{k}][0]"),
-                    _number(pair[1], f"$.vertices[{k}][1]"),
-                )
-            )
-        return PolygonDocument(name, Polygon(tuple(points)), None)
+            xs.append(_number(pair[0], f"$.vertices[{k}][0]"))
+            ys.append(_number(pair[1], f"$.vertices[{k}][1]"))
+        return PolygonDocument(name, Polygon._of(tuple(xs), tuple(ys)), None)
 
     raw = data["distances"]
     if not isinstance(raw, list) or len(raw) < 3:
@@ -124,7 +120,7 @@ def document_to_data(doc: PolygonDocument) -> dict:
     if doc.name:
         data["name"] = doc.name
     if doc.vertices is not None:
-        data["vertices"] = [[v.x, v.y] for v in doc.vertices.vertices]
+        data["vertices"] = [[x, y] for x, y in zip(doc.vertices.xs, doc.vertices.ys)]
     else:
         assert doc.distances is not None
         data["distances"] = [list(row) for row in doc.distances.d]

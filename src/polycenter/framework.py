@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import AllZero, DomainViolation, EvalError, ZeroSum
@@ -61,7 +61,6 @@ from .geometry import (
     Polygon,
     apply_motion,
     distance_matrix,
-    moved_coordinates,
     unit_factor,
     vertex_coordinates,
 )
@@ -371,24 +370,24 @@ def axiom_trials(
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
     rng = random.Random(seed)
-    perms: dict[int, tuple[int, ...]] = {}  # n -> sigma's permutation
+    picks: dict[int, itemgetter] = {}  # n -> the reversal by sigma of n items
     for _ in range(trials):
         p = sampler(rng)
         motion = random_rigid_motion(rng)
-        perm = perms.get(p.n) or perms.setdefault(p.n, DihedralElement.sigma(p.n).permutation())
+        pick = picks.get(p.n) or picks.setdefault(
+            p.n, itemgetter(*DihedralElement.sigma(p.n).permutation()))
         facts = fg.static_facts and not fg.domain_guard and fg.static_facts(p.n)
         symmetric, degrees, traced = facts or (False, None, None)
+        moved = apply_motion(motion, p)
         if isinstance(fg, VertexCenterFunction):
-            inputs = [p, Polygon(tuple([p.vertices[k] for k in perm])), apply_motion(motion, p)]
-            inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _RESCALES]
+            inputs = [p, Polygon._of(pick(p.xs), pick(p.ys)), moved]
+            inputs += [Polygon._checked([t * x for x in p.xs], [t * y for y in p.ys])
+                       for t in _RESCALES]
         else:
             xs, ys = p.xs, p.ys
-            mxs, mys = moved_coordinates(motion, xs, ys)
-            if not all(map(math.isfinite, mxs + mys)):
-                apply_motion(motion, p)  # raises the moved copy's NonFinite
-            sample, moved = MeasuredRows(xs, ys), MeasuredRows(mxs, mys)
+            sample, moved = MeasuredRows(xs, ys), MeasuredRows(moved.xs, moved.ys)
             views = [sample, None if symmetric else MeasuredRows(
-                [xs[k] for k in perm], [ys[k] for k in perm], 1.0, sample.diagonal), moved]
+                pick(xs), pick(ys), 1.0, sample.diagonal), moved]
             views += [MeasuredRows(xs, ys, t, sample.diagonal) for t in _RESCALES]
             inputs = [v if v is None else DistanceMatrix._derived(v) for v in views]
         if traced is None:

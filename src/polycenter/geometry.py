@@ -3,9 +3,10 @@
 Conventions used throughout the package:
 
 * vertices are numbered 1..n in prose and command-line output, 0..n-1 in code;
-* a `Polygon`'s `xs` and `ys` are its vertex coordinates as tuples, derived
-  once from the checked vertices; kernels compute on them, and a `Point2`
-  is built only for a point that leaves the library;
+* a `Polygon` is its vertex coordinates `xs` and `ys`, tuples of finite
+  floats, checked where they enter (`Polygon._checked`); kernels compute on
+  them, and a `Point2` is built only for a point that leaves the library,
+  such as the `Polygon.vertices` built on first read;
 * the cyclic successor map is rho(i) = i+1 (mod n), the reversal fixing
   vertex 1 is sigma(i) = 2+n-i (mod n), both with representatives in 1..n;
 * signed area is positive for counterclockwise vertex order;
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from itertools import repeat
 from operator import itemgetter, sub
@@ -61,31 +62,80 @@ class Point2:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
 class Polygon:
     """An ordered tuple of at least three vertices, indices taken cyclically.
 
-    `xs` and `ys` are the vertex coordinates, derived once here; they take
-    no part in ==, hash or repr, and `dataclasses.replace` derives them again.
+    Its data are `xs` and `ys`, the vertex coordinates: tuples of finite
+    floats, read from the checked `Point2`s given to `Polygon(vertices)` or,
+    on every other path, checked where they enter (`_checked`). `vertices`
+    are built on first read and kept. ==, hash and repr are those of the
+    vertex tuple; an attribute cannot be set (FrozenInstanceError).
     """
 
-    vertices: tuple[Point2, ...]
-    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("xs", "ys", "_vertices")
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
+    def __new__(cls, vertices: Sequence[Point2]) -> "Polygon":
+        vertices = tuple(vertices)
+        if len(vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        object.__setattr__(self, "xs", tuple([v.x for v in self.vertices]))
-        object.__setattr__(self, "ys", tuple([v.y for v in self.vertices]))
+        return cls._of(tuple([v.x for v in vertices]), tuple([v.y for v in vertices]), vertices)
+
+    @classmethod
+    def _of(cls, xs: tuple[float, ...], ys: tuple[float, ...],
+            vertices: tuple[Point2, ...] | None = None) -> "Polygon":
+        """The polygon with coordinates xs and ys, tuples of at least three
+        finite floats that the caller has checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "xs", xs)
+        object.__setattr__(p, "ys", ys)
+        object.__setattr__(p, "_vertices", vertices)
+        return p
+
+    @classmethod
+    def _checked(cls, xs: Sequence[float], ys: Sequence[float]) -> "Polygon":
+        """`_of` once every coordinate is finite (else NonFinite names the
+        first, x before y, as `Point2` does) and there are at least three."""
+        if not math.isfinite(sum(xs) + sum(ys)):  # or a sum of finite ones overflows
+            for x, y in zip(xs, ys):
+                _require_finite(x, "x")
+                _require_finite(y, "y")
+        if len(xs) < 3:
+            raise ValueError("a polygon needs at least 3 vertices")
+        return cls._of(tuple(xs), tuple(ys))
 
     @staticmethod
     def from_pairs(pairs) -> "Polygon":
-        return Polygon(tuple(Point2(float(x), float(y)) for x, y in pairs))
+        pts = [(float(x), float(y)) for x, y in pairs]
+        return Polygon._checked([x for x, _ in pts], [y for _, y in pts])
+
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        if self._vertices is None:
+            object.__setattr__(self, "_vertices", tuple(map(Point2, self.xs, self.ys)))
+        return self._vertices
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.xs == other.xs and self.ys == other.ys
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((tuple(zip(self.xs, self.ys)),))  # that of (vertices,)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        return self.__class__._of, (self.xs, self.ys)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
     def vertex(self, i: int) -> Point2:
         """Vertex by cyclic 0-based index."""
@@ -94,7 +144,8 @@ class Polygon:
     def shifted(self, k: int) -> "Polygon":
         """The same vertex cycle read starting from vertex k (0-based)."""
         k %= self.n
-        return Polygon(self.vertices[k:] + self.vertices[:k])
+        xs, ys = self.xs, self.ys
+        return Polygon._of(xs[k:] + xs[:k], ys[k:] + ys[:k])
 
     def perimeter(self) -> float:
         return sum(chords(self, 1))
@@ -157,7 +208,8 @@ def relabel(alpha: DihedralElement, p: Polygon) -> Polygon:
     """Reindex vertices: vertex i of the result is vertex alpha(i) of the input."""
     if alpha.n != p.n:
         raise ValueError(f"relabeling acts on {alpha.n} indices, polygon has {p.n}")
-    return Polygon(tuple(p.vertices[alpha.apply(i)] for i in range(p.n)))
+    pick = itemgetter(*alpha.permutation())
+    return Polygon._of(pick(p.xs), pick(p.ys))
 
 
 # ------------------------------------------------------------------ motions
@@ -198,17 +250,18 @@ class Similarity:
 
 
 def apply_motion(m: RigidMotion | Similarity, p: Polygon) -> Polygon:
-    """m applied to every vertex, as `m.apply` applies it."""
+    """m applied to every vertex, as `m.apply` applies it; NonFinite names
+    the first coordinate that overflows, scaled before moved."""
     if isinstance(m, Similarity):
-        return apply_motion(m.motion, Polygon(tuple(v.scaled(m.scale) for v in p.vertices)))
-    xs, ys = moved_coordinates(m, p.xs, p.ys)
-    return Polygon(tuple(map(Point2, xs, ys)))
+        t, m = m.scale, m.motion
+        p = Polygon._checked([t * x for x in p.xs], [t * y for y in p.ys])
+    return Polygon._checked(*moved_coordinates(m, p.xs, p.ys))
 
 
 def moved_coordinates(m: RigidMotion, xs: Sequence[float],
                       ys: Sequence[float]) -> tuple[list[float], list[float]]:
     """The points (xs[i], ys[i]) moved by m, unchecked: a coordinate that
-    overflows is infinite here, where `Point2` raises NonFinite."""
+    overflows is infinite here, where `Polygon._checked` raises NonFinite."""
     c, s = math.cos(m.angle), math.sin(m.angle)
     tx, ty = m.translation.x, m.translation.y
     return ([c * x - s * y + tx for x, y in zip(xs, ys)],
@@ -308,8 +361,8 @@ class MeasuredRows(_Rows):
 
 
 class _MeasuredRow(_Rows):
-    """Row i of a `MeasuredRows` view: an entry read by an int is measured
-    then, and any other read measures the whole row."""
+    """Row i of a `MeasuredRows` view: an entry read by an int, or a slice,
+    is measured then, and any other read measures the whole row."""
 
     __slots__ = ("_rows", "_x", "_y")
 
@@ -324,12 +377,14 @@ class _MeasuredRow(_Rows):
         if j.__class__ is int:
             rows = self._rows
             return rows._t * math.hypot(self._x - rows._xs[j], self._y - rows._ys[j])
+        if j.__class__ is slice:
+            return self._whole(j)
         return self._whole()[j]
 
-    def _whole(self) -> tuple[float, ...]:
+    def _whole(self, cut: slice = slice(None)) -> tuple[float, ...]:
         rows, x, y = self._rows, self._x, self._y
-        t = rows._t
-        return tuple([t * math.hypot(x - u, y - v) for u, v in zip(rows._xs, rows._ys)])
+        t, xs, ys = rows._t, rows._xs[cut], rows._ys[cut]
+        return tuple([t * math.hypot(x - u, y - v) for u, v in zip(xs, ys)])
 
 
 @dataclass(frozen=True)
@@ -409,7 +464,11 @@ class DistanceMatrix:
         return self._derived(tuple(map(pick, pick(self.d))))
 
     def max_entry(self) -> float:
-        return max(map(max, self.d))
+        """The largest entry, read once per pair (the upper triangle); d[0][0],
+        as a scan of every row returns, when all are zeros of either sign."""
+        d = self.d
+        top = max([max(d[i][i + 1:]) for i in range(len(d) - 1)])
+        return top if top > 0.0 else d[0][0]
 
     def scaled(self, t: float) -> "DistanceMatrix":
         """Every entry times t, not revalidated; ValueError when t is negative

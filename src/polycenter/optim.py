@@ -95,7 +95,7 @@ def geometric_median(
             if pull_norm <= 1.0:
                 # the vertex itself is the minimizer
                 return MedianResult(
-                    p.vertices[near], it, max(pull_norm - 1.0, 0.0), near
+                    Point2(xs[near], ys[near]), it, max(pull_norm - 1.0, 0.0), near
                 )
             step = (pull_norm - 1.0) / recip
             cx = xs[near] + step * pull_x / pull_norm

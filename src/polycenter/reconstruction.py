@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import InfeasibleDistances
 from .geometry import (
     DistanceMatrix,
-    Point2,
     Polygon,
     cayley_menger_quad,
     is_convex,
@@ -103,7 +102,7 @@ def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
         raise InfeasibleDistances(f"best planar placement misses the inputs by {worst / t:.3e}")
     if shoelace(xs, ys) > 0.0:
         ys = [-y for y in ys]
-    poly = Polygon(tuple(Point2(x / t, y / t) for x, y in zip(xs, ys)))
+    poly = Polygon._checked([x / t for x in xs], [y / t for y in ys])
     return ReconstructionResult(poly, worst / t)
 
 

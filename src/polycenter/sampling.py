@@ -35,15 +35,9 @@ def regular_polygon(
     """
     if math.gcd(n, winding) != 1:
         raise ValueError(f"winding {winding} shares a factor with {n}")
-    return Polygon(
-        tuple(
-            Point2(
-                center.x + radius * math.cos(phase + _TWO_PI * winding * j / n),
-                center.y + radius * math.sin(phase + _TWO_PI * winding * j / n),
-            )
-            for j in range(n)
-        )
-    )
+    angles = [phase + _TWO_PI * winding * j / n for j in range(n)]
+    return Polygon._checked([center.x + radius * math.cos(a) for a in angles],
+                            [center.y + radius * math.sin(a) for a in angles])
 
 
 def _separated(pts: list[tuple[float, float]], min_separation: float) -> bool:
@@ -67,19 +61,20 @@ def random_polygon(rng: random.Random, n: int, min_separation: float = 5e-2) -> 
     while True:
         pts = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
         if _separated(pts, min_separation):
-            return Polygon.from_pairs(pts)
+            return Polygon._checked([x for x, _ in pts], [y for _, y in pts])
 
 
 def _walk(steps: Iterable[tuple[float, float]]) -> Polygon:
     """The polygon from the origin through the partial sums of steps; the
     last step, which returns to the start, adds no vertex."""
-    pts = []
+    xs, ys = [], []
     x = y = 0.0
     for dx, dy in steps:
-        pts.append(Point2(x, y))
+        xs.append(x)
+        ys.append(y)
         x += dx
         y += dy
-    return Polygon(tuple(pts))
+    return Polygon._checked(xs, ys)
 
 
 def random_convex_polygon(rng: random.Random, n: int) -> Polygon:

@@ -38,7 +38,8 @@ def _built():
     yield "random_equiangular_polygon", random_equiangular_polygon(rng, 6)
     yield "random_convex_nonequiangular", random_convex_nonequiangular(rng, 6)
     yield "random_equilateral_polygon", random_equilateral_polygon(rng, 5)
-    yield "replace", dataclasses.replace(BASE, vertices=BASE.vertices[1:])
+    yield "internal constructor", Polygon._of(BASE.xs[1:], BASE.ys[1:])
+    yield "apply_motion (scaling)", apply_motion(Similarity(0.5, RigidMotion(0.0)), BASE)
 
 
 @pytest.mark.parametrize("p", [pytest.param(p, id=path) for path, p in _built()])
@@ -56,7 +57,7 @@ def test_coordinates_are_the_vertex_coordinates_as_tuples(p):
 def test_coordinates_are_not_constructor_arguments():
     with pytest.raises(TypeError):
         Polygon(BASE.vertices, BASE.xs, BASE.ys)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dataclasses.replace(BASE, xs=(0.0, 1.0, 2.0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         BASE.xs = ()
