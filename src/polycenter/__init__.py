@@ -14,8 +14,6 @@ from .catalog import (
     CatalogEntry,
     lamina_centroid_direct,
     medoid,
-    perimeter_centroid,
-    triangle_circumcenter,
 )
 from .characterization import (
     CharacterizationReport,
@@ -30,7 +28,6 @@ from .dsl import ParsedCenter, admit, evaluate, parse, to_source
 from .errors import (
     AllZero,
     AxiomViolation,
-    Collinear,
     CoordinateMapError,
     DegenerateVertex,
     DocumentError,
@@ -71,13 +68,11 @@ from .geometry import (
     cayley_menger_quad,
     distance_matrix,
     relabel,
-    signed_area,
 )
 from .optim import (
     EnclosingCircle,
     MedianResult,
     chebyshev_center,
-    check_minimal_center,
     geometric_median,
 )
 from .reconstruction import (
@@ -100,7 +95,6 @@ __all__ = [
     "CenterRecord",
     "CharacterizationReport",
     "CoincidenceReport",
-    "Collinear",
     "CoordinateMapError",
     "DegenerateVertex",
     "DihedralElement",
@@ -135,7 +129,6 @@ __all__ = [
     "cayley_menger_quad",
     "characterize",
     "chebyshev_center",
-    "check_minimal_center",
     "coincidence",
     "coordinate_map_length",
     "coordinate_map_vertex",
@@ -151,15 +144,12 @@ __all__ = [
     "medoid",
     "normalize",
     "parse",
-    "perimeter_centroid",
     "predicates",
     "read_document",
     "reconstruct",
     "relabel",
     "render_svg",
-    "signed_area",
     "to_source",
-    "triangle_circumcenter",
     "validate",
     "verify_axioms",
     "write_document",

@@ -1,9 +1,9 @@
-"""Built-in center functions and their direct evaluators.
+"""Built-in center functions.
 
 Stable names: ``centroid``, ``perimeter``, ``lamina``, ``medoid``,
 ``circumcenter``. Each entry pairs a center function (vertex- or
-length-based) with a domain guard; the direct evaluators compute the same
-points without going through coordinate maps and serve as cross-checks.
+length-based) with a domain guard. `lamina_centroid_direct` computes the
+`lamina` point from the vertex wedges, without a coordinate map.
 
 The vertex entries are defined once, by their whole coordinate map,
 computed from work the n shifts share: one distance matrix for `medoid`
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 from .dsl import center_function, parse
-from .errors import Collinear, DomainViolation, NonFinite, Tie, ZeroArea
+from .errors import DomainViolation, NonFinite, Tie, ZeroArea
 from .framework import LengthCenterFunction, VertexCenterFunction, entry_zero
 from .geometry import (
     DistanceMatrix,
@@ -69,30 +69,13 @@ def _ones(p: Polygon) -> tuple[float, ...]:
     return (1.0,) * p.n
 
 
-# -------------------------------------------------------- perimeter centroid
+# ----------------------------------------------------------------- perimeter
 
 
 def _convex(x: Union[Polygon, DistanceMatrix]) -> bool:
     """The `perimeter` guard: `is_convex` on a polygon, O(n), and
     `convex_distances` on a matrix."""
     return is_convex(x) if isinstance(x, Polygon) else convex_distances(x)
-
-
-def perimeter_centroid(p: Polygon) -> Point2:
-    """Center of mass of the boundary of a convex polygon.
-
-    Each vertex carries half the length of its two incident sides.
-    """
-    if not is_convex(p):
-        raise DomainViolation("perimeter centroid is defined on convex polygons")
-    sides = chords(p, 1)
-    per = sum(sides)
-    x = y = 0.0
-    for i, v in enumerate(p.vertices):
-        w = (sides[i - 1] + sides[i]) / (2.0 * per)
-        x += w * v.x
-        y += w * v.y
-    return Point2(x, y)
 
 
 # ----------------------------------------------------------- lamina centroid
@@ -191,7 +174,7 @@ def marked_vertex(marks: Sequence[float]) -> int:
     return marked[0]
 
 
-# -------------------------------------------------------- triangle circumcenter
+# -------------------------------------------------------------- circumcenter
 
 
 def _heron_product(a: float, b: float, c: float) -> float:
@@ -205,26 +188,6 @@ def _guard_circumcenter(x: Union[Polygon, DistanceMatrix]) -> bool:
         return False
     c, a, b = chords(x, 1) if isinstance(x, Polygon) else (x.d[0][1], x.d[1][2], x.d[2][0])
     return _heron_product(a, b, c) > 0.0
-
-
-def triangle_circumcenter(p: Polygon) -> Point2:
-    """Intersection of the perpendicular bisectors of a triangle.
-
-    Weights are squared side lengths times (sum of the other two squared
-    sides minus itself). Raises Collinear when the vertices are collinear.
-    """
-    if p.n != 3:
-        raise DomainViolation("circumcenter is defined for triangles only")
-    c, a, b = chords(p, 1)
-    if _heron_product(a, b, c) <= 0.0:
-        raise Collinear("triangle vertices are collinear")
-    wa = a * a * (b * b + c * c - a * a)
-    wb = b * b * (c * c + a * a - b * b)
-    wc = c * c * (a * a + b * b - c * c)
-    total = wa + wb + wc
-    x = (wa * p.vertices[0].x + wb * p.vertices[1].x + wc * p.vertices[2].x) / total
-    y = (wa * p.vertices[0].y + wb * p.vertices[1].y + wc * p.vertices[2].y) / total
-    return Point2(x, y)
 
 
 # ------------------------------------------------------------------ registry

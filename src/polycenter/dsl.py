@@ -253,7 +253,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "number":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if value == math.inf:
+                raise ExprSyntaxError("number out of float range", tok.pos)
+            return Const(value)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
             self.expect(")")

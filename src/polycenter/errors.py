@@ -46,10 +46,6 @@ class Tie(DomainViolation):
     """Two or more vertices tie for the minimum distance sum."""
 
 
-class Collinear(DomainViolation):
-    """Triangle vertices are collinear; no circumcircle exists."""
-
-
 class ZeroArea(DomainViolation):
     """Signed area vanished where a nonzero area was required."""
 

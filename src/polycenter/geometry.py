@@ -147,9 +147,6 @@ class Polygon:
         xs, ys = self.xs, self.ys
         return Polygon._of(xs[k:] + xs[:k], ys[k:] + ys[:k])
 
-    def perimeter(self) -> float:
-        return sum(chords(self, 1))
-
     def diameter(self) -> float:
         """Largest pairwise distance, the largest entry of `distance_matrix`;
         raises NonFinite when the extent overflows. No matrix is built."""
@@ -196,13 +193,6 @@ class DihedralElement:
         """The realized permutation as a tuple of 0-based images."""
         return tuple(self.apply(i) for i in range(self.n))
 
-    def compose(self, other: "DihedralElement") -> "DihedralElement":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("cannot compose elements of different groups")
-        a = self.exponent_a + (-other.exponent_a if self.flip else other.exponent_a)
-        return DihedralElement(self.n, a, self.flip ^ other.flip)
-
 
 def relabel(alpha: DihedralElement, p: Polygon) -> Polygon:
     """Reindex vertices: vertex i of the result is vertex alpha(i) of the input."""
@@ -228,10 +218,6 @@ class RigidMotion:
 
     def apply(self, v: Point2) -> Point2:
         return Point2(*[c[0] for c in moved_coordinates(self, [v.x], [v.y])])
-
-    def compose(self, other: "RigidMotion") -> "RigidMotion":
-        """self after other."""
-        return RigidMotion(self.angle + other.angle, self.apply(other.translation))
 
 
 @dataclass(frozen=True)
@@ -329,12 +315,11 @@ class MeasuredRows(_Rows):
     `distance_matrix` holds there times t, as hypot ignores sign. Row i
     read by an int is a `_MeasuredRow`; any other read (iteration, a slice,
     ==, hash, repr, and so `max_entry`) measures the whole matrix again, as
-    no view keeps one. The constructor checks what `distance_matrix` and
-    `DistanceMatrix.scaled(t)` check: the extent (NonFinite), unless its
-    checked `diagonal` is given, then a t that is negative or makes the
-    largest entry infinite (ValueError). That entry is measured
-    (`_largest_distance`) only when 2t times the diagonal, which bounds it,
-    is not finite.
+    no view keeps one. The constructor checks what `distance_matrix`
+    checks, the extent (NonFinite), unless its checked `diagonal` is given,
+    then a t that is negative or makes the largest entry infinite
+    (ValueError). That entry is measured (`_largest_distance`) only when
+    2t times the diagonal, which bounds it, is not finite.
     """
 
     __slots__ = ("_xs", "_ys", "_t", "diagonal")
@@ -357,7 +342,8 @@ class MeasuredRows(_Rows):
         return self._whole()[i]
 
     def _whole(self) -> tuple[tuple[float, ...], ...]:
-        return _scaled_rows(_pairwise_rows(self._xs, self._ys), self._t)
+        t = self._t
+        return tuple([tuple([t * v for v in row]) for row in _pairwise_rows(self._xs, self._ys)])
 
 
 class _MeasuredRow(_Rows):
@@ -425,8 +411,10 @@ class DistanceMatrix:
         return len(self.d)
 
     def rotated(self, k: int) -> "DistanceMatrix":
-        """Entry (i,j) of the result is entry (i+k, j+k) of the input."""
-        return self.permuted(tuple((i + k) % self.n for i in range(self.n)))
+        """Entry (i,j) of the result is entry (i+k, j+k) of the input; not
+        revalidated, as it reads only entries of this valid matrix."""
+        pick = itemgetter(*[(i + k) % self.n for i in range(self.n)])
+        return self._derived(tuple(map(pick, pick(self.d))))
 
     @classmethod
     def _derived(cls, d: Sequence[tuple[float, ...]]) -> "DistanceMatrix":
@@ -457,30 +445,12 @@ class DistanceMatrix:
             return d._doubled, d._cut.start
         return d, 0
 
-    def permuted(self, perm: tuple[int, ...]) -> "DistanceMatrix":
-        """Entry (i,j) of the result is entry (perm[i], perm[j]) of the input;
-        not revalidated, as it reads only entries of this valid matrix."""
-        pick = itemgetter(*perm)
-        return self._derived(tuple(map(pick, pick(self.d))))
-
     def max_entry(self) -> float:
         """The largest entry, read once per pair (the upper triangle); d[0][0],
         as a scan of every row returns, when all are zeros of either sign."""
         d = self.d
         top = max([max(d[i][i + 1:]) for i in range(len(d) - 1)])
         return top if top > 0.0 else d[0][0]
-
-    def scaled(self, t: float) -> "DistanceMatrix":
-        """Every entry times t, not revalidated; ValueError when t is negative
-        or makes the largest entry infinite."""
-        if not (t >= 0.0 and math.isfinite(t * self.max_entry())):
-            raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-        return self._derived(_scaled_rows(self.d, t))
-
-
-def _scaled_rows(rows: Sequence[tuple[float, ...]], t: float) -> tuple[tuple[float, ...], ...]:
-    """Every entry of rows times t."""
-    return tuple([tuple([t * v for v in row]) for row in rows])
 
 
 def _extent(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -583,11 +553,6 @@ def shoelace(xs: Sequence[float], ys: Sequence[float]) -> float:
     for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
         total += x0 * y1 - x1 * y0
     return total
-
-
-def signed_area(p: Polygon) -> float:
-    """Shoelace area; positive for counterclockwise vertex order."""
-    return 0.5 * shoelace(p.xs, p.ys)
 
 
 def _orient(ux: float, uy: float, vx: float, vy: float) -> int:

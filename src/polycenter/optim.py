@@ -6,9 +6,6 @@
   that vertex is the minimizer or the iteration should step off it.
 * chebyshev_center: the center of the smallest circle enclosing the
   vertices, by randomized incremental construction (exact, not iterative).
-* check_minimal_center: operational equivariance check that re-solves the
-  problem on transformed copies and measures how far the transformed
-  candidate misses the re-solved answer.
 """
 
 from __future__ import annotations
@@ -18,12 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainViolation, NoConvergence
-from .geometry import (
-    DihedralElement, Point2, Polygon, apply_motion, relabel, require_nondegenerate,
-    unit_coordinates,
-)
-from .sampling import random_similarity
+from .errors import NoConvergence
+from .geometry import Point2, Polygon, require_nondegenerate, unit_coordinates
 
 # Multiplicative slack when testing circle membership.
 _IN_CIRCLE_SLACK = 1 + 1e-14
@@ -208,36 +201,3 @@ def chebyshev_center(p: Polygon) -> EnclosingCircle:
     return EnclosingCircle(
         Point2(center[0] / t, center[1] / t), radius / t, tuple(sorted(support))
     )
-
-
-# --------------------------------------------------------- equivariance check
-
-
-def _solve(kind: str, p: Polygon) -> Point2:
-    if kind == "median":
-        return geometric_median(p, tol=1e-13, max_iter=200000).point
-    if kind == "chebyshev":
-        return chebyshev_center(p).center
-    raise DomainViolation(f"unknown minimal-center kind {kind!r}")
-
-
-def check_minimal_center(
-    kind: str,
-    p: Polygon,
-    candidate: Point2,
-    trials: int = 8,
-    seed: int = 0,
-) -> float:
-    """Max distance between re-solved centers of transformed copies and the
-    transformed candidate, over random relabelings, rigid motions, and
-    scalings. Near zero exactly when the candidate is the true center."""
-    rng = random.Random(seed)
-    score = 0.0
-    for _ in range(trials):
-        sim = random_similarity(rng)
-        alpha = DihedralElement(p.n, rng.randrange(p.n), rng.random() < 0.5)
-        moved = relabel(alpha, apply_motion(sim, p))
-        resolved = _solve(kind, moved)
-        expected = sim.apply(candidate)
-        score = max(score, resolved.distance_to(expected))
-    return score

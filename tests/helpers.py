@@ -1,18 +1,24 @@
-"""Operations that only the tests use: the dihedral identity and inverse,
-projective equality, matrix entries by cyclic index, and the polygon
-builders that went through validated `Point2`s, kept as references."""
+"""Operations that only the tests use: the dihedral identity, inverse and
+composition, the composition of rigid motions, projective equality, matrix
+entries by cyclic index and permuted matrices, the signed area, the
+equivariance check of the minimal centers, and the polygon builders that
+went through validated `Point2`s, kept as references."""
 
 from __future__ import annotations
 
 import math
 import random
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from polycenter import sampling
+from polycenter.errors import DomainViolation
 from polycenter.framework import CHECK_TOL, ProjectiveCoords
 from polycenter.geometry import (
-    DihedralElement, DistanceMatrix, Point2, Polygon, RigidMotion, Similarity, moved_coordinates,
+    DihedralElement, DistanceMatrix, Point2, Polygon, RigidMotion, Similarity, apply_motion,
+    moved_coordinates, relabel, shoelace,
 )
+from polycenter.optim import chebyshev_center, geometric_median
 
 
 def identity(n: int) -> DihedralElement:
@@ -23,6 +29,19 @@ def inverse(g: DihedralElement) -> DihedralElement:
     if g.flip:
         return g
     return DihedralElement(g.n, -g.exponent_a, False)
+
+
+def compose(g: DihedralElement, h: DihedralElement) -> DihedralElement:
+    """g after h: (g * h)(i) = g(h(i))."""
+    if g.n != h.n:
+        raise ValueError("cannot compose elements of different groups")
+    a = g.exponent_a + (-h.exponent_a if g.flip else h.exponent_a)
+    return DihedralElement(g.n, a, g.flip ^ h.flip)
+
+
+def compose_motions(m1: RigidMotion, m2: RigidMotion) -> RigidMotion:
+    """m1 after m2."""
+    return RigidMotion(m1.angle + m2.angle, m1.apply(m2.translation))
 
 
 def proportional_to(a: ProjectiveCoords, b: ProjectiveCoords, tol: float = CHECK_TOL) -> bool:
@@ -43,6 +62,51 @@ def _normalize_by_largest(values: Sequence[float]) -> tuple[float, ...]:
 def entry(D: DistanceMatrix, i: int, j: int) -> float:
     """Distance by cyclic 0-based indices."""
     return D.d[i % D.n][j % D.n]
+
+
+def permuted(D: DistanceMatrix, perm: tuple[int, ...]) -> DistanceMatrix:
+    """Entry (i,j) of the result is entry (perm[i], perm[j]) of D;
+    not revalidated, as it reads only entries of a valid matrix."""
+    pick = itemgetter(*perm)
+    return DistanceMatrix._derived(tuple(map(pick, pick(D.d))))
+
+
+def signed_area(p: Polygon) -> float:
+    """Shoelace area; positive for counterclockwise vertex order."""
+    return 0.5 * shoelace(p.xs, p.ys)
+
+
+# ------------------------------------------------ minimal-center equivariance
+
+
+def _solve(kind: str, p: Polygon) -> Point2:
+    if kind == "median":
+        return geometric_median(p, tol=1e-13, max_iter=200000).point
+    if kind == "chebyshev":
+        return chebyshev_center(p).center
+    raise DomainViolation(f"unknown minimal-center kind {kind!r}")
+
+
+def check_minimal_center(
+    kind: str,
+    p: Polygon,
+    candidate: Point2,
+    trials: int = 8,
+    seed: int = 0,
+) -> float:
+    """Max distance between re-solved centers of transformed copies and the
+    transformed candidate, over random relabelings, rigid motions, and
+    scalings. Near zero exactly when the candidate is the true center."""
+    rng = random.Random(seed)
+    score = 0.0
+    for _ in range(trials):
+        sim = sampling.random_similarity(rng)
+        alpha = DihedralElement(p.n, rng.randrange(p.n), rng.random() < 0.5)
+        moved = relabel(alpha, apply_motion(sim, p))
+        resolved = _solve(kind, moved)
+        expected = sim.apply(candidate)
+        score = max(score, resolved.distance_to(expected))
+    return score
 
 
 # ------------------------------------------------- Point2 builders (reference)

@@ -25,6 +25,8 @@ from polycenter.geometry import (
 )
 from polycenter.sampling import random_rigid_motion
 
+from helpers import permuted
+
 
 def apply_motion(m: RigidMotion, p: Polygon) -> Polygon:
     c, s = math.cos(m.angle), math.sin(m.angle)
@@ -74,7 +76,7 @@ def axiom_trials(
             inputs += [Polygon(tuple(v.scaled(t) for v in p.vertices)) for t in _SCALES]
         else:
             D = distance_matrix(p)
-            inputs = [D, D.permuted(sigma.permutation()), distance_matrix(moved)]
+            inputs = [D, permuted(D, sigma.permutation()), distance_matrix(moved)]
             inputs += [scaled(D, t) for t in _SCALES]
         base, rev, mv, *values = (fg.evaluate(y) for y in inputs)
         yield AxiomTrial(inputs[0], base, rev, mv, tuple(values))

@@ -228,7 +228,7 @@ def _error_classes(klass=PolycenterError):
 
 def test_every_error_class_has_an_exit_code():
     classes = set(_error_classes())
-    assert len(classes) >= 17
+    assert len(classes) >= 16
     for klass in classes:
         codes = [code for rule, code in _EXIT_RULES if issubclass(klass, rule)]
         assert codes and codes[0] in (2, 3, 4, 5), klass

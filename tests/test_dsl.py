@@ -1,10 +1,13 @@
+import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polycenter import cli
 from polycenter.catalog import CATALOG
 import polycenter.dsl as dsl
 from polycenter.dsl import (
@@ -264,6 +267,7 @@ def _chain(op, depth, leaf=Dist(Index("literal", 1), Index("n", 0))):
 @example(Binary("^", Const(2.0), Binary("-", Const(3.0), Const(4.0))))
 @example(Binary("*", Const(1e20), Dist(Index("literal", 1), Index("literal", 2))))
 @example(Const(0.00001))
+@example(Const(sys.float_info.max))
 @example(_chain(lambda e: Unary("neg", e), MAX_DEPTH))
 @example(_chain(lambda e: Binary("-", e, Const(1.0)), MAX_DEPTH))
 @example(_chain(lambda e: Binary("^", Const(2.0), e), MAX_DEPTH))
@@ -290,6 +294,32 @@ def test_a_parenthesized_index_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError, match="index must be an integer or n±integer") as err:
         parse("d((1),2)")
     assert err.value.position == 2
+
+
+# float() reads this literal as inf, which would print as "inf", a name that does not parse.
+_BEYOND_FLOATS = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [(_BEYOND_FLOATS, 0), ("d(1,2)*" + _BEYOND_FLOATS, 7), (f"2^-({_BEYOND_FLOATS}.5)", 4)],
+    ids=["alone", "factor", "exponent"],
+)
+def test_a_number_beyond_the_float_range_is_a_syntax_error(source, position):
+    with pytest.raises(ExprSyntaxError, match="number out of float range") as err:
+        parse(source)
+    assert err.value.position == position
+
+
+def test_a_number_beyond_the_float_range_exits_2(tmp_path, capsys):
+    doc = tmp_path / "tri.json"
+    doc.write_text(json.dumps({"vertices": [[0, 0], [3, 0], [0, 4]]}), encoding="utf-8")
+    rc = cli.main(["center", str(doc), "--expr", _BEYOND_FLOATS])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [
+        "polycenter: ExprSyntaxError: number out of float range (at position 0)"
+    ]
 
 
 # ------------------------------------------------------------- admission

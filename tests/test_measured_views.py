@@ -29,6 +29,8 @@ from polycenter.geometry import (
 )
 from polycenter.sampling import random_polygon, random_rigid_motion
 
+from helpers import permuted
+from reference_axioms import scaled
 from test_compiled_dsl import trees
 from test_distance_kernel import polygons
 
@@ -84,8 +86,8 @@ def pairs(seed, n, k, moved, which):
         if which == 0:
             return D
         if which == 1:
-            return D.permuted(reversal)
-        return D.scaled(_RESCALES[which - 2])
+            return permuted(D, reversal)
+        return scaled(D, _RESCALES[which - 2])
 
     return outcome(view), outcome(matrix)
 

@@ -12,11 +12,12 @@ from polycenter.errors import NoConvergence
 from polycenter.geometry import DihedralElement, Point2, Polygon, relabel
 from polycenter.optim import (
     MedianResult,
-    check_minimal_center,
     chebyshev_center,
     geometric_median,
 )
 from polycenter.sampling import random_convex_polygon, random_polygon
+
+from helpers import check_minimal_center
 
 TRI345 = Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
 SQUARE = Polygon.from_pairs([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -1,6 +1,6 @@
-"""`Polygon.xs` and `Polygon.ys`: the vertex coordinates as tuples, derived
-once when a polygon is built, on every path that builds one, and no part of
-its ==, hash or repr."""
+"""`Polygon.xs` and `Polygon.ys`: the vertex coordinates as tuples, the
+polygon's own data on every path that builds one (only `Polygon(vertices)`
+derives them, from its `Point2`s), and no part of its ==, hash or repr."""
 
 import dataclasses
 import math

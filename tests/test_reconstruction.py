@@ -13,10 +13,12 @@ from polycenter.geometry import (
     Polygon,
     distance_matrix,
     is_convex,
-    signed_area,
 )
 from polycenter.reconstruction import convex_distances, reconstruct, validate
 from polycenter.sampling import random_convex_polygon, random_polygon
+
+from helpers import signed_area
+from reference_axioms import scaled
 
 
 def matrix(rows):
@@ -123,7 +125,7 @@ def test_validate_checks_are_scale_free():
         D = distance_matrix(random_polygon(rng, rng.randrange(4, 9)))
         want = validate(D).cm_checks
         for k in (-500, -300, -1, 1, 300, 500):
-            assert validate(D.scaled(2.0**k)).cm_checks == want
+            assert validate(scaled(D, 2.0**k)).cm_checks == want
 
 
 def test_validate_rejects_perturbed_square_diagonal():
@@ -205,7 +207,7 @@ def is_subnormal(v):
 @given(matrices(), st.integers(-1000, 1000))
 def test_reconstruct_commutes_with_scaling_by_powers_of_two(D, k):
     base = result_or_error(D)
-    got = result_or_error(D.scaled(2.0**k))
+    got = result_or_error(scaled(D, 2.0**k))
     if base is InfeasibleDistances:
         assert got is InfeasibleDistances
         return
