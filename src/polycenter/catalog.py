@@ -49,10 +49,6 @@ ADJACENT_SIDES = "d(n,1)+d(1,2)"
 X3_CIRCUMCENTER = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 
 
-def _wedge(a: Point2, b: Point2) -> float:
-    return a.x * b.y - a.y * b.x
-
-
 def _total(terms: Iterable[float]) -> float:
     """`math.fsum` of nonnegative terms: correctly rounded, so the same in
     any order, and inf where it overflows (fsum raises OverflowError)."""
@@ -116,16 +112,16 @@ def lamina_centroid_direct(p: Polygon) -> Point2:
     any simple polygon and any origin. Raises ZeroArea when the wedge sum
     vanishes.
     """
-    n = p.n
-    u = [_wedge(p.vertices[j], p.vertex(j + 1)) for j in range(n)]
+    xs, ys = p.xs, p.ys
+    u = [x0 * y1 - y0 * x1 for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
     total = sum(u)
     if abs(total) <= AREA_EPS * max(abs(w) for w in u):
         raise ZeroArea("outline bounds no area; centroid undefined")
     x = y = 0.0
-    for i in range(n):
+    for i in range(p.n):
         w = (u[i - 1] + u[i]) / (3.0 * total)
-        x += w * p.vertices[i].x
-        y += w * p.vertices[i].y
+        x += w * xs[i]
+        y += w * ys[i]
     return Point2(x, y)
 
 

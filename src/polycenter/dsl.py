@@ -41,6 +41,10 @@ from .sampling import random_polygon
 # `height`; each + - * / of a chain adds a level) the parser accepts; parsing,
 # evaluation and printing recurse once per level.
 MAX_DEPTH = 100
+# Longest index integer, a literal or an offset, the parser accepts: far past
+# any vertex count, and short enough that a sum of them converts to and from
+# a string under every interpreter limit on integer digits (640 at the least).
+MAX_INDEX_DIGITS = 300
 
 
 # ------------------------------------------------------------------- syntax
@@ -300,7 +304,7 @@ class _Parser:
         if tok.kind == "name" and tok.text == "n":
             base, offset = "n", 0
         elif tok.kind == "number" and "." not in tok.text:
-            base, offset = "literal", int(tok.text)
+            base, offset = "literal", _index_integer(tok)
         else:
             raise ExprSyntaxError("index must be an integer or n±integer", tok.pos)
         while self.peek().kind == "op" and self.peek().text in "+-":
@@ -308,10 +312,16 @@ class _Parser:
             num = self.take()
             if num.kind != "number" or "." in num.text:
                 raise ExprSyntaxError("index offset must be an integer", num.pos)
-            offset += sign * int(num.text)
+            offset += sign * _index_integer(num)
         if base == "literal" and offset < 1:
             raise ExprIndexError(f"literal index {offset} is below 1", tok.pos)
         return Index(base, offset)
+
+
+def _index_integer(tok: _Token) -> int:
+    if len(tok.text) > MAX_INDEX_DIGITS:
+        raise ExprSyntaxError(f"index integer longer than {MAX_INDEX_DIGITS} digits", tok.pos)
+    return int(tok.text)
 
 
 def parse(source: str) -> ParsedCenter:
@@ -526,7 +536,7 @@ def evaluate(pc: ParsedCenter, D: DistanceMatrix) -> float:
     pairs that collide after mod-n reduction raise ExprIndexError.
 
     pc compiles once per n and keeps the result. Entries are read in place,
-    views included."""
+    through `D.rows_and_offset()`, so D builds no `d`."""
     program = pc._programs.get(D.n)
     if program is None:
         program = pc._programs[D.n] = _compile(pc.expr, D.n)

@@ -361,7 +361,8 @@ def axiom_trials(
     A length function reads views (`geometry.MeasuredRows`) over the
     sample's coordinates (the reversal's permuted by sigma, a rescaling's
     times its t) or the moved ones, which measure a distance when it is
-    read. The checks fail in the order of built matrices: a moved
+    read, and the whole matrix once, when its `d` is first read. The
+    checks fail in the order of built matrices: a moved
     coordinate that overflows (`apply_motion`'s NonFinite), the sample's
     extent, the moved copy's, then a rescaling (ValueError), whose check
     reads the sample's extent. An implied value's view is built all the
@@ -389,7 +390,7 @@ def axiom_trials(
             views = [sample, None if symmetric else MeasuredRows(
                 pick(xs), pick(ys), 1.0, sample.diagonal), moved]
             views += [MeasuredRows(xs, ys, t, sample.diagonal) for t in _RESCALES]
-            inputs = [v if v is None else DistanceMatrix._derived(v) for v in views]
+            inputs = [v if v is None else DistanceMatrix._of(v) for v in views]
         if traced is None:
             base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
         else:

@@ -12,11 +12,13 @@ Conventions used throughout the package:
 * signed area is positive for counterclockwise vertex order;
 * `distance_matrix` measures all pairwise distances of a polygon, and
   `chords` one cyclic diagonal (the sides at skip 1) with the same bits;
-* `DistanceMatrix.rotations` yields views, not copies: each row of a
-  rotation is sliced when it is read, and `rows_and_offset` reads an entry
-  without slicing its row;
+* a `DistanceMatrix` is the pair (rows, k) that `rows_and_offset` returns,
+  entry (i, j) being rows[i][j + k], and `d`, its tuple of row tuples, is
+  built from that pair on first read; a rotation from `rotations` shares
+  the doubled rows of its matrix;
 * `MeasuredRows` are the rows of the distance matrix of a list of points
-  times a factor, as a view that measures an entry each time it is read.
+  times a factor, which measure an entry when it is read, or all of them
+  at once for `d`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -257,69 +259,19 @@ def moved_coordinates(m: RigidMotion, xs: Sequence[float],
 # -------------------------------------------------------------- distances
 
 
-class _Rows(Sequence):
-    """A read-only sequence that iterates, compares, hashes and prints like
-    the tuple its `_whole()` builds."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator:
-        return iter(self._whole())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _Rows)):
-            return self._whole() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._whole())
-
-    def __repr__(self) -> str:
-        return repr(self._whole())
-
-
-class _RotatedRows(_Rows):
-    """The rows of a matrix rotated by k, each sliced when it is read.
-
-    Row i is row i + k of the matrix rotated by k, which is the slice
-    [k, k + n) of that row written twice; the doubled rows are built once
-    per `rotations` call, shared by its n views and read in place by
-    `rows_and_offset`. A view reads as the tuple of its rows, so it equals
-    `rotated(k)`.
-    """
-
-    __slots__ = ("_doubled", "_cut")
-
-    def __init__(self, doubled: tuple[tuple[float, ...], ...], k: int) -> None:
-        self._doubled = doubled[k:] + doubled[:k]
-        self._cut = slice(k, k + len(doubled))
-
-    def __len__(self) -> int:
-        return len(self._doubled)
-
-    def __getitem__(self, i):
-        if i.__class__ is int:
-            return self._doubled[i][self._cut]
-        return self._whole()[i]  # a slice, or another index type
-
-    def _whole(self) -> tuple[tuple[float, ...], ...]:
-        cut = self._cut
-        return tuple([row[cut] for row in self._doubled])
-
-
-class MeasuredRows(_Rows):
+class MeasuredRows:
     """The rows of the distance matrix of the points (xs[i], ys[i]) times t,
     each entry measured when it is read.
 
     Entry (i, j) is t * hypot(xs[i] - xs[j], ys[i] - ys[j]): the bits
     `distance_matrix` holds there times t, as hypot ignores sign. Row i
-    read by an int is a `_MeasuredRow`; any other read (iteration, a slice,
-    ==, hash, repr, and so `max_entry`) measures the whole matrix again, as
-    no view keeps one. The constructor checks what `distance_matrix`
-    checks, the extent (NonFinite), unless its checked `diagonal` is given,
-    then a t that is negative or makes the largest entry infinite
-    (ValueError). That entry is measured (`_largest_distance`) only when
-    2t times the diagonal, which bounds it, is not finite.
+    read by an int is a `_MeasuredRow`, which measures entry j when it is
+    read by an int; `_whole` measures them all at once. The constructor
+    checks what `distance_matrix` checks, the extent (NonFinite), unless
+    its checked `diagonal` is given, then a t that is negative or makes the
+    largest entry infinite (ValueError). That entry is measured
+    (`_largest_distance`) only when 2t times the diagonal, which bounds it,
+    is not finite.
     """
 
     __slots__ = ("_xs", "_ys", "_t", "diagonal")
@@ -336,19 +288,16 @@ class MeasuredRows(_Rows):
     def __len__(self) -> int:
         return len(self._xs)
 
-    def __getitem__(self, i):
-        if i.__class__ is int:
-            return _MeasuredRow(self, i)
-        return self._whole()[i]
+    def __getitem__(self, i: int) -> "_MeasuredRow":
+        return _MeasuredRow(self, i)
 
     def _whole(self) -> tuple[tuple[float, ...], ...]:
         t = self._t
         return tuple([tuple([t * v for v in row]) for row in _pairwise_rows(self._xs, self._ys)])
 
 
-class _MeasuredRow(_Rows):
-    """Row i of a `MeasuredRows` view: an entry read by an int, or a slice,
-    is measured then, and any other read measures the whole row."""
+class _MeasuredRow:
+    """Row i of a `MeasuredRows` view: entry j is measured when it is read."""
 
     __slots__ = ("_rows", "_x", "_y")
 
@@ -356,39 +305,48 @@ class _MeasuredRow(_Rows):
         self._rows = rows
         self._x, self._y = rows._xs[i], rows._ys[i]
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, j):
-        if j.__class__ is int:
-            rows = self._rows
-            return rows._t * math.hypot(self._x - rows._xs[j], self._y - rows._ys[j])
-        if j.__class__ is slice:
-            return self._whole(j)
-        return self._whole()[j]
-
-    def _whole(self, cut: slice = slice(None)) -> tuple[float, ...]:
-        rows, x, y = self._rows, self._x, self._y
-        t, xs, ys = rows._t, rows._xs[cut], rows._ys[cut]
-        return tuple([t * math.hypot(x - u, y - v) for u, v in zip(xs, ys)])
+    def __getitem__(self, j: int) -> float:
+        rows = self._rows
+        return rows._t * math.hypot(self._x - rows._xs[j], self._y - rows._ys[j])
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
-    """A symmetric matrix of pairwise distances with zero diagonal. Construction
-    validates every entry; matrices measured or derived here skip it (`_derived`).
+    """A symmetric matrix of pairwise distances with zero diagonal.
+    `DistanceMatrix(d)` validates every entry; matrices measured or derived
+    here skip it (`_of`).
 
-    `d` is a tuple of row tuples, except in views: those from `rotations`
-    and `MeasuredRows`, where it is a read-only sequence of rows that
-    compares equal to the tuple of row tuples it reads as."""
+    Its data are the pair `rows_and_offset` returns: entry (i, j) is
+    rows[i][j + k]. The rows are a tuple of row tuples or a `MeasuredRows`
+    view, with k = 0, or the doubled rows of a rotation by k > 0
+    (`rotations`). `d`, the tuple of row tuples, is the rows themselves or
+    is built from the pair on first read and kept.
+    ==, hash and repr are those of a dataclass whose one field is `d`; an
+    attribute cannot be set (FrozenInstanceError).
+    """
 
-    d: tuple[tuple[float, ...], ...]
+    __slots__ = ("_rows", "_k", "_d")
+
+    def __new__(cls, d: Sequence[Sequence[float]]) -> "DistanceMatrix":
+        matrix = cls._of(tuple(map(tuple, d)))
+        matrix.__post_init__()
+        return matrix
+
+    @classmethod
+    def _of(cls, rows: Sequence[Sequence[float]], k: int = 0) -> "DistanceMatrix":
+        """The matrix whose entry (i, j) is rows[i][j + k], rows read from a
+        valid matrix or measured here, so not revalidated."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "_rows", rows)
+        object.__setattr__(matrix, "_k", k)
+        object.__setattr__(matrix, "_d", None)
+        return matrix
 
     def __post_init__(self) -> None:
-        n = len(self.d)
+        d = self.d
+        n = len(d)
         if n < 3:
             raise ValueError("distance matrix needs at least 3 points")
-        for i, row in enumerate(self.d):
+        for i, row in enumerate(d):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
@@ -399,8 +357,35 @@ class DistanceMatrix:
                 raise ValueError(f"d[{i}][{i}] must be zero")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.d[i][j] != self.d[j][i]:
+                if d[i][j] != d[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
+
+    @property
+    def d(self) -> tuple[tuple[float, ...], ...]:
+        if self._d is None:
+            rows, k = self._rows, self._k
+            object.__setattr__(self, "_d", rows._whole() if rows.__class__ is MeasuredRows
+                               else tuple([row[k:k + len(rows)] for row in rows]) if k else rows)
+        return self._d
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.d,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(d={self.d!r})"
+
+    def __reduce__(self):
+        return self.__class__._of, (self.d,)
 
     @staticmethod
     def from_rows(rows) -> "DistanceMatrix":
@@ -408,42 +393,31 @@ class DistanceMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.d)
+        return len(self._rows)
 
     def rotated(self, k: int) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (i+k, j+k) of the input; not
         revalidated, as it reads only entries of this valid matrix."""
         pick = itemgetter(*[(i + k) % self.n for i in range(self.n)])
-        return self._derived(tuple(map(pick, pick(self.d))))
-
-    @classmethod
-    def _derived(cls, d: Sequence[tuple[float, ...]]) -> "DistanceMatrix":
-        """Wrap rows derived from a valid matrix, skipping revalidation."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "d", d)
-        return matrix
+        return self._of(tuple(map(pick, pick(self.d))))
 
     def rotations(self) -> Iterator["DistanceMatrix"]:
-        """rotated(0), ..., rotated(n-1) as views of this matrix.
+        """rotated(0), ..., rotated(n-1): this matrix, then rotations that
+        share its doubled rows.
 
-        The rows are doubled once, O(n^2); a view then copies no row up
-        front but slices each one when it is read, so an evaluator that
-        reads a few entries costs O(n) per rotation, not O(n^2). A view
-        equals, and hashes like, `rotated(k)`.
+        Row i of rotation k is the slice [k, k + n) of row i + k written
+        twice. The rows are doubled once, O(n^2); a rotation then copies no
+        row until its `d` is read, so an evaluator that reads a few entries
+        through `rows_and_offset` costs O(n) per rotation, not O(n^2).
         They are not revalidated: a rotation of a valid matrix is still
         square, finite, nonnegative, zero on the diagonal and symmetric.
         """
-        doubled = tuple(row + row for row in self.d)
-        return (self._derived(_RotatedRows(doubled, k)) for k in range(self.n))
+        doubled = tuple([row + row for row in self.d])
+        return chain([self], (self._of(doubled[k:] + doubled[:k], k) for k in range(1, self.n)))
 
     def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
-        """(rows, k) such that entry (i, j) is rows[i][j + k], read in place:
-        (d, 0) for a matrix or a measured view, which measures the entry
-        then, and the doubled rows and k for a view of rotation k."""
-        d = self.d
-        if d.__class__ is _RotatedRows:
-            return d._doubled, d._cut.start
-        return d, 0
+        """(rows, k) such that entry (i, j) is rows[i][j + k], read in place."""
+        return self._rows, self._k
 
     def max_entry(self) -> float:
         """The largest entry, read once per pair (the upper triangle); d[0][0],
@@ -495,7 +469,7 @@ def unit_coordinates(p: Polygon) -> tuple[float, list[float], list[float]]:
 def distance_matrix(p: Polygon) -> DistanceMatrix:
     """All pairwise distances of p, each measured once; not revalidated, as
     the extent check (`vertex_coordinates`) rules out overflow."""
-    return DistanceMatrix._derived(_pairwise_rows(*vertex_coordinates(p)))
+    return DistanceMatrix._of(_pairwise_rows(*vertex_coordinates(p)))
 
 
 def _pairwise_rows(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, ...], ...]:

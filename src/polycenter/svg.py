@@ -66,8 +66,8 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
     margin = 0.10 * side
 
     # mirror y about the bbox midline so screen-up matches plane-up
-    def place(q: Point2) -> tuple[float, float]:
-        return q.x, (lo_y + hi_y) - q.y
+    def place(q: tuple[float, float]) -> tuple[float, float]:
+        return q[0], (lo_y + hi_y) - q[1]
 
     vx = lo_x - margin
     vy = lo_y - margin
@@ -90,8 +90,7 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
     ]
 
     steps = []
-    for k, v in enumerate(p.vertices):
-        x, y = place(v)
+    for k, (x, y) in enumerate(map(place, zip(p.xs, p.ys))):
         steps.append(f"{'M' if k == 0 else 'L'} {_fmt(x)} {_fmt(y)}")
     steps.append("Z")
     stroke = 0.004 * side
@@ -104,7 +103,7 @@ def render_svg(p: Polygon, records: list[CenterRecord]) -> str:
     font = 0.045 * side
     for k, rec in enumerate(marked):
         assert rec.point is not None
-        x, y = place(rec.point)
+        x, y = place(rec.point.as_tuple())
         color = _PALETTE[k % len(_PALETTE)]
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '

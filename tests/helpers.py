@@ -68,7 +68,7 @@ def permuted(D: DistanceMatrix, perm: tuple[int, ...]) -> DistanceMatrix:
     """Entry (i,j) of the result is entry (perm[i], perm[j]) of D;
     not revalidated, as it reads only entries of a valid matrix."""
     pick = itemgetter(*perm)
-    return DistanceMatrix._derived(tuple(map(pick, pick(D.d))))
+    return DistanceMatrix._of(tuple(map(pick, pick(D.d))))
 
 
 def signed_area(p: Polygon) -> float:

@@ -38,7 +38,7 @@ def apply_motion(m: RigidMotion, p: Polygon) -> Polygon:
 def scaled(D: DistanceMatrix, t: float) -> DistanceMatrix:
     if not (t >= 0.0 and math.isfinite(t * D.max_entry())):
         raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-    return DistanceMatrix._derived(tuple(map(tuple, map(map, repeat(partial(mul, t)), D.d))))
+    return DistanceMatrix._of(tuple(map(tuple, map(map, repeat(partial(mul, t)), D.d))))
 
 
 def slope_fit(trial: AxiomTrial) -> Optional[tuple[float, float]]:

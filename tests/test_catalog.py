@@ -150,6 +150,23 @@ def test_lamina_matches_shoelace_moments():
         assert geometric_center(CATALOG["lamina"].function, p).distance_to(want) < 1e-9
 
 
+def test_lamina_direct_reads_coordinates_as_the_vertex_wedges():
+    # the weights of the docstring, from the wedges of vertex points
+    rng = random.Random(8)
+    for n in (3, 5, 17):
+        p = random_convex_polygon(rng, n)
+        got = lamina_centroid_direct(p)
+        assert p._vertices is None
+        v = p.vertices
+        u = [v[j].x * v[(j + 1) % n].y - v[j].y * v[(j + 1) % n].x for j in range(n)]
+        x = y = 0.0
+        for i in range(n):
+            w = (u[i - 1] + u[i]) / (3.0 * sum(u))
+            x += w * v[i].x
+            y += w * v[i].y
+        assert (got.x.hex(), got.y.hex()) == (x.hex(), y.hex())
+
+
 def wedge_products(p):
     return [t for v, w in zip(p.vertices, p.vertices[1:] + p.vertices[:1])
             for t in (v.x * w.y, v.y * w.x)]

@@ -14,7 +14,7 @@ import polycenter.dsl as dsl
 from polycenter.dsl import Aggregate, Binary, Const, Dist, Index, ParsedCenter, Unary, evaluate
 from polycenter.errors import EvalError, ExprIndexError
 from polycenter.framework import coordinate_map_length
-from polycenter.geometry import DistanceMatrix, Polygon, _RotatedRows, distance_matrix
+from polycenter.geometry import DistanceMatrix, Polygon, distance_matrix
 from polycenter.sampling import random_convex_polygon, random_polygon
 
 from reference_evaluate import reference_evaluate
@@ -145,23 +145,24 @@ def test_rows_and_offset_read_every_entry_in_place():
 
 def test_a_perim_map_compiles_once_and_slices_no_row(monkeypatch):
     compiles, reads = [], []
-    real_compile, real_getitem = dsl._compile, _RotatedRows.__getitem__
+    real_compile, real_d = dsl._compile, DistanceMatrix.d
 
     def counting_compile(node, n, offsets=None):
         compiles.append(n)
         return real_compile(node, n, offsets)
 
-    def counting_getitem(self, i):
-        reads.append(i)
-        return real_getitem(self, i)
+    def counting_d(self):
+        reads.append(self)
+        return real_d.fget(self)
 
     D = distance_matrix(random_convex_polygon(random.Random(1), 128))
     g = dsl.center_function(dsl.parse("perim"))
     monkeypatch.setattr(dsl, "_compile", counting_compile)
-    monkeypatch.setattr(_RotatedRows, "__getitem__", counting_getitem)
+    monkeypatch.setattr(DistanceMatrix, "d", property(counting_d))
     values = coordinate_map_length(g, D).values
     assert compiles == [128]
-    assert reads == []
+    # the rows are doubled from D's; no rotation builds its own
+    assert reads and all(R is D for R in reads)
     monkeypatch.undo()
     pc = dsl.parse("perim")
     assert values == tuple(reference_evaluate(pc, D.rotated(k)) for k in range(128))

@@ -216,7 +216,7 @@ def test_max_entry_equals_a_full_scan_on_matrices_and_views():
     for n in (3, 4, 8, 17):
         p = random_polygon(rng, n)
         D = distance_matrix(p)
-        views = [D, *D.rotations(), DistanceMatrix._derived(MeasuredRows(p.xs, p.ys, 0.75)),
+        views = [D, *D.rotations(), DistanceMatrix._of(MeasuredRows(p.xs, p.ys, 0.75)),
                  DistanceMatrix(tuple(tuple(-0.0 if v == 0 else v for v in row) for row in D.d))]
         for V in views:
             assert float.hex(V.max_entry()) == float.hex(max(map(max, V.d)))

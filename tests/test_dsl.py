@@ -322,6 +322,54 @@ def test_a_number_beyond_the_float_range_exits_2(tmp_path, capsys):
     ]
 
 
+def _digit_limits():
+    """Runs the loop body under the interpreter's limit on integer-string
+    conversion as set, with no limit, and at the least limit, where the
+    limit can be set (Python 3.11, and 3.10 from 3.10.7)."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (old, 0, sys.int_info.str_digits_check_threshold):
+            set_limit(limit)
+            yield
+    finally:
+        set_limit(old)
+
+
+_LONG_INDEX = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [(f"d({_LONG_INDEX},2)", 2), (f"d(n+{_LONG_INDEX},2)", 4), (f"d(1,n-{_LONG_INDEX})", 6)],
+    ids=["literal", "offset", "negative offset"],
+)
+def test_an_index_integer_past_the_digit_limit_exits_2(tmp_path, capsys, source, position):
+    doc = tmp_path / "tri.json"
+    doc.write_text(json.dumps({"vertices": [[0, 0], [3, 0], [0, 4]]}), encoding="utf-8")
+    for _ in _digit_limits():
+        with pytest.raises(ExprSyntaxError, match="index integer longer than 300 digits") as raised:
+            parse(source)
+        assert raised.value.position == position
+        rc = cli.main(["center", str(doc), "--expr", source])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [
+            "polycenter: ExprSyntaxError: index integer longer than 300 digits"
+            f" (at position {position})"
+        ]
+
+
+def test_index_integers_at_the_digit_limit_parse_and_print_back():
+    wide = "9" * dsl.MAX_INDEX_DIGITS
+    for _ in _digit_limits():
+        source = f"d(n+{wide}+{wide},{wide})"
+        assert to_source(parse(source).expr) == f"d(n+{2 * int(wide)},{wide})"
+
+
 # ------------------------------------------------------------- admission
 
 

@@ -1,19 +1,25 @@
 """Measured views against the matrices they read as.
 
 `geometry.MeasuredRows` gives the axiom trials views over coordinate
-lists: an entry is measured each time it is read. Each view (the sample,
-its reversal, a moved copy and a rescaling), built as `axiom_trials`
-builds it, must read as the matrix that `distance_matrix`, `permuted` and
-`scaled` build: entries by `float.hex`, the sequence protocol,
-`rows_and_offset`, `max_entry` and compiled expressions, errors by class
-and message. `Polygon.diameter` measures no matrix and must equal its
-largest entry.
+lists: an entry is measured when it is read, and the whole matrix once,
+when `d` is first read. Each view (the sample, its reversal, a moved copy
+and a rescaling), built as `axiom_trials` builds it, must read as the
+matrix that `distance_matrix`, `permuted` and `scaled` build: entries by
+`float.hex`, `d`, `rows_and_offset`, `max_entry` and compiled expressions,
+errors by class and message. Every matrix, views included, reads as the
+tuple of its rows. `Polygon.diameter` measures no matrix and must equal
+its largest entry.
 """
 
+import copy
 import math
+import pickle
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import chain
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,13 +27,14 @@ from hypothesis import strategies as st
 import polycenter.dsl as dsl
 import polycenter.geometry as geometry
 from polycenter.dsl import ParsedCenter, admit, evaluate, parse
+from polycenter.catalog import CATALOG
 from polycenter.errors import AxiomViolation
-from polycenter.framework import _RESCALES
+from polycenter.framework import _RESCALES, LengthCenterFunction, axiom_trials, verify_axioms
 from polycenter.geometry import (
     DihedralElement, DistanceMatrix, MeasuredRows, Point2, Polygon, distance_matrix,
     moved_coordinates,
 )
-from polycenter.sampling import random_polygon, random_rigid_motion
+from polycenter.sampling import random_convex_polygon, random_polygon, random_rigid_motion
 
 from helpers import permuted
 from reference_axioms import scaled
@@ -79,7 +86,7 @@ def pairs(seed, n, k, moved, which):
                                 sample.diagonal)
         else:
             rows = MeasuredRows(xs, ys, _RESCALES[which - 2], sample.diagonal)
-        return DistanceMatrix._derived(rows)
+        return DistanceMatrix._of(rows)
 
     def matrix():
         D = distance_matrix(Polygon(tuple(map(Point2, xs, ys))))
@@ -176,12 +183,55 @@ def test_the_cases_reach_views_and_errors():
                         view, matrix = both
                         assert view[0] == matrix[0]
                         if view[0] == "value":
-                            assert view[1].d.__class__ is MeasuredRows
+                            assert view[1].rows_and_offset()[0].__class__ is MeasuredRows
                             seen["view"] += 1
                         else:
                             assert view == matrix
                             seen[view[1].split(" must")[0]] += 1
     assert {"view", "polygon extent", "scale 2.0"} <= set(seen)
+
+
+def every_kind_of_matrix():
+    """A validated matrix, one measured, a rotation, each of `rotations()`
+    and each view of two axiom trials, all fresh: no `d` read yet."""
+    p = random_polygon(random.Random(6), 7)
+    D = distance_matrix(p)
+    seen = []
+    recorder = LengthCenterFunction("recorder", lambda V: seen.append(V) or 1.0)
+    for _ in axiom_trials(recorder, lambda rng: p, 2, 0):
+        pass
+    return {"validated": DistanceMatrix(D.d), "measured": distance_matrix(p),
+            "rotated": D.rotated(3), **{f"rotation {k}": R for k, R in enumerate(D.rotations())},
+            **{f"trial view {k}": V for k, V in enumerate(seen)}}
+
+
+@pytest.mark.parametrize("kind", list(every_kind_of_matrix()))
+def test_every_matrix_reads_as_the_tuple_of_its_rows(kind):
+    M = every_kind_of_matrix()[kind]
+    copies = [copy.copy(M), copy.deepcopy(M)] + [
+        pickle.loads(pickle.dumps(M, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    want = DistanceMatrix.from_rows(M.d)
+    for X in [M, *copies]:
+        assert type(X) is DistanceMatrix
+        assert type(X.d) is tuple and all(type(row) is tuple for row in X.d)
+        assert X == want and want == X
+        assert hash(X) == hash(want) == hash((want.d,))
+        assert repr(X) == repr(want) == f"DistanceMatrix(d={want.d!r})"
+    with pytest.raises(FrozenInstanceError):
+        M.d = want.d
+    with pytest.raises(FrozenInstanceError):
+        del M.d
+
+
+@pytest.mark.parametrize("name, n", [("perimeter", 8), ("circumcenter", 3)])
+def test_a_guard_reading_a_view_densely_measures_its_matrix_once(monkeypatch, name, n):
+    # the guards read `d`: each of the 6 views of a trial measures its whole
+    # matrix for the first read and keeps it for the rest
+    calls = Counter()
+    counted(monkeypatch, calls, geometry, "_pairwise_rows")
+    samples = iter([random_convex_polygon(random.Random(seed), n) for seed in range(4)])
+    verify_axioms(CATALOG[name].function, lambda rng: next(samples), 4, 0)
+    assert calls == Counter({"_pairwise_rows": 6 * 4})
 
 
 @settings(max_examples=300, deadline=None)

@@ -221,20 +221,20 @@ def test_reconstruct_commutes_with_scaling_by_powers_of_two(D, k):
 def test_reconstruct_builds_no_distance_matrix(monkeypatch):
     D = distance_matrix(random_convex_polygon(random.Random(5), 128))
     built = 0
-    derive = DistanceMatrix._derived
+    derive = DistanceMatrix._of
     validate_rows = DistanceMatrix.__post_init__
 
-    def counted_derived(cls, d):
+    def counted_of(cls, rows, k=0):
         nonlocal built
         built += 1
-        return derive(d)
+        return derive(rows, k)
 
     def counted_post_init(self):
         nonlocal built
         built += 1
         validate_rows(self)
 
-    monkeypatch.setattr(DistanceMatrix, "_derived", classmethod(counted_derived))
+    monkeypatch.setattr(DistanceMatrix, "_of", classmethod(counted_of))
     monkeypatch.setattr(DistanceMatrix, "__post_init__", counted_post_init)
     assert reconstruct(D).polygon.n == 128
     assert built == 0

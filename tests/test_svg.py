@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import polycenter
 from polycenter.cli import main
 from polycenter.errors import NonFinite
 from polycenter.geometry import Point2, Polygon
+from polycenter.sampling import random_convex_polygon
 from polycenter.svg import CenterRecord, render_svg
 
 TRI = Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
@@ -32,6 +34,12 @@ def test_cli_import_leaves_out_the_xml_and_url_modules():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == "[]\n"
+
+
+def test_render_svg_builds_no_vertex_points():
+    p = random_convex_polygon(random.Random(4), 9)
+    render_svg(p, [CenterRecord("c", point=Point2(0.1, 0.2))])
+    assert p._vertices is None
 
 
 def test_center_names_are_escaped_like_saxutils():
