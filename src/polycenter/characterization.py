@@ -26,8 +26,8 @@ from typing import Callable, Optional, Sequence
 from .errors import DegenerateVertex, ParityMismatch
 from .framework import CenterFunction, VertexCenterFunction, cyclic_values, entry_zero
 from .geometry import (
-    Point2, Polygon, chords, is_convex, is_nondegenerate, shoelace, unit_coordinates,
-    unit_factor,
+    Frozen, Point2, Polygon, _set, chords, is_convex, is_nondegenerate, shoelace,
+    unit_coordinates, unit_factor,
 )
 
 # Cyclic values within this band (relative, floored at unit scale; lengths
@@ -37,11 +37,13 @@ COINCIDENCE_TOL = 1e-9
 ORACLE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
-    values: tuple[float, ...]
-    coincident: bool
-    spread: float
+class CoincidenceReport(Frozen):
+    __slots__ = ("values", "coincident", "spread")
+
+    def __init__(self, values: tuple[float, ...], coincident: bool, spread: float) -> None:
+        _set(self, "values", values)
+        _set(self, "coincident", coincident)
+        _set(self, "spread", spread)
 
 
 @dataclass(frozen=True)

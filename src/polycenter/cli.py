@@ -196,8 +196,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     sampler = lambda rng: make(rng, args.n)  # noqa: E731
 
     report = verify_axioms(fg, sampler, trials=args.trials, seed=args.seed)
-    header = {"name": fg.name, "n": args.n, "trials": args.trials}
-    _emit({**header, **asdict(report)}, args.precision)
+    fields = {f: getattr(report, f) for f in report._fields}  # in field order
+    _emit({"name": fg.name, "n": args.n, "trials": args.trials, **fields}, args.precision)
     return 0
 
 

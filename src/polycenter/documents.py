@@ -11,23 +11,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DocumentError
-from .geometry import DistanceMatrix, Polygon
+from .geometry import DistanceMatrix, Frozen, Polygon, _set
 from .reconstruction import reconstruct
 
 
-@dataclass(frozen=True)
-class PolygonDocument:
-    name: str = ""
-    vertices: Optional[Polygon] = None
-    distances: Optional[DistanceMatrix] = None
+class PolygonDocument(Frozen):
+    __slots__ = ("name", "vertices", "distances")
 
-    def __post_init__(self) -> None:
-        if (self.vertices is None) == (self.distances is None):
+    def __init__(self, name: str = "", vertices: Optional[Polygon] = None,
+                 distances: Optional[DistanceMatrix] = None) -> None:
+        if (vertices is None) == (distances is None):
             raise DocumentError("exactly one of vertices/distances is required")
+        _set(self, "name", name)
+        _set(self, "vertices", vertices)
+        _set(self, "distances", distances)
 
     def polygon(self) -> Polygon:
         """The stored polygon, reconstructing from distances if needed."""

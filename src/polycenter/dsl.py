@@ -26,15 +26,13 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from operator import getitem
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
 from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, axiom_trials
-from .geometry import DistanceMatrix, Polygon, chords
+from .geometry import DistanceMatrix, Frozen, Polygon, _set, chords
 from .sampling import random_polygon
 
 # Deepest nesting (parentheses, calls, powers, signs) and tallest tree (node
@@ -50,12 +48,14 @@ MAX_INDEX_DIGITS = 300
 # ------------------------------------------------------------------- syntax
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(Frozen):
     """A vertex index: a literal, or an offset from n."""
 
-    base: str  # "literal" | "n"
-    offset: int
+    __slots__ = ("base", "offset")  # base: "literal" | "n"
+
+    def __init__(self, base: str, offset: int) -> None:
+        _set(self, "base", base)
+        _set(self, "offset", offset)
 
     def resolve(self, n: int) -> int:
         """0-based index, reduced mod n."""
@@ -70,64 +70,69 @@ class Index:
         return f"n{self.offset:+d}"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
-    height: ClassVar[int] = 1
+class Const(Frozen):
+    __slots__ = ("value",)
+    height = 1
+
+    def __init__(self, value: float) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Dist:
-    i: Index
-    j: Index
-    pos: int = field(default=0, compare=False)
-    height: ClassVar[int] = 1
+class Dist(Frozen):
+    __slots__ = ("i", "j", "pos")
+    _uncompared = ("pos",)
+    height = 1
+
+    def __init__(self, i: Index, j: Index, pos: int = 0) -> None:
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "neg" | "sqrt" | "abs"
-    arg: "Expr"
+class Unary(Frozen):
+    __slots__ = ("op", "arg", "height")  # op: "neg" | "sqrt" | "abs"
+    _fields = ("op", "arg")
 
-    @cached_property
-    def height(self) -> int:
-        return self.arg.height + 1
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # "+" | "-" | "*" | "/" | "^"
-    left: "Expr"
-    right: "Expr"
-
-    @cached_property
-    def height(self) -> int:
-        return max(self.left.height, self.right.height) + 1
+    def __init__(self, op: str, arg: "Expr") -> None:
+        _set(self, "op", op)
+        _set(self, "arg", arg)
+        _set(self, "height", getattr(arg, "height", 0) + 1)
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    op: str  # "perim" | "min" | "max"
-    args: tuple["Expr", ...]
+class Binary(Frozen):
+    __slots__ = ("op", "left", "right", "height")  # op: "+" | "-" | "*" | "/" | "^"
+    _fields = ("op", "left", "right")
 
-    @cached_property
-    def height(self) -> int:
-        return max((a.height for a in self.args), default=0) + 1
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "height", max(getattr(left, "height", 0), getattr(right, "height", 0)) + 1)
+
+
+class Aggregate(Frozen):
+    __slots__ = ("op", "args", "height")  # op: "perim" | "min" | "max"
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["Expr", ...]) -> None:
+        _set(self, "op", op)
+        _set(self, "args", args)
+        _set(self, "height", max([getattr(a, "height", 0) for a in args], default=0) + 1)
 
 
 Expr = Union[Const, Dist, Unary, Binary, Aggregate]
 
 
-@dataclass(frozen=True)
-class ParsedCenter:
-    expr: Expr
-    source: str
-    # n -> the tree compiled for n-gons (`_compile`), one per n evaluated
-    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # n -> the tree compiled to read chord lists, and the offsets it reads
-    _chord_programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # n -> the tree's static facts at n (`static_facts`)
-    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class ParsedCenter(Frozen):
+    __slots__ = ("expr", "source", "_programs", "_chord_programs", "_facts")
+    _fields = ("expr", "source")
+
+    def __init__(self, expr: Expr, source: str) -> None:
+        _set(self, "expr", expr)
+        _set(self, "source", source)
+        _set(self, "_programs", {})  # n -> the tree compiled for n-gons (`_compile`)
+        _set(self, "_chord_programs", {})  # n -> the tree compiled to read chords, its offsets
+        _set(self, "_facts", {})  # n -> the tree's static facts at n (`static_facts`)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -136,11 +141,13 @@ class ParsedCenter:
 _OPS = set("+-*/^(),")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "op" | "end"
-    text: str
-    pos: int
+class _Token(Frozen):
+    __slots__ = ("kind", "text", "pos")  # kind: "number" | "name" | "op" | "end"
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
 def _tokenize(source: str) -> list[_Token]:

@@ -56,9 +56,11 @@ from .errors import AllZero, DomainViolation, EvalError, ZeroSum
 from .geometry import (
     DihedralElement,
     DistanceMatrix,
+    Frozen,
     MeasuredRows,
     Point2,
     Polygon,
+    _set,
     apply_motion,
     distance_matrix,
     unit_factor,
@@ -143,39 +145,38 @@ def entry_zero(all_shifts: Callable[[_Input], Sequence[float]]) -> Callable[[_In
     return lambda x: all_shifts(x)[0]
 
 
-@dataclass(frozen=True)
-class ProjectiveCoords:
+class ProjectiveCoords(Frozen):
     """A tuple of homogeneous coordinates, not all zero."""
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        if len(self.values) < 3:
+    def __init__(self, values: tuple[float, ...]) -> None:
+        if len(values) < 3:
             raise ValueError("projective coordinates need at least 3 entries")
-        if all(v == 0.0 for v in self.values):
+        if all(v == 0.0 for v in values):
             raise ValueError("all-zero tuple is not a projective point")
+        _set(self, "values", values)
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class BarycentricWeights:
+class BarycentricWeights(Frozen):
     """Affine weights over the vertices; entries sum to 1."""
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: tuple[float, ...]) -> None:
         # relative to the weights' magnitude: `normalize` divides by a sum
         # that may be far smaller than the values it divides
         try:
-            mass = math.fsum(map(abs, self.values))
+            mass = math.fsum(map(abs, values))
         except OverflowError:
             mass = math.inf
-        if not (math.isfinite(mass)
-                and abs(math.fsum(self.values) - 1.0) <= 1e-12 * max(1.0, mass)):
+        if not (math.isfinite(mass) and abs(math.fsum(values) - 1.0) <= 1e-12 * max(1.0, mass)):
             raise ValueError("weights must sum to 1")
+        _set(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -187,13 +188,16 @@ class BarycentricWeights:
         return Point2(sum(map(mul, self.values, p.xs)), sum(map(mul, self.values, p.ys)))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    relabel_ok: bool
-    motion_ok: bool
-    homogeneity_ok: bool
-    estimated_degree: Optional[float]
-    max_violation: float
+class AxiomReport(Frozen):
+    __slots__ = ("relabel_ok", "motion_ok", "homogeneity_ok", "estimated_degree", "max_violation")
+
+    def __init__(self, relabel_ok: bool, motion_ok: bool, homogeneity_ok: bool,
+                 estimated_degree: Optional[float], max_violation: float) -> None:
+        _set(self, "relabel_ok", relabel_ok)
+        _set(self, "motion_ok", motion_ok)
+        _set(self, "homogeneity_ok", homogeneity_ok)
+        _set(self, "estimated_degree", estimated_degree)
+        _set(self, "max_violation", max_violation)
 
 
 # ------------------------------------------------------------ coordinate maps
@@ -307,17 +311,20 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-@dataclass(frozen=True)
-class AxiomTrial:
+class AxiomTrial(Frozen):
     """One sampled input (a polygon, or its distance matrix for length
     functions) and fg's values on it, its reversal, a moved copy and its
     rescalings by `_SCALES`."""
 
-    input: Union[Polygon, DistanceMatrix]
-    base: float
-    reversed: float
-    moved: float
-    scaled: tuple[float, ...]
+    __slots__ = ("input", "base", "reversed", "moved", "scaled")
+
+    def __init__(self, input: Union[Polygon, DistanceMatrix], base: float, reversed: float,
+                 moved: float, scaled: tuple[float, ...]) -> None:
+        _set(self, "input", input)
+        _set(self, "base", base)
+        _set(self, "reversed", reversed)
+        _set(self, "moved", moved)
+        _set(self, "scaled", scaled)
 
     def relabel_gap(self) -> float:
         return _relative_gap(self.base, self.reversed)

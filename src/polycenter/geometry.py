@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cache
 from itertools import chain, repeat
-from operator import itemgetter, sub
-from typing import Iterator
+from operator import attrgetter, itemgetter, sub
+from typing import ClassVar, Iterator
 
 from .errors import DomainViolation, NonFinite
 
@@ -43,12 +43,60 @@ def _require_finite(value: float, what: str) -> None:
         raise NonFinite(f"{what} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Point2:
+# What a value type's __init__ sets its fields with, past `Frozen.__setattr__`.
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the value types: slotted classes whose fields, `_fields`, are
+    their base's and then their own slots unless named (other slots hold values
+    derived from them). ==, hash, repr, copy and pickle read the fields as a
+    frozen dataclass does, == and hash all but the `_uncompared`. Setting or
+    deleting an attribute raises FrozenInstanceError; `__init__` takes the
+    fields in order and sets them with `_set`."""
+
+    __slots__ = ()
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _uncompared: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        cls.__match_args__ = cls._fields
+        compared = [f for f in cls._fields if f not in cls._uncompared]
+        get = attrgetter(*compared)
+        cls._key = staticmethod(get if len(compared) > 1 else lambda v: (get(v),))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
+
+
+class Point2(Frozen):
     """A point (or displacement) in the plane."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_finite(self.x, "x")
@@ -64,17 +112,18 @@ class Point2:
         return (self.x, self.y)
 
 
-class Polygon:
+class Polygon(Frozen):
     """An ordered tuple of at least three vertices, indices taken cyclically.
 
     Its data are `xs` and `ys`, the vertex coordinates: tuples of finite
     floats, read from the checked `Point2`s given to `Polygon(vertices)` or,
     on every other path, checked where they enter (`_checked`). `vertices`
-    are built on first read and kept. ==, hash and repr are those of the
-    vertex tuple; an attribute cannot be set (FrozenInstanceError).
+    are built on first read and kept. Its one field is `vertices`; == and
+    hash read the coordinates in its place.
     """
 
     __slots__ = ("xs", "ys", "_vertices")
+    _fields = ("vertices",)
 
     def __new__(cls, vertices: Sequence[Point2]) -> "Polygon":
         vertices = tuple(vertices)
@@ -88,9 +137,9 @@ class Polygon:
         """The polygon with coordinates xs and ys, tuples of at least three
         finite floats that the caller has checked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "xs", xs)
-        object.__setattr__(p, "ys", ys)
-        object.__setattr__(p, "_vertices", vertices)
+        _set(p, "xs", xs)
+        _set(p, "ys", ys)
+        _set(p, "_vertices", vertices)
         return p
 
     @classmethod
@@ -113,13 +162,8 @@ class Polygon:
     @property
     def vertices(self) -> tuple[Point2, ...]:
         if self._vertices is None:
-            object.__setattr__(self, "_vertices", tuple(map(Point2, self.xs, self.ys)))
+            _set(self, "_vertices", tuple(map(Point2, self.xs, self.ys)))
         return self._vertices
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -128,9 +172,6 @@ class Polygon:
 
     def __hash__(self) -> int:
         return hash((tuple(zip(self.xs, self.ys)),))  # that of (vertices,)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(vertices={self.vertices!r})"
 
     def __reduce__(self):
         return self.__class__._of, (self.xs, self.ys)
@@ -161,21 +202,20 @@ class Polygon:
 # --------------------------------------------------------------- relabeling
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(Frozen):
     """An element rho^a sigma^flip of the dihedral group acting on 1..n.
 
     Realized as the permutation i -> rho^a(sigma^flip(i)).
     """
 
-    n: int
-    exponent_a: int
-    flip: bool
+    __slots__ = ("n", "exponent_a", "flip")
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __init__(self, n: int, exponent_a: int, flip: bool) -> None:
+        if n < 3:
             raise ValueError("dihedral group needs n >= 3")
-        object.__setattr__(self, "exponent_a", self.exponent_a % self.n)
+        _set(self, "n", n)
+        _set(self, "exponent_a", exponent_a % n)
+        _set(self, "flip", flip)
 
     @staticmethod
     def rho(n: int, power: int = 1) -> "DihedralElement":
@@ -207,31 +247,33 @@ def relabel(alpha: DihedralElement, p: Polygon) -> Polygon:
 # ------------------------------------------------------------------ motions
 
 
-@dataclass(frozen=True)
-class RigidMotion:
+class RigidMotion(Frozen):
     """Rotation by `angle` about the origin followed by a translation.
 
     Orientation-preserving by construction; reflections are deliberately
     not representable here.
     """
 
-    angle: float
-    translation: Point2 = Point2(0.0, 0.0)
+    __slots__ = ("angle", "translation")
+
+    def __init__(self, angle: float, translation: Point2 = Point2(0.0, 0.0)) -> None:
+        _set(self, "angle", angle)
+        _set(self, "translation", translation)
 
     def apply(self, v: Point2) -> Point2:
         return Point2(*[c[0] for c in moved_coordinates(self, [v.x], [v.y])])
 
 
-@dataclass(frozen=True)
-class Similarity:
+class Similarity(Frozen):
     """Positive scaling about the origin followed by a rigid motion."""
 
-    scale: float
-    motion: RigidMotion
+    __slots__ = ("scale", "motion")
 
-    def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+    def __init__(self, scale: float, motion: RigidMotion) -> None:
+        if not (scale > 0.0 and math.isfinite(scale)):
             raise ValueError("similarity scale must be positive and finite")
+        _set(self, "scale", scale)
+        _set(self, "motion", motion)
 
     def apply(self, v: Point2) -> Point2:
         return self.motion.apply(v.scaled(self.scale))
@@ -310,7 +352,7 @@ class _MeasuredRow:
         return rows._t * math.hypot(self._x - rows._xs[j], self._y - rows._ys[j])
 
 
-class DistanceMatrix:
+class DistanceMatrix(Frozen):
     """A symmetric matrix of pairwise distances with zero diagonal.
     `DistanceMatrix(d)` validates every entry; matrices measured or derived
     here skip it (`_of`).
@@ -319,12 +361,11 @@ class DistanceMatrix:
     rows[i][j + k]. The rows are a tuple of row tuples or a `MeasuredRows`
     view, with k = 0, or the doubled rows of a rotation by k > 0
     (`rotations`). `d`, the tuple of row tuples, is the rows themselves or
-    is built from the pair on first read and kept.
-    ==, hash and repr are those of a dataclass whose one field is `d`; an
-    attribute cannot be set (FrozenInstanceError).
+    is built from the pair on first read and kept. Its one field is `d`.
     """
 
     __slots__ = ("_rows", "_k", "_d")
+    _fields = ("d",)
 
     def __new__(cls, d: Sequence[Sequence[float]]) -> "DistanceMatrix":
         matrix = cls._of(tuple(map(tuple, d)))
@@ -336,9 +377,9 @@ class DistanceMatrix:
         """The matrix whose entry (i, j) is rows[i][j + k], rows read from a
         valid matrix or measured here, so not revalidated."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "_rows", rows)
-        object.__setattr__(matrix, "_k", k)
-        object.__setattr__(matrix, "_d", None)
+        _set(matrix, "_rows", rows)
+        _set(matrix, "_k", k)
+        _set(matrix, "_d", None)
         return matrix
 
     def __post_init__(self) -> None:
@@ -364,25 +405,9 @@ class DistanceMatrix:
     def d(self) -> tuple[tuple[float, ...], ...]:
         if self._d is None:
             rows, k = self._rows, self._k
-            object.__setattr__(self, "_d", rows._whole() if rows.__class__ is MeasuredRows
-                               else tuple([row[k:k + len(rows)] for row in rows]) if k else rows)
+            _set(self, "_d", rows._whole() if rows.__class__ is MeasuredRows
+                 else tuple([row[k:k + len(rows)] for row in rows]) if k else rows)
         return self._d
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.d == other.d
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.d,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(d={self.d!r})"
 
     def __reduce__(self):
         return self.__class__._of, (self.d,)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NoConvergence
-from .geometry import Point2, Polygon, require_nondegenerate, unit_coordinates
+from .geometry import Frozen, Point2, Polygon, _set, require_nondegenerate, unit_coordinates
 
 # Multiplicative slack when testing circle membership.
 _IN_CIRCLE_SLACK = 1 + 1e-14
@@ -25,19 +24,24 @@ _IN_CIRCLE_SLACK = 1 + 1e-14
 _VERTEX_SNAP = 1e-12
 
 
-@dataclass(frozen=True)
-class MedianResult:
-    point: Point2
-    iterations: int
-    residual: float
-    at_vertex: Optional[int]  # 0-based vertex index, when captured
+class MedianResult(Frozen):
+    __slots__ = ("point", "iterations", "residual", "at_vertex")  # at_vertex: 0-based, if captured
+
+    def __init__(self, point: Point2, iterations: int, residual: float,
+                 at_vertex: Optional[int]) -> None:
+        _set(self, "point", point)
+        _set(self, "iterations", iterations)
+        _set(self, "residual", residual)
+        _set(self, "at_vertex", at_vertex)
 
 
-@dataclass(frozen=True)
-class EnclosingCircle:
-    center: Point2
-    radius: float
-    support: tuple[int, ...]  # 0-based vertex indices on the boundary
+class EnclosingCircle(Frozen):
+    __slots__ = ("center", "radius", "support")  # support: 0-based vertices on the boundary
+
+    def __init__(self, center: Point2, radius: float, support: tuple[int, ...]) -> None:
+        _set(self, "center", center)
+        _set(self, "radius", radius)
+        _set(self, "support", support)
 
 
 # ------------------------------------------------------------ geometric median

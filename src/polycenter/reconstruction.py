@@ -9,12 +9,13 @@ representative of the congruence class described by the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InfeasibleDistances
 from .geometry import (
     DistanceMatrix,
+    Frozen,
     Polygon,
+    _set,
     cayley_menger_quad,
     is_convex,
     shoelace,
@@ -28,19 +29,23 @@ RESIDUAL_TOL = 1e-6
 SNAP_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    polygon: Polygon
-    max_residual: float
+class ReconstructionResult(Frozen):
+    __slots__ = ("polygon", "max_residual")
+
+    def __init__(self, polygon: Polygon, max_residual: float) -> None:
+        _set(self, "polygon", polygon)
+        _set(self, "max_residual", max_residual)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    max_residual: float
-    # Scale-free bordered determinants, one per 4-index subset {1,2,k,l},
-    # listed with (k,l) in lexicographic order.
-    cm_checks: tuple[float, ...]
+class FeasibilityReport(Frozen):
+    # cm_checks: scale-free bordered determinants, one per 4-index subset
+    # {1,2,k,l}, listed with (k,l) in lexicographic order.
+    __slots__ = ("feasible", "max_residual", "cm_checks")
+
+    def __init__(self, feasible: bool, max_residual: float, cm_checks: tuple[float, ...]) -> None:
+        _set(self, "feasible", feasible)
+        _set(self, "max_residual", max_residual)
+        _set(self, "cm_checks", cm_checks)
 
 
 def _miss(x: float, y: float, xs: list[float], ys: list[float], lengths: list[float],

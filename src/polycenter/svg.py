@@ -12,12 +12,11 @@ extent that overflows any of these numbers raises NonFinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DocumentError, NonFinite
 from .framework import BarycentricWeights, ProjectiveCoords
-from .geometry import Point2, Polygon
+from .geometry import Frozen, Point2, Polygon, _set
 
 _PALETTE = (
     "#d62728",
@@ -33,17 +32,22 @@ _PALETTE = (
 _OUTLINE = "#1f2937"
 
 
-@dataclass(frozen=True)
-class CenterRecord:
+class CenterRecord(Frozen):
     """One computed center: coordinates on success, a diagnostic on failure."""
 
-    name: str
-    projective: Optional[ProjectiveCoords] = None
-    weights: Optional[BarycentricWeights] = None
-    point: Optional[Point2] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    extra: tuple[tuple[str, object], ...] = field(default=())
+    __slots__ = ("name", "projective", "weights", "point", "error", "error_type", "extra")
+
+    def __init__(self, name: str, projective: Optional[ProjectiveCoords] = None,
+                 weights: Optional[BarycentricWeights] = None, point: Optional[Point2] = None,
+                 error: Optional[str] = None, error_type: Optional[str] = None,
+                 extra: tuple[tuple[str, object], ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "projective", projective)
+        _set(self, "weights", weights)
+        _set(self, "point", point)
+        _set(self, "error", error)
+        _set(self, "error_type", error_type)
+        _set(self, "extra", extra)
 
 
 def _fmt(x: float) -> str:

@@ -782,6 +782,108 @@ def test_plot_of_an_overflowing_extent_exits_3_without_writing(tmp_path, capsys)
     assert not target.exists()
 
 
+# ------------------------------------------------------------ pinned bytes
+
+
+PENTAGON = {"name": "pentagon", "vertices": [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]]}
+# equiangular, with sides 2, 1, 2, 1, 2, 1
+HEXAGON = {"vertices": [[0, 0], [2, 0], [2.5, math.sqrt(3) / 2], [1.5, 3 * math.sqrt(3) / 2],
+                        [0.5, 3 * math.sqrt(3) / 2], [-0.5, math.sqrt(3) / 2]]}
+QUAD = {"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}
+QUADMAT = {"name": "quad", "distances": [
+    [0, 4, 5.830951894845301, 4.123105625617661], [4, 0, 3.1622776601683795, 5],
+    [5.830951894845301, 3.1622776601683795, 0, 4.123105625617661],
+    [4.123105625617661, 5, 4.123105625617661, 0]]}
+_AXIOMS = """{
+  "name": "%s",
+  "n": 6,
+  "trials": 20,
+  "relabel_ok": true,
+  "motion_ok": true,
+  "homogeneity_ok": true,
+  "estimated_degree": 2.0,
+  "max_violation": %s
+}
+"""
+_CHARACTERIZE = """{
+  "n": %d,
+  "convex": true,
+  "equiangular": %s,
+  "equilateral": false,
+  "regular": false,
+  "f1_coincident": %s,
+  "f2_coincident": %s,
+  "f3_coincident": %s,
+  "consistent_with_theorems": true
+}
+"""
+# (argv with the document to write, or None, and stdout byte for byte)
+PINNED = {
+    "check-axioms-lamina": (
+        ["check-axioms", "--name", "lamina", "--n", "6", "--trials", "20", "--seed", "7"], None,
+        _AXIOMS % ("lamina", "4.7120988067e-16")),
+    "check-axioms-expr": (
+        ["check-axioms", "--expr", "d(n,1)*d(1,2)", "--n", "6", "--trials", "20", "--seed", "7"],
+        None, _AXIOMS % ("d(n,1)*d(1,2)", "6.42470801462e-16")),
+    "characterize-pentagon": (
+        ["characterize"], PENTAGON, _CHARACTERIZE % (5, "false", "false", "false", "null")),
+    "characterize-hexagon": (
+        ["characterize"], HEXAGON, _CHARACTERIZE % (6, "true", "true", "null", "true")),
+    "center-median": (["center", "--name", "median"], QUAD, """{
+  "name": "median",
+  "point": [
+    2.75862068965,
+    1.65517241379
+  ],
+  "iterations": 50,
+  "residual": 1.50285203478e-13
+}
+"""),
+    "center-chebyshev": (["center", "--name", "chebyshev"], QUAD, """{
+  "name": "chebyshev",
+  "point": [
+    2.5,
+    1.5
+  ],
+  "radius": 2.91547594742,
+  "support": [
+    1,
+    3
+  ]
+}
+"""),
+    "reconstruct": (["reconstruct"], QUADMAT, """{
+  "name": "quad",
+  "vertices": [
+    [
+      0.0,
+      0.0
+    ],
+    [
+      4.0,
+      0.0
+    ],
+    [
+      5.0,
+      -3.0
+    ],
+    [
+      1.0,
+      -4.0
+    ]
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("argv, data, want", PINNED.values(), ids=PINNED)
+def test_records_are_pinned_byte_for_byte(tmp_path, capsys, argv, data, want):
+    if data is not None:
+        argv = argv[:1] + [write_doc(tmp_path, "doc.json", data)] + argv[1:]
+    assert invoke(capsys, argv) == (0, want, "")
+
+
 # ------------------------------------------------------------------- misc
 
 
