@@ -1,2 +1,3 @@
 from .cli import run
-run()
+if __name__ == "__main__":
+    run()

@@ -63,7 +63,7 @@ class CharacterizationReport:
 
 
 def _cosines(p: Polygon) -> list[float]:
-    """Entry k: `f1_cosine` of p.shifted(k), the dot product of the unit
+    """Entry k: `F1` of p.shifted(k), the dot product of the unit
     vectors from vertex k + 1 to its neighbours, from n edges and lengths:
     O(n), with no product of lengths to overflow or underflow at any scale.
     The first shift whose `Point2` differences overflow or vanish raises."""
@@ -95,13 +95,12 @@ def _probe(name: str, all_shifts: Callable[[Polygon], list[float]]) -> VertexCen
     return VertexCenterFunction(name, entry_zero(all_shifts), all_shifts=all_shifts)
 
 
-F1 = _probe("angle-cosine", _cosines)
-F2_ODD = _probe("middle-side", partial(_chords, skip=1))
-F3_EVEN = _probe("half-skip-diagonal", partial(_chords, skip=2))
 # The probes on one polygon: the cosine of the angle at vertex 1 between the
 # edges to vertices 2 and n; the side between the two middle vertices (odd
 # n); the diagonal from vertex n/2 to vertex n/2 + 2 (even n).
-f1_cosine, f2_odd, f3_even = F1.evaluator, F2_ODD.evaluator, F3_EVEN.evaluator
+F1 = _probe("angle-cosine", _cosines)
+F2_ODD = _probe("middle-side", partial(_chords, skip=1))
+F3_EVEN = _probe("half-skip-diagonal", partial(_chords, skip=2))
 
 
 def coincidence(

@@ -24,10 +24,6 @@ tree deeper than MAX_DEPTH levels is a syntax error.
 from __future__ import annotations
 
 import math
-import threading
-from collections.abc import Sequence
-from itertools import chain
-from operator import getitem
 from typing import Callable, Optional, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
@@ -124,15 +120,15 @@ Expr = Union[Const, Dist, Unary, Binary, Aggregate]
 
 
 class ParsedCenter(Frozen):
-    __slots__ = ("expr", "source", "_programs", "_chord_programs", "_facts")
+    __slots__ = ("expr", "source", "_programs")
     _fields = ("expr", "source")
 
     def __init__(self, expr: Expr, source: str) -> None:
         _set(self, "expr", expr)
         _set(self, "source", source)
-        _set(self, "_programs", {})  # n -> the tree compiled for n-gons (`_compile`)
-        _set(self, "_chord_programs", {})  # n -> the tree compiled to read chords, its offsets
-        _set(self, "_facts", {})  # n -> the tree's static facts at n (`static_facts`)
+        # (n, mode) -> the tree compiled for n-gons (`_compile`): "matrix", "chord" with
+        # its offsets, or "traced" in the static facts (`static_facts`)
+        _set(self, "_programs", {})
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -407,128 +403,102 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------- evaluation
 
 
-# A compiled expression reads entry (i, j) of a matrix as rows[i][j + k],
-# from the (rows, k) pair of `DistanceMatrix.rows_and_offset` or `_chord_map`.
-_Program = Callable[[Sequence[Sequence[float]], int], float]
-_Trace = threading.local  # .values: the list a traced program appends to, one per thread
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
 
 
-def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None) -> _Program:
-    """node for n-gons as nested closures, each index pair resolved once;
-    with a set of offsets, reading chord lists and adding each offset read.
-
-    Operands run left to right and give the values and errors a walk of the
-    tree gives; a pair that collides at n, or a node that is not an
-    expression, becomes a closure that raises when it runs."""
-    return _program(node, n, offsets, None)
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise EvalError(f"sqrt of negative value {v!r}")
+    return math.sqrt(v)
 
 
-def _program(node: Expr, n: int, offsets: Optional[set[int]], trace: Optional[_Trace]) -> _Program:
-    """`_compile`, also appending values to `trace.values` (a 0 from * or / may underflow: nan)."""
-    program = _closure(node, n, offsets, trace)
-    if trace is None:
-        return program
-    suspect = isinstance(node, Binary) and node.op in ("*", "/")
-
-    def traced(rows, k):
-        value = program(rows, k)
-        trace.values.append(value if value or not suspect else math.nan)
-        return value
-
-    return traced
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise EvalError("zero base with negative exponent")
+    if a < 0.0 and b != int(b):
+        raise EvalError("fractional power of a negative base")
+    try:
+        return a**b
+    except OverflowError as exc:
+        raise EvalError(f"power overflow: {a!r}^{b!r}") from exc
 
 
-def _closure(node: Expr, n: int, offsets: Optional[set[int]], trace: Optional[_Trace]) -> _Program:
-    if isinstance(node, Const):
-        value = node.value
-        return lambda rows, k: value
-    if isinstance(node, Dist):
-        i = node.i.resolve(n)
-        j = node.j.resolve(n)
-        if i == j:
-            return _raiser(
-                ExprIndexError,
-                f"d({node.i.render()},{node.j.render()}) collides at n={n}",
-                node.pos,
-            )
-        if offsets is not None:
-            # entry i + k of the doubled chord list s = j - i mod n
-            i, j = (j - i) % n, i
-            offsets.add(i)
-        return lambda rows, k: rows[i][j + k]
-    if isinstance(node, Unary):
-        arg = _program(node.arg, n, offsets, trace)
-        if node.op == "neg":
-            return lambda rows, k: -arg(rows, k)
-        if node.op == "abs":
-            return lambda rows, k: abs(arg(rows, k))
+def _raise(error: type[Exception], *args: object) -> float:
+    raise error(*args)
 
-        def sqrt(rows, k):
-            v = arg(rows, k)
-            if v < 0.0:
-                raise EvalError(f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
 
-        return sqrt
-    if isinstance(node, Binary):
-        left = _program(node.left, n, offsets, trace)
-        right = _program(node.right, n, offsets, trace)
-        if node.op == "+":
-            return lambda rows, k: left(rows, k) + right(rows, k)
-        if node.op == "-":
-            return lambda rows, k: left(rows, k) - right(rows, k)
-        if node.op == "*":
-            return lambda rows, k: left(rows, k) * right(rows, k)
-        if node.op == "/":
+# The code of each operation on its operands' locals; as in a walk of the
+# tree, any other unary op is sqrt and any other binary op is ^
+_UNARY = {"neg": "-{}", "abs": "abs({})"}
+_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})"}
 
-            def divide(rows, k):
-                a = left(rows, k)
-                b = right(rows, k)
-                if b == 0.0:
-                    raise EvalError("division by zero")
-                return a / b
 
-            return divide
+def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
+             traced: bool = False) -> Callable:
+    """node for n-gons as one straight-line function f(rows, k), one local
+    per node in post-order, each index pair resolved once. It reads entry
+    (i, j) as rows[i][j + k] (`DistanceMatrix.rows_and_offset`); with a set
+    of offsets, as entry i + k of chord list s = j - i mod n, adding each s
+    read (`_chord_map`); traced, it returns the value and every node's value
+    (a 0 from * or / may underflow: nan). Operands run left to right and give
+    the values and errors a walk of the tree gives; a pair that collides at
+    n, or a node that is not an expression, raises when reached. Constants
+    and error arguments are bound in the function's globals, so its source
+    holds only generated names, ints and operators."""
+    scope: dict[str, object] = {"_div": _div, "_sqrt": _sqrt, "_pow": _pow,
+                                "_raise": _raise, "nan": math.nan}
+    lines: list[str] = []
+    values: list[str] = []
 
-        def power(rows, k):
-            a = left(rows, k)
-            b = right(rows, k)
-            if a == 0.0 and b < 0.0:
-                raise EvalError("zero base with negative exponent")
-            if a < 0.0 and b != int(b):
-                raise EvalError("fractional power of a negative base")
-            try:
-                return a**b
-            except OverflowError as exc:
-                raise EvalError(f"power overflow: {a!r}^{b!r}") from exc
+    def bind(value: object) -> str:
+        name = f"c{len(scope)}"
+        scope[name] = value
+        return name
 
-        return power
-    if isinstance(node, Aggregate):
-        if node.op == "perim":
-            # side i is entry (i, i + 1 mod n), summed in index order; each row
-            # is read by index, so a measured view measures n entries
-            if offsets is not None:
+    def emit(e: Expr) -> str:
+        if isinstance(e, Const):
+            code = bind(e.value)
+        elif isinstance(e, Dist):
+            i, j = e.i.resolve(n), e.j.resolve(n)
+            if i == j:
+                message = f"d({e.i.render()},{e.j.render()}) collides at n={n}"
+                code = f"_raise(*{bind((ExprIndexError, message, e.pos))})"
+            elif offsets is None:
+                code = f"rows[{i}][{j} + k]"
+            else:
+                offsets.add((j - i) % n)
+                code = f"rows[{(j - i) % n}][{i} + k]"
+        elif isinstance(e, Unary):
+            code = _UNARY.get(e.op, "_sqrt({})").format(emit(e.arg))
+        elif isinstance(e, Binary):
+            code = _BINARY.get(e.op, "_pow({}, {})").format(emit(e.left), emit(e.right))
+        elif isinstance(e, Aggregate) and e.op == "perim":
+            if offsets is None:  # side i is entry (i, i + 1 mod n), summed in index order
+                sides = [Dist(Index("literal", i), Index("literal", i % n + 1))
+                         for i in range(1, n + 1)]
+                code = f"sum([{', '.join(map(emit, sides))}])"
+            else:
                 offsets.add(1)
-                return lambda rows, k: sum(rows[1][k:k + n])
-            if trace is not None:  # each side is an intermediate value too
-                sides = [_program(Dist(Index("literal", i), Index("literal", i % n + 1)), n,
-                                  None, trace) for i in range(1, n + 1)]
-                return lambda rows, k: sum([side(rows, k) for side in sides])
-            return lambda rows, k: sum(map(getitem, map(rows.__getitem__, range(n)),
-                                           chain(range(k + 1, k + n), (k,))))
-        args = [_program(a, n, offsets, trace) for a in node.args]
-        pick = min if node.op == "min" else max
-        return lambda rows, k: pick([f(rows, k) for f in args])
-    return _raiser(TypeError, f"not an expression node: {node!r}")
+                code = f"sum(rows[1][k:k + {n}])"
+        elif isinstance(e, Aggregate):
+            code = f"{'min' if e.op == 'min' else 'max'}([{', '.join(map(emit, e.args))}])"
+        else:
+            code = f"_raise(*{bind((TypeError, f'not an expression node: {e!r}'))})"
+        local = f"v{len(lines)}"
+        lines.append(f"    {local} = {code}\n")
+        values.append(f"({local} or nan)" if isinstance(e, Binary) and e.op in ("*", "/")
+                      else local)
+        return local
 
-
-def _raiser(error: type[Exception], *args: object) -> _Program:
-    """A program that raises a fresh error(*args) whenever it runs."""
-
-    def raise_(rows, k):
-        raise error(*args)
-
-    return raise_
+    result = emit(node)
+    if traced:
+        result += f", ({', '.join(values)},)"
+    exec(compile(f"def f(rows, k):\n{''.join(lines)}    return {result}\n", "<expression>",
+                 "exec"), scope)
+    return scope["f"]
 
 
 def _finite(value: float) -> float:
@@ -542,11 +512,11 @@ def evaluate(pc: ParsedCenter, D: DistanceMatrix) -> float:
     negatives, and fractional powers of negatives raise EvalError; index
     pairs that collide after mod-n reduction raise ExprIndexError.
 
-    pc compiles once per n and keeps the result. Entries are read in place,
-    through `D.rows_and_offset()`, so D builds no `d`."""
-    program = pc._programs.get(D.n)
+    pc compiles to a function once per n (`_compile`) and keeps it. Entries
+    are read in place, through `D.rows_and_offset()`, so D builds no `d`."""
+    program = pc._programs.get((D.n, "matrix"))
     if program is None:
-        program = pc._programs[D.n] = _compile(pc.expr, D.n)
+        program = pc._programs[D.n, "matrix"] = _compile(pc.expr, D.n)
     return _finite(program(*D.rows_and_offset()))
 
 
@@ -554,10 +524,10 @@ def _chord_map(pc: ParsedCenter, p: Polygon) -> list[float]:
     """`evaluate(pc, R)` for R in `distance_matrix(p).rotations()`, bit for
     bit and error for error, from one `chords(p, s)` per offset s read, as
     hypot ignores sign; p's extent is the caller's to check."""
-    compiled = pc._chord_programs.get(p.n)
+    compiled = pc._programs.get((p.n, "chord"))
     if compiled is None:
         offsets: set[int] = set()
-        compiled = pc._chord_programs[p.n] = (_compile(pc.expr, p.n, offsets), offsets)
+        compiled = pc._programs[p.n, "chord"] = (_compile(pc.expr, p.n, offsets), offsets)
     program, offsets = compiled
     table = {s: chords(p, s) * 2 for s in offsets}
     return [_finite(program(table, k)) for k in range(p.n)]
@@ -593,19 +563,18 @@ def _walk(e: Expr, n: int) -> tuple[Optional[tuple[int, int, int]], tuple, tuple
 def static_facts(pc: ParsedCenter, n: int) -> tuple:
     """(symmetric, degrees, sample) of pc on n-gons, once per n (`_walk`): `sample(D)` is
     `evaluate(pc, D)`, the least nonzero and the sum of the intermediate magnitudes."""
-    if n not in pc._facts:
+    facts = pc._programs.get((n, "traced"))
+    if facts is None:
         span, key, flipped = _walk(pc.expr, n)
-        trace = _Trace()
-        program = _program(pc.expr, n, None, trace if span else None)
+        program = _compile(pc.expr, n, traced=True)
 
         def sample(D: DistanceMatrix) -> tuple[float, float, float]:
-            trace.values = values = []
-            value = _finite(program(*D.rows_and_offset()))
+            value, values = program(*D.rows_and_offset())
             magnitudes = [abs(v) for v in values if v] or [1.0]  # zeros stay zero at any scale
-            return value, min(magnitudes), sum(magnitudes)
+            return _finite(value), min(magnitudes), sum(magnitudes)
 
-        pc._facts[n] = (key == flipped, span, sample)
-    return pc._facts[n]
+        facts = pc._programs[n, "traced"] = (key == flipped, span, sample)
+    return facts
 
 
 # ----------------------------------------------------------------- admission

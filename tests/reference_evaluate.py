@@ -3,7 +3,9 @@ compiled `polycenter.dsl.evaluate` must equal bit for bit, errors included.
 
 It walks the tree on every call, resolving each index pair and reading each
 entry through `D.d`, exactly as `dsl.evaluate` did before expressions were
-compiled once per n.
+compiled once per n. `dsl._compile` writes the same walk as straight-line
+code, one local per node in post-order, in its matrix, chord and traced
+modes; all three must give this walk's values and errors.
 """
 
 from __future__ import annotations

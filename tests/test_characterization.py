@@ -9,9 +9,6 @@ from polycenter.characterization import (
     F3_EVEN,
     characterize,
     coincidence,
-    f1_cosine,
-    f2_odd,
-    f3_even,
     interior_angles,
     predicates,
 )
@@ -37,35 +34,35 @@ SQUARE = Polygon.from_pairs([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def test_f1_cosine_values():
-    assert f1_cosine(SQUARE) == pytest.approx(0.0, abs=1e-15)
-    assert f1_cosine(MOUNTAIN) == pytest.approx(0.5, abs=1e-12)
+    assert F1.evaluator(SQUARE) == pytest.approx(0.0, abs=1e-15)
+    assert F1.evaluator(MOUNTAIN) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_f1_cosine_has_the_same_bits_at_every_power_of_two_scale():
     # no product of edge lengths, which underflowed to 0 near 2**-900
     p = random_convex_polygon(random.Random(3), 7)
-    want = [f1_cosine(p.shifted(s)) for s in range(p.n)]
+    want = [F1.evaluator(p.shifted(s)) for s in range(p.n)]
     for k in range(-1000, 1001, 50):
         q = Polygon.from_pairs([(2.0**k * v.x, 2.0**k * v.y) for v in p.vertices])
-        assert [f1_cosine(q.shifted(s)) for s in range(q.n)] == want, k
+        assert [F1.evaluator(q.shifted(s)) for s in range(q.n)] == want, k
 
 
 def test_f1_rejects_zero_edge():
     p = Polygon.from_pairs([(0, 0), (0, 0), (1, 1)])
     with pytest.raises(DegenerateVertex):
-        f1_cosine(p)
+        F1.evaluator(p)
 
 
 def test_parity_guards():
     with pytest.raises(ParityMismatch):
-        f2_odd(SQUARE)
+        F2_ODD.evaluator(SQUARE)
     with pytest.raises(ParityMismatch):
-        f3_even(MOUNTAIN)
+        F3_EVEN.evaluator(MOUNTAIN)
 
 
 def test_f3_reads_a_diagonal():
     # n=4: the half-skip diagonal from vertex 2 to vertex 4
-    assert f3_even(RECT) == pytest.approx(math.sqrt(5.0))
+    assert F3_EVEN.evaluator(RECT) == pytest.approx(math.sqrt(5.0))
 
 
 # ------------------------------------------------------------- coincidence

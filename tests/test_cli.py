@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -937,6 +938,13 @@ def test_python_dash_m_runs_the_console_script(argv):
         got = _python([*form, *argv])
         assert (got.returncode, got.stdout, got.stderr) == (
             want.returncode, want.stdout, want.stderr)
+
+
+def test_importing_the_main_module_runs_nothing(monkeypatch):
+    # `python -m polycenter` runs the command line; an import, as a tool that
+    # imports every submodule makes, returns normally
+    monkeypatch.delitem(sys.modules, "polycenter.__main__", raising=False)
+    assert importlib.import_module("polycenter.__main__").run is cli.run
 
 
 def test_characterize_reports_alike_at_every_power_of_two_scale(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Compiled expressions equal the tree-walking reference bit for bit.
 
-`dsl.evaluate` compiles a tree once per n into closures that read entries
-in place; `reference_evaluate` walks the tree on every call. Values are
-compared by `repr`, errors by class, message and position.
+`dsl.evaluate` compiles a tree once per n into one straight-line function
+that reads entries in place; `reference_evaluate` walks the tree on every
+call. Values are compared by `repr`, errors by class, message and position.
 """
 
 import random

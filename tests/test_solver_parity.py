@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import reference_solvers as ref
 from polycenter.characterization import (
-    F1, F2_ODD, F3_EVEN, characterize, coincidence, f1_cosine, f2_odd, f3_even,
+    F1, F2_ODD, F3_EVEN, characterize, coincidence,
 )
 from polycenter.errors import DegenerateVertex, NoConvergence
 from polycenter.framework import cyclic_values
@@ -30,7 +30,8 @@ from polycenter.reconstruction import _miss, reconstruct, validate
 from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
 
 PROBES = ((F1, ref.F1), (F2_ODD, ref.F2_ODD), (F3_EVEN, ref.F3_EVEN))
-ENTRY_ZERO = ((f1_cosine, ref.f1_cosine), (f2_odd, ref.f2_odd), (f3_even, ref.f3_even))
+ENTRY_ZERO = ((F1.evaluator, ref.f1_cosine), (F2_ODD.evaluator, ref.f2_odd),
+              (F3_EVEN.evaluator, ref.f3_even))
 
 
 def outcome(call):
@@ -128,7 +129,7 @@ def test_f1_cosine_raises_for_a_zero_edge_away_from_vertex_1():
     p = Polygon.from_pairs([(0, 0), (1, 0), (2, 1), (2, 1), (0, 1)])
     assert ref.f1_cosine(p) == 0.0
     with pytest.raises(DegenerateVertex):
-        f1_cosine(p)
+        F1.evaluator(p)
 
 
 def test_the_first_failing_shift_decides_the_probe_error():

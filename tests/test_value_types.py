@@ -132,8 +132,6 @@ def _all_slots(cls):
 
 def _package_classes():
     for info in pkgutil.iter_modules(polycenter.__path__):
-        if info.name == "__main__":  # runs the command line
-            continue
         module = importlib.import_module(f"polycenter.{info.name}")
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
