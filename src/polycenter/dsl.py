@@ -24,10 +24,12 @@ tree deeper than MAX_DEPTH levels is a syntax error.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Union
+import random
+from itertools import islice
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
-from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, axiom_trials
+from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, _trial_inputs, _trials
 from .geometry import DistanceMatrix, Frozen, Polygon, _set, chords
 from .sampling import random_polygon
 
@@ -588,6 +590,63 @@ def center_function(pc: ParsedCenter) -> LengthCenterFunction:
                                 static_facts=lambda n: static_facts(pc, n))
 
 
+_BANKED = 64  # admit's default trials, the most the bank keeps
+
+
+class _Bank:
+    """The trial inputs (`framework._trial_inputs`) of random n-gons from
+    Random(seed), the first `_BANKED` kept as they are first read.
+
+    `stream` holds the generator of trial len(drawn), which draws from
+    `rng`, while no reader holds it: the reader that pops it alone draws
+    and appends, so readers in several threads need no lock. Once all
+    `_BANKED` are drawn, `rng` no longer moves.
+    """
+
+    __slots__ = ("key", "rng", "drawn", "stream")
+
+    def __init__(self, n: int, seed: int) -> None:
+        self.key = (n, seed)
+        self.rng = random.Random(seed)
+        self.drawn: list[tuple] = []
+        self.stream = [_polygon_inputs(n, self.rng)]
+
+
+_bank: Optional[_Bank] = None  # of the last (n, seed) admitted at
+
+
+def _polygon_inputs(n: int, rng: random.Random) -> Iterator[tuple]:
+    """The trial inputs of the random n-gons rng draws."""
+    return _trial_inputs(lambda r: random_polygon(r, n), rng, False)
+
+
+def _shared_inputs(n: int, seed: int) -> Iterator[tuple]:
+    """The trial inputs of random n-gons from Random(seed), read from the
+    process's bank of the last (n, seed) read, which replaces that of any
+    other: the first `_BANKED` are drawn once, when first read, and
+    shared; the rest are drawn afresh from a copy of the bank's `rng`. A
+    reader that finds another thread drawing draws its own from seed."""
+    global _bank
+    bank = _bank
+    if bank is None or bank.key != (n, seed):
+        bank = _bank = _Bank(n, seed)
+    drawn = bank.drawn
+    for i in range(_BANKED):
+        if i == len(drawn):
+            try:
+                stream = bank.stream.pop()
+            except IndexError:  # held by another thread, or ended by an error
+                yield from islice(_polygon_inputs(n, random.Random(seed)), i, None)
+                return
+            if i == len(drawn):
+                drawn.append(next(stream))
+            bank.stream.append(stream)
+        yield drawn[i]
+    rng = random.Random()
+    rng.setstate(bank.rng.getstate())
+    yield from _polygon_inputs(n, rng)
+
+
 def admit(
     pc: ParsedCenter, n: int, seed: int = 0, trials: int = 64
 ) -> LengthCenterFunction:
@@ -598,10 +657,16 @@ def admit(
     first failing trial, naming the property and carrying a witness. On
     top of them, the slopes of all trials must agree with one
     natural-number homogeneity degree.
+
+    The n-gons depend on (n, seed) alone, so a process draws their inputs
+    once, as they are first read, and every expression admitted at (n,
+    seed) reads them again (`_shared_inputs`). The process keeps the inputs
+    of at most `_BANKED` trials, of the last (n, seed): coordinates and
+    distance views, no matrix, about 130 kB at n = 8.
     """
     fg = center_function(pc)
     slopes: list[float] = []
-    for trial in axiom_trials(fg, lambda rng: random_polygon(rng, n), trials, seed):
+    for trial in _trials(fg, _shared_inputs(n, seed), trials):
         D = trial.input
         if trial.relabel_gap() > CHECK_TOL:
             raise AxiomViolation(

@@ -36,10 +36,13 @@ guard then decides on the polygon (`perimeter` asks `is_convex(p)`). A matrix
 always maps through its rotations and the evaluator.
 
 An axiom trial evaluates a function on a sample, its reversal, a moved copy
-and three rescalings. A guard-free expression's `static_facts` imply some of
-these values with the bits evaluation gives. IEEE + and * commute exactly,
-so a reversal that leaves the tree's sorted form as it is keeps the value.
-At scale 2^s a tree of degree k gains 2^(k*s) while every intermediate of
+and three rescalings. Those inputs are drawn apart from any function
+(`_trial_inputs`) and hold no value, so one draw can serve every function
+checked on it, as `dsl.admit`'s does; `_trials` is the one body that
+evaluates them, for `verify_axioms` and `dsl.admit` alike. A guard-free
+expression's `static_facts` imply some of these values with the bits
+evaluation gives. IEEE + and * commute exactly, so a reversal that leaves
+the tree's sorted form as it is keeps the value. At scale 2^s a tree of degree k gains 2^(k*s) while every intermediate of
 degree j, times 2^(j*s) and at scale 1, is zero or in [2^-1021, 2^1023],
 where IEEE arithmetic commutes with power-of-two scaling (Goldberg 1991).
 """
@@ -49,6 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter, mul
 from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -360,57 +364,91 @@ def axiom_trials(
     Raises ValueError for fewer than one trial, which would report every
     axiom as holding.
 
-    A trial reads fg on the sample, its reversal, a moved copy and the
-    rescalings by 1/2, 2 and 4 (by 1 it is the sample, as a center function
-    gives equal values on equal inputs): 6 evaluations, or as few as 2 when
-    a guard-free length function's `static_facts` imply the others.
-
-    A length function reads views (`geometry.MeasuredRows`) over the
-    sample's coordinates (the reversal's permuted by sigma, a rescaling's
-    times its t) or the moved ones, which measure a distance when it is
-    read, and the whole matrix once, when its `d` is first read. The
-    checks fail in the order of built matrices: a moved
-    coordinate that overflows (`apply_motion`'s NonFinite), the sample's
-    extent, the moved copy's, then a rescaling (ValueError), whose check
-    reads the sample's extent. An implied value's view is built all the
-    same, except a symmetric tree's reversal, which cannot fail its check.
+    Each trial's inputs are drawn (`_trial_inputs`) from Random(seed) as it
+    is read, then evaluated (`_trials`). A trial reads fg on the sample, its
+    reversal, a moved copy and the rescalings by 1/2, 2 and 4 (by 1 it is
+    the sample, as a center function gives equal values on equal inputs):
+    6 evaluations, or as few as 2 when a guard-free length function's
+    `static_facts` imply the others.
     """
-    if trials < 1:
-        raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
-    rng = random.Random(seed)
+    vertex = isinstance(fg, VertexCenterFunction)
+    yield from _trials(fg, _trial_inputs(sampler, random.Random(seed), vertex), trials)
+
+
+def _trial_inputs(
+    sampler: Callable[[random.Random], Polygon], rng: random.Random, vertex: bool
+) -> Iterator[tuple]:
+    """The inputs of one trial after another, drawn from rng as each is
+    read: a sample, its reversal, a moved copy and its rescalings by
+    `_RESCALES`. They are the same for every function, so they hold no
+    value and no matrix whose `d` a reader could fill.
+
+    A vertex function's inputs are polygons. A length function's are views
+    (`geometry.MeasuredRows`) over the sample's coordinates (the reversal's
+    permuted by sigma, a rescaling's times its t) or the moved ones, which
+    measure a distance when it is read. The checks fail in the order of
+    built views: a moved coordinate that overflows (`apply_motion`'s
+    NonFinite), the sample's extent, the moved copy's, then a rescaling
+    (ValueError), whose check reads the sample's extent; the reversal's
+    cannot fail.
+    """
     picks: dict[int, itemgetter] = {}  # n -> the reversal by sigma of n items
-    for _ in range(trials):
+    while True:
         p = sampler(rng)
         motion = random_rigid_motion(rng)
         pick = picks.get(p.n) or picks.setdefault(
             p.n, itemgetter(*DihedralElement.sigma(p.n).permutation()))
-        facts = fg.static_facts and not fg.domain_guard and fg.static_facts(p.n)
-        symmetric, degrees, traced = facts or (False, None, None)
         moved = apply_motion(motion, p)
-        if isinstance(fg, VertexCenterFunction):
-            inputs = [p, Polygon._of(pick(p.xs), pick(p.ys)), moved]
-            inputs += [Polygon._checked([t * x for x in p.xs], [t * y for y in p.ys])
-                       for t in _RESCALES]
+        if vertex:
+            yield (p, Polygon._of(pick(p.xs), pick(p.ys)), moved,
+                   *[Polygon._checked([t * x for x in p.xs], [t * y for y in p.ys])
+                     for t in _RESCALES])
         else:
             xs, ys = p.xs, p.ys
             sample, moved = MeasuredRows(xs, ys), MeasuredRows(moved.xs, moved.ys)
-            views = [sample, None if symmetric else MeasuredRows(
-                pick(xs), pick(ys), 1.0, sample.diagonal), moved]
-            views += [MeasuredRows(xs, ys, t, sample.diagonal) for t in _RESCALES]
-            inputs = [v if v is None else DistanceMatrix._of(v) for v in views]
+            yield (sample, MeasuredRows(pick(xs), pick(ys), 1.0, sample.diagonal), moved,
+                   *[MeasuredRows(xs, ys, t, sample.diagonal) for t in _RESCALES])
+
+
+def _facts(fg: CenterFunction, n: int) -> tuple:
+    """(symmetric, degrees, traced) of a guard-free length function's
+    `static_facts(n)`, or (False, None, None), then the least and the
+    greatest exponent by which a rescaling shifts an intermediate value."""
+    facts = fg.static_facts and not fg.domain_guard and fg.static_facts(n)
+    symmetric, degrees, traced = facts or (False, None, None)
+    shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
+    return symmetric, degrees, traced, min(shifts), max(shifts)
+
+
+def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterator[AxiomTrial]:
+    """fg's trials on the first `trials` of `inputs` (`_trial_inputs`),
+    each evaluated before the next is read. A length function reads each
+    view as a `DistanceMatrix`, built only when evaluated, so the matrix
+    whose `d` a reader may fill is the trial's own."""
+    if trials < 1:
+        raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
+    vertex = isinstance(fg, VertexCenterFunction)
+    evaluate = fg.evaluate if vertex else lambda rows: fg.evaluate(DistanceMatrix._of(rows))
+    known: dict[int, tuple] = {}  # n -> the facts of `_facts`
+    for sample, reversal, moved, *rescaled in islice(inputs, trials):
+        n = sample.n if vertex else len(sample)
+        symmetric, degrees, traced, least, greatest = known.get(n) or known.setdefault(
+            n, _facts(fg, n))
+        if not vertex:
+            sample = DistanceMatrix._of(sample)
         if traced is None:
-            base, rev, mv, half, double, quadruple = map(fg.evaluate, inputs)
+            base = fg.evaluate(sample)
+            rev, mv, half, double, quadruple = map(evaluate, (reversal, moved, *rescaled))
         else:
-            base, lo, hi = traced(inputs[0])
-            rev = base if symmetric else fg.evaluate(inputs[1])
-            mv = fg.evaluate(inputs[2])
-            shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
+            base, lo, hi = traced(sample)
+            rev = base if symmetric else evaluate(reversal)
+            mv = evaluate(moved)
             exact = degrees and math.isfinite(hi) and (
-                math.frexp(hi)[1] + max(shifts) <= 1023 and math.frexp(lo)[1] + min(shifts) > -1021)
+                math.frexp(hi)[1] + greatest <= 1023 and math.frexp(lo)[1] + least > -1021)
             half, double, quadruple = (
                 [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
-                else map(fg.evaluate, inputs[3:]))
-        yield AxiomTrial(inputs[0], base, rev, mv, (half, base, double, quadruple))
+                else map(evaluate, rescaled))
+        yield AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
 
 
 def verify_axioms(

@@ -534,6 +534,12 @@ def cayley_menger_quad(
         _require_finite(length, name)
         if length < 0.0:
             raise ValueError(f"{name} is negative")
+    return _cayley_menger(e12, e23, e34, e41, d13, d24)
+
+
+def _cayley_menger(e12: float, e23: float, e34: float, e41: float, d13: float,
+                   d24: float) -> float:
+    """`cayley_menger_quad` of lengths already checked, as a valid matrix's are."""
     # eight times the Gram determinant of the edge vectors at vertex 1:
     # a, b, c their squared lengths, u, v, w twice their dot products
     a, b, c = e12 * e12, d13 * d13, e41 * e41

@@ -15,8 +15,8 @@ from .geometry import (
     DistanceMatrix,
     Frozen,
     Polygon,
+    _cayley_menger,
     _set,
-    cayley_menger_quad,
     is_convex,
     shoelace,
     unit_factor,
@@ -125,7 +125,7 @@ def validate(D: DistanceMatrix) -> FeasibilityReport:
     if scale > 0.0:
         e = [[v / scale for v in row] for row in D.d]
         checks = [
-            cayley_menger_quad(e[0][1], e[1][k], e[k][l], e[l][0], e[0][k], e[1][l])
+            _cayley_menger(e[0][1], e[1][k], e[k][l], e[l][0], e[0][k], e[1][l])
             for k in range(2, n) for l in range(k + 1, n)
         ]
     try:

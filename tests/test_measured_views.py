@@ -283,13 +283,15 @@ ADMISSIONS = {
 
 def test_admission_measures_only_what_the_expression_reads(monkeypatch):
     # no expression, `perim` included, makes a view measure its whole
-    # matrix, and each trial checks two extents: the sample's and the
-    # moved copy's
+    # matrix; each trial a cold admission reads is drawn once and checks
+    # two extents, the sample's and the moved copy's, and an admission at
+    # the same (n, seed) after it draws and checks nothing
     calls = Counter()
     for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"),
                         (geometry, "_largest_distance"), (dsl, "random_polygon")):
         counted(monkeypatch, calls, owner, name)
     for source, prop in ADMISSIONS.items():
+        monkeypatch.setattr(dsl, "_bank", None)
         calls.clear()
         got = outcome(lambda: admit(parse(source), 8))
         if prop is None:
@@ -298,4 +300,7 @@ def test_admission_measures_only_what_the_expression_reads(monkeypatch):
         else:
             assert got[0] == AxiomViolation.__name__ and got[1].startswith(prop), source
         trials = calls.pop("random_polygon")
+        assert calls == Counter({"_extent": 2 * trials}), source
+        again = outcome(lambda: admit(parse(source), 8))
+        assert again[0] == got[0] and (prop is None or again == got), source
         assert calls == Counter({"_extent": 2 * trials}), source
