@@ -6,13 +6,14 @@ length-based) with a domain guard. `lamina_centroid_direct` computes the
 `lamina` point from the vertex wedges, without a coordinate map.
 
 The vertex entries are defined once, by their whole coordinate map,
-computed from work the n shifts share: one distance matrix for `medoid`
-(which `medoid()` reads too), one vertex mean and wedge total for
-`lamina`. Their per-shift evaluator is entry 0 of the map. The sums a map
-shares are taken with `math.fsum`, which is correctly rounded and so
-independent of the vertex a shift starts from; that is what makes entry 0
-of a shifted input's map equal the matching entry of the input's own, bit
-for bit.
+computed from work the n shifts share: the n distance sums for `medoid`
+(which `medoid()` reads too), measured with no matrix and summed exactly
+only where a rounding bound cannot decide the mark, and one vertex mean
+and wedge total for `lamina`. Their per-shift evaluator is entry 0 of the
+map. The sums a map shares are taken with `math.fsum`, which is correctly
+rounded and so independent of the vertex a shift starts from; that is
+what makes entry 0 of a shifted input's map equal the matching entry of
+the input's own, bit for bit.
 
 The length entries are guarded expressions (`dsl`), whose guards read a
 matrix or the polygon it is measured from.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 from .dsl import center_function, parse
@@ -32,7 +34,6 @@ from .geometry import (
     Point2,
     Polygon,
     chords,
-    distance_matrix,
     is_convex,
     is_nondegenerate,
     vertex_coordinates,
@@ -128,15 +129,6 @@ def lamina_centroid_direct(p: Polygon) -> Point2:
 # -------------------------------------------------------------------- medoid
 
 
-def _distance_sums(p: Polygon) -> list[float]:
-    """Sum of distances from each vertex to all vertices.
-
-    Rows of the distance matrix are summed with `_total`, so each sum
-    matches summing v.distance_to(w) over w in any order, bit for bit.
-    """
-    return [_total(row) for row in distance_matrix(p).d]
-
-
 def _medoid_bound(s: float) -> float:
     """Largest distance sum still counted as tied with a sum s; monotone in s
     and relative: sums of pairwise-distinct vertices are positive."""
@@ -144,11 +136,43 @@ def _medoid_bound(s: float) -> float:
 
 
 def _medoid_indicators(p: Polygon) -> list[float]:
-    """Entry k is 1.0 when vertex k + 1 minimizes the sum of distances to
-    all vertices, from one matrix: O(n^2)."""
-    sums = _distance_sums(p)
-    bound = _medoid_bound(min(sums))
-    return [1.0 if s <= bound else 0.0 for s in sums]
+    """Entry k is 1.0 when vertex k + 1's distance sum, the `math.fsum` of its
+    row of `distance_matrix(p)`, is within `_medoid_bound` of the smallest
+    sum, from no matrix: O(n^2) time, O(n) memory.
+
+    A plain running sum (the built-in `sum`) of each vertex's distances
+    settles every row but those near the smallest; only rows whose running
+    sum is at most the cut are measured again and summed with `_total`.
+    `math.dist` and `math.hypot` share one norm, and hypot ignores sign, so
+    these are the matrix's bits and the marks are those of the exact sums.
+
+    The cut. With u = 2^-53, S_i the exact sum of row i, s_i = fl(S_i) its
+    `_total`, r_i its running sum, m the smallest s_i and r the smallest r_i
+    (at row a): summing n nonnegative terms in any order of n - 1 additions
+    leaves |r_i - S_i| <= g S_i, g = (n - 1)u / (1 - (n - 1)u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 4.2); fsum rounds
+    once, |s_i - S_i| <= u S_i. So m <= s_a <= (1 + u)/(1 - g) r, and
+    `_medoid_bound`, monotone and relative with two roundings, gives
+    B(m) <= (1 + u)^3/((1 - g)(1 - u)) B(r). A marked row has s_i <= B(m),
+    hence r_i <= (1 + g)/(1 - u) B(m) <= (1 + g)(1 + u)^3/((1 - g)(1 - u)^2) B(r),
+    a factor 1 + (2n + 3)u + O(n^2 u^2). The cut B(r)(1 + 4(n + 2)u), whose
+    factor is exact and whose product rounds once, is above it with room to
+    spare: for the compensated `sum` of Python 3.12 on, and for a product in
+    B that underflows, which costs a u or two on a normal sum. Below the
+    normal range every sum here is exact (each is a multiple of 2^-1074
+    under 2^-1021), and monotonicity alone carries the argument. Overflow
+    rounds up to inf, which the bounds allow for: when a marked row's
+    running sum overflows, so does the cut, and every row is measured again.
+    """
+    xs, ys = vertex_coordinates(p)
+    pts = list(zip(xs, ys))
+    n = len(pts)
+    running = [sum(map(math.dist, repeat(v), pts)) for v in pts]
+    cut = _medoid_bound(min(running)) * (1.0 + (n + 2) * 2.0**-51)
+    exact = {i: _total(map(math.dist, repeat(pts[i]), pts))
+             for i, r in enumerate(running) if r <= cut}
+    bound = _medoid_bound(min(exact.values()))
+    return [1.0 if i in exact and exact[i] <= bound else 0.0 for i in range(n)]
 
 
 def medoid(p: Polygon) -> int:

@@ -431,14 +431,18 @@ class DistanceMatrix(Frozen):
         share its doubled rows.
 
         Row i of rotation k is the slice [k, k + n) of row i + k written
-        twice. The rows are doubled once, O(n^2); a rotation then copies no
-        row until its `d` is read, so an evaluator that reads a few entries
-        through `rows_and_offset` costs O(n) per rotation, not O(n^2).
-        They are not revalidated: a rotation of a valid matrix is still
-        square, finite, nonnegative, zero on the diagonal and symmetric.
+        twice. The rows are doubled once, O(n^2), and the tuple of doubled
+        rows is written twice, so that rotation k's rows are one slice of it;
+        a rotation then copies no row until its `d` is read, so an evaluator
+        that reads a few entries through `rows_and_offset` costs O(n) per
+        rotation, not O(n^2). They are not revalidated: a rotation of a
+        valid matrix is still square, finite, nonnegative, zero on the
+        diagonal and symmetric.
         """
+        n = self.n
         doubled = tuple([row + row for row in self.d])
-        return chain([self], (self._of(doubled[k:] + doubled[:k], k) for k in range(1, self.n)))
+        twice = doubled + doubled
+        return chain([self], (self._of(twice[k:k + n], k) for k in range(1, n)))
 
     def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
         """(rows, k) such that entry (i, j) is rows[i][j + k], read in place."""

@@ -1,22 +1,25 @@
 """Operations that only the tests use: the dihedral identity, inverse and
 composition, the composition of rigid motions, projective equality, matrix
 entries by cyclic index and permuted matrices, the signed area, the
-equivariance check of the minimal centers, and the polygon builders that
-went through validated `Point2`s, kept as references."""
+equivariance check of the minimal centers, a call counter, and, kept as
+references, the distance sums of full matrix rows and the polygon builders
+that went through validated `Point2`s."""
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from polycenter import sampling
 from polycenter.errors import DomainViolation
 from polycenter.framework import CHECK_TOL, ProjectiveCoords
 from polycenter.geometry import (
     DihedralElement, DistanceMatrix, Point2, Polygon, RigidMotion, Similarity, apply_motion,
-    moved_coordinates, relabel, shoelace,
+    distance_matrix, moved_coordinates, relabel, shoelace,
 )
 from polycenter.optim import chebyshev_center, geometric_median
 
@@ -74,6 +77,42 @@ def permuted(D: DistanceMatrix, perm: tuple[int, ...]) -> DistanceMatrix:
 def signed_area(p: Polygon) -> float:
     """Shoelace area; positive for counterclockwise vertex order."""
     return 0.5 * shoelace(p.xs, p.ys)
+
+
+@contextmanager
+def calls_of(function: Callable) -> Iterator[list]:
+    """A list that grows by one for each call of the Python function
+    `function` while the block runs, however the call reaches it: a profile
+    hook sees every frame that runs its code."""
+    code, calls, outer = function.__code__, [], sys.getprofile()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(None)
+
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(outer)
+
+
+# ------------------------------------------------------ medoid (reference)
+
+
+def _distance_sums(p: Polygon) -> list[float]:
+    """Sum of distances from each vertex to all vertices: the `math.fsum` of
+    each full row of `distance_matrix(p)`, so the same as summing
+    v.distance_to(w) over w in any order, bit for bit; inf where it
+    overflows. The definition the `medoid` marks are held to."""
+
+    def total(row: Sequence[float]) -> float:
+        try:
+            return math.fsum(row)
+        except OverflowError:
+            return math.inf
+
+    return [total(row) for row in distance_matrix(p).d]
 
 
 # ------------------------------------------------ minimal-center equivariance

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import _distance_sums
 from polycenter.catalog import (
     CATALOG,
-    _distance_sums,
     lamina_centroid_direct,
     medoid,
 )

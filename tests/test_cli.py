@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import calls_of
 import polycenter
 from polycenter import catalog, cli, documents, reconstruction
 from polycenter.cli import _EXIT_RULES, _rounded, main
@@ -356,22 +357,14 @@ def test_zero_tolerance_is_accepted(tmp_path, capsys):
     assert json.loads(out)["point"] == [0.5, 0.5]
 
 
-def test_center_medoid_measures_one_distance_matrix(tmp_path, capsys, monkeypatch):
+def test_center_medoid_makes_one_medoid_pass(tmp_path, capsys):
     # the "vertex" field is read off the marks of the map itself
-    calls = 0
-    measure = catalog.distance_matrix
-
-    def counted(p):
-        nonlocal calls
-        calls += 1
-        return measure(p)
-
-    monkeypatch.setattr(catalog, "distance_matrix", counted)
     doc = write_doc(tmp_path, "tri.json", TRI345)
-    rc, out, err = invoke(capsys, ["center", doc, "--name", "medoid"])
+    with calls_of(catalog._medoid_indicators) as passes:
+        rc, out, err = invoke(capsys, ["center", doc, "--name", "medoid"])
     assert rc == 0 and err == ""
     assert json.loads(out)["vertex"] == 1
-    assert calls == 1
+    assert len(passes) == 1
 
 
 def test_center_perimeter_of_distances_reconstructs_once(tmp_path, capsys, monkeypatch):

@@ -1,27 +1,33 @@
 """The medoid indicator against its full definition.
 
-The catalog defines `medoid` once, by its whole map: one distance matrix,
-n `math.fsum` row sums, and a 1 for every sum within MEDOID_REL of the
-smallest. The definition is kept here as the reference, measuring all n
-sums for the shift it is asked about; entry k of the map and the per-shift
-evaluator on shift k must give its value or its error on every shift.
-(The module keeps the name it had when the indicator still ruled shifts
-out from two sums.)
+The definition is one distance matrix, n `math.fsum` row sums, and a 1 for
+every sum within MEDOID_REL of the smallest. The catalog computes the map
+from no matrix: running sums of each vertex's distances, and exact sums
+only for the rows near the smallest, where a rounding bound cannot decide.
+The definition is kept here as the reference (`helpers._distance_sums`),
+measuring all n sums for the shift it is asked about; entry k of the map
+and the per-shift evaluator on shift k must give its value or its error on
+every shift. (The module keeps the name it had when the indicator still
+ruled shifts out from two sums.)
 """
 
+import importlib.util
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import _distance_sums, calls_of
 from polycenter import catalog
-from polycenter.catalog import CATALOG, _distance_sums, _medoid_bound, _medoid_indicators
+from polycenter.catalog import CATALOG, _medoid_bound, _medoid_indicators
 from polycenter.errors import NonFinite
 from polycenter.framework import coordinate_map_vertex
 from polycenter.geometry import Polygon
-from polycenter.sampling import random_convex_polygon
+from polycenter.sampling import random_convex_polygon, regular_polygon
 
 MEDOID = CATALOG["medoid"].function
 
@@ -168,19 +174,117 @@ def test_extreme_scales_give_the_same_value_or_error(scale, pairs):
             MEDOID.evaluator(p)
 
 
-def test_convex_128_gon_builds_few_matrices(monkeypatch):
-    calls = []
-    measure = catalog.distance_matrix
-
-    def counted(p):
-        calls.append(p)
-        return measure(p)
-
-    monkeypatch.setattr(catalog, "distance_matrix", counted)
+def test_convex_128_gon_makes_one_pass_per_map_and_per_evaluation():
     p = random_convex_polygon(random.Random(0), 128)
-    coords = coordinate_map_vertex(MEDOID, p)
+    with calls_of(_medoid_indicators) as calls:
+        coords = coordinate_map_vertex(MEDOID, p)
+        assert sum(coords.values) >= 1.0
+        # evaluating every shift on its own would take one pass per shift, 128
+        assert len(calls) == 1
+        MEDOID.evaluator(p)
+        assert len(calls) == 2
+
+
+# ------------------------------------------------------------ candidate cut
+
+
+def reference_marks(p):
+    """The whole map by the definition: one mark per full-row sum."""
+    sums = _distance_sums(p)
+    smin = min(sums)
+    return [1.0 if s <= smin + 1e-12 * smin else 0.0 for s in sums]
+
+
+def test_a_regular_200_gon_makes_every_row_a_candidate():
+    p = regular_polygon(200)
+    with calls_of(catalog._total) as rows:
+        marks = _medoid_indicators(p)
+    assert marks == reference_marks(p)
+    # the sums tie up to rounding, so no running sum clears the cut
+    assert len(rows) == 200
+
+
+def load_benchmark_inputs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_the_benchmark_ellipse_128_gon_remeasures_one_row(seed):
+    inputs = load_benchmark_inputs()
+    p = Polygon.from_pairs(inputs.convex_polygon(random.Random(seed), 128))
+    with calls_of(catalog._total) as rows:
+        marks = _medoid_indicators(p)
+    assert marks == reference_marks(p) and sum(marks) == 1.0
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("ring", [16, 200])
+def test_the_tolerance_boundary_on_a_ring(ring):
+    # As above, with `ring` more vertices on a circle about the central
+    # vertex, symmetric in both axes so that the centre keeps the smallest
+    # sum: longer running sums, whose rounding a cut without room would
+    # have to be lucky to survive.
+    rng = random.Random(ring)
+    angles = [rng.uniform(0.1, math.pi / 2 - 0.1) for _ in range(ring // 4)]
+    around = sorted(((1.5 + sx * 2.0 * math.cos(a), sy * 2.0 * math.sin(a))
+                     for a in angles for sx in (1, -1) for sy in (1, -1)),
+                    key=lambda q: math.atan2(q[1], q[0] - 1.5))
+    centre = 1 + ring // 2
+
+    def place(t):
+        return Polygon.from_pairs([(1.5, t)] + around[:ring // 2] + [(1.5, 0.0)]
+                                  + around[ring // 2:])
+
+    def excess(t):
+        sums = _distance_sums(place(t))
+        assert min(sums) == sums[centre]
+        return sums[0] - _medoid_bound(sums[centre])
+
+    lo, hi = 0.0, 1.0
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+    for t in [lo + k * math.ulp(lo) for k in range(-40, 41)]:
+        assert _medoid_indicators(place(t)) == reference_marks(place(t)), t
+
+
+@st.composite
+def scaled_regular(draw):
+    """Regular n-gons up to n = 256 with one vertex nudged off the circle,
+    scaled by 2^k from the subnormal range to past the largest extent."""
+    n = draw(st.integers(3, 256))
+    moved = draw(st.integers(0, n - 1))
+    nudge = draw(NUDGES)
+    k = draw(st.integers(-1074, 1023))
+    pairs = []
+    for j in range(n):
+        r = 1.0 + nudge if j == moved else 1.0
+        pairs.append((r * math.cos(2 * math.pi * j / n), r * math.sin(2 * math.pi * j / n)))
+    return Polygon.from_pairs([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirrored(scaled_regular()), st.integers(0, 255))
+def test_scaled_near_ties_up_to_256_vertices(p, k):
+    whole = outcome(_medoid_indicators, p)
+    assert whole == outcome(reference_marks, p)
+    k %= p.n
+    mark = outcome(MEDOID.evaluator, p.shifted(k))
+    assert mark == (whole if isinstance(whole, tuple) else whole[k])
+
+
+def test_a_1024_gon_map_holds_no_matrix():
+    p = random_convex_polygon(random.Random(3), 1024)
+    tracemalloc.start()
+    try:
+        coords = coordinate_map_vertex(MEDOID, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert sum(coords.values) >= 1.0
-    # measuring every shift's sums would build one matrix per shift, 128
-    assert len(calls) == 1
-    MEDOID.evaluator(p)
-    assert len(calls) == 2
+    # the 1024 x 1024 matrix alone would hold 8 MB of entries
+    assert peak < 1_000_000

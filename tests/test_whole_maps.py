@@ -19,6 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from helpers import _distance_sums, calls_of
 from polycenter import catalog, framework, geometry, reconstruction
 from polycenter.catalog import CATALOG, medoid
 from polycenter.dsl import evaluate, parse
@@ -262,18 +263,21 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_a_medoid_map_builds_one_distance_matrix(monkeypatch):
-    calls = count_calls(monkeypatch, catalog, "distance_matrix")
+def test_a_medoid_map_makes_one_pass_and_builds_no_matrix(monkeypatch):
+    # every matrix of a polygon's distances is built by `_pairwise_rows`
+    matrices = count_calls(monkeypatch, geometry, "_pairwise_rows")
     p = random_convex_polygon(random.Random(0), 128)
-    values = coordinate_map(CATALOG["medoid"].function, p).values
+    with calls_of(catalog._medoid_indicators) as passes:
+        values = coordinate_map(CATALOG["medoid"].function, p).values
     assert sum(values) >= 1.0
-    assert len(calls) == 1
+    assert len(passes) == 1
+    assert matrices == []
 
 
 def test_a_perimeter_map_measures_no_matrix_and_reconstructs_nothing(monkeypatch):
     p = random_convex_polygon(random.Random(0), 128)
     matrices = [count_calls(monkeypatch, module, "distance_matrix")
-                for module in (framework, catalog, geometry)]
+                for module in (framework, geometry)]
     embeddings = [count_calls(monkeypatch, module, "reconstruct")
                   for module in (framework, reconstruction)]
     values = coordinate_map(CATALOG["perimeter"].function, p).values
@@ -318,7 +322,7 @@ def test_distance_sums_that_overflow_read_as_infinite():
     # a finite extent whose distance sums all pass the largest float: every
     # vertex ties at inf, as when the sums were taken in index order
     p = Polygon.from_pairs([(-8e307, 0), (8e307, 0), (0, 8e307)])
-    assert catalog._distance_sums(p) == [math.inf] * 3
+    assert _distance_sums(p) == [math.inf] * 3
     assert coordinate_map(CATALOG["medoid"].function, p).values == (1.0, 1.0, 1.0)
 
 
