@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
@@ -160,15 +161,15 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < len(source) and source[i].isdigit():
+            while i < len(source) and source[i].isdecimal():
                 i += 1
             if i < len(source) and source[i] == ".":
                 i += 1
-                if i >= len(source) or not source[i].isdigit():
+                if i >= len(source) or not source[i].isdecimal():
                     raise ExprSyntaxError("digits must follow a decimal point", i)
-                while i < len(source) and source[i].isdigit():
+                while i < len(source) and source[i].isdecimal():
                     i += 1
             tokens.append(_Token("number", source[start:i], start))
             continue
@@ -590,29 +591,7 @@ def center_function(pc: ParsedCenter) -> LengthCenterFunction:
                                 static_facts=lambda n: static_facts(pc, n))
 
 
-_BANKED = 64  # admit's default trials, the most the bank keeps
-
-
-class _Bank:
-    """The trial inputs (`framework._trial_inputs`) of random n-gons from
-    Random(seed), the first `_BANKED` kept as they are first read.
-
-    `stream` holds the generator of trial len(drawn), which draws from
-    `rng`, while no reader holds it: the reader that pops it alone draws
-    and appends, so readers in several threads need no lock. Once all
-    `_BANKED` are drawn, `rng` no longer moves.
-    """
-
-    __slots__ = ("key", "rng", "drawn", "stream")
-
-    def __init__(self, n: int, seed: int) -> None:
-        self.key = (n, seed)
-        self.rng = random.Random(seed)
-        self.drawn: list[tuple] = []
-        self.stream = [_polygon_inputs(n, self.rng)]
-
-
-_bank: Optional[_Bank] = None  # of the last (n, seed) admitted at
+_BANKED = 64  # admit's default trials, the number `_sample_set` keeps
 
 
 def _polygon_inputs(n: int, rng: random.Random) -> Iterator[tuple]:
@@ -620,30 +599,22 @@ def _polygon_inputs(n: int, rng: random.Random) -> Iterator[tuple]:
     return _trial_inputs(lambda r: random_polygon(r, n), rng, False)
 
 
+@lru_cache(maxsize=1)
+def _sample_set(n: int, seed: int) -> tuple[tuple[tuple, ...], tuple]:
+    """The trial inputs of the first `_BANKED` random n-gons from
+    Random(seed), and that Random's state after them. Only the last (n,
+    seed) is kept, and it is never changed, so threads share it as it is."""
+    rng = random.Random(seed)
+    return tuple(islice(_polygon_inputs(n, rng), _BANKED)), rng.getstate()
+
+
 def _shared_inputs(n: int, seed: int) -> Iterator[tuple]:
-    """The trial inputs of random n-gons from Random(seed), read from the
-    process's bank of the last (n, seed) read, which replaces that of any
-    other: the first `_BANKED` are drawn once, when first read, and
-    shared; the rest are drawn afresh from a copy of the bank's `rng`. A
-    reader that finds another thread drawing draws its own from seed."""
-    global _bank
-    bank = _bank
-    if bank is None or bank.key != (n, seed):
-        bank = _bank = _Bank(n, seed)
-    drawn = bank.drawn
-    for i in range(_BANKED):
-        if i == len(drawn):
-            try:
-                stream = bank.stream.pop()
-            except IndexError:  # held by another thread, or ended by an error
-                yield from islice(_polygon_inputs(n, random.Random(seed)), i, None)
-                return
-            if i == len(drawn):
-                drawn.append(next(stream))
-            bank.stream.append(stream)
-        yield drawn[i]
+    """The trial inputs of random n-gons from Random(seed): the first
+    `_BANKED` from `_sample_set`, the rest drawn afresh after them."""
+    drawn, state = _sample_set(n, seed)
+    yield from drawn
     rng = random.Random()
-    rng.setstate(bank.rng.getstate())
+    rng.setstate(state)
     yield from _polygon_inputs(n, rng)
 
 
@@ -658,11 +629,13 @@ def admit(
     top of them, the slopes of all trials must agree with one
     natural-number homogeneity degree.
 
-    The n-gons depend on (n, seed) alone, so a process draws their inputs
-    once, as they are first read, and every expression admitted at (n,
-    seed) reads them again (`_shared_inputs`). The process keeps the inputs
-    of at most `_BANKED` trials, of the last (n, seed): coordinates and
-    distance views, no matrix, about 130 kB at n = 8.
+    The n-gons depend on (n, seed) alone, so a process draws the inputs of
+    the first `_BANKED` trials whole, the first time it admits at (n, seed),
+    and every expression admitted there reads them again (`_sample_set`).
+    They are never changed, so threads share them with no lock. The process
+    keeps them for the last (n, seed) only: coordinates and distance views,
+    no matrix, about 130 kB at n = 8. A cold admission that rejects at its
+    first trial still draws all `_BANKED` trials, once.
     """
     fg = center_function(pc)
     slopes: list[float] = []

@@ -411,13 +411,14 @@ def _trial_inputs(
 
 
 def _facts(fg: CenterFunction, n: int) -> tuple:
-    """(symmetric, degrees, traced) of a guard-free length function's
-    `static_facts(n)`, or (False, None, None), then the least and the
-    greatest exponent by which a rescaling shifts an intermediate value."""
+    """(symmetric, degrees, sample) of a guard-free length function's
+    `static_facts(n)`, or else (False, None, sample) with `sample(x)` =
+    (fg.evaluate(x), 0.0, 0.0), then the least and the greatest exponent by
+    which a rescaling shifts an intermediate value."""
     facts = fg.static_facts and not fg.domain_guard and fg.static_facts(n)
-    symmetric, degrees, traced = facts or (False, None, None)
+    symmetric, degrees, sample = facts or (False, None, lambda x: (fg.evaluate(x), 0.0, 0.0))
     shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
-    return symmetric, degrees, traced, min(shifts), max(shifts)
+    return symmetric, degrees, sample, min(shifts), max(shifts)
 
 
 def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterator[AxiomTrial]:
@@ -432,22 +433,18 @@ def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterato
     known: dict[int, tuple] = {}  # n -> the facts of `_facts`
     for sample, reversal, moved, *rescaled in islice(inputs, trials):
         n = sample.n if vertex else len(sample)
-        symmetric, degrees, traced, least, greatest = known.get(n) or known.setdefault(
+        symmetric, degrees, probe, least, greatest = known.get(n) or known.setdefault(
             n, _facts(fg, n))
         if not vertex:
             sample = DistanceMatrix._of(sample)
-        if traced is None:
-            base = fg.evaluate(sample)
-            rev, mv, half, double, quadruple = map(evaluate, (reversal, moved, *rescaled))
-        else:
-            base, lo, hi = traced(sample)
-            rev = base if symmetric else evaluate(reversal)
-            mv = evaluate(moved)
-            exact = degrees and math.isfinite(hi) and (
-                math.frexp(hi)[1] + greatest <= 1023 and math.frexp(lo)[1] + least > -1021)
-            half, double, quadruple = (
-                [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
-                else map(evaluate, rescaled))
+        base, lo, hi = probe(sample)
+        rev = base if symmetric else evaluate(reversal)
+        mv = evaluate(moved)
+        exact = degrees and math.isfinite(hi) and (
+            math.frexp(hi)[1] + greatest <= 1023 and math.frexp(lo)[1] + least > -1021)
+        half, double, quadruple = (
+            [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
+            else map(evaluate, rescaled))
         yield AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
 
 

@@ -102,7 +102,7 @@ def test_verify_axioms_equals_the_reference(fg, n, convex, k, seed, trials):
        st.integers(3, 16), st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_admit_equals_the_reference(pc, n, seed, trials):
     # an admitted function is a fresh closure on each call, so compare names;
-    # the reference trials draw their own n-gons from seed, not admit's bank
+    # the reference trials draw their own n-gons from seed, not admit's sample set
     got = outcome(lambda: dsl.admit(pc, n, seed, trials).name)
     reference = lambda fg, inputs, trials: ref.axiom_trials(  # noqa: E731
         fg, lambda rng: random_polygon(rng, n), trials, seed)

@@ -363,6 +363,44 @@ def test_an_index_integer_past_the_digit_limit_exits_2(tmp_path, capsys, source,
         ]
 
 
+# Characters that str.isdigit() accepts and int() and float() reject: superscripts,
+# circled digits, Ethiopic numerals and the like (128 of them in Unicode 14)
+_NON_DECIMAL_DIGITS = [c for c in map(chr, range(sys.maxunicode + 1))
+                       if c.isdigit() and not c.isdecimal()]
+
+
+@pytest.mark.parametrize(
+    "source, message, position",
+    [("d(1,2)*\u00b9", "unexpected character '\u00b9'", 7),
+     ("d(1,\u00b2)", "unexpected character '\u00b2'", 4),
+     ("d(1,2)*1.\u00b2", "digits must follow a decimal point", 9),
+     ("d(1,2)\u00b2", "unexpected character '\u00b2'", 6),
+     ("d(1,2)*\u1369", "unexpected character '\u1369'", 7)],
+    ids=["factor", "index", "fraction", "trailing", "ethiopic"],
+)
+def test_a_non_decimal_digit_is_a_syntax_error(tmp_path, capsys, source, message, position):
+    with pytest.raises(ExprSyntaxError) as raised:
+        parse(source)
+    assert str(raised.value) == f"{message} (at position {position})"
+    doc = tmp_path / "quad.json"
+    doc.write_text(json.dumps({"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}), encoding="utf-8")
+    rc = cli.main(["center", str(doc), "--expr", source])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"polycenter: ExprSyntaxError: {message} (at position {position})"]
+
+
+def test_every_non_decimal_digit_is_a_syntax_error_and_decimal_digits_still_parse():
+    assert {"\u00b9", "\u00b2", "\u1369"} <= set(_NON_DECIMAL_DIGITS)
+    for c in _NON_DECIMAL_DIGITS:
+        for source in (f"d(1,2)*{c}", f"d(1,{c})", f"d(1,2)*1.{c}"):
+            with pytest.raises(ExprSyntaxError):
+                parse(source)
+    # the decimal digits of every script read as int() and float() read them
+    assert parse("d(1,\u0663)").expr == parse("d(1,3)").expr
+    assert parse("\u0663.\u0665*d(1,2)").expr == parse("3.5*d(1,2)").expr
+
+
 def test_index_integers_at_the_digit_limit_parse_and_print_back():
     wide = "9" * dsl.MAX_INDEX_DIGITS
     for _ in _digit_limits():

@@ -283,20 +283,20 @@ ADMISSIONS = {
 
 def test_admission_measures_only_what_the_expression_reads(monkeypatch):
     # no expression, `perim` included, makes a view measure its whole
-    # matrix; each trial a cold admission reads is drawn once and checks
-    # two extents, the sample's and the moved copy's, and an admission at
-    # the same (n, seed) after it draws and checks nothing
+    # matrix; a cold admission draws the 64 trials once, accepted or not,
+    # each checking two extents, the sample's and the moved copy's, and an
+    # admission at the same (n, seed) after it draws and checks nothing
     calls = Counter()
     for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"),
                         (geometry, "_largest_distance"), (dsl, "random_polygon")):
         counted(monkeypatch, calls, owner, name)
     for source, prop in ADMISSIONS.items():
-        monkeypatch.setattr(dsl, "_bank", None)
+        dsl._sample_set.cache_clear()
         calls.clear()
         got = outcome(lambda: admit(parse(source), 8))
+        assert calls["random_polygon"] == 64
         if prop is None:
             assert got[0] == "value", source
-            assert calls["random_polygon"] == 64
         else:
             assert got[0] == AxiomViolation.__name__ and got[1].startswith(prop), source
         trials = calls.pop("random_polygon")

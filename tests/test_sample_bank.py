@@ -1,11 +1,12 @@
-"""`dsl.admit`'s bank of trial inputs.
+"""`dsl.admit`'s shared set of trial inputs.
 
-A process draws the trial inputs of random n-gons from Random(seed) once
-per (n, seed), as they are first read, keeps those of at most 64 trials of
-the last (n, seed) and shares them across every expression admitted there.
-Admissions interleaved across expressions, n, seeds and trial counts must
-give what each gives in a fresh process, in threads too; a cold admission
-draws only the trials it reads, and a witness's matrix is the caller's own.
+A process draws the trial inputs of the first 64 random n-gons from
+Random(seed) whole, the first time it admits at (n, seed) (`_sample_set`),
+keeps them for the last (n, seed) only and shares them across every
+expression admitted there. Admissions interleaved across expressions, n,
+seeds and trial counts must give what each gives in a fresh process, in
+threads too; a cold admission draws the 64 trials once, whatever it reads,
+and a witness's matrix is the caller's own.
 """
 
 import json
@@ -43,13 +44,13 @@ def outcome(source, n, seed, trials):
 
 
 def fresh_outcomes():
-    """Each case's outcome in a fresh interpreter, admitted with no bank."""
+    """Each case's outcome in a fresh interpreter, admitted with no sample set."""
     script = ("import json, sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import polycenter.dsl as dsl\n"
               "from test_sample_bank import CASES, outcome\n"
               "for case in CASES:\n"
-              "    dsl._bank = None\n"
+              "    dsl._sample_set.cache_clear()\n"
               "    print(json.dumps(outcome(*case)))\n")
     src = str(Path(polycenter.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -70,8 +71,8 @@ def test_interleaved_admissions_equal_a_fresh_process():
     fresh = fresh_outcomes()
     assert len(fresh) == len(CASES)
     rng = random.Random(27)
-    # first each (n, seed) in a run, so admissions extend and reread one
-    # bank; then in any order, so each may replace the last one's bank
+    # first each (n, seed) in a run, so admissions reread one sample set;
+    # then in any order, so each may replace the last one's sample set
     grouped = sorted(range(len(CASES)), key=lambda i: (CASES[i][1:3], rng.random()))
     shuffled = rng.sample(range(len(CASES)), len(CASES))
     for i in grouped + shuffled:
@@ -79,23 +80,27 @@ def test_interleaved_admissions_equal_a_fresh_process():
     assert {"value", "AxiomViolation", "ValueError"} <= {o[0] for o in fresh}
 
 
-def test_a_cold_admission_draws_only_the_trials_it_reads(monkeypatch):
-    monkeypatch.setattr(dsl, "_bank", None)
+def test_a_cold_admission_draws_the_64_trials_once(monkeypatch):
+    dsl._sample_set.cache_clear()
     draws = counted_samples(monkeypatch)
     with pytest.raises(AxiomViolation):
         dsl.admit(dsl.parse("d(1,2)"), 5)
-    assert draws == [5]
+    assert draws == [5] * 64
     dsl.admit(dsl.parse("perim"), 5, trials=100)
     assert len(draws) == 100
-    # the bank keeps 64 of them; the rest are drawn again on each read
+    # the sample set keeps 64 of them; the rest are drawn again on each read
     dsl.admit(dsl.parse("d(n,1)+d(1,2)"), 5, trials=100)
     assert len(draws) == 136
 
 
-def test_the_bank_keeps_64_trials_of_one_n_and_seed():
-    for n, seed in ((6, 3), (7, 3), (6, 4)):
+def test_the_sample_set_keeps_64_trials_of_one_n_and_seed():
+    dsl._sample_set.cache_clear()
+    for n, seed in ((6, 3), (7, 3), (6, 4), (6, 4)):
         dsl.admit(dsl.parse("perim"), n, seed, 100)
-        assert dsl._bank.key == (n, seed) and len(dsl._bank.drawn) == 64
+        drawn = dsl._sample_set(n, seed)[0]
+        assert len(drawn) == 64 and {len(inputs[0]) for inputs in drawn} == {n}
+    info = dsl._sample_set.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (3, 1, 1)
 
 
 def test_a_witness_matrix_is_the_callers_own():
@@ -104,21 +109,22 @@ def test_a_witness_matrix_is_the_callers_own():
             dsl.admit(dsl.parse("d(1,2)"), 5)
         D = info.value.witness["matrix"]
         assert D._d is None
-        D.d  # measured and kept by this matrix, not by the bank
+        D.d  # measured and kept by this matrix, not by the sample set
         assert D._d is not None
-    assert all(type(view) is MeasuredRows for inputs in dsl._bank.drawn for view in inputs)
+    assert all(type(view) is MeasuredRows for inputs in dsl._sample_set(5, 0)[0]
+               for view in inputs)
 
 
 def test_threads_admitting_at_once_each_get_the_fresh_result():
-    # two threads at each n, so threads both replace one another's bank
-    # and read one bank at the same time
+    # two threads at each n, so threads both replace one another's sample
+    # set and read one sample set at the same time
     sources = ["d(n,1)+d(1,2)", "perim", "d(1,2)", "d(n,1)*d(1,2)"]
     ns = (4, 5, 6, 4, 5, 6)
     cases = [(source, n, 0, trials) for n in set(ns) for source in sources
              for trials in (64, 100)]
     expected = {}
     for case in cases:
-        dsl._bank = None
+        dsl._sample_set.cache_clear()
         expected[case] = outcome(*case)
     got = [[] for _ in ns]
 
