@@ -1,0 +1,89 @@
+"""The CLI runs without numpy, on the standard library alone (numpy is a
+test oracle, not a runtime dependency).
+
+Run from the repository root, with site-packages left off the path so that
+only src/ and the standard library import:
+
+    PYTHONPATH=src python3 -S .github/stdlib_smoke.py <scratch directory>
+
+It writes its input documents and plot into the scratch directory and exits
+non-zero on the first failed check.
+"""
+
+import json
+import math
+import os
+import sys
+
+from polycenter import AxiomViolation, Polygon, admit, cli, dsl, parse
+
+work = sys.argv[1]
+
+
+def document(name, doc):
+    path = os.path.join(work, name + ".json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    return path
+
+
+quad = document("quad", {"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]})
+square = document("square", {"distances": [[0, 1, 1.4142135623730951, 1], [1, 0, 1, 1.4142135623730951],
+                                            [1.4142135623730951, 1, 0, 1], [1, 1.4142135623730951, 1, 0]]})
+svg = os.path.join(work, "quad.svg")
+for argv in (
+    ["center", quad, "--name", "chebyshev"],
+    ["center", quad, "--expr", "sqrt(d(n,1)*d(1,2))/perim"],
+    ["coords", quad, "--name", "perimeter"],
+    ["check-axioms", "--expr", "d(n,1)+d(1,2)", "--n", "6", "--trials", "2"],
+    ["check-axioms", "--expr", "perim", "--n", "6", "--trials", "2"],
+    ["check-axioms", "--expr", "sqrt(d(n,1)^2+d(1,2)^2)", "--n", "6", "--trials", "2"],
+    ["check-axioms", "--expr", "d(1,2)-d(2,1)", "--n", "6", "--trials", "2"],
+    ["check-axioms", "--name", "lamina", "--n", "6", "--trials", "2"],
+    ["check-axioms", "--name", "perimeter", "--n", "6", "--trials", "2"],
+    ["check-axioms", "--name", "circumcenter", "--n", "3", "--trials", "2"],
+    ["center", quad, "--name", "medoid"],
+    ["characterize", quad],
+    ["reconstruct", square],
+    ["plot", quad, "--centers", "centroid,median", "-o", svg],
+):
+    code = cli.main(argv)
+    assert code == 0, (argv, code)
+# medoid on a regular hexagon: the sums tie up to rounding, every row
+# is summed exactly, and the tie exits 3; on an irregular 64-gon it exits 0
+for name, turns, width, code in (
+    ("hexagon", [k / 6 for k in range(6)], 1, 3),
+    ("irregular", [(k + 0.4 * math.sin(k)) / 64 for k in range(64)], 2, 0),
+):
+    path = document(name, {"vertices": [[width * math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)]
+                                        for t in turns]})
+    got = cli.main(["center", path, "--name", "medoid"])
+    assert got == code, (name, got)
+# the diameter's pruned search returns the pair scan's bits on a regular
+# 128-gon, which skips no pair, and on an ellipse, which skips most; the
+# median, which reads it, runs on the ellipse
+for name, width in (("regular", 1), ("ellipse", 2)):
+    pts = [[width * math.cos(2 * math.pi * k / 128 + 0.1), math.sin(2 * math.pi * k / 128 + 0.1)]
+           for k in range(128)]
+    want = max(math.dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1:])
+    got = Polygon.from_pairs(pts).diameter()
+    assert got == want, (name, got.hex(), want.hex())
+    path = document(name, {"vertices": pts})
+assert cli.main(["center", path, "--name", "median"]) == 0
+# a superscript digit is an unexpected character: exit 2, not a traceback
+assert cli.main(["center", quad, "--expr", "d(1,2)*\u00b9"]) == 2
+# admit draws one set of sample inputs per (n, seed), shared across expressions
+for source, n in (("d(n,1)+d(1,2)", 6), ("perim", 6), ("d(n,1)*d(1,2)", 6)):
+    assert admit(parse(source), n).name == source
+try:
+    admit(parse("d(1,2)"), 6)
+except AxiomViolation as exc:
+    assert exc.prop == "relabel-invariance", exc.prop
+else:
+    raise AssertionError("d(1,2) was admitted")
+assert dsl._sample_set.cache_info().misses == 1, dsl._sample_set.cache_info()
+assert admit(parse("d(n,1)+d(1,2)"), 5).name == "d(n,1)+d(1,2)"
+assert "threading" not in sys.modules, "polycenter imported threading"
+assert "numpy" not in sys.modules, "polycenter imported numpy"
+outside = {m.split(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)
+assert outside <= {"polycenter", "__main__"}, outside

@@ -74,6 +74,14 @@ def geometric_median(
     the unit-vector sum (the stationarity residual) times the diameter
     drops to tol, which bounds the objective gap. Raises NoConvergence
     with the best iterate attached when the budget runs out.
+
+    The diameter, which scales the snap distance and the target, is
+    `Polygon.diameter`'s pruned search. Each step is one pass over the
+    vertices: it measures each distance once, as the hypot of the vertex
+    minus the iterate, stops at the first vertex within the snap distance
+    (the vertex rule), and otherwise accumulates the residual and the
+    weights of the next iterate with `+=` in vertex order. The built-in
+    `sum` would not do: it is compensated from Python 3.12 on.
     """
     require_nondegenerate(p)
     diam = p.diameter()
@@ -82,11 +90,28 @@ def geometric_median(
 
     # the iterate is (cx, cy); a Point2 is built only for what is returned
     xs, ys = p.xs, p.ys
+    pts = list(zip(xs, ys))
+    hypot = math.hypot
     cx, cy = p.vertex_mean().as_tuple()
     best: Optional[tuple[float, float, int, float]] = None
     for it in range(1, max_iter + 1):
-        dists = [math.hypot(cx - a, cy - b) for a, b in zip(xs, ys)]
-        near = next((k for k, d in enumerate(dists) if d <= snap), None)
+        # one pass: the first vertex within snap, or else the unit-vector sum
+        # toward the vertices (its norm is the residual) and the weights of
+        # the fixed-point step, a distance-weighted mean
+        near = None
+        gx = gy = wx = wy = wsum = 0.0
+        for k, (a, b) in enumerate(pts):
+            dx, dy = a - cx, b - cy
+            d = hypot(dx, dy)
+            if d <= snap:
+                near = k
+                break
+            gx += dx / d
+            gy += dy / d
+            w = 1.0 / d
+            wx += w * a
+            wy += w * b
+            wsum += w
         if near is not None:
             pull_x, pull_y, pull_norm, recip = _vertex_pull(xs, ys, near)
             if pull_norm <= 1.0:
@@ -98,16 +123,6 @@ def geometric_median(
             cx = xs[near] + step * pull_x / pull_norm
             cy = ys[near] + step * pull_y / pull_norm
         else:
-            # the unit-vector sum toward the vertices (its norm is the residual)
-            # and the weights of the fixed-point step, a distance-weighted mean
-            gx = gy = wx = wy = wsum = 0.0
-            for a, b, d in zip(xs, ys, dists):
-                gx += (a - cx) / d
-                gy += (b - cy) / d
-                w = 1.0 / d
-                wx += w * a
-                wy += w * b
-                wsum += w
             residual = math.hypot(gx, gy)
             if residual <= target:
                 return MedianResult(Point2(cx, cy), it, residual, None)

@@ -9,6 +9,7 @@ representative of the congruence class described by the matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .errors import InfeasibleDistances
 from .geometry import (
@@ -48,13 +49,14 @@ class FeasibilityReport(Frozen):
         _set(self, "cm_checks", cm_checks)
 
 
-def _miss(x: float, y: float, xs: list[float], ys: list[float], lengths: list[float],
-          bound: float = math.inf) -> float:
-    """Largest gap between the distances from (x, y) to (xs, ys) and lengths,
-    read only until it reaches bound; below bound it is the whole largest gap."""
+def _miss(x: float, y: float, xs: list[float], ys: list[float], row: Sequence[float],
+          t: float, bound: float = math.inf) -> float:
+    """Largest gap between the distances from (x, y) to (xs, ys) and the
+    lengths t * row[j], j < len(xs), read only until it reaches bound; below
+    bound it is the whole largest gap."""
     worst = 0.0
-    for a, b, r in zip(xs, ys, lengths):
-        gap = abs(math.hypot(x - a, y - b) - r)
+    for a, b, r in zip(xs, ys, row):
+        gap = abs(math.hypot(x - a, y - b) - t * r)
         if gap > worst:
             worst = gap
             if worst >= bound:
@@ -93,12 +95,12 @@ def reconstruct(D: DistanceMatrix) -> ReconstructionResult:
                 f"no real placement for vertex {k + 1}: height^2 = {h_sq / t / t:.3e}"
             )
         h = math.sqrt(max(h_sq, 0.0))
-        lengths = [t * r for r in d[k][:k]]
+        row = d[k]
         # snapped to the axis, or on the side that misses less (below on a
         # tie), reading above only until it misses as much as below
         y = 0.0 if h < SNAP_EPS * unit else -h
-        miss = _miss(x, y, xs, ys, lengths)
-        if y and (above := _miss(x, h, xs, ys, lengths, miss)) < miss:
+        miss = _miss(x, y, xs, ys, row, t)
+        if y and (above := _miss(x, h, xs, ys, row, t, miss)) < miss:
             y, miss = h, above
         xs.append(x)
         ys.append(y)

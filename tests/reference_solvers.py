@@ -6,8 +6,9 @@ included.
 
 Each is the code as it stood before those kernels were rewritten: every
 probe is evaluated on the n `Polygon.shifted` copies, `reconstruct` measures
-both mirror sides of every vertex in full, `geometric_median` keeps its
-iterate as a `Point2` and builds a `MedianResult` on every step, and
+both mirror sides of every vertex in full, `geometric_median` measures the
+diameter over every pair, keeps its iterate as a `Point2` and builds a
+`MedianResult` on every step, and
 `chebyshev_center` builds a `Point2` for every candidate circle, reading the
 coordinates from the vertices.
 """
@@ -25,7 +26,7 @@ from polycenter.errors import DegenerateVertex, InfeasibleDistances, NoConvergen
 from polycenter.framework import VertexCenterFunction, cyclic_values
 from polycenter.geometry import (
     DistanceMatrix, Point2, Polygon, cayley_menger_quad, distance_matrix, is_convex,
-    is_nondegenerate, require_nondegenerate, shoelace, unit_factor,
+    is_nondegenerate, require_nondegenerate, shoelace, unit_factor, vertex_coordinates,
 )
 from polycenter.optim import _IN_CIRCLE_SLACK, _VERTEX_SNAP, EnclosingCircle, MedianResult
 from polycenter.reconstruction import (
@@ -184,9 +185,17 @@ def _vertex_pull(p: Polygon, k: int) -> tuple[Point2, float, float]:
     return Point2(gx, gy), math.hypot(gx, gy), recip
 
 
+def _diameter(p: Polygon) -> float:
+    # every pair measured, so that a wrong `Polygon.diameter` shows; the
+    # extent is checked as `Polygon.diameter` checks it (NonFinite)
+    vertex_coordinates(p)
+    vs = p.vertices
+    return max(vs[i].distance_to(vs[j]) for i in range(p.n) for j in range(i + 1, p.n))
+
+
 def geometric_median(p: Polygon, tol: float = 1e-12, max_iter: int = 10000) -> MedianResult:
     require_nondegenerate(p)
-    diam = p.diameter()
+    diam = _diameter(p)
     snap = _VERTEX_SNAP * max(1.0, diam)
     target = max(tol / max(diam, 1e-30), 1e-13)
 

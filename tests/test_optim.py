@@ -260,8 +260,8 @@ def test_check_minimal_center_is_deterministic():
 def test_a_median_iteration_measures_each_vertex_distance_once(monkeypatch):
     # the iteration measures with hypot on floats: counted in optim's
     # namespace, one call per vertex from the first iterate, the vertex
-    # mean, which the snap scan, gradient and weights share (not 3 * 64 =
-    # 192), and one more for the residual
+    # mean, on the vertex minus the iterate, which the snap scan, gradient
+    # and weights share (not 3 * 64 = 192), and one more for the residual
     p = random_convex_polygon(random.Random(6), 64)
     start = p.vertex_mean()
     calls = []
@@ -278,6 +278,6 @@ def test_a_median_iteration_measures_each_vertex_distance_once(monkeypatch):
     monkeypatch.setattr(optim, "math", CountingMath())
     with pytest.raises(NoConvergence):
         geometric_median(p, max_iter=1)
-    offsets = {(start.x - v.x, start.y - v.y) for v in p.vertices}
+    offsets = {(v.x - start.x, v.y - start.y) for v in p.vertices}
     assert sum(args in offsets for args in calls) == 64
     assert len(calls) == 64 + 1

@@ -175,15 +175,17 @@ def test_a_tie_between_the_mirror_sides_goes_below():
     assert repr(got) == repr(ref.reconstruct(distance_matrix(p)))
     assert got.polygon.vertices[2].y < 0.0 < got.polygon.vertices[3].y
     xs, ys, lengths = [0.0, 4.0], [0.0, 0.0], [math.sqrt(2.0), math.sqrt(10.0)]
-    assert _miss(1.0, -1.0, xs, ys, lengths) == _miss(1.0, 1.0, xs, ys, lengths)
+    assert _miss(1.0, -1.0, xs, ys, lengths, 1.0) == _miss(1.0, 1.0, xs, ys, lengths, 1.0)
 
 
 def test_the_losing_side_is_read_only_until_it_is_decided():
     xs, ys, lengths = [0.0, 1.0, 5.0, 9.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]
-    full = _miss(0.0, 0.0, xs, ys, lengths)
+    full = _miss(0.0, 0.0, xs, ys, lengths, 1.0)
     assert full == 8.0
-    assert _miss(0.0, 0.0, xs, ys, lengths, 4.0) == 4.0  # stops at vertex 3
-    assert _miss(0.0, 0.0, xs, ys, lengths, 8.5) == full
+    assert _miss(0.0, 0.0, xs, ys, lengths, 1.0, 4.0) == 4.0  # stops at vertex 3
+    assert _miss(0.0, 0.0, xs, ys, lengths, 1.0, 8.5) == full
+    # the row may run past the placed vertices; its lengths are read times t
+    assert _miss(0.0, 0.0, xs, ys, [0.5] * 4 + [99.0], 2.0) == full
 
 
 # ----------------------------------------------------------- geometric median
