@@ -194,7 +194,7 @@ class Polygon(Frozen):
     def diameter(self) -> float:
         """Largest pairwise distance, the largest entry of `distance_matrix`
         bit for bit; raises NonFinite when the extent overflows. No matrix
-        is built, and from 16 vertices on only the pairs that can be the
+        is built, and from 20 vertices on only the pairs that can be the
         largest are measured (`_largest_distance`)."""
         return _largest_distance(*vertex_coordinates(self))
 
@@ -469,7 +469,7 @@ def _extent(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 # `_largest_distance` prunes from this many points on; at fewer, the sort
 # costs more than the pairs it skips.
-_PRUNE_FROM = 16
+_PRUNE_FROM = 20
 # Below this bounding-box diagonal a subnormal rounding step could pass the
 # relative margin of `_largest_distance`'s cut, so every pair is measured.
 _PRUNE_FLOOR = 2.0**-1000
@@ -486,11 +486,10 @@ def _largest_distance(xs: Sequence[float], ys: Sequence[float]) -> float:
     are not measured. With c the box's midpoint and r_i = dist(v_i, c),
     the points are visited in order of falling r. Point a is measured
     against the later points b for which fl((r_a + r_b)(1 + 2^-40)) >= best,
-    the largest distance so far: a prefix of them, found by `bisect`. The
-    visit stops at the first point with none, as every later pair has a
-    smaller r_a + r_b. When the two points nearest c pass the cut after the
-    first visit, as cocircular points do, no pair can be skipped, and the
-    rest are measured in one scan.
+    the largest distance so far (0 at first): a prefix of them, found by
+    `bisect` unless the last one passes, as on cocircular points, where no
+    pair can be skipped. The visit stops at the first point with none, as
+    every later pair has a smaller r_a + r_b.
 
     The cut. With u = 2^-53, e = 2^-1074 and |a - b| exact: a rounding is
     within a factor 1 +- u of its exact value, or within e/2 of it below the
@@ -518,18 +517,13 @@ def _largest_distance(xs: Sequence[float], ys: Sequence[float]) -> float:
             r = list(map(math.dist, pts, repeat((lo_x + w / 2.0, lo_y + h / 2.0))))
             pts = list(map(pts.__getitem__, sorted(range(n), key=r.__getitem__, reverse=True)))
             r.sort(reverse=True)
-            best = max(map(math.dist, repeat(pts[0]), pts[1:]))
-            if (r[-2] + r[-1]) * _CUT_MARGIN >= best:
-                return max(best, max(starmap(math.dist, combinations(pts[1:], 2))))
-            for i in range(1, n - 1):
+            best = 0.0
+            for i in range(n - 1):
                 ra = r[i]
-                if (ra + r[-1]) * _CUT_MARGIN >= best:
-                    end = n
-                elif (ra + r[i + 1]) * _CUT_MARGIN < best:
+                end = n if (ra + r[-1]) * _CUT_MARGIN >= best else bisect_left(
+                    r, True, i + 1, n, key=lambda rb: (ra + rb) * _CUT_MARGIN < best)
+                if end == i + 1:
                     break
-                else:
-                    end = bisect_left(r, True, i + 2, n,
-                                      key=lambda rb: (ra + rb) * _CUT_MARGIN < best)
                 top = max(map(math.dist, repeat(pts[i]), pts[i + 1:end]))
                 if top > best:
                     best = top

@@ -185,7 +185,7 @@ def _vertex_pull(p: Polygon, k: int) -> tuple[Point2, float, float]:
     return Point2(gx, gy), math.hypot(gx, gy), recip
 
 
-def _diameter(p: Polygon) -> float:
+def diameter(p: Polygon) -> float:
     # every pair measured, so that a wrong `Polygon.diameter` shows; the
     # extent is checked as `Polygon.diameter` checks it (NonFinite)
     vertex_coordinates(p)
@@ -195,7 +195,7 @@ def _diameter(p: Polygon) -> float:
 
 def geometric_median(p: Polygon, tol: float = 1e-12, max_iter: int = 10000) -> MedianResult:
     require_nondegenerate(p)
-    diam = _diameter(p)
+    diam = diameter(p)
     snap = _VERTEX_SNAP * max(1.0, diam)
     target = max(tol / max(diam, 1e-30), 1e-13)
 

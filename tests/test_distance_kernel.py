@@ -1,7 +1,8 @@
 """`distance_matrix` is the one place pairwise distances are measured.
 
 Each function that now reads it is compared with its former per-pair
-implementation, kept here as the reference.
+implementation, kept here as the reference; the diameter's is
+`reference_solvers.diameter`.
 """
 
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_solvers as ref
 from polycenter.errors import DomainViolation, NonFinite
 from polycenter.geometry import DistanceMatrix, Point2, Polygon, distance_matrix, is_nondegenerate
 from polycenter.sampling import random_polygon
@@ -31,11 +33,6 @@ def reference_is_nondegenerate(p):
     return all(
         vs[i].distance_to(vs[j]) != 0.0 for i in range(p.n) for j in range(i + 1, p.n)
     )
-
-
-def reference_diameter(p):
-    vs = p.vertices
-    return max(vs[i].distance_to(vs[j]) for i in range(p.n) for j in range(i + 1, p.n))
 
 
 def reference_random_polygon(rng, n, min_separation=5e-2):
@@ -81,7 +78,7 @@ def test_kernel_matches_the_per_pair_references(p):
     assert repr(D.d) == repr(reference_distance_matrix(p).d)
     assert DistanceMatrix.from_rows(D.d).d == D.d
     assert is_nondegenerate(p) == reference_is_nondegenerate(p)
-    assert repr(p.diameter()) == repr(reference_diameter(p))
+    assert repr(p.diameter()) == repr(ref.diameter(p))
 
 
 def test_signed_zeros_are_one_point():
