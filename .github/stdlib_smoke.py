@@ -16,6 +16,7 @@ import os
 import sys
 
 from polycenter import AxiomViolation, Polygon, admit, cli, dsl, parse
+from polycenter.catalog import MEDOID_REL, _medoid_indicators
 
 work = sys.argv[1]
 
@@ -70,6 +71,23 @@ for name, width in (("regular", 1), ("ellipse", 2)):
     assert got == want, (name, got.hex(), want.hex())
     path = document(name, {"vertices": pts})
 assert cli.main(["center", path, "--name", "median"]) == 0
+# the medoid map measures only the rows its lower bounds cannot rule out,
+# under a cut that allows for the compensated sum of Python 3.12 on; its
+# marks are those of the fsum of every row on an ellipse, where most rows
+# are ruled out, on a regular 128-gon, where none is, and on a 40-gon far
+# from the origin, whose centroid sums would overflow
+for name, pts in (
+    ("ellipse", [(2 * math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+                 for t in ((k + 0.4 * math.sin(k)) / 128 for k in range(128))]),
+    ("regular", [(math.cos(2 * math.pi * k / 128), math.sin(2 * math.pi * k / 128)) for k in range(128)]),
+    ("far", [(1.5e308 + (0.999e306 if k == 0 else 1e306) * math.cos(2 * math.pi * k / 40),
+              (0.999e306 if k == 0 else 1e306) * math.sin(2 * math.pi * k / 40)) for k in range(40)]),
+):
+    sums = [math.fsum(math.dist(v, w) for w in pts) for v in pts]
+    least = min(sums)
+    want = [1.0 if s <= least + MEDOID_REL * least else 0.0 for s in sums]
+    got = _medoid_indicators(Polygon.from_pairs(pts))
+    assert got == want, (name, [i for i, m in enumerate(got) if m], [i for i, m in enumerate(want) if m])
 # a superscript digit is an unexpected character: exit 2, not a traceback
 assert cli.main(["center", quad, "--expr", "d(1,2)*\u00b9"]) == 2
 # admit draws one set of sample inputs per (n, seed), shared across expressions

@@ -2,8 +2,9 @@
 
 The definition is one distance matrix, n `math.fsum` row sums, and a 1 for
 every sum within MEDOID_REL of the smallest. The catalog computes the map
-from no matrix: running sums of each vertex's distances, and exact sums
-only for the rows near the smallest, where a rounding bound cannot decide.
+from no matrix: running sums of the distances of each vertex that a lower
+bound on its sum does not rule out, and exact sums only for the rows near
+the smallest, where a rounding bound cannot decide.
 The definition is kept here as the reference (`helpers._distance_sums`),
 measuring all n sums for the shift it is asked about; entry k of the map
 and the per-shift evaluator on shift k must give its value or its error on
@@ -12,6 +13,7 @@ ruled shifts out from two sums.)
 """
 
 import importlib.util
+import json
 import math
 import random
 import tracemalloc
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import _distance_sums, calls_of
-from polycenter import catalog
+from polycenter import catalog, cli
 from polycenter.catalog import CATALOG, _medoid_bound, _medoid_indicators
 from polycenter.errors import NonFinite
 from polycenter.framework import coordinate_map_vertex
@@ -61,10 +63,10 @@ NUDGES = st.sampled_from([0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-12, -1e-12, 1e-1
 
 @st.composite
 def repeated_coordinates(draw):
-    """3 to 32 vertices whose coordinates come from a pool of a few values,
+    """3 to 128 vertices whose coordinates come from a pool of a few values,
     so coordinates, and often whole vertices, repeat."""
     pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
-    n = draw(st.integers(3, 32))
+    n = draw(st.integers(3, 128))
     pairs = draw(
         st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), min_size=n, max_size=n)
     )
@@ -75,7 +77,7 @@ def repeated_coordinates(draw):
 def convex(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     s = draw(SCALES)
-    p = random_convex_polygon(rng, draw(st.integers(3, 32)))
+    p = random_convex_polygon(rng, draw(st.integers(3, 128)))
     return Polygon.from_pairs([(s * v.x, s * v.y) for v in p.vertices])
 
 
@@ -220,6 +222,86 @@ def test_the_benchmark_ellipse_128_gon_remeasures_one_row(seed):
         marks = _medoid_indicators(p)
     assert marks == reference_marks(p) and sum(marks) == 1.0
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_the_benchmark_ellipse_128_gon_measures_few_rows(seed, monkeypatch):
+    inputs = load_benchmark_inputs()
+    p = Polygon.from_pairs(inputs.convex_polygon(random.Random(seed), 128))
+    rows = []
+
+    def counting_sum(terms):
+        # a measured row is the running sum of one vertex's distances; the
+        # lower bounds sum products, and the exact sums are fsums
+        if terms.__reduce__()[1][0] is math.dist:
+            rows.append(None)
+        return sum(terms)
+
+    monkeypatch.setattr(catalog, "sum", counting_sum, raising=False)
+    assert _medoid_indicators(p) == reference_marks(p)
+    # the lower bounds rule out all but a few of the 128 rows
+    assert 1 <= len(rows) <= 24
+
+
+def far_40_gon(nudge):
+    """A regular 40-gon of radius 1e306 about (1.5e308, 0), with vertex 1
+    moved off the circle by the relative `nudge`: any two of its
+    coordinates sum past the float range."""
+    pairs = []
+    for k in range(40):
+        r = 1e306 * (1.0 + nudge) if k == 0 else 1e306
+        pairs.append((1.5e308 + r * math.cos(2 * math.pi * k / 40), r * math.sin(2 * math.pi * k / 40)))
+    return pairs
+
+
+FAR_MEDOID = json.dumps({
+    "name": "medoid",
+    "projective": [1.0] + [0.0] * 39,
+    "weights": [1.0] + [0.0] * 39,
+    "point": [1.50999e308, 0.0],
+    "vertex": 1,
+}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("nudge, code, out, err", [
+    # moved in, vertex 1 has the smallest sum
+    (-1e-3, 0, FAR_MEDOID, ""),
+    # moved out, its two neighbours tie for the smallest sum
+    (1e-3, 3, "", "polycenter: Tie: vertices 2 and 40 tie for the minimum distance sum\n"),
+])
+def test_a_40_gon_far_from_the_origin(tmp_path, capsys, nudge, code, out, err):
+    pairs = far_40_gon(nudge)
+    p = Polygon.from_pairs(pairs)
+    assert _medoid_indicators(p) == reference_marks(p)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"vertices": pairs}), encoding="utf-8")
+    assert cli.main(["center", str(path), "--name", "medoid"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("n", [28, 40, 128])
+@pytest.mark.parametrize("point", [(0.7, 3.3), (0.1, -0.1), (0.0, 0.0)])
+def test_coincident_vertices_mark_every_row(n, point):
+    # Every sum is 0, so every row is marked. Off the origin some centroids
+    # of the runs round off the shared point (at n = 40 for both points), so
+    # some lower bounds are positive, and only the margin keeps them from
+    # ruling rows out. At the origin no bound is taken.
+    p = Polygon.from_pairs([point] * n)
+    assert _medoid_indicators(p) == reference_marks(p) == [1.0] * n
+
+
+@pytest.mark.parametrize("k, offset", [
+    (-1074, 0.0), (-1050, 0.0), (-1001, 0.0), (-999, 0.0), (-40, 0.0), (0, 0.0),
+    (0, 1e9), (-30, 1.0), (40, 0.0), (990, 0.0), (994, 0.0), (1020, 0.0),
+])
+def test_a_44_gon_at_the_edges_of_the_bounded_range(k, offset):
+    # The lower bounds are taken for largest coordinate magnitudes M from
+    # 2^-1000 to 2^1000 / n; outside, every row is measured. The 44-gon has
+    # M near 2^k * 1.98, so the bounds are taken from k = -999 to 990. A far
+    # offset makes the centroids' rounding large against the extent.
+    q = random_convex_polygon(random.Random(44), 44)
+    p = Polygon.from_pairs([(math.ldexp(v.x, k) + offset, math.ldexp(v.y, k)) for v in q.vertices])
+    assert outcome(_medoid_indicators, p) == outcome(reference_marks, p)
 
 
 @pytest.mark.parametrize("ring", [16, 200])
