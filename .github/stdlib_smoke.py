@@ -17,6 +17,7 @@ import sys
 
 from polycenter import AxiomViolation, Polygon, admit, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
+from polycenter.geometry import DistanceMatrix, distance_matrix
 
 work = sys.argv[1]
 
@@ -101,6 +102,39 @@ else:
     raise AssertionError("d(1,2) was admitted")
 assert dsl._sample_set.cache_info().misses == 1, dsl._sample_set.cache_info()
 assert admit(parse("d(n,1)+d(1,2)"), 5).name == "d(n,1)+d(1,2)"
+# the benchmark's expressions (perfbench/workloads.py, EXPRESSIONS, copied):
+# at n = 8 each is admitted (None) or fails the property named, and all of
+# them read one sample set
+EXPRESSIONS = {
+    "d(n,1)+d(1,2)": None,
+    "perim": None,
+    "d(2,n)": None,
+    "d(n,1)*d(1,2)": None,
+    "sqrt(d(n,1)^2+d(1,2)^2)": None,
+    "d(1,2)": "relabel-invariance",
+    "d(n,1)+d(1,2)+d(n,1)^2+d(1,2)^2": "homogeneity",
+    "d(n,1)-d(1,2)": "relabel-invariance",
+    "d(1,2)-d(2,1)": None,
+}
+misses = dsl._sample_set.cache_info().misses
+for source, prop in EXPRESSIONS.items():
+    try:
+        admit(parse(source), 8)
+    except AxiomViolation as exc:
+        assert exc.prop == prop, (source, exc.prop)
+    else:
+        assert prop is None, (source, "admitted")
+assert dsl._sample_set.cache_info().misses == misses + 1, dsl._sample_set.cache_info()
+# a coordinate program, which the axiom trials run, gives the bits that
+# evaluate gives on the distance matrix times t
+pc = parse("sqrt(d(n,1)*d(1,2))/perim+d(2,n)")
+p = Polygon.from_pairs([(0, 0), (4, 0), (5, 3), (1, 4), (-1, 2)])
+D = distance_matrix(p)
+measure = dsl.static_facts(pc, p.n)[3]
+for t in (0.5, 1.0, 4.0):
+    scaled = DistanceMatrix._of(tuple(tuple(t * v for v in row) for row in D.d))
+    got, want = measure((p.xs, p.ys, t)), dsl.evaluate(pc, scaled)
+    assert got == want, (t, got.hex(), want.hex())
 assert "threading" not in sys.modules, "polycenter imported threading"
 assert "numpy" not in sys.modules, "polycenter imported numpy"
 outside = {m.split(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)

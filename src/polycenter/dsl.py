@@ -130,7 +130,7 @@ class ParsedCenter(Frozen):
         _set(self, "expr", expr)
         _set(self, "source", source)
         # (n, mode) -> the tree compiled for n-gons (`_compile`): "matrix", "chord" with
-        # its offsets, or "traced" in the static facts (`static_facts`)
+        # its offsets, or "traced", the static facts with their coordinate programs
         _set(self, "_programs", {})
 
 
@@ -440,19 +440,23 @@ _BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})"}
 
 
 def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
-             traced: bool = False) -> Callable:
-    """node for n-gons as one straight-line function f(rows, k), one local
-    per node in post-order, each index pair resolved once. It reads entry
+             coordinates: bool = False, traced: bool = False) -> Callable:
+    """node for n-gons as one straight-line function, one local per node in
+    post-order, each index pair resolved once. As f(rows, k) it reads entry
     (i, j) as rows[i][j + k] (`DistanceMatrix.rows_and_offset`); with a set
     of offsets, as entry i + k of chord list s = j - i mod n, adding each s
-    read (`_chord_map`); traced, it returns the value and every node's value
-    (a 0 from * or / may underflow: nan). Operands run left to right and give
-    the values and errors a walk of the tree gives; a pair that collides at
-    n, or a node that is not an expression, raises when reached. Constants
-    and error arguments are bound in the function's globals, so its source
-    holds only generated names, ints and operators."""
+    read (`_chord_map`). With `coordinates`, as f(xs, ys, t) it measures
+    entry (i, j) as t * hypot(xs[i] - xs[j], ys[i] - ys[j]), the bits that
+    `distance_matrix` of the points holds there times t (hypot ignores
+    sign), and `perim` as the sides in index order. Traced, it returns the
+    value and every node's value (a 0 from * or / may underflow: nan).
+    Operands run left to right and give the values and errors a walk of the
+    tree gives; a pair that collides at n, or a node that is not an
+    expression, raises when reached. Constants and error arguments are
+    bound in the function's globals, so its source holds only generated
+    names, ints and operators."""
     scope: dict[str, object] = {"_div": _div, "_sqrt": _sqrt, "_pow": _pow,
-                                "_raise": _raise, "nan": math.nan}
+                                "_raise": _raise, "nan": math.nan, "hypot": math.hypot}
     lines: list[str] = []
     values: list[str] = []
 
@@ -469,6 +473,8 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
             if i == j:
                 message = f"d({e.i.render()},{e.j.render()}) collides at n={n}"
                 code = f"_raise(*{bind((ExprIndexError, message, e.pos))})"
+            elif coordinates:
+                code = f"t * hypot(xs[{i}] - xs[{j}], ys[{i}] - ys[{j}])"
             elif offsets is None:
                 code = f"rows[{i}][{j} + k]"
             else:
@@ -499,7 +505,8 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
     result = emit(node)
     if traced:
         result += f", ({', '.join(values)},)"
-    exec(compile(f"def f(rows, k):\n{''.join(lines)}    return {result}\n", "<expression>",
+    params = "xs, ys, t" if coordinates else "rows, k"
+    exec(compile(f"def f({params}):\n{''.join(lines)}    return {result}\n", "<expression>",
                  "exec"), scope)
     return scope["f"]
 
@@ -564,19 +571,26 @@ def _walk(e: Expr, n: int) -> tuple[Optional[tuple[int, int, int]], tuple, tuple
 
 
 def static_facts(pc: ParsedCenter, n: int) -> tuple:
-    """(symmetric, degrees, sample) of pc on n-gons, once per n (`_walk`): `sample(D)` is
-    `evaluate(pc, D)`, the least nonzero and the sum of the intermediate magnitudes."""
+    """(symmetric, degrees, sample, measure) of pc on n-gons, once per n (`_walk`).
+    `measure(c)` is `evaluate(pc, D)` for c = (xs, ys, t) and D the distance matrix
+    of the points (xs[i], ys[i]) times t, and `sample(c)` that value, the least
+    nonzero and the sum of the intermediate magnitudes: two coordinate programs
+    (`_compile`), which read only the distances pc reads."""
     facts = pc._programs.get((n, "traced"))
     if facts is None:
         span, key, flipped = _walk(pc.expr, n)
-        program = _compile(pc.expr, n, traced=True)
+        traced = _compile(pc.expr, n, coordinates=True, traced=True)
+        program = _compile(pc.expr, n, coordinates=True)
 
-        def sample(D: DistanceMatrix) -> tuple[float, float, float]:
-            value, values = program(*D.rows_and_offset())
+        def sample(c: tuple) -> tuple[float, float, float]:
+            value, values = traced(*c)
             magnitudes = [abs(v) for v in values if v] or [1.0]  # zeros stay zero at any scale
             return _finite(value), min(magnitudes), sum(magnitudes)
 
-        facts = pc._programs[n, "traced"] = (key == flipped, span, sample)
+        def measure(c: tuple) -> float:
+            return _finite(program(*c))
+
+        facts = pc._programs[n, "traced"] = (key == flipped, span, sample, measure)
     return facts
 
 
@@ -624,8 +638,9 @@ def admit(
     """Accept pc as a center function on n-gons, or raise AxiomViolation.
 
     Runs the trials of `verify_axioms` on random n-gons, which evaluate
-    only what pc's tree does not imply (`static_facts`), and raises at the
-    first failing trial, naming the property and carrying a witness. On
+    only what pc's tree does not imply, by its coordinate programs
+    (`static_facts`), and raises at the first failing trial, naming the
+    property and carrying a witness, whose matrix is measured only then. On
     top of them, the slopes of all trials must agree with one
     natural-number homogeneity degree.
 
@@ -633,20 +648,19 @@ def admit(
     the first `_BANKED` trials whole, the first time it admits at (n, seed),
     and every expression admitted there reads them again (`_sample_set`).
     They are never changed, so threads share them with no lock. The process
-    keeps them for the last (n, seed) only: coordinates and distance views,
-    no matrix, about 130 kB at n = 8. A cold admission that rejects at its
-    first trial still draws all `_BANKED` trials, once.
+    keeps them for the last (n, seed) only: checked coordinate triples, no
+    matrix, about 145 kB at n = 8 (tracemalloc). A cold admission that
+    rejects at its first trial still draws all `_BANKED` trials, once.
     """
     fg = center_function(pc)
     slopes: list[float] = []
     for trial in _trials(fg, _shared_inputs(n, seed), trials):
-        D = trial.input
         if trial.relabel_gap() > CHECK_TOL:
             raise AxiomViolation(
                 "relabel-invariance",
                 f"{pc.source!r} distinguishes a matrix from its reversal "
                 f"({trial.base!r} vs {trial.reversed!r})",
-                witness={"matrix": D, "value": trial.base,
+                witness={"matrix": trial.input, "value": trial.base,
                          "reversed_value": trial.reversed},
             )
         if trial.motion_gap() > CHECK_TOL:
@@ -654,7 +668,7 @@ def admit(
                 "motion-invariance",
                 f"{pc.source!r} changes under a rigid motion "
                 f"({trial.base!r} vs {trial.moved!r})",
-                witness={"matrix": D, "value": trial.base, "moved_value": trial.moved},
+                witness={"matrix": trial.input, "value": trial.base, "moved_value": trial.moved},
             )
         fit = trial.slope_fit()
         if fit is None:
@@ -666,7 +680,7 @@ def admit(
                 "changes sign under rescaling" if math.isinf(dev)
                 else f"does not scale as a single power (fit deviation {dev:.3e})"
             )
-            witness = {"matrix": D, "values": trial.scaled}
+            witness = {"matrix": trial.input, "values": trial.scaled}
             raise AxiomViolation("homogeneity", f"{pc.source!r} {why}", witness=witness)
         slopes.append(slope)
     if slopes:

@@ -39,10 +39,16 @@ An axiom trial evaluates a function on a sample, its reversal, a moved copy
 and three rescalings. Those inputs are drawn apart from any function
 (`_trial_inputs`) and hold no value, so one draw can serve every function
 checked on it, as `dsl.admit`'s does; `_trials` is the one body that
-evaluates them, for `verify_axioms` and `dsl.admit` alike. A guard-free
-expression's `static_facts` imply some of these values with the bits
-evaluation gives. IEEE + and * commute exactly, so a reversal that leaves
-the tree's sorted form as it is keeps the value. At scale 2^s a tree of degree k gains 2^(k*s) while every intermediate of
+evaluates them, for `verify_axioms` and `dsl.admit` alike. A length
+function's inputs are checked coordinates and a scale. A guard-free
+expression reads them through its coordinate programs, which measure only
+the distances it reads; any other length function reads a matrix view
+that measures an entry when it is read (`MeasuredRows`).
+
+A guard-free expression's `static_facts` also imply some of the values,
+with the bits evaluation gives. IEEE + and * commute exactly, so a
+reversal that leaves the tree's sorted form as it is keeps the value. At
+scale 2^s a tree of degree k gains 2^(k*s) while every intermediate of
 degree j, times 2^(j*s) and at scale 1, is zero or in [2^-1021, 2^1023],
 where IEEE arithmetic commutes with power-of-two scaling (Goldberg 1991).
 """
@@ -64,6 +70,8 @@ from .geometry import (
     MeasuredRows,
     Point2,
     Polygon,
+    _check_scale,
+    _extent,
     _set,
     apply_motion,
     distance_matrix,
@@ -318,17 +326,26 @@ def _relative_gap(a: float, b: float) -> float:
 class AxiomTrial(Frozen):
     """One sampled input (a polygon, or its distance matrix for length
     functions) and fg's values on it, its reversal, a moved copy and its
-    rescalings by `_SCALES`."""
+    rescalings by `_SCALES`. The input may be given as the coordinate
+    triple (xs, ys, t) of `_trial_inputs`; its matrix is then measured
+    (`MeasuredRows`) when it is first read."""
 
-    __slots__ = ("input", "base", "reversed", "moved", "scaled")
+    __slots__ = ("_input", "base", "reversed", "moved", "scaled")
+    _fields = ("input", "base", "reversed", "moved", "scaled")
 
-    def __init__(self, input: Union[Polygon, DistanceMatrix], base: float, reversed: float,
-                 moved: float, scaled: tuple[float, ...]) -> None:
-        _set(self, "input", input)
+    def __init__(self, input: Union[Polygon, DistanceMatrix, tuple], base: float,
+                 reversed: float, moved: float, scaled: tuple[float, ...]) -> None:
+        _set(self, "_input", input)
         _set(self, "base", base)
         _set(self, "reversed", reversed)
         _set(self, "moved", moved)
         _set(self, "scaled", scaled)
+
+    @property
+    def input(self) -> Union[Polygon, DistanceMatrix]:
+        if self._input.__class__ is tuple:
+            _set(self, "_input", DistanceMatrix._of(MeasuredRows(*self._input)))
+        return self._input
 
     def relabel_gap(self) -> float:
         return _relative_gap(self.base, self.reversed)
@@ -383,14 +400,14 @@ def _trial_inputs(
     `_RESCALES`. They are the same for every function, so they hold no
     value and no matrix whose `d` a reader could fill.
 
-    A vertex function's inputs are polygons. A length function's are views
-    (`geometry.MeasuredRows`) over the sample's coordinates (the reversal's
-    permuted by sigma, a rescaling's times its t) or the moved ones, which
-    measure a distance when it is read. The checks fail in the order of
-    built views: a moved coordinate that overflows (`apply_motion`'s
-    NonFinite), the sample's extent, the moved copy's, then a rescaling
-    (ValueError), whose check reads the sample's extent; the reversal's
-    cannot fail.
+    A vertex function's inputs are polygons. A length function's are
+    triples (xs, ys, t), the distance matrix of the points (xs[i], ys[i])
+    times t: the sample's coordinates (the reversal's permuted by sigma, a
+    rescaling's with its t) or the moved ones, with t = 1 but for the
+    rescalings. They are checked as the matrices they stand for would be,
+    in this order: a moved coordinate that overflows (`apply_motion`'s
+    NonFinite), the sample's extent, the moved copy's, then each rescaling
+    (`_check_scale`'s ValueError); the reversal's cannot fail.
     """
     picks: dict[int, itemgetter] = {}  # n -> the reversal by sigma of n items
     while True:
@@ -399,44 +416,55 @@ def _trial_inputs(
         pick = picks.get(p.n) or picks.setdefault(
             p.n, itemgetter(*DihedralElement.sigma(p.n).permutation()))
         moved = apply_motion(motion, p)
+        xs, ys = p.xs, p.ys
         if vertex:
-            yield (p, Polygon._of(pick(p.xs), pick(p.ys)), moved,
-                   *[Polygon._checked([t * x for x in p.xs], [t * y for y in p.ys])
+            yield (p, Polygon._of(pick(xs), pick(ys)), moved,
+                   *[Polygon._checked([t * x for x in xs], [t * y for y in ys])
                      for t in _RESCALES])
         else:
-            xs, ys = p.xs, p.ys
-            sample, moved = MeasuredRows(xs, ys), MeasuredRows(moved.xs, moved.ys)
-            yield (sample, MeasuredRows(pick(xs), pick(ys), 1.0, sample.diagonal), moved,
-                   *[MeasuredRows(xs, ys, t, sample.diagonal) for t in _RESCALES])
+            diagonal = _extent(xs, ys)
+            _extent(moved.xs, moved.ys)
+            for t in _RESCALES:
+                _check_scale(xs, ys, t, diagonal)
+            yield ((xs, ys, 1.0), (pick(xs), pick(ys), 1.0), (moved.xs, moved.ys, 1.0),
+                   *[(xs, ys, t) for t in _RESCALES])
 
 
 def _facts(fg: CenterFunction, n: int) -> tuple:
-    """(symmetric, degrees, sample) of a guard-free length function's
-    `static_facts(n)`, or else (False, None, sample) with `sample(x)` =
-    (fg.evaluate(x), 0.0, 0.0), then the least and the greatest exponent by
-    which a rescaling shifts an intermediate value."""
+    """(symmetric, degrees, sample, evaluate) of fg on n-gons, then the least
+    and the greatest exponent by which a rescaling shifts an intermediate
+    value. A guard-free length function's `static_facts(n)` give them, on
+    the coordinate triples of `_trial_inputs`. Otherwise (False, None,
+    sample, evaluate), with `sample(x)` = (evaluate(x), 0.0, 0.0) and
+    `evaluate` fg.evaluate, on a polygon, or on a lazily measured matrix
+    (`MeasuredRows`) of a triple."""
     facts = fg.static_facts and not fg.domain_guard and fg.static_facts(n)
-    symmetric, degrees, sample = facts or (False, None, lambda x: (fg.evaluate(x), 0.0, 0.0))
+    if facts:
+        symmetric, degrees, sample, evaluate = facts
+    else:
+        symmetric, degrees = False, None
+        evaluate = fg.evaluate if isinstance(fg, VertexCenterFunction) else (
+            lambda c: fg.evaluate(DistanceMatrix._of(MeasuredRows(*c))))
+        sample = lambda x: (evaluate(x), 0.0, 0.0)  # noqa: E731
     shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
-    return symmetric, degrees, sample, min(shifts), max(shifts)
+    return symmetric, degrees, sample, evaluate, min(shifts), max(shifts)
 
 
 def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterator[AxiomTrial]:
     """fg's trials on the first `trials` of `inputs` (`_trial_inputs`),
-    each evaluated before the next is read. A length function reads each
-    view as a `DistanceMatrix`, built only when evaluated, so the matrix
-    whose `d` a reader may fill is the trial's own."""
+    each evaluated before the next is read, by the functions of `_facts`: a
+    guard-free expression's coordinate programs measure only the distances
+    they read, and no matrix is built for them. A trial's `input`, a length
+    function's sample as a `DistanceMatrix`, is built when it is read, so
+    the matrix whose `d` a reader may fill is the trial's own."""
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
     vertex = isinstance(fg, VertexCenterFunction)
-    evaluate = fg.evaluate if vertex else lambda rows: fg.evaluate(DistanceMatrix._of(rows))
     known: dict[int, tuple] = {}  # n -> the facts of `_facts`
     for sample, reversal, moved, *rescaled in islice(inputs, trials):
-        n = sample.n if vertex else len(sample)
-        symmetric, degrees, probe, least, greatest = known.get(n) or known.setdefault(
+        n = sample.n if vertex else len(sample[0])
+        symmetric, degrees, probe, evaluate, least, greatest = known.get(n) or known.setdefault(
             n, _facts(fg, n))
-        if not vertex:
-            sample = DistanceMatrix._of(sample)
         base, lo, hi = probe(sample)
         rev = base if symmetric else evaluate(reversal)
         mv = evaluate(moved)

@@ -14,8 +14,8 @@ Conventions used throughout the package:
   `chords` one cyclic diagonal (the sides at skip 1) with the same bits;
 * a `DistanceMatrix` is the pair (rows, k) that `rows_and_offset` returns,
   entry (i, j) being rows[i][j + k], and `d`, its tuple of row tuples, is
-  built from that pair on first read; a rotation from `rotations` shares
-  the doubled rows of its matrix;
+  built from that pair on first read; a rotation shares the rows of its
+  matrix, and its k is negative, so Python's index wraps it;
 * `MeasuredRows` are the rows of the distance matrix of a list of points
   times a factor, which measure an entry when it is read, or all of them
   at once for `d`.
@@ -311,24 +311,15 @@ class MeasuredRows:
     Entry (i, j) is t * hypot(xs[i] - xs[j], ys[i] - ys[j]): the bits
     `distance_matrix` holds there times t, as hypot ignores sign. Row i
     read by an int is a `_MeasuredRow`, which measures entry j when it is
-    read by an int; `_whole` measures them all at once. The constructor
-    checks what `distance_matrix` checks, the extent (NonFinite), unless
-    its checked `diagonal` is given, then a t that is negative or makes the
-    largest entry infinite (ValueError). That entry is measured
-    (`_largest_distance`) only when 2t times the diagonal, which bounds it,
-    is not finite.
+    read by an int; `_whole` measures them all at once. It checks nothing:
+    its maker checks what `distance_matrix` checks, the extent (`_extent`),
+    and then the scale (`_check_scale`), as the axiom trials do.
     """
 
-    __slots__ = ("_xs", "_ys", "_t", "diagonal")
+    __slots__ = ("_xs", "_ys", "_t")
 
-    def __init__(self, xs: Sequence[float], ys: Sequence[float], t: float = 1.0,
-                 diagonal: float | None = None) -> None:
-        if diagonal is None:
-            diagonal = _extent(xs, ys)
-        if not (t >= 0.0 and (math.isfinite(2.0 * t * diagonal)
-                              or math.isfinite(t * _largest_distance(xs, ys)))):
-            raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
-        self._xs, self._ys, self._t, self.diagonal = xs, ys, t, diagonal
+    def __init__(self, xs: Sequence[float], ys: Sequence[float], t: float = 1.0) -> None:
+        self._xs, self._ys, self._t = xs, ys, t
 
     def __len__(self) -> int:
         return len(self._xs)
@@ -362,9 +353,11 @@ class DistanceMatrix(Frozen):
 
     Its data are the pair `rows_and_offset` returns: entry (i, j) is
     rows[i][j + k]. The rows are a tuple of row tuples or a `MeasuredRows`
-    view, with k = 0, or the doubled rows of a rotation by k > 0
-    (`rotations`). `d`, the tuple of row tuples, is the rows themselves or
-    is built from the pair on first read and kept. Its one field is `d`.
+    view, with k = 0, or the n row tuples of a rotation (`rotated`), with
+    -n <= k < 0: j + k indexes a row of length n from its end, so Python
+    wraps it, and no row is longer than n. `d`, the tuple of row tuples, is
+    the rows themselves or is built from the pair on first read and kept.
+    Its one field is `d`.
     """
 
     __slots__ = ("_rows", "_k", "_d")
@@ -409,7 +402,7 @@ class DistanceMatrix(Frozen):
         if self._d is None:
             rows, k = self._rows, self._k
             _set(self, "_d", rows._whole() if rows.__class__ is MeasuredRows
-                 else tuple([row[k:k + len(rows)] for row in rows]) if k else rows)
+                 else tuple([row[k:] + row[:k] for row in rows]) if k else rows)
         return self._d
 
     def __reduce__(self):
@@ -424,28 +417,25 @@ class DistanceMatrix(Frozen):
         return len(self._rows)
 
     def rotated(self, k: int) -> "DistanceMatrix":
-        """Entry (i,j) of the result is entry (i+k, j+k) of the input; not
-        revalidated, as it reads only entries of this valid matrix."""
-        pick = itemgetter(*[(i + k) % self.n for i in range(self.n)])
-        return self._of(tuple(map(pick, pick(self.d))))
+        """Entry (i,j) of the result is entry (i+k, j+k) of the input, read
+        in place: rows k, ..., n-1, 0, ..., k-1 of `d` (n pointers copied)
+        with offset k - n, k reduced mod n. Not revalidated: a rotation of a
+        valid matrix is still square, finite, nonnegative, zero on the
+        diagonal and symmetric."""
+        n = self.n
+        k %= n
+        rows = self.d
+        return self._of(rows[k:] + rows[:k], k - n)
 
     def rotations(self) -> Iterator["DistanceMatrix"]:
-        """rotated(0), ..., rotated(n-1): this matrix, then rotations that
-        share its doubled rows.
-
-        Row i of rotation k is the slice [k, k + n) of row i + k written
-        twice. The rows are doubled once, O(n^2), and the tuple of doubled
-        rows is written twice, so that rotation k's rows are one slice of it;
-        a rotation then copies no row until its `d` is read, so an evaluator
-        that reads a few entries through `rows_and_offset` costs O(n) per
-        rotation, not O(n^2). They are not revalidated: a rotation of a
-        valid matrix is still square, finite, nonnegative, zero on the
-        diagonal and symmetric.
-        """
+        """rotated(0), ..., rotated(n-1): this matrix, then rotation k as
+        slice [k, k + n) of the rows of `d` written twice, which copies 2n
+        pointers once and n per rotation. A rotation copies no row until
+        its `d` is read, so an evaluator that reads a few entries through
+        `rows_and_offset` costs O(n) per rotation, not O(n^2)."""
         n = self.n
-        doubled = tuple([row + row for row in self.d])
-        twice = doubled + doubled
-        return chain([self], (self._of(twice[k:k + n], k) for k in range(1, n)))
+        twice = self.d * 2
+        return chain([self], (self._of(twice[k:k + n], k - n) for k in range(1, n)))
 
     def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
         """(rows, k) such that entry (i, j) is rows[i][j + k], read in place."""
@@ -465,6 +455,17 @@ def _extent(xs: Sequence[float], ys: Sequence[float]) -> float:
     diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     _require_finite(diagonal, "polygon extent")
     return diagonal
+
+
+def _check_scale(xs: Sequence[float], ys: Sequence[float], t: float, diagonal: float) -> None:
+    """ValueError unless t is nonnegative and keeps every distance between
+    the points (xs[i], ys[i]) finite when multiplied by it, given their
+    checked extent `diagonal`. The largest distance is measured
+    (`_largest_distance`) only when 2t times the diagonal, which bounds it,
+    is not finite."""
+    if not (t >= 0.0 and (math.isfinite(2.0 * t * diagonal)
+                          or math.isfinite(t * _largest_distance(xs, ys)))):
+        raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
 
 
 # `_largest_distance` prunes from this many points on; at fewer, the sort

@@ -426,19 +426,27 @@ def test_admit_rejects_single_side():
 
 def test_admit_stops_at_the_first_failing_trial(monkeypatch):
     # one trial evaluates the input, its reversal, a moved copy and four
-    # rescalings; d(1,2) fails reversal symmetry in the first trial
+    # rescalings, each one call of a coordinate program (`static_facts`);
+    # d(1,2) fails reversal symmetry in the first trial
     calls = []
-    real = dsl.evaluate
+    real = dsl._compile
 
-    def counting(pc, D):
-        calls.append(D)
-        return real(pc, D)
+    def counting(node, n, offsets=None, **mode):
+        program = real(node, n, offsets, **mode)
 
-    monkeypatch.setattr(dsl, "evaluate", counting)
+        def call(*args):
+            calls.append(args)
+            return program(*args)
+
+        return call
+
+    monkeypatch.setattr(dsl, "_compile", counting)
     with pytest.raises(AxiomViolation) as err:
         admit(parse("d(1,2)"), 5)
     assert err.value.prop == "relabel-invariance"
     assert 0 < len(calls) <= 7
+    # each reads coordinates (xs, ys, t), not a matrix
+    assert all(len(args) == 3 for args in calls)
 
 
 def test_admit_rejects_motion_dependence():

@@ -2,13 +2,16 @@
 
 `geometry.chords` measures the sides for `predicates` and the `perimeter`
 map, and the cyclic diagonals for the coincidence probes; `normalize`
-scales by `unit_factor`; `DistanceMatrix.rotated` picks the rows and
-entries of the rotation. Each is compared, bit for bit and errors
-included, with the code it replaced, kept here as the reference.
+scales by `unit_factor`; `DistanceMatrix.rotated` and `rotations` read
+the rotation in place, from n rows of n entries, where the references
+picked every row and entry into new tuples. Each is compared, bit for bit
+and errors included, with the code it replaced, kept here as the reference.
 """
 
 import math
+import pickle
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,3 +210,35 @@ def test_rotated_of_a_rotation_view_matches_the_index_arithmetic(p, k):
         R = view.rotated(k)
         assert R == reference_rotated(view, k)
         assert type(R.d) is tuple and all(type(row) is tuple for row in R.d)
+
+
+def eager_rotated(D, k):
+    """The rotation as `rotated` built it before rotations were read in
+    place: every row and entry picked into a new tuple."""
+    pick = itemgetter(*[(i + k) % D.n for i in range(D.n)])
+    return DistanceMatrix._of(tuple(map(pick, pick(D.d))))
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_rotations_read_in_place_equal_the_eager_copies(n):
+    D = distance_matrix(random_polygon(random.Random(n), n))
+    views = list(D.rotations())
+    assert len(views) == n and views[0] is D
+    for k, (R, S) in enumerate(zip(views, [D.rotated(k) for k in range(n)])):
+        want = eager_rotated(D, k)
+        for X in (R, S):
+            rows, offset = X.rows_and_offset()
+            # n rows of n entries: no row is doubled
+            assert len(rows) == n and all(len(row) == n for row in rows)
+            assert -n <= offset <= 0
+            assert [[rows[i][j + offset] for j in range(n)] for i in range(n)] == list(
+                map(list, want.d))
+            assert X == want and want == X and hash(X) == hash(want)
+            assert float.hex(X.max_entry()) == float.hex(want.max_entry())
+            assert X.d == want.d and type(X.d) is tuple
+            assert all(type(row) is tuple and len(row) == n for row in X.d)
+            Y = pickle.loads(pickle.dumps(X))
+            assert Y == want and Y.d == want.d and hash(Y) == hash(want)
+    # a rotation of a rotation, and a shift past n either way
+    for k in (-n - 3, -1, 5, n + 2):
+        assert views[3].rotated(k) == eager_rotated(D, 3 + k)

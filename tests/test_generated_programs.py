@@ -1,7 +1,7 @@
 """The functions `dsl._compile` writes: one straight-line local per tree node.
 
-A tree at `MAX_DEPTH` runs in every mode (matrix, chord and traced) and
-equals the tree-walking reference bit for bit; one nested Python expression
+A tree at `MAX_DEPTH` runs in every mode (matrix, chord, and coordinates
+plain and traced) and equals the tree-walking reference bit for bit; one nested Python expression
 per tree would exceed the interpreter's parenthesis limit there. The source
 handed to `compile` holds only generated names, ints and operators, never a
 number or index as the user wrote it.
@@ -50,9 +50,11 @@ def test_a_tree_at_max_depth_equals_the_reference_in_every_mode(name):
         p = random_convex_polygon(random.Random(n), n)
         rotations = list(distance_matrix(p).rotations())
         want = [repr(reference_evaluate(pc, R)) for R in rotations]
-        sample = dsl.static_facts(pc, n)[2]
+        _, _, sample, measure = dsl.static_facts(pc, n)
+        shifts = [(q.xs, q.ys, 1.0) for q in map(p.shifted, range(n))]
         assert [repr(dsl.evaluate(pc, R)) for R in rotations] == want
-        assert [repr(sample(R)[0]) for R in rotations] == want
+        assert [repr(sample(c)[0]) for c in shifts] == want
+        assert [repr(measure(c)) for c in shifts] == want
         assert list(map(repr, coordinate_map(center_function(pc), p).values)) == want
 
 
@@ -63,8 +65,8 @@ SOURCES = [
     f"d(1,n+{HUGE})*perim-sqrt(d(n-{HUGE},2))",
     f"min(d(n,1),0.5)^2.5/(d(1,{HUGE})-d(1,2))",
 ]
-NAMES = {"def", "return", "or", "rows", "k", "f", "sum", "min", "max", "abs",
-         "_div", "_sqrt", "_pow", "_raise", "nan"}
+NAMES = {"def", "return", "or", "rows", "k", "xs", "ys", "t", "f", "sum", "min", "max", "abs",
+         "hypot", "_div", "_sqrt", "_pow", "_raise", "nan"}
 
 
 def _outcome(call):
@@ -89,8 +91,13 @@ def test_generated_source_holds_only_generated_names_ints_and_operators(monkeypa
             p = random_convex_polygon(random.Random(n), n)
             _outcome(lambda: dsl.evaluate(pc, distance_matrix(p)))
             _outcome(lambda: dsl._chord_map(pc, p))
-            _outcome(lambda: dsl.static_facts(pc, n)[2](distance_matrix(p)))
-    assert len(sources) == 3 * len(ns) * len(SOURCES)
+            _, _, sample, measure = dsl.static_facts(pc, n)
+            _outcome(lambda: sample((p.xs, p.ys, 2.0)))
+            _outcome(lambda: measure((p.xs, p.ys, 2.0)))
+    # matrix, chord, and coordinates traced and plain
+    assert len(sources) == 4 * len(ns) * len(SOURCES)
+    coordinate_programs = [s for s in sources if s.startswith("def f(xs, ys, t):")]
+    assert len(coordinate_programs) == 2 * len(ns) * len(SOURCES)
     for source in sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:

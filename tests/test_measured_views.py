@@ -3,10 +3,10 @@
 `geometry.MeasuredRows` gives the axiom trials views over coordinate
 lists: an entry is measured when it is read, and the whole matrix once,
 when `d` is first read. Each view (the sample, its reversal, a moved copy
-and a rescaling), built as `axiom_trials` builds it, must read as the
-matrix that `distance_matrix`, `permuted` and `scaled` build: entries by
-`float.hex`, `d`, `rows_and_offset`, `max_entry` and compiled expressions,
-errors by class and message. Every matrix, views included, reads as the
+and a rescaling), checked and built as `axiom_trials` checks and builds it,
+must read as the matrix that `distance_matrix`, `permuted` and `scaled`
+build: entries by `float.hex`, `d`, `rows_and_offset`, `max_entry` and
+compiled expressions, errors by class and message. Every matrix, views included, reads as the
 tuple of its rows. `Polygon.diameter` measures no matrix and must equal
 its largest entry.
 """
@@ -25,6 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polycenter.dsl as dsl
+import polycenter.framework as framework
 import polycenter.geometry as geometry
 from polycenter.dsl import ParsedCenter, admit, evaluate, parse
 from polycenter.catalog import CATALOG
@@ -68,8 +69,8 @@ def coordinates(seed, n, k, moved):
 
 def pairs(seed, n, k, moved, which):
     """(view, matrix) outcomes: the sample, its reversal, or its rescaling by
-    `_RESCALES[which - 2]`, as `MeasuredRows` views (the reversal and the
-    rescalings given the sample's diagonal) and from `distance_matrix` (by
+    `_RESCALES[which - 2]`, as `MeasuredRows` views once the sample's extent
+    and a rescaling's scale are checked, and from `distance_matrix` (by
     `permuted` and `scaled`); None where `coordinates` is."""
     points = coordinates(seed, n, k, moved)
     if points is None:
@@ -78,14 +79,14 @@ def pairs(seed, n, k, moved, which):
     reversal = DihedralElement.sigma(n).permutation()
 
     def view():
-        sample = MeasuredRows(xs, ys)
+        diagonal = geometry._extent(xs, ys)
         if which == 0:
-            rows = sample
+            rows = MeasuredRows(xs, ys)
         elif which == 1:
-            rows = MeasuredRows([xs[i] for i in reversal], [ys[i] for i in reversal], 1.0,
-                                sample.diagonal)
+            rows = MeasuredRows([xs[i] for i in reversal], [ys[i] for i in reversal])
         else:
-            rows = MeasuredRows(xs, ys, _RESCALES[which - 2], sample.diagonal)
+            geometry._check_scale(xs, ys, _RESCALES[which - 2], diagonal)
+            rows = MeasuredRows(xs, ys, _RESCALES[which - 2])
         return DistanceMatrix._of(rows)
 
     def matrix():
@@ -287,7 +288,7 @@ def test_admission_measures_only_what_the_expression_reads(monkeypatch):
     # each checking two extents, the sample's and the moved copy's, and an
     # admission at the same (n, seed) after it draws and checks nothing
     calls = Counter()
-    for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"),
+    for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"), (framework, "_extent"),
                         (geometry, "_largest_distance"), (dsl, "random_polygon")):
         counted(monkeypatch, calls, owner, name)
     for source, prop in ADMISSIONS.items():

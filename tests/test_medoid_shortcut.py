@@ -6,9 +6,10 @@ from no matrix: running sums of the distances of each vertex that a lower
 bound on its sum does not rule out, and exact sums only for the rows near
 the smallest, where a rounding bound cannot decide.
 The definition is kept here as the reference (`helpers._distance_sums`),
-measuring all n sums for the shift it is asked about; entry k of the map
-and the per-shift evaluator on shift k must give its value or its error on
-every shift. (The module keeps the name it had when the indicator still
+measuring all n sums once per polygon. Its mark k is that of shift k, bit
+for bit, as `math.fsum` is correctly rounded and the extent check does not
+depend on vertex order; entry k of the map and the per-shift evaluator on
+shift k must give that mark or its error on every shift. (The module keeps the name it had when the indicator still
 ruled shifts out from two sums.)
 """
 
@@ -34,10 +35,11 @@ from polycenter.sampling import random_convex_polygon, regular_polygon
 MEDOID = CATALOG["medoid"].function
 
 
-def reference_indicator(p):
+def reference_marks(p):
+    """The whole map by the definition: one mark per full-row sum."""
     sums = _distance_sums(p)
     smin = min(sums)
-    return 1.0 if sums[0] <= smin + 1e-12 * smin else 0.0
+    return [1.0 if s <= smin + 1e-12 * smin else 0.0 for s in sums]
 
 
 def outcome(f, p):
@@ -49,10 +51,10 @@ def outcome(f, p):
 
 def assert_every_shift_agrees(p):
     whole = outcome(_medoid_indicators, p)
+    marks = outcome(reference_marks, p)
     for k in range(p.n):
-        q = p.shifted(k)
-        expected = outcome(reference_indicator, q)
-        assert outcome(MEDOID.evaluator, q) == expected, k
+        expected = marks if isinstance(marks, tuple) else marks[k]
+        assert outcome(MEDOID.evaluator, p.shifted(k)) == expected, k
         assert (whole if isinstance(whole, tuple) else whole[k]) == expected, k
 
 
@@ -188,13 +190,6 @@ def test_convex_128_gon_makes_one_pass_per_map_and_per_evaluation():
 
 
 # ------------------------------------------------------------ candidate cut
-
-
-def reference_marks(p):
-    """The whole map by the definition: one mark per full-row sum."""
-    sums = _distance_sums(p)
-    smin = min(sums)
-    return [1.0 if s <= smin + 1e-12 * smin else 0.0 for s in sums]
 
 
 def test_a_regular_200_gon_makes_every_row_a_candidate():

@@ -22,7 +22,6 @@ import pytest
 import polycenter
 import polycenter.dsl as dsl
 from polycenter.errors import AxiomViolation
-from polycenter.geometry import MeasuredRows
 
 from test_axiom_trials import SOURCES
 from test_measured_views import ADMISSIONS
@@ -98,7 +97,7 @@ def test_the_sample_set_keeps_64_trials_of_one_n_and_seed():
     for n, seed in ((6, 3), (7, 3), (6, 4), (6, 4)):
         dsl.admit(dsl.parse("perim"), n, seed, 100)
         drawn = dsl._sample_set(n, seed)[0]
-        assert len(drawn) == 64 and {len(inputs[0]) for inputs in drawn} == {n}
+        assert len(drawn) == 64 and {len(inputs[0][0]) for inputs in drawn} == {n}
     info = dsl._sample_set.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (3, 1, 1)
 
@@ -111,8 +110,9 @@ def test_a_witness_matrix_is_the_callers_own():
         assert D._d is None
         D.d  # measured and kept by this matrix, not by the sample set
         assert D._d is not None
-    assert all(type(view) is MeasuredRows for inputs in dsl._sample_set(5, 0)[0]
-               for view in inputs)
+    # the sample set keeps coordinates (xs, ys, t), no matrix
+    assert all(type(c) is tuple and len(c) == 3 for inputs in dsl._sample_set(5, 0)[0]
+               for c in inputs)
 
 
 def test_threads_admitting_at_once_each_get_the_fresh_result():

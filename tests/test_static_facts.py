@@ -26,7 +26,6 @@ from polycenter import cli
 from polycenter.catalog import CATALOG
 from polycenter.dsl import Aggregate, Binary, Dist, Index, ParsedCenter, Unary, center_function
 from polycenter.framework import AxiomTrial, LengthCenterFunction
-from polycenter.geometry import distance_matrix
 from polycenter.sampling import random_convex_polygon, random_polygon
 
 from test_axiom_trials import EXPONENTS, expect_equal_streams, sampler
@@ -120,8 +119,8 @@ def test_a_product_that_underflows_to_zero_is_evaluated():
     underflows = 0
     for seed in range(20):
         expect_equal_streams(center_function(pc), draw, 4, seed)
-        D = distance_matrix(draw(random.Random(seed)))
-        value, lo, hi = dsl.static_facts(pc, 5)[2](D)
+        q = draw(random.Random(seed))
+        value, lo, hi = dsl.static_facts(pc, 5)[2]((q.xs, q.ys, 1.0))
         underflows += value == 0.0 and math.isnan(hi)
     assert underflows
 
@@ -141,7 +140,7 @@ FACTS = {  # the expressions of the expr-axioms workload at n = 8
 
 def test_static_facts_of_the_workload_expressions():
     for source, expected in FACTS.items():
-        symmetric, degrees, _ = dsl.static_facts(dsl.parse(source), 8)
+        symmetric, degrees = dsl.static_facts(dsl.parse(source), 8)[:2]
         assert (symmetric, degrees) == expected, source
 
 
@@ -230,13 +229,14 @@ def test_samples_of_one_expression_in_several_threads():
     # clear or pad another's intermediate values
     pc = dsl.parse("d(n,1)*d(1,2)+d(2,n)*d(1,2)")
     sample = dsl.static_facts(pc, 7)[2]
-    matrices = [distance_matrix(random_polygon(random.Random(s), 7)) for s in range(40)]
-    expected = [repr(sample(D)) for D in matrices]
+    polygons = [random_polygon(random.Random(s), 7) for s in range(40)]
+    points = [(q.xs, q.ys, 1.0) for q in polygons]
+    expected = [repr(sample(c)) for c in points]
     got = [[] for _ in range(6)]
 
     def work(out):
         for _ in range(20):
-            out.append([repr(sample(D)) for D in matrices])
+            out.append([repr(sample(c)) for c in points])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
