@@ -439,13 +439,11 @@ def _facts(fg: CenterFunction, n: int) -> tuple:
     `evaluate` fg.evaluate, on a polygon, or on a lazily measured matrix
     (`MeasuredRows`) of a triple."""
     facts = fg.static_facts and not fg.domain_guard and fg.static_facts(n)
-    if facts:
-        symmetric, degrees, sample, evaluate = facts
-    else:
-        symmetric, degrees = False, None
+    if not facts:
         evaluate = fg.evaluate if isinstance(fg, VertexCenterFunction) else (
             lambda c: fg.evaluate(DistanceMatrix._of(MeasuredRows(*c))))
-        sample = lambda x: (evaluate(x), 0.0, 0.0)  # noqa: E731
+        facts = False, None, lambda x: (evaluate(x), 0.0, 0.0), evaluate
+    symmetric, degrees, sample, evaluate = facts
     shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
     return symmetric, degrees, sample, evaluate, min(shifts), max(shifts)
 

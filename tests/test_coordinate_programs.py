@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polycenter.dsl as dsl
+from polycenter import cli
 from polycenter.dsl import ParsedCenter, evaluate, parse
 from polycenter.errors import EvalError, ExprIndexError
 from polycenter.geometry import Polygon, distance_matrix
@@ -144,3 +145,20 @@ def test_coordinate_programs_scale_with_t_where_the_matrix_entries_do():
     base = measure((p.xs, p.ys, 1.0))
     for s in (-1, 1, 2):
         assert measure((p.xs, p.ys, 2.0**s)) == math.ldexp(base, 2 * s)
+
+
+def test_check_axioms_on_an_expression_compiles_two_coordinate_programs(monkeypatch, capsys):
+    # the traced and the plain coordinate program of `static_facts`; no
+    # matrix program, as no trial reads a matrix
+    sources = []
+    real = compile
+
+    def spy(source, *rest):
+        sources.append(source)
+        return real(source, *rest)
+
+    monkeypatch.setattr(dsl, "compile", spy, raising=False)
+    argv = ["check-axioms", "--expr", "d(n,1)*d(1,2)", "--n", "8", "--trials", "20"]
+    assert cli.main(argv) == 0
+    assert '"homogeneity_ok": true' in capsys.readouterr().out
+    assert len(sources) == 2 and all(s.startswith("def f(xs, ys, t):") for s in sources)
