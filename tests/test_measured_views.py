@@ -6,9 +6,9 @@ when `d` is first read. Each view (the sample, its reversal, a moved copy
 and a rescaling), checked and built as `axiom_trials` checks and builds it,
 must read as the matrix that `distance_matrix`, `permuted` and `scaled`
 build: entries by `float.hex`, `d`, `rows_and_offset`, `max_entry` and
-compiled expressions, errors by class and message. Every matrix, views included, reads as the
-tuple of its rows. `Polygon.diameter` measures no matrix and must equal
-its largest entry.
+compiled expressions, errors by class and message. Every matrix, views
+included, reads as the tuple of its rows. `Polygon.diameter` measures no
+matrix and must equal its largest entry.
 """
 
 import copy
@@ -288,8 +288,9 @@ def test_admission_measures_only_what_the_expression_reads(monkeypatch):
     # each checking two extents, the sample's and the moved copy's, and an
     # admission at the same (n, seed) after it draws and checks nothing
     calls = Counter()
-    for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"), (framework, "_extent"),
-                        (geometry, "_largest_distance"), (dsl, "random_polygon")):
+    for owner, name in ((geometry, "_pairwise_rows"), (geometry, "_extent"),
+                        (framework, "_extent"), (geometry, "_largest_distance"),
+                        (dsl, "random_polygon")):
         counted(monkeypatch, calls, owner, name)
     for source, prop in ADMISSIONS.items():
         dsl._sample_set.cache_clear()

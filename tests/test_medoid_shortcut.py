@@ -9,8 +9,8 @@ The definition is kept here as the reference (`helpers._distance_sums`),
 measuring all n sums once per polygon. Its mark k is that of shift k, bit
 for bit, as `math.fsum` is correctly rounded and the extent check does not
 depend on vertex order; entry k of the map and the per-shift evaluator on
-shift k must give that mark or its error on every shift. (The module keeps the name it had when the indicator still
-ruled shifts out from two sums.)
+shift k must give that mark or its error on every shift. (The module keeps
+the name it had when the indicator still ruled shifts out from two sums.)
 """
 
 import importlib.util
