@@ -17,8 +17,11 @@ import sys
 
 from polycenter import AxiomViolation, Polygon, admit, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
-from polycenter.geometry import DistanceMatrix, distance_matrix
+from polycenter.geometry import DistanceMatrix, distance_matrix, is_convex
 
+# the exact convexity guard uses integer arithmetic, not these two modules,
+# whose import would add to every cold start of the CLI
+assert "fractions" not in sys.modules and "decimal" not in sys.modules, "polycenter.cli imported fractions or decimal"
 work = sys.argv[1]
 
 
@@ -89,6 +92,13 @@ for name, pts in (
     want = [1.0 if s <= least + MEDOID_REL * least else 0.0 for s in sums]
     got = _medoid_indicators(Polygon.from_pairs(pts))
     assert got == want, (name, [i for i, m in enumerate(got) if m], [i for i, m in enumerate(want) if m])
+# the convexity guard decides each turn exactly, so a regular octagon with a
+# vertex 3e-13 of its chord outside that chord is convex in either order
+# (the tolerance it replaced accepted it in one order only)
+octagon = [(math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)) for k in range(8)]
+(ax, ay), (cx, cy) = octagon[2], octagon[4]
+octagon[3] = (ax + 0.1 * (cx - ax) + 3e-13 * (cy - ay), ay + 0.1 * (cy - ay) - 3e-13 * (cx - ax))
+assert is_convex(Polygon.from_pairs(octagon)) and is_convex(Polygon.from_pairs(octagon[::-1]))
 # a superscript digit is an unexpected character: exit 2, not a traceback
 assert cli.main(["center", quad, "--expr", "d(1,2)*\u00b9"]) == 2
 # admit draws one set of sample inputs per (n, seed), shared across expressions

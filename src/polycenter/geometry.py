@@ -29,14 +29,10 @@ from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from functools import cache
 from itertools import chain, combinations, repeat, starmap
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, gt, itemgetter, sub
 from typing import ClassVar, Iterator
 
 from .errors import DomainViolation, NonFinite
-
-# Cross products smaller than this (relative to the operand magnitudes) are
-# treated as zero when testing collinearity.
-COLLINEAR_EPS = 1e-12
 
 
 def _require_finite(value: float, what: str) -> None:
@@ -624,12 +620,31 @@ def shoelace(xs: Sequence[float], ys: Sequence[float]) -> float:
     return total
 
 
-def _orient(ux: float, uy: float, vx: float, vy: float) -> int:
-    """Sign of the turn a->b->c from u = b - a and v = c - a; 0 when nearly collinear."""
-    cr = ux * vy - uy * vx
-    if abs(cr) <= COLLINEAR_EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
-        return 0
-    return 1 if cr > 0.0 else -1
+# Shewchuk's static filter for orient2d (Adaptive Precision Floating-Point
+# Arithmetic and Fast Robust Geometric Predicates, DCG 18, 1997): with
+# u = 2^-53, the rounded determinant l - r of two rounded products has the
+# exact sign once it exceeds (3 + 16u) u (|l| + |r|). The bound assumes no
+# product underflows, so it is trusted only where the determinant also
+# exceeds 2^-900: a product that underflows then errs by at most 2^-1075,
+# far inside the u^2 (|l| + |r|) the bound keeps to spare. An overflow
+# makes the determinant or the bound infinite or NaN, which fails the test.
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_ORIENT_FLOOR = 2.0**-900
+
+
+def _dyadic(x: float) -> int:
+    """x times 2^1074, an integer for every finite float."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _exact_orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
+    """The sign of (a - c) x (b - c) over the rationals the floats
+    represent: 1 when a, b, c turn counterclockwise, -1 clockwise, 0 when
+    they are exactly collinear."""
+    ax, ay, bx, by, cx, cy = map(_dyadic, (ax, ay, bx, by, cx, cy))
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
 
 
 def is_nondegenerate(p: Polygon) -> bool:
@@ -639,31 +654,48 @@ def is_nondegenerate(p: Polygon) -> bool:
 
 
 def is_convex(p: Polygon) -> bool:
-    """One-pass turn test (O'Rourke, Computational Geometry in C, ch. 1).
+    """One-pass turn test (O'Rourke, Computational Geometry in C, ch. 1),
+    exact on the given floats.
 
-    Every turn v[i-2] -> v[i-1] -> v[i] must have the same nonzero sign under
-    `_orient`, and the edge directions must wrap around exactly once: a
-    {5/2} star turns the same way at every vertex but wraps twice. A wrap
-    is an edge whose atan2 angle steps back, against the turns, past the
-    branch cut from that of the edge before it.
+    Every turn v[i-2] -> v[i-1] -> v[i] must have the same nonzero sign.
+    Each sign is read from the floating-point orient2d behind Shewchuk's
+    static filter (`_ORIENT_BOUND`), or, where the filter cannot vouch for
+    it, from exact integer arithmetic (`_exact_orient`). A turn is zero only
+    when its three points are exactly collinear, so the answer does not
+    change under relabeling or under an exact rescaling by a power of two.
 
-    The coordinates are read at unit scale (`unit_coordinates`), so no
-    product overflows at any scale.
+    The edge directions must also wind around exactly once: a {5/2} star
+    turns the same way at every vertex but winds twice. With every turn
+    strictly one way, the x-steps xs[i] - xs[i-1] change sign twice per
+    winding, and a zero step always sits between steps of opposite signs,
+    so counting it as negative changes no count. The polygon winds once
+    when the steps go from positive to not positive exactly once around
+    the cycle. Each comparison of two floats is exact.
     """
-    _, xs, ys = unit_coordinates(p)
-    # edge i runs from vertex i - 1 to vertex i
-    ex = [b - a for a, b in zip(xs[-1:] + xs[:-1], xs)]
-    ey = [b - a for a, b in zip(ys[-1:] + ys[:-1], ys)]
-    turns = (
-        _orient(ex[i - 1], ey[i - 1], xs[i] - xs[i - 2], ys[i] - ys[i - 2])
-        for i in range(p.n)
-    )
-    sign = next(turns)
-    if sign == 0 or any(turn != sign for turn in turns):
-        return False
-    angles = [math.atan2(dy, dx) for dx, dy in zip(ex, ey)]
-    wraps = sum(sign * (angles[i] - angles[i - 1]) < 0.0 for i in range(p.n))
-    return wraps == 1
+    xs, ys = p.xs, p.ys
+    sign = 0
+    for ax, ay, bx, by, cx, cy in zip(xs[-2:] + xs[:-2], ys[-2:] + ys[:-2],
+                                      xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], xs, ys):
+        left = (ax - cx) * (by - cy)
+        right = (ay - cy) * (bx - cx)
+        det = left - right
+        # |left + right| is |left| + |right| when the two share a sign; when
+        # they do not, det has the exact sign and |det| >= |left + right|
+        bound = _ORIENT_BOUND * abs(left + right) + _ORIENT_FLOOR
+        if det > bound:
+            turn = 1
+        elif -det > bound:
+            turn = -1
+        else:
+            turn = _exact_orient(ax, ay, bx, by, cx, cy)
+            if not turn:
+                return False
+        if turn != sign:
+            if sign:
+                return False
+            sign = turn
+    up = bytes(map(gt, xs, xs[-1:] + xs[:-1]))
+    return (up + up[:1]).count(b"\x01\x00") == 1
 
 
 def require_nondegenerate(p: Polygon) -> None:

@@ -82,7 +82,9 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
 
     Draws two independent coordinate samples, pairs their gaps into edge
     vectors, and sorts the vectors by angle; the chain is convex and closed.
-    Retries until strictly convex under the package-wide classification.
+    Retries until strictly convex under `is_convex`, which decides each turn
+    exactly: every turn is strictly one way and the outline winds once, so
+    the vertices are pairwise distinct without a further check.
     """
     while True:
         xs = sorted(rng.uniform(-1.0, 1.0) for _ in range(n))
@@ -107,7 +109,7 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
         dy = deltas(ys)
         rng.shuffle(dy)
         p = _walk(sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0])))
-        if is_convex(p) and is_nondegenerate(p) and p.diameter() > 0.1:
+        if is_convex(p) and p.diameter() > 0.1:
             return p
 
 

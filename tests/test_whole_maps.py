@@ -239,11 +239,15 @@ def test_a_perimeter_map_on_a_polygon_matches_the_matrix_path(p):
 @pytest.mark.parametrize("p, agree", [
     # an extent that overflows raises NonFinite before the guard rejects a bowtie
     (Polygon.from_pairs([(-1e308, 0), (1e308, 1), (1e308, 0), (-1e308, 1)]), True),
-    # nearly collinear: the reconstruction of its matrix passes as convex
+    # nearly collinear but strictly convex in exact arithmetic: so is the
+    # reconstruction of its matrix
     (Polygon.from_pairs([(1.3716511313423347, -0.21899471413149862),
                          (1.3525352844077727, -0.285377600209741),
-                         (1.3907669782768965, -0.15261182805325624)]), False),
-], ids=["overflowing-bowtie", "near-collinear"])
+                         (1.3907669782768965, -0.15261182805325624)]), True),
+    # exactly collinear: the rounded distances reconstruct a thin triangle,
+    # which passes as convex
+    (Polygon.from_pairs([(5, -1), (7, 2), (19, 20)]), False),
+], ids=["overflowing-bowtie", "near-collinear", "exactly-collinear"])
 def test_the_perimeter_guard_decides_on_the_polygon(p, agree):
     assert perimeter_follows_the_polygon(p) is agree
 
