@@ -228,8 +228,8 @@ def off_chord_pairs(draw):
 
 @st.composite
 def lattice_pairs(draw):
-    """Polygons on a small integer grid, scaled by a power of two: exactly
-    collinear turns, repeated vertices and vertical edges are common."""
+    """Polygons on a small integer grid: exactly collinear turns, repeated
+    vertices and vertical edges are common."""
     n = draw(st.integers(3, 9))
     coord = st.integers(-4, 4)
     return draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
