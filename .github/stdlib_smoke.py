@@ -13,10 +13,14 @@ non-zero on the first failed check.
 import json
 import math
 import os
+import random
 import sys
 
 from polycenter import AxiomViolation, Polygon, admit, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
+from polycenter.framework import (
+    _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, normalize,
+)
 from polycenter.geometry import DistanceMatrix, distance_matrix, is_convex
 
 # the exact convexity guard uses integer arithmetic, not these two modules,
@@ -145,6 +149,20 @@ for t in (0.5, 1.0, 4.0):
     scaled = DistanceMatrix._of(tuple(tuple(t * v for v in row) for row in D.d))
     got, want = measure((p.xs, p.ys, t)), dsl.evaluate(pc, scaled)
     assert got == want, (t, got.hex(), want.hex())
+# normalize skips BarycentricWeights' check on at most _TRUSTED_N finite
+# coordinates, by a rounding bound that must also hold for the compensated
+# sum of Python 3.12 on: the weights pass the check on 3,000 seeded inputs,
+# n log-uniform in [3, _TRUSTED_N] and n = _TRUSTED_N itself, some of them
+# summing just above the ZeroSum threshold (weights far larger than 1)
+rng = random.Random(34)
+for trial in range(3000):
+    n = _TRUSTED_N if trial % 300 == 0 else int(2.0 ** rng.uniform(math.log2(3), math.log2(_TRUSTED_N)))
+    values = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40) for _ in range(n)]
+    if trial % 2:  # the last value cancels the others up to a margin above the threshold
+        values[-1] = -math.fsum(values[:-1])
+        values[-1] += ZERO_SUM_REL * max(map(abs, values)) * rng.uniform(1.5, 4.0)
+    weights = normalize(ProjectiveCoords(tuple(values))).values
+    BarycentricWeights(weights)  # ValueError("weights must sum to 1") where the bound fails
 assert "threading" not in sys.modules, "polycenter imported threading"
 assert "numpy" not in sys.modules, "polycenter imported numpy"
 outside = {m.split(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)

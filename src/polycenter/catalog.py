@@ -36,6 +36,7 @@ from .geometry import (
     DistanceMatrix,
     Point2,
     Polygon,
+    _box_diagonal,
     chords,
     is_convex,
     is_nondegenerate,
@@ -208,12 +209,14 @@ def _medoid_indicators(p: Polygon) -> list[float]:
     the centroid sums or the bounds could overflow, every row is visited,
     in index order.
     """
-    xs, ys = vertex_coordinates(p)
+    xs, ys = p.xs, p.ys
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    _box_diagonal(hi_x - lo_x, hi_y - lo_y)  # the extent check of `vertex_coordinates`
     pts = list(zip(xs, ys))
     n = len(pts)
     grow = 1.0 + (n + 2) * 2.0**-51
     visits, slack = zip(repeat(0.0), range(n)), 0.0
-    top = max(max(xs), -min(xs), max(ys), -min(ys)) if n >= _MEDOID_PRUNE_FROM else 0.0
+    top = max(hi_x, -lo_x, hi_y, -lo_y) if n >= _MEDOID_PRUNE_FROM else 0.0
     if 2.0**-1000 <= top <= 2.0**1000 / n:
         m = math.isqrt(n)
         ms = [float(len(xs[j:j + m])) for j in range(0, n, m)]
@@ -234,7 +237,11 @@ def _medoid_indicators(p: Polygon) -> list[float]:
             stop = (cut + slack) * grow
     exact = {i: _total(map(math.dist, repeat(pts[i]), pts)) for i, r in running if r <= cut}
     bound = _medoid_bound(min(exact.values()))
-    return [1.0 if i in exact and exact[i] <= bound else 0.0 for i in range(n)]
+    marks = [0.0] * n
+    for i, s in exact.items():
+        if s <= bound:
+            marks[i] = 1.0
+    return marks
 
 
 def medoid(p: Polygon) -> int:

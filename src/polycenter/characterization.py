@@ -113,15 +113,17 @@ def coincidence(
     compare absolutely instead of blowing up. The length probes F2_ODD and
     F3_EVEN are compared at unit scale: times `unit_factor` of their largest
     value, which is exact, so their spread is the same at every power-of-two
-    scale of p.
+    scale of p. Rounding is monotone, so the largest and the smallest value
+    times that factor are the largest and the smallest of the products, and
+    max(largest, -smallest) is the largest magnitude: two passes over the
+    values, and no scaled copy.
     """
     values = cyclic_values(fg, p)
-    read = values
+    hi, lo = max(values), min(values)
     if fg is F2_ODD or fg is F3_EVEN:
-        t = unit_factor(max(values))
-        read = [t * v for v in values]
-    largest = max(abs(v) for v in read)
-    spread = (max(read) - min(read)) / max(1.0, largest)
+        t = unit_factor(hi)
+        hi, lo = t * hi, t * lo
+    spread = (hi - lo) / max(1.0, hi, -lo)
     return CoincidenceReport(values, spread <= tol, spread)
 
 

@@ -29,6 +29,12 @@ every shift bit for bit, errors included. A vertex function defined by its
 whole map, as the catalog's and the coincidence probes are, takes entry 0
 of that map as its evaluator (`entry_zero`).
 
+A map's bookkeeping is O(n) passes in C: a matrix's n rotations share its
+rows (`DistanceMatrix.rotations`), one `sum` checks that every value is
+finite (`_all_finite`), one `any` that some value is not zero, and
+`normalize` skips the re-summing check of its weights where a rounding
+bound proves that the check passes.
+
 A length function's map on a polygon reads the distances measured from it:
 `all_shifts` measures what it reads with the bits of `distance_matrix(p)`,
 which is measured in its absence. The extent is checked first, once, and the
@@ -93,6 +99,9 @@ _RESCALES = (0.5, 2.0, 4.0)  # the copies a trial rescales; by 1 it is the sampl
 _RESCALE_EXPONENTS = tuple(int(math.log2(t)) for t in _RESCALES)
 _CENTRED_LOGS = tuple(math.log(t) - sum(map(math.log, _SCALES)) / len(_SCALES) for t in _SCALES)
 _SXX = sum(dx ** 2 for dx in _CENTRED_LOGS)
+# Up to this many finite coordinates, the weights `normalize` builds pass
+# BarycentricWeights' check by its rounding bound, so it is not run.
+_TRUSTED_N = 4096
 
 
 def _check_domain(fg: "CenterFunction", x: object) -> None:
@@ -105,6 +114,16 @@ def _finite(fg: "CenterFunction", value: float) -> float:
     if not math.isfinite(value):
         raise EvalError(f"{fg.name}: non-finite value {value!r}")
     return value
+
+
+def _all_finite(fg: "CenterFunction", values: Sequence[float]) -> Sequence[float]:
+    """values once each is finite, else the EvalError of the first that is
+    not: one pass of the built-in `sum`, whose result is finite unless a
+    value is not or a sum of finite ones overflows."""
+    if not math.isfinite(sum(values)):
+        for v in values:
+            _finite(fg, v)
+    return values
 
 
 _Input = TypeVar("_Input", Polygon, DistanceMatrix)
@@ -200,6 +219,13 @@ class BarycentricWeights(Frozen):
         return Point2(sum(map(mul, self.values, p.xs)), sum(map(mul, self.values, p.ys)))
 
 
+def _unchecked(cls: type, values: tuple[float, ...]):
+    """cls(values), for values known to pass the check of cls, unchecked."""
+    made = object.__new__(cls)
+    _set(made, "values", values)
+    return made
+
+
 class AxiomReport(Frozen):
     __slots__ = ("relabel_ok", "motion_ok", "homogeneity_ok", "estimated_degree", "max_violation")
 
@@ -225,6 +251,11 @@ def cyclic_values(
     domain guard runs once, on x as given. On a polygon, `fg.all_shifts`
     builds no relabeled copy. A length function given a polygon reads the
     distances measured from it, as the module docstring describes.
+
+    The shifts are evaluated in order, and the values checked together once
+    the last is in or an evaluation raises: the first shift whose value is
+    not finite, or whose evaluation raised, decides the error, as when each
+    value was checked as it came.
     """
     whole = fg.all_shifts is not None and isinstance(x, Polygon)
     if whole and isinstance(fg, LengthCenterFunction):
@@ -233,18 +264,23 @@ def cyclic_values(
         x = distance_matrix(x)
     _check_domain(fg, x)
     if whole:
-        values = fg.all_shifts(x)
-    elif isinstance(fg, VertexCenterFunction):
-        values = map(fg.evaluator, (x.shifted(k) for k in range(x.n)))
-    else:
-        values = map(fg.evaluator, x.rotations())
-    return tuple(_finite(fg, v) for v in values)
+        return _all_finite(fg, tuple(fg.all_shifts(x)))
+    shifts = map(x.shifted, range(x.n)) if isinstance(fg, VertexCenterFunction) else x.rotations()
+    values: list[float] = []
+    try:
+        values.extend(map(fg.evaluator, shifts))  # keeps the values before a raise
+    except Exception:
+        _all_finite(fg, values)  # a non-finite value on an earlier shift comes first
+        raise
+    return _all_finite(fg, tuple(values))
 
 
 def _projective(fg: CenterFunction, values: tuple[float, ...]) -> ProjectiveCoords:
-    if all(v == 0.0 for v in values):
+    """values, n >= 3 of them from a coordinate map, as ProjectiveCoords:
+    tested for all zeros once, here, and not by its constructor."""
+    if not any(values):
         raise AllZero(f"{fg.name}: every cyclic evaluation is zero")
-    return ProjectiveCoords(values)
+    return _unchecked(ProjectiveCoords, values)
 
 
 def coordinate_map_vertex(f: VertexCenterFunction, p: Polygon) -> ProjectiveCoords:
@@ -273,14 +309,37 @@ def normalize(coords: ProjectiveCoords) -> BarycentricWeights:
     next to the largest coordinate magnitude. The coordinates are first
     scaled by `unit_factor` of the largest magnitude, so finite ones cannot
     sum past the float range; the scaling is exact for every coordinate
-    above 2^-1021 times the largest."""
-    largest = max(abs(v) for v in coords.values)
+    above 2^-1021 times the largest.
+
+    The weights skip `BarycentricWeights`' check, two `math.fsum`s, where it
+    cannot fail: at most `_TRUSTED_N` coordinates whose scaled sum is
+    finite, which holds exactly when every coordinate is (each scaled one
+    is below 1 in magnitude). Elsewhere, as on a public `ProjectiveCoords`
+    that holds an infinity, the check runs and raises as it did.
+
+    The bound. With u = 2^-53, v the n scaled coordinates, s = sum(v) and
+    q_i = v_i / s exactly, M = sum |q_i|: the built-in `sum` errs by at most
+    g sum |v_i|, g = (n - 1)u / (1 - (n - 1)u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 4.2; the compensated `sum` of
+    Python 3.12 on, by 2u |sum v| + O(n u^2) sum |v_i|), so |sum q_i - 1|
+    <= g M, and M >= 1/(1 + g). Each weight w_i rounds q_i within u |q_i|,
+    or 2^-1075 below the normal range, and fsum(w) rounds sum w_i once,
+    so |fsum(w) - 1| <= (g + u)(1 + u)M + u + 2n 2^-1075, and
+    fsum(w) - 1.0 is exact. The check allows 1e-12 max(1, fsum|w|), and
+    fsum|w| >= (1 - u)^2 M - n 2^-1075. Both sides scale with M, and the
+    error stays under half the allowance while 2(g + 2u) <= 1e-12, up to
+    n = 4,500 or so; `_TRUSTED_N` is below that."""
+    values = coords.values
+    largest = max(map(abs, values))
     t = unit_factor(largest)
-    values = [t * v for v in coords.values]
-    total = sum(values)
+    scaled = [t * v for v in values]
+    total = sum(scaled)
     if abs(total) <= ZERO_SUM_REL * (t * largest):
         raise ZeroSum(f"coordinate sum {total / t:.3e} is negligible at scale {largest:.3e}")
-    return BarycentricWeights(tuple(v / total for v in values))
+    weights = tuple([v / total for v in scaled])
+    if len(weights) > _TRUSTED_N or not math.isfinite(total):
+        return BarycentricWeights(weights)
+    return _unchecked(BarycentricWeights, weights)
 
 
 def geometric_center(fg: CenterFunction, p: Polygon) -> Point2:

@@ -13,9 +13,10 @@ Conventions used throughout the package:
 * `distance_matrix` measures all pairwise distances of a polygon, and
   `chords` one cyclic diagonal (the sides at skip 1) with the same bits;
 * a `DistanceMatrix` is the pair (rows, k) that `rows_and_offset` returns,
-  entry (i, j) being rows[i][j + k], and `d`, its tuple of row tuples, is
-  built from that pair on first read; a rotation shares the rows of its
-  matrix, and its k is negative, so Python's index wraps it;
+  entry (i, j) being rows[i + k][j + k], and `d`, its tuple of row tuples,
+  is built from that pair on first read; a rotation shares the rows `d` of
+  the matrix it rotates, and its k is negative, so Python's index wraps
+  both i + k and j + k;
 * `MeasuredRows` are the rows of the distance matrix of a list of points
   times a factor, which measure an entry when it is read, or all of them
   at once for `d`.
@@ -348,12 +349,13 @@ class DistanceMatrix(Frozen):
     here skip it (`_of`).
 
     Its data are the pair `rows_and_offset` returns: entry (i, j) is
-    rows[i][j + k]. The rows are a tuple of row tuples or a `MeasuredRows`
-    view, with k = 0, or the n row tuples of a rotation (`rotated`), with
-    -n <= k < 0: j + k indexes a row of length n from its end, so Python
-    wraps it, and no row is longer than n. `d`, the tuple of row tuples, is
-    the rows themselves or is built from the pair on first read and kept.
-    Its one field is `d`.
+    rows[i + k][j + k], read from n rows of n entries. The rows are a tuple
+    of row tuples or a `MeasuredRows` view, with k = 0, or, for a rotation
+    (`rotated`, `rotations`), the tuple `d` of the matrix it rotates, shared
+    and not copied, with -n <= k < 0: i + k and j + k then lie in [-n, n),
+    and Python wraps the negative ones. `d`, the tuple of row tuples, is the
+    rows themselves or is built from the pair on first read and kept. Its
+    one field is `d`.
     """
 
     __slots__ = ("_rows", "_k", "_d")
@@ -364,14 +366,16 @@ class DistanceMatrix(Frozen):
         matrix.__post_init__()
         return matrix
 
-    @classmethod
-    def _of(cls, rows: Sequence[Sequence[float]], k: int = 0) -> "DistanceMatrix":
-        """The matrix whose entry (i, j) is rows[i][j + k], rows read from a
-        valid matrix or measured here, so not revalidated."""
-        matrix = object.__new__(cls)
-        _set(matrix, "_rows", rows)
-        _set(matrix, "_k", k)
-        _set(matrix, "_d", None)
+    @staticmethod
+    def _of(rows: Sequence[Sequence[float]], k: int = 0) -> "DistanceMatrix":
+        """The matrix whose entry (i, j) is rows[i + k][j + k], rows read from
+        a valid matrix or measured here, so not revalidated. Its slots are
+        set through their descriptors (`_set_rows`, `_set_k`, `_set_d`), as
+        `rotations` builds one per shift."""
+        matrix = _new(DistanceMatrix)
+        _set_rows(matrix, rows)
+        _set_k(matrix, k)
+        _set_d(matrix, None)
         return matrix
 
     def __post_init__(self) -> None:
@@ -398,7 +402,7 @@ class DistanceMatrix(Frozen):
         if self._d is None:
             rows, k = self._rows, self._k
             _set(self, "_d", rows._whole() if rows.__class__ is MeasuredRows
-                 else tuple([row[k:] + row[:k] for row in rows]) if k else rows)
+                 else tuple([row[k:] + row[:k] for row in rows[k:] + rows[:k]]) if k else rows)
         return self._d
 
     def __reduce__(self):
@@ -414,27 +418,24 @@ class DistanceMatrix(Frozen):
 
     def rotated(self, k: int) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (i+k, j+k) of the input, read
-        in place: rows k, ..., n-1, 0, ..., k-1 of `d` (n pointers copied)
-        with offset k - n, k reduced mod n. Not revalidated: a rotation of a
-        valid matrix is still square, finite, nonnegative, zero on the
-        diagonal and symmetric."""
+        in place from `d` with offset k - n, k reduced mod n: no row is
+        copied. Not revalidated: a rotation of a valid matrix is still
+        square, finite, nonnegative, zero on the diagonal and symmetric."""
         n = self.n
-        k %= n
-        rows = self.d
-        return self._of(rows[k:] + rows[:k], k - n)
+        return self._of(self.d, k % n - n)
 
     def rotations(self) -> Iterator["DistanceMatrix"]:
-        """rotated(0), ..., rotated(n-1): this matrix, then rotation k as
-        slice [k, k + n) of the rows of `d` written twice, which copies 2n
-        pointers once and n per rotation. A rotation copies no row until
-        its `d` is read, so an evaluator that reads a few entries through
-        `rows_and_offset` costs O(n) per rotation, not O(n^2)."""
-        n = self.n
-        twice = self.d * 2
-        return chain([self], (self._of(twice[k:k + n], k - n) for k in range(1, n)))
+        """rotated(0), ..., rotated(n-1): this matrix, then rotation k as `d`
+        with offset k - n. Every rotation shares the one tuple `d`, so the
+        n of them copy no row and cost O(n) together; an evaluator that
+        reads a few entries through `rows_and_offset` costs O(1) per
+        rotation, not O(n)."""
+        rows = self.d
+        return chain([self], map(self._of, repeat(rows), range(1 - len(rows), 0)))
 
     def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
-        """(rows, k) such that entry (i, j) is rows[i][j + k], read in place."""
+        """(rows, k) such that entry (i, j) is rows[i + k][j + k], read in
+        place; k is 0 or, for a rotation, in [-n, 0)."""
         return self._rows, self._k
 
     def max_entry(self) -> float:
@@ -445,10 +446,20 @@ class DistanceMatrix(Frozen):
         return top if top > 0.0 else d[0][0]
 
 
+_new = object.__new__
+_set_rows, _set_k, _set_d = (DistanceMatrix.__dict__[slot].__set__
+                             for slot in DistanceMatrix.__slots__)
+
+
 def _extent(xs: Sequence[float], ys: Sequence[float]) -> float:
     """The diagonal of the bounding box of the points (xs[i], ys[i]), which
     bounds every distance between them; NonFinite when it overflows."""
-    diagonal = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    return _box_diagonal(max(xs) - min(xs), max(ys) - min(ys))
+
+
+def _box_diagonal(width: float, height: float) -> float:
+    """`_extent` of points whose bounding box is width by height."""
+    diagonal = math.hypot(width, height)
     _require_finite(diagonal, "polygon extent")
     return diagonal
 

@@ -137,7 +137,7 @@ def test_rows_and_offset_read_every_entry_in_place():
     D = distance_matrix(random_polygon(random.Random(2), 7))
     for view in [D, *D.rotations()]:
         rows, k = view.rows_and_offset()
-        assert [[rows[i][j + k] for j in range(7)] for i in range(7)] == [
+        assert [[rows[i + k][j + k] for j in range(7)] for i in range(7)] == [
             list(row) for row in view.d
         ]
     assert D.rows_and_offset() == (D.d, 0)

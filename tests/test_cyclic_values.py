@@ -11,6 +11,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycenter.catalog import CATALOG
 from polycenter.characterization import F1, F2_ODD, F3_EVEN, coincidence
@@ -179,3 +181,30 @@ def test_shifts_equal_shifted():
         f = VertexCenterFunction("record", lambda q: seen.append(q) or 1.0)
         assert cyclic_values(f, p) == (1.0,) * p.n
         assert seen == [p.shifted(k) for k in range(p.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 62), st.data())
+def test_the_first_failing_shift_decides_the_error(i, data):
+    """A per-shift map at n = 64 whose evaluator gives nan at shift i and
+    raises at a later shift j raises the nan's EvalError; the other way
+    round, the evaluator's error. Either way as the per-shift definition."""
+    j = data.draw(st.integers(i + 1, 63))
+    D = distance_matrix(random_convex_polygon(random.Random(i), 64))
+    for nan_at, raise_at in ((i, j), (j, i)):
+        order = {M: k for k, M in enumerate([D.rotated(k) for k in range(64)])}
+
+        def evaluator(M):
+            k = order[M]
+            if k == raise_at:
+                raise ValueError(f"raised at shift {k}")
+            return math.nan if k == nan_at else 1.0
+
+        g = LengthCenterFunction("failing", evaluator)
+        expected = _outcome(lambda: tuple(g.evaluate(D.rotated(k)) for k in range(64)))
+        got = _outcome(lambda: cyclic_values(g, D))
+        assert got == expected
+        if nan_at < raise_at:
+            assert got == (EvalError, "failing: non-finite value nan")
+        else:
+            assert got == (ValueError, f"raised at shift {raise_at}")

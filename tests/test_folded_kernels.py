@@ -11,6 +11,7 @@ and errors included, with the code it replaced, kept here as the reference.
 import math
 import pickle
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from polycenter.characterization import ORACLE_TOL, interior_angles, predicates
 from polycenter.errors import ZeroSum
 from polycenter.framework import (
-    ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, normalize,
+    _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, normalize,
 )
 from polycenter.geometry import DistanceMatrix, Polygon, chords, distance_matrix
 from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
@@ -176,6 +177,36 @@ def test_normalize_matches_the_frexp_version(coords):
     assert outcome(lambda: normalize(coords)) == outcome(lambda: reference_normalize(coords))
 
 
+@st.composite
+def long_coordinate_tuples(draw):
+    """n from 3 to `_TRUSTED_N` and one past it, drawn from a seed: spread
+    over many binades, summing just above the ZeroSum threshold, or with
+    infinities and nans among them."""
+    n = draw(st.one_of(st.integers(3, _TRUSTED_N + 1), st.sampled_from([3, _TRUSTED_N])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["spread", "near-zero-sum", "non-finite"]))
+    values = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40) for _ in range(n)]
+    if kind == "near-zero-sum":
+        # the last value cancels the others up to a margin just above the cut
+        values[-1] = -math.fsum(values[:-1])
+        values[-1] += ZERO_SUM_REL * max(map(abs, values)) * rng.choice([1.0001, 1.01, 1.5, 4.0])
+    elif kind == "non-finite":
+        for _ in range(rng.randint(1, 3)):
+            values[rng.randrange(n)] = rng.choice([math.inf, -math.inf, math.nan])
+    return ProjectiveCoords(tuple(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_coordinate_tuples())
+@example(ProjectiveCoords((0.0, math.inf, -0.0, -math.inf)))
+@example(ProjectiveCoords((1.0, math.nan, 2.0)))
+@example(ProjectiveCoords((1.0, 1e-300, 1.0) * (_TRUSTED_N // 3) + (1.0,)))
+def test_normalize_at_every_length_matches_the_frexp_version(coords):
+    # the frexp version always runs BarycentricWeights' check, which
+    # normalize skips where its rounding bound says the check passes
+    assert outcome(lambda: normalize(coords)) == outcome(lambda: reference_normalize(coords))
+
+
 @pytest.mark.parametrize("values", [
     (1.0, -1.0, 1.0, -1.0),
     (3e-310, -1e-310, -2e-310),
@@ -231,7 +262,7 @@ def test_rotations_read_in_place_equal_the_eager_copies(n):
             # n rows of n entries: no row is doubled
             assert len(rows) == n and all(len(row) == n for row in rows)
             assert -n <= offset <= 0
-            assert [[rows[i][j + offset] for j in range(n)] for i in range(n)] == list(
+            assert [[rows[i + offset][j + offset] for j in range(n)] for i in range(n)] == list(
                 map(list, want.d))
             assert X == want and want == X and hash(X) == hash(want)
             assert float.hex(X.max_entry()) == float.hex(want.max_entry())
@@ -242,3 +273,21 @@ def test_rotations_read_in_place_equal_the_eager_copies(n):
     # a rotation of a rotation, and a shift past n either way
     for k in (-n - 3, -1, 5, n + 2):
         assert views[3].rotated(k) == eager_rotated(D, 3 + k)
+
+
+@pytest.mark.parametrize("n", [3, 8, 128])
+def test_all_rotations_of_a_map_share_one_row_tuple(n):
+    D = distance_matrix(random_convex_polygon(random.Random(n), n))
+    rows = D.d
+    tracemalloc.start()
+    try:
+        views = list(D.rotations())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [view.rows_and_offset()[0] for view in views] == [rows] * n
+    assert all(view.rows_and_offset()[0] is rows for view in views)
+    assert [view.rows_and_offset()[1] for view in views] == [0, *range(1 - n, 0)]
+    # O(n) together: a view and its offset, about 100 bytes each, where a
+    # copied row order alone would hold n pointers of 8 bytes per view
+    assert held < 160 * n + 1024
