@@ -156,7 +156,8 @@ for t in (0.5, 1.0, 4.0):
 # summing just above the ZeroSum threshold (weights far larger than 1)
 rng = random.Random(34)
 for trial in range(3000):
-    n = _TRUSTED_N if trial % 300 == 0 else int(2.0 ** rng.uniform(math.log2(3), math.log2(_TRUSTED_N)))
+    n = _TRUSTED_N if trial % 300 == 0 else int(
+        2.0 ** rng.uniform(math.log2(3), math.log2(_TRUSTED_N)))
     values = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40) for _ in range(n)]
     if trial % 2:  # the last value cancels the others up to a margin above the threshold
         values[-1] = -math.fsum(values[:-1])

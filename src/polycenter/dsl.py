@@ -462,7 +462,7 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
                                 "_raise": _raise, "nan": math.nan, "hypot": math.hypot}
     lines: list[str] = []
     values: list[str] = []
-    turned: list[str] = []  # the local that holds the rows in shift order, once bound
+    turned = ""  # the local that holds the rows in shift order, once bound
 
     def bind(value: object) -> str:
         name = f"c{len(scope)}"
@@ -476,6 +476,7 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
         return name
 
     def emit(e: Expr) -> str:
+        nonlocal turned
         if isinstance(e, Const):
             code = bind(e.value)
         elif isinstance(e, Dist):
@@ -504,9 +505,9 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
                          for i in range(1, n + 1)]
             else:
                 if not turned:  # not a node: bound once, before the first side
-                    turned.append(f"v{len(lines)}")
-                    lines.append(f"    {turned[0]} = {bind(_in_shift_order)}(rows, k)\n")
-                sides = [local(f"{turned[0]}[{i}][{(i + 1) % n} + k]") for i in range(n)]
+                    turned = f"v{len(lines)}"
+                    lines.append(f"    {turned} = {bind(_in_shift_order)}(rows, k)\n")
+                sides = [local(f"{turned}[{i}][{(i + 1) % n} + k]") for i in range(n)]
             code = f"sum([{', '.join(sides)}])"
         elif isinstance(e, Aggregate):
             code = f"{'min' if e.op == 'min' else 'max'}([{', '.join(map(emit, e.args))}])"

@@ -219,7 +219,7 @@ class BarycentricWeights(Frozen):
         return Point2(sum(map(mul, self.values, p.xs)), sum(map(mul, self.values, p.ys)))
 
 
-def _unchecked(cls: type, values: tuple[float, ...]):
+def _unchecked(cls: type, values: tuple[float, ...]) -> Frozen:
     """cls(values), for values known to pass the check of cls, unchecked."""
     made = object.__new__(cls)
     _set(made, "values", values)
@@ -314,8 +314,8 @@ def normalize(coords: ProjectiveCoords) -> BarycentricWeights:
     The weights skip `BarycentricWeights`' check, two `math.fsum`s, where it
     cannot fail: at most `_TRUSTED_N` coordinates whose scaled sum is
     finite, which holds exactly when every coordinate is (each scaled one
-    is below 1 in magnitude). Elsewhere, as on a public `ProjectiveCoords`
-    that holds an infinity, the check runs and raises as it did.
+    is at most 1 in magnitude). Elsewhere, as on a public `ProjectiveCoords`
+    that holds an infinity, the check runs and raises where it fails.
 
     The bound. With u = 2^-53, v the n scaled coordinates, s = sum(v) and
     q_i = v_i / s exactly, M = sum |q_i|: the built-in `sum` errs by at most

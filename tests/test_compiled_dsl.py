@@ -161,7 +161,7 @@ def test_a_perim_map_compiles_once_and_slices_no_row(monkeypatch):
     monkeypatch.setattr(DistanceMatrix, "d", property(counting_d))
     values = coordinate_map_length(g, D).values
     assert compiles == [128]
-    # the rows are doubled from D's; no rotation builds its own
+    # the rotations share D's rows; no rotation builds its own
     assert reads and all(R is D for R in reads)
     monkeypatch.undo()
     pc = dsl.parse("perim")

@@ -318,7 +318,7 @@ def test_a_length_map_copies_no_rotated_matrix():
     assert values == tuple(evaluate(pc, D.rotated(k)) for k in range(n))
     assert views == [D.rotated(k) for k in range(n)]
     # n rotated copies would hold n row tuples of n floats each: n**3 slots
-    # of 8 bytes; the n views hold one doubled matrix and n row orders
+    # of 8 bytes; the n views share the rows of D
     assert held < n**3
 
 
