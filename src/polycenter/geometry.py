@@ -418,11 +418,13 @@ class DistanceMatrix(Frozen):
 
     def rotated(self, k: int) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (i+k, j+k) of the input, read
-        in place from `d` with offset k - n, k reduced mod n: no row is
-        copied. Not revalidated: a rotation of a valid matrix is still
-        square, finite, nonnegative, zero on the diagonal and symmetric."""
-        n = self.n
-        return self._of(self.d, k % n - n)
+        in place: the input's rows (`d` for a measured view) with its offset
+        plus k, reduced to [-n, 0). No row is copied, of a rotation either.
+        Not revalidated: a rotation of a valid matrix is still square,
+        finite, nonnegative, zero on the diagonal and symmetric."""
+        rows = self.d if self._rows.__class__ is MeasuredRows else self._rows
+        n = len(rows)
+        return self._of(rows, (self._k + k) % n - n)
 
     def rotations(self) -> Iterator["DistanceMatrix"]:
         """rotated(0), ..., rotated(n-1): this matrix, then rotation k as `d`

@@ -288,6 +288,9 @@ def test_all_rotations_of_a_map_share_one_row_tuple(n):
     assert [view.rows_and_offset()[0] for view in views] == [rows] * n
     assert all(view.rows_and_offset()[0] is rows for view in views)
     assert [view.rows_and_offset()[1] for view in views] == [0, *range(1 - n, 0)]
+    # a rotation of a rotation reads the same rows too
+    assert views[-1].rotated(2).rows_and_offset() == (rows, 1 - n)
+    assert views[-1].rotated(2).rows_and_offset()[0] is rows
     # O(n) together: a view and its offset, about 100 bytes each, where a
     # copied row order alone would hold n pointers of 8 bytes per view
     assert held < 160 * n + 1024
