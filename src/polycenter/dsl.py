@@ -27,7 +27,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
 from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, _trial_inputs, _trials
@@ -437,22 +437,22 @@ def _raise(error: type[Exception], *args: object) -> float:
 # tree, any other unary op is sqrt and any other binary op is ^
 _UNARY = {"neg": "-{}", "abs": "abs({})"}
 _BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})"}
+_MEASURE = "t * hypot(xs[{0}] - xs[{1}], ys[{0}] - ys[{1}])"  # entry (i, j) from coordinates
 
 
 def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
              coordinates: bool = False, traced: bool = False) -> Callable:
     """node for n-gons as one straight-line function, one local per node in
     post-order, each index pair resolved once. As f(rows, k) it reads entry
-    (i, j) as rows[i + k][j + k] (`DistanceMatrix.rows_and_offset`), and
-    `perim`'s sides from the rows in shift order, built once per call
-    (`_in_shift_order`), with one addition per side; with a set of offsets,
-    as entry i + k of chord list s = j - i mod n, adding each s read
-    (`_chord_map`). With `coordinates`, as f(xs, ys, t) it measures entry
-    (i, j) as t * hypot(xs[i] - xs[j], ys[i] - ys[j]), the bits that
-    `distance_matrix` of the points holds there times t (hypot ignores
-    sign). `perim` is the sides in index order, each a node. Traced, it
-    returns the value and every node's value (a 0 from * or / may
-    underflow: nan).
+    (i, j) as rows[i + k][j + k] (`DistanceMatrix.rows_and_offset`); with a
+    set of offsets, as entry i + k of chord list s = j - i mod n, adding
+    each s read (`_chord_map`). With `coordinates`, as f(xs, ys, t) it
+    measures entry (i, j) as t * hypot(xs[i] - xs[j], ys[i] - ys[j]), the
+    bits that `distance_matrix` of the points holds there times t (hypot
+    ignores sign). `perim` reads its sides, each a node, in index order
+    into one list, with no addition, and on a rotation sums that list from
+    side k on. Traced, it returns the value and every node's value (a 0
+    from * or / may underflow: nan).
     Operands run left to right and give the values and errors a walk of the
     tree gives; a pair that collides at n, or a node that is not an
     expression, raises when reached. Constants and error arguments are
@@ -462,21 +462,13 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
                                 "_raise": _raise, "nan": math.nan, "hypot": math.hypot}
     lines: list[str] = []
     values: list[str] = []
-    turned = ""  # the local that holds the rows in shift order, once bound
 
     def bind(value: object) -> str:
         name = f"c{len(scope)}"
         scope[name] = value
         return name
 
-    def local(code: str, product: bool = False) -> str:
-        name = f"v{len(lines)}"
-        lines.append(f"    {name} = {code}\n")
-        values.append(f"({name} or nan)" if product else name)
-        return name
-
     def emit(e: Expr) -> str:
-        nonlocal turned
         if isinstance(e, Const):
             code = bind(e.value)
         elif isinstance(e, Dist):
@@ -485,7 +477,7 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
                 message = f"d({e.i.render()},{e.j.render()}) collides at n={n}"
                 code = f"_raise(*{bind((ExprIndexError, message, e.pos))})"
             elif coordinates:
-                code = f"t * hypot(xs[{i}] - xs[{j}], ys[{i}] - ys[{j}])"
+                code = _MEASURE.format(i, j)
             elif offsets is None:
                 code = f"rows[{i} + k][{j} + k]"
             else:
@@ -499,21 +491,24 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
             offsets.add(1)
             code = f"sum(rows[1][k:k + {n}])"
         elif isinstance(e, Aggregate) and e.op == "perim":
-            # side i is entry (i, i + 1 mod n), summed in index order
-            if coordinates:
-                sides = [emit(Dist(Index("literal", i), Index("literal", i % n + 1)))
-                         for i in range(1, n + 1)]
-            else:
-                if not turned:  # not a node: bound once, before the first side
-                    turned = f"v{len(lines)}"
-                    lines.append(f"    {turned} = {bind(_in_shift_order)}(rows, k)\n")
-                sides = [local(f"{turned}[{i}][{(i + 1) % n} + k]") for i in range(n)]
-            code = f"sum([{', '.join(sides)}])"
+            # side i is entry (i, i + 1 mod n), each a node, read in index
+            # order; on a rotation they are summed from side k on (k < 0 wraps)
+            sides, read = f"v{len(lines)}", _MEASURE if coordinates else "rows[{0}][{1}]"
+            reads = ", ".join([read.format(i, (i + 1) % n) for i in range(n)])
+            lines.append(f"    {sides} = [{reads}]\n")
+            if not coordinates:
+                lines.append(f"    {sides} = {sides}[k:] + {sides}[:k]\n")
+            values.append(f"*{sides}")
+            code = f"sum({sides})"
         elif isinstance(e, Aggregate):
             code = f"{'min' if e.op == 'min' else 'max'}([{', '.join(map(emit, e.args))}])"
         else:
             code = f"_raise(*{bind((TypeError, f'not an expression node: {e!r}'))})"
-        return local(code, isinstance(e, Binary) and e.op in ("*", "/"))
+        local = f"v{len(lines)}"
+        lines.append(f"    {local} = {code}\n")
+        values.append(f"({local} or nan)" if isinstance(e, Binary) and e.op in ("*", "/")
+                      else local)
+        return local
 
     result = emit(node)
     if traced:
@@ -522,12 +517,6 @@ def _compile(node: Expr, n: int, offsets: Optional[set[int]] = None, *,
     exec(compile(f"def f({params}):\n{''.join(lines)}    return {result}\n", "<expression>",
                  "exec"), scope)
     return scope["f"]
-
-
-def _in_shift_order(rows: Sequence[Sequence[float]], k: int) -> Sequence[Sequence[float]]:
-    """The rows of the pair (rows, k) in shift order: row i of the result is
-    rows[i + k], so entry (i, j) is its [j + k]."""
-    return rows[k:] + rows[:k] if k else rows
 
 
 def _finite(value: float) -> float:

@@ -418,22 +418,26 @@ class DistanceMatrix(Frozen):
 
     def rotated(self, k: int) -> "DistanceMatrix":
         """Entry (i,j) of the result is entry (i+k, j+k) of the input, read
-        in place: the input's rows (`d` for a measured view) with its offset
+        in place: the rows of a rotation, else `d`, with the input's offset
         plus k, reduced to [-n, 0). No row is copied, of a rotation either.
         Not revalidated: a rotation of a valid matrix is still square,
         finite, nonnegative, zero on the diagonal and symmetric."""
-        rows = self.d if self._rows.__class__ is MeasuredRows else self._rows
+        rows = self._rows if self._k else self.d
         n = len(rows)
         return self._of(rows, (self._k + k) % n - n)
 
     def rotations(self) -> Iterator["DistanceMatrix"]:
-        """rotated(0), ..., rotated(n-1): this matrix, then rotation k as `d`
-        with offset k - n. Every rotation shares the one tuple `d`, so the
-        n of them copy no row and cost O(n) together; an evaluator that
-        reads a few entries through `rows_and_offset` costs O(1) per
-        rotation, not O(n)."""
-        rows = self.d
-        return chain([self], map(self._of, repeat(rows), range(1 - len(rows), 0)))
+        """rotated(0), ..., rotated(n-1): this matrix, then the rows that
+        `rotated` reads with offsets k0 + 1, ..., k0 + n - 1 reduced to
+        [-n, 0), k0 being this matrix's offset (-n for 0): k - n on a plain
+        matrix. Every rotation shares the one row tuple, so the n of them
+        copy no row and cost O(n) together; an evaluator that reads a few
+        entries through `rows_and_offset` costs O(1) per rotation, not
+        O(n)."""
+        rows = self._rows if self._k else self.d
+        n = len(rows)
+        k = self._k or -n
+        return chain([self], map(self._of, repeat(rows), chain(range(k + 1, 0), range(-n, k))))
 
     def rows_and_offset(self) -> tuple[Sequence[Sequence[float]], int]:
         """(rows, k) such that entry (i, j) is rows[i + k][j + k], read in

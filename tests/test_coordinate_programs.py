@@ -162,3 +162,18 @@ def test_check_axioms_on_an_expression_compiles_two_coordinate_programs(monkeypa
     assert cli.main(argv) == 0
     assert '"homogeneity_ok": true' in capsys.readouterr().out
     assert len(sources) == 2 and all(s.startswith("def f(xs, ys, t):") for s in sources)
+
+
+@pytest.mark.parametrize("source", ["perim", "max(perim, d(1,3)) * perim", "d(n,1)+d(1,2)"])
+def test_the_matrix_trace_of_every_rotation_is_the_trace_of_the_shifted_polygon(source):
+    # perim's sides are nodes in shift order on a rotation too
+    pc = parse(source)
+    for n in (3, 8, 13):
+        p = random_polygon(random.Random(n), n)
+        D = distance_matrix(p)
+        traced = dsl._compile(pc.expr, n, traced=True)
+        measured = dsl._compile(pc.expr, n, coordinates=True, traced=True)
+        for k in range(n):
+            q = p.shifted(k)
+            assert outcome(lambda: traced(*D.rotated(k).rows_and_offset())) == outcome(
+                lambda: measured(q.xs, q.ys, 1.0))

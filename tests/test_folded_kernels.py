@@ -291,6 +291,12 @@ def test_all_rotations_of_a_map_share_one_row_tuple(n):
     # a rotation of a rotation reads the same rows too
     assert views[-1].rotated(2).rows_and_offset() == (rows, 1 - n)
     assert views[-1].rotated(2).rows_and_offset()[0] is rows
+    # and so do the rotations of a rotation, in the order of its own shifts
+    again = list(views[-1].rotations())
+    assert all(view.rows_and_offset()[0] is rows for view in again)
+    assert [view.rows_and_offset()[1] for view in again] == [
+        (k - 1) % n - n for k in range(n)]
+    assert [view.d for view in again] == [D.rotated(k - 1).d for k in range(n)]
     # O(n) together: a view and its offset, about 100 bytes each, where a
     # copied row order alone would hold n pointers of 8 bytes per view
     assert held < 160 * n + 1024
