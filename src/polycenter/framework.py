@@ -267,12 +267,15 @@ def cyclic_values(
         return _all_finite(fg, tuple(fg.all_shifts(x)))
     shifts = map(x.shifted, range(x.n)) if isinstance(fg, VertexCenterFunction) else x.rotations()
     values: list[float] = []
+    error = None
     try:
         values.extend(map(fg.evaluator, shifts))  # keeps the values before a raise
-    except Exception:
-        _all_finite(fg, values)  # a non-finite value on an earlier shift comes first
-        raise
-    return _all_finite(fg, tuple(values))
+    except Exception as exc:
+        error = exc
+    _all_finite(fg, values)  # a non-finite value on an earlier shift comes first
+    if error is not None:
+        raise error
+    return tuple(values)
 
 
 def _projective(fg: CenterFunction, values: tuple[float, ...]) -> ProjectiveCoords:

@@ -206,5 +206,8 @@ def test_the_first_failing_shift_decides_the_error(i, data):
         assert got == expected
         if nan_at < raise_at:
             assert got == (EvalError, "failing: non-finite value nan")
+            with pytest.raises(EvalError) as raised:
+                cyclic_values(g, D)
+            assert raised.value.__context__ is None  # raised on its own, as it was first
         else:
             assert got == (ValueError, f"raised at shift {raise_at}")
