@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from polycenter import AxiomViolation, Polygon, admit, cli, dsl, parse
+from polycenter import AxiomViolation, Polygon, admit, catalog, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
 from polycenter.framework import (
     _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, normalize,
@@ -80,10 +80,20 @@ for name, width in (("regular", 1), ("ellipse", 2)):
     path = document(name, {"vertices": pts})
 assert cli.main(["center", path, "--name", "median"]) == 0
 # the medoid map measures only the rows its lower bounds cannot rule out,
-# under a cut that allows for the compensated sum of Python 3.12 on; its
-# marks are those of the fsum of every row on an ellipse, where most rows
-# are ruled out, on a regular 128-gon, where none is, and on a 40-gon far
-# from the origin, whose centroid sums would overflow
+# each once, by its fsum (`catalog._total`, counted here); its marks are
+# those of the fsum of every row on an ellipse, where most rows are ruled
+# out, on a regular 128-gon, where none is and each of the 128 rows is
+# summed once, and on a 40-gon far from the origin, whose centroid sums
+# would overflow
+exact_total, rows = catalog._total, []
+
+
+def counted_total(terms):
+    rows.append(None)
+    return exact_total(terms)
+
+
+catalog._total = counted_total
 for name, pts in (
     ("ellipse", [(2 * math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
                  for t in ((k + 0.4 * math.sin(k)) / 128 for k in range(128))]),
@@ -94,8 +104,11 @@ for name, pts in (
     sums = [math.fsum(math.dist(v, w) for w in pts) for v in pts]
     least = min(sums)
     want = [1.0 if s <= least + MEDOID_REL * least else 0.0 for s in sums]
+    rows.clear()
     got = _medoid_indicators(Polygon.from_pairs(pts))
     assert got == want, (name, [i for i, m in enumerate(got) if m], [i for i, m in enumerate(want) if m])
+    assert name != "regular" or len(rows) == 128, (name, len(rows))
+catalog._total = exact_total
 # the convexity guard decides each turn exactly, so a regular octagon with a
 # vertex 3e-13 of its chord outside that chord is convex in either order
 # (the tolerance it replaced accepted it in one order only)

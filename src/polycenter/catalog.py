@@ -9,13 +9,12 @@ The vertex entries are defined once, by their whole coordinate map,
 computed from work the n shifts share: the distance sums for `medoid`
 (which `medoid()` reads too), measured with no matrix and only for the
 vertices a lower bound does not rule out (O(n sqrt(n)) plus n per measured
-vertex; O(n^2) where the sums tie, as on a regular polygon), and summed
-exactly only where a rounding bound cannot decide the mark; and one vertex
-mean and wedge total for `lamina`. Their per-shift evaluator is entry 0 of the
-map. The sums a map shares are taken with `math.fsum`, which is correctly
-rounded and so independent of the vertex a shift starts from; that is
-what makes entry 0 of a shifted input's map equal the matching entry of
-the input's own, bit for bit.
+vertex; O(n^2) where the sums tie, as on a regular polygon), each summed
+once, exactly; and one vertex mean and wedge total for `lamina`. Their
+per-shift evaluator is entry 0 of the map. The sums a map shares are
+taken with `math.fsum`, which is correctly rounded and so independent of
+the vertex a shift starts from; that is what makes entry 0 of a shifted
+input's map equal the matching entry of the input's own, bit for bit.
 
 The length entries are guarded expressions (`dsl`), whose guards read a
 matrix or the polygon it is measured from.
@@ -53,10 +52,11 @@ AREA_EPS = 1e-12
 ADJACENT_SIDES = "d(n,1)+d(1,2)"
 X3_CIRCUMCENTER = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 # `_medoid_indicators` bounds the distance sums from below, to skip rows,
-# from this many vertices on. On the benchmark's ellipses the bounds break
-# even at 26 to 28 vertices (the map took 0.96-1.08x its time without them
-# at 26, 0.86-0.98x at 28 and 1.2-1.3x at 16-20; timeit, 2-vCPU VM, Python
-# 3.11); on fewer, they cost more than they save.
+# from this many vertices on. On the benchmark's ellipses the map took
+# 0.89-1.25x its time without them at 16 vertices, 0.83-1.08x at 20,
+# 0.70-0.94x at 24 and 0.64-0.94x at 28 (timeit, six ellipses each, 2-vCPU
+# VM, Python 3.11): they break even near 20. The floor was set where they
+# broke even when each row was summed twice, and is not yet moved down.
 _MEDOID_PRUNE_FROM = 28
 
 
@@ -152,60 +152,43 @@ def _medoid_indicators(p: Polygon) -> list[float]:
     memory.
 
     A lower bound on each sum orders the rows, and rows are measured in that
-    order, by a plain running sum (the built-in `sum`) of the vertex's
-    distances, until the bound rules out every row left. The running sums
-    settle every measured row but those near the smallest; only rows whose
-    running sum is at most the cut are measured again and summed with
-    `_total`. `math.dist` and `math.hypot` share one norm, and hypot ignores
-    sign, so these are the matrix's bits and the marks are those of the
-    exact sums.
-
-    The cut. With u = 2^-53, S_i the exact sum of row i, s_i = fl(S_i) its
-    `_total`, r_i its running sum, m the smallest s_i and r the smallest r_i
-    measured (at row a): summing n nonnegative terms in any order of n - 1
-    additions leaves |r_i - S_i| <= g S_i, g = (n - 1)u / (1 - (n - 1)u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2);
-    fsum rounds once, |s_i - S_i| <= u S_i. So m <= s_a <= (1 + u)/(1 - g) r,
-    and `_medoid_bound`, monotone and relative with two roundings, gives
-    B(m) <= (1 + u)^3/((1 - g)(1 - u)) B(r). A marked row has s_i <= B(m),
-    hence r_i <= (1 + g)/(1 - u) B(m) <= (1 + g)(1 + u)^3/((1 - g)(1 - u)^2) B(r),
-    a factor 1 + (2n + 3)u + O(n^2 u^2). The cut B(r)K, K = 1 + 4(n + 2)u,
-    whose factor is exact and whose product rounds once, is above it with
-    room to spare: for the compensated `sum` of Python 3.12 on (within
-    2u S_i + O(n u^2) S_i, below g S_i from n = 4), and for a product in B
-    that underflows, which costs a u or two on a normal sum. Below the
-    normal range every sum here is exact (each is a multiple of 2^-1074
-    under 2^-1021), and monotonicity alone carries the argument. Overflow
-    rounds up to inf, which the bounds allow for: when a marked row's
-    running sum overflows, so does the cut, and every row is measured again.
+    order, each summed once with `_total`, until the bound rules out every
+    row left; the marks are read from the sums measured. `math.dist` and
+    `math.hypot` share one norm, and hypot ignores sign, so these are the
+    matrix's bits and the marks are those of its rows.
 
     The bound. Cut the vertices into runs B_b of isqrt(n) (the last one
     shorter), of sizes m_b and exact centroids c*_b. By the triangle
-    inequality S_i >= sum_b |sum_(j in B_b) (v_j - v_i)| = L*_i, with
-    L*_i = sum_b m_b |c*_b - v_i|: about sqrt(n) distances a row. With M the
-    largest coordinate magnitude, D = fl(n fl(2^-51 M)) and the threshold
-    T = fl(fl(cut + D)K) for the cut so far, the visit stops at the first
+    inequality sum_j |v_j - v_i| >= sum_b |sum_(j in B_b) (v_j - v_i)| = L*_i,
+    with L*_i = sum_b m_b |c*_b - v_i|: about sqrt(n) distances a row. With
+    u = 2^-53, M the largest coordinate magnitude, D = fl(n fl(2^-51 M)),
+    K = 1 + 4(n + 2)u, m the smallest sum so far and the threshold
+    T = fl(fl(B(m) + D)K), B = `_medoid_bound`, the visit stops at the first
     row whose computed bound L_i is above T. No row is measured after it, so
-    the cut stays, and later rows have larger bounds, so by the margin none
+    m and B(m) stay, and later rows have larger bounds, so by the margin none
     of them can be marked.
 
     The margin. With e = 2^-1074, a rounding is within a factor 1 +- u of
-    its exact value, or within e/2 of it below the normal range. The
-    centroid c_b = fl(fsum / m_b) rounds twice a coordinate, an error
-    d_b <= 3uM + e that scales with the coordinates, not with the extent.
-    `math.dist` is within (1 + u)(1 + 2u) of the exact distance, plus e (as
-    in `geometry._largest_distance`); the product by m_b is exact below the
-    normal range and within 1 + u above; their sum is within 1 + g, for
-    either `sum`. So L_i <= F(L*_i + E), F = (1 + g)(1 + u)^2(1 + 2u),
-    E = sum_b m_b(d_b + e) <= n(3uM + 2e). From M >= 2^-1000 on, 2e is below
-    2^-20 uM, so D >= 3.9nuM covers E and the e/2 of T's last rounding, and
-    (1 - u)^2 K >= F/(1 - g) for any n far below 1/u: T >= F(cut/(1 - g) + E).
-    A row with L_i > T has (1 - g)(L_i/F - E) > cut, so its running sum
-    would be r_i >= (1 - g)S_i >= (1 - g)L*_i > cut.
+    its exact value, or within e/2 of it below the normal range: fl(x) >=
+    (1 - u)x - e/2. The centroid c_b = fl(fsum / m_b) rounds twice a
+    coordinate, an error d_b <= 3uM + e that scales with the coordinates,
+    not with the extent. `math.dist` is within a factor P = (1 + u)(1 + 2u)
+    of the exact distance, plus e (as in `geometry._largest_distance`); the
+    product by m_b is exact below the normal range and within 1 + u above;
+    their sum is within 1 + g, g = (n - 1)u / (1 - (n - 1)u), for the
+    built-in `sum` of any version (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, 4.2). So L_i <= F(L*_i + E), F = (1 + g)(1 +
+    u)P, E = sum_b m_b(d_b + e) <= n(3uM + 2e). A row's `_total` rounds its
+    n distances' exact sum once, so s_i >= (1 - u)(L*_i/P - ne) - e/2, and a
+    marked row, s_i <= B(m), has L_i <= G(B(m) + E + (n + 1)e), G = FP/(1 -
+    u). From M >= 2^-1000 on, e is below 2^-21 uM, so D >= 3.9nuM covers
+    E + (n + 1)e and the 2e of T's two roundings, and (1 - u)^2 K >= G for
+    any n far below 1/u: T >= G(B(m) + E + (n + 1)e), and a row with
+    L_i > T is not marked.
 
     The bound is taken from `_MEDOID_PRUNE_FROM` vertices on, for
-    2^-1000 <= M <= 2^1000/n; there every centroid sum, bound and running
-    sum stays below 2^1002. Below that size, on subnormal input, and where
+    2^-1000 <= M <= 2^1000/n; there every centroid sum, bound and row sum
+    stays below 2^1002. Below that size, on subnormal input, and where
     the centroid sums or the bounds could overflow, every row is visited,
     in index order.
     """
@@ -225,20 +208,17 @@ def _medoid_indicators(p: Polygon) -> list[float]:
         lower = [sum(map(mul, ms, map(math.dist, cs, repeat(v)))) for v in pts]
         order = sorted(range(n), key=lower.__getitem__)
         visits, slack = zip(map(lower.__getitem__, order), order), n * (top * 2.0**-51)
-    running = []
-    best = cut = stop = math.inf
+    sums = {}
+    best = bound = stop = math.inf
     for b, i in visits:
         if stop < b:
             break
-        r = sum(map(math.dist, repeat(pts[i]), pts))
-        running.append((i, r))
-        if r < best:
-            best, cut = r, _medoid_bound(r) * grow
-            stop = (cut + slack) * grow
-    exact = {i: _total(map(math.dist, repeat(pts[i]), pts)) for i, r in running if r <= cut}
-    bound = _medoid_bound(min(exact.values()))
+        s = sums[i] = _total(map(math.dist, repeat(pts[i]), pts))
+        if s < best:
+            best, bound = s, _medoid_bound(s)
+            stop = (bound + slack) * grow
     marks = [0.0] * n
-    for i, s in exact.items():
+    for i, s in sums.items():
         if s <= bound:
             marks[i] = 1.0
     return marks

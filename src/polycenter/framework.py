@@ -30,10 +30,11 @@ whole map, as the catalog's and the coincidence probes are, takes entry 0
 of that map as its evaluator (`entry_zero`).
 
 A map's bookkeeping is O(n) passes in C: a matrix's n rotations share its
-rows (`DistanceMatrix.rotations`), one `sum` checks that every value is
-finite (`_all_finite`), one `any` that some value is not zero, and
-`normalize` skips the re-summing check of its weights where a rounding
-bound proves that the check passes.
+rows (`DistanceMatrix.rotations`), the shifts are evaluated up to the
+first value that is not finite (`takewhile`), or one `sum` checks the
+values `all_shifts` returns (`_all_finite`), one `any` checks that some
+value is not zero, and `normalize` skips the re-summing check of its
+weights where a rounding bound proves that the check passes.
 
 A length function's map on a polygon reads the distances measured from it:
 `all_shifts` measures what it reads with the bits of `distance_matrix(p)`,
@@ -64,7 +65,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile, tee
 from operator import itemgetter, mul
 from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -252,10 +253,8 @@ def cyclic_values(
     builds no relabeled copy. A length function given a polygon reads the
     distances measured from it, as the module docstring describes.
 
-    The shifts are evaluated in order, and the values checked together once
-    the last is in or an evaluation raises: the first shift whose value is
-    not finite, or whose evaluation raised, decides the error, as when each
-    value was checked as it came.
+    The shifts are evaluated in order, up to the first whose value is not
+    finite or whose evaluation raises, which decides the error.
     """
     whole = fg.all_shifts is not None and isinstance(x, Polygon)
     if whole and isinstance(fg, LengthCenterFunction):
@@ -266,16 +265,11 @@ def cyclic_values(
     if whole:
         return _all_finite(fg, tuple(fg.all_shifts(x)))
     shifts = map(x.shifted, range(x.n)) if isinstance(fg, VertexCenterFunction) else x.rotations()
-    values: list[float] = []
-    error = None
-    try:
-        values.extend(map(fg.evaluator, shifts))  # keeps the values before a raise
-    except Exception as exc:
-        error = exc
-    _all_finite(fg, values)  # a non-finite value on an earlier shift comes first
-    if error is not None:
-        raise error
-    return tuple(values)
+    values, kept = tee(map(fg.evaluator, shifts))
+    values = tuple(takewhile(math.isfinite, values))
+    if len(values) < x.n:  # takewhile read the first non-finite value; kept holds it
+        _finite(fg, next(islice(kept, len(values), None)))
+    return values
 
 
 def _projective(fg: CenterFunction, values: tuple[float, ...]) -> ProjectiveCoords:

@@ -188,22 +188,27 @@ def test_shifts_equal_shifted():
 def test_the_first_failing_shift_decides_the_error(i, data):
     """A per-shift map at n = 64 whose evaluator gives nan at shift i and
     raises at a later shift j raises the nan's EvalError; the other way
-    round, the evaluator's error. Either way as the per-shift definition."""
+    round, the evaluator's error. Either way as the per-shift definition,
+    and with no shift evaluated after shift i."""
     j = data.draw(st.integers(i + 1, 63))
     D = distance_matrix(random_convex_polygon(random.Random(i), 64))
     for nan_at, raise_at in ((i, j), (j, i)):
         order = {M: k for k, M in enumerate([D.rotated(k) for k in range(64)])}
+        calls = []
 
         def evaluator(M):
             k = order[M]
+            calls.append(k)
             if k == raise_at:
                 raise ValueError(f"raised at shift {k}")
             return math.nan if k == nan_at else 1.0
 
         g = LengthCenterFunction("failing", evaluator)
         expected = _outcome(lambda: tuple(g.evaluate(D.rotated(k)) for k in range(64)))
+        calls.clear()
         got = _outcome(lambda: cyclic_values(g, D))
         assert got == expected
+        assert calls == list(range(i + 1))
         if nan_at < raise_at:
             assert got == (EvalError, "failing: non-finite value nan")
             with pytest.raises(EvalError) as raised:
@@ -211,3 +216,24 @@ def test_the_first_failing_shift_decides_the_error(i, data):
             assert raised.value.__context__ is None  # raised on its own, as it was first
         else:
             assert got == (ValueError, f"raised at shift {raise_at}")
+
+
+def test_a_vertex_map_stops_at_the_first_non_finite_shift():
+    """The same through a vertex function on an 8-gon: inf at shift 1 and a
+    raise at shift 5 give the inf's EvalError after two evaluations."""
+    p = random_convex_polygon(random.Random(8), 8)
+    start = {v: k for k, v in enumerate(p.vertices)}
+    calls = []
+
+    def evaluator(q):
+        k = start[q.vertices[0]]
+        calls.append(k)
+        if k == 5:
+            raise ValueError("raised at shift 5")
+        return math.inf if k == 1 else 1.0
+
+    f = VertexCenterFunction("failing", evaluator)
+    with pytest.raises(EvalError, match="^failing: non-finite value inf$") as raised:
+        cyclic_values(f, p)
+    assert raised.value.__context__ is None
+    assert calls == [0, 1]

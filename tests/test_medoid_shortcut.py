@@ -2,9 +2,8 @@
 
 The definition is one distance matrix, n `math.fsum` row sums, and a 1 for
 every sum within MEDOID_REL of the smallest. The catalog computes the map
-from no matrix: running sums of the distances of each vertex that a lower
-bound on its sum does not rule out, and exact sums only for the rows near
-the smallest, where a rounding bound cannot decide.
+from no matrix: the `math.fsum` of the distances of each vertex that a
+lower bound on its sum does not rule out, taken once a row.
 The definition is kept here as the reference (`helpers._distance_sums`),
 measuring all n sums once per polygon. Its mark k is that of shift k, bit
 for bit, as `math.fsum` is correctly rounded and the extent check does not
@@ -189,16 +188,33 @@ def test_convex_128_gon_makes_one_pass_per_map_and_per_evaluation():
         assert len(calls) == 2
 
 
-# ------------------------------------------------------------ candidate cut
+# ------------------------------------------------------------ rows measured
 
 
-def test_a_regular_200_gon_makes_every_row_a_candidate():
+def running_sums_of_rows(monkeypatch):
+    """A list that gains an entry for every built-in `sum` the catalog takes
+    over one vertex's distances (the lower bounds sum products)."""
+    rows = []
+
+    def counting_sum(terms):
+        if terms.__reduce__()[1][0] is math.dist:
+            rows.append(None)
+        return sum(terms)
+
+    monkeypatch.setattr(catalog, "sum", counting_sum, raising=False)
+    return rows
+
+
+def test_a_regular_200_gon_makes_every_row_a_candidate(monkeypatch):
     p = regular_polygon(200)
+    running = running_sums_of_rows(monkeypatch)
     with calls_of(catalog._total) as rows:
         marks = _medoid_indicators(p)
     assert marks == reference_marks(p)
-    # the sums tie up to rounding, so no running sum clears the cut
+    # the sums tie up to rounding, so no bound rules a row out; each row is
+    # measured once, by its fsum
     assert len(rows) == 200
+    assert running == []
 
 
 def load_benchmark_inputs():
@@ -210,32 +226,16 @@ def load_benchmark_inputs():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
-def test_the_benchmark_ellipse_128_gon_remeasures_one_row(seed):
+def test_the_benchmark_ellipse_128_gon_measures_few_rows_once(seed, monkeypatch):
     inputs = load_benchmark_inputs()
     p = Polygon.from_pairs(inputs.convex_polygon(random.Random(seed), 128))
+    running = running_sums_of_rows(monkeypatch)
     with calls_of(catalog._total) as rows:
         marks = _medoid_indicators(p)
     assert marks == reference_marks(p) and sum(marks) == 1.0
-    assert len(rows) == 1
-
-
-@pytest.mark.parametrize("seed", [0, 7, 11])
-def test_the_benchmark_ellipse_128_gon_measures_few_rows(seed, monkeypatch):
-    inputs = load_benchmark_inputs()
-    p = Polygon.from_pairs(inputs.convex_polygon(random.Random(seed), 128))
-    rows = []
-
-    def counting_sum(terms):
-        # a measured row is the running sum of one vertex's distances; the
-        # lower bounds sum products, and the exact sums are fsums
-        if terms.__reduce__()[1][0] is math.dist:
-            rows.append(None)
-        return sum(terms)
-
-    monkeypatch.setattr(catalog, "sum", counting_sum, raising=False)
-    assert _medoid_indicators(p) == reference_marks(p)
     # the lower bounds rule out all but a few of the 128 rows
     assert 1 <= len(rows) <= 24
+    assert running == []
 
 
 def far_40_gon(nudge):
@@ -303,8 +303,8 @@ def test_a_44_gon_at_the_edges_of_the_bounded_range(k, offset):
 def test_the_tolerance_boundary_on_a_ring(ring):
     # As above, with `ring` more vertices on a circle about the central
     # vertex, symmetric in both axes so that the centre keeps the smallest
-    # sum: longer running sums, whose rounding a cut without room would
-    # have to be lucky to survive.
+    # sum. At 202 vertices the lower bounds are taken, and they must not
+    # rule out a row whose sum sits at the tolerance.
     rng = random.Random(ring)
     angles = [rng.uniform(0.1, math.pi / 2 - 0.1) for _ in range(ring // 4)]
     around = sorted(((1.5 + sx * 2.0 * math.cos(a), sy * 2.0 * math.sin(a))
