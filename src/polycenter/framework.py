@@ -31,7 +31,7 @@ of that map as its evaluator (`entry_zero`).
 
 A map's bookkeeping is O(n) passes in C: a matrix's n rotations share its
 rows (`DistanceMatrix.rotations`), the shifts are evaluated up to the
-first value that is not finite (`takewhile`), or one `sum` checks the
+first value that is not finite (`groupby`), or one `sum` checks the
 values `all_shifts` returns (`_all_finite`), one `any` checks that some
 value is not zero, and `normalize` skips the re-summing check of its
 weights where a rounding bound proves that the check passes.
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice, takewhile, tee
+from itertools import groupby, islice
 from operator import itemgetter, mul
 from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -265,10 +265,13 @@ def cyclic_values(
     if whole:
         return _all_finite(fg, tuple(fg.all_shifts(x)))
     shifts = map(x.shifted, range(x.n)) if isinstance(fg, VertexCenterFunction) else x.rotations()
-    values, kept = tee(map(fg.evaluator, shifts))
-    values = tuple(takewhile(math.isfinite, values))
-    if len(values) < x.n:  # takewhile read the first non-finite value; kept holds it
-        _finite(fg, next(islice(kept, len(values), None)))
+    values = ()
+    # runs of finite values and of others; groupby reads no value past the
+    # first of the others, and that value raises
+    for finite, run in groupby(map(fg.evaluator, shifts), math.isfinite):
+        if not finite:
+            _finite(fg, next(run))
+        values = tuple(run)
     return values
 
 
