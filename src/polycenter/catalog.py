@@ -55,8 +55,8 @@ X3_CIRCUMCENTER = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 # from this many vertices on. On the benchmark's ellipses the map took
 # 0.89-1.25x its time without them at 16 vertices, 0.83-1.08x at 20,
 # 0.70-0.94x at 24 and 0.64-0.94x at 28 (timeit, six ellipses each, 2-vCPU
-# VM, Python 3.11): they break even near 20. The floor was set where they
-# broke even when each row was summed twice, and is not yet moved down.
+# VM, Python 3.11): they break even near 20, below this floor, which stays
+# until benchmark pairs on maps of 20 to 28 vertices retune it.
 _MEDOID_PRUNE_FROM = 28
 
 
