@@ -226,15 +226,33 @@ def load_benchmark_inputs():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
-def test_the_benchmark_ellipse_128_gon_measures_few_rows_once(seed, monkeypatch):
+def test_the_benchmark_ellipse_128_gon_measures_few_rows(seed):
     inputs = load_benchmark_inputs()
     p = Polygon.from_pairs(inputs.convex_polygon(random.Random(seed), 128))
-    running = running_sums_of_rows(monkeypatch)
     with calls_of(catalog._total) as rows:
         marks = _medoid_indicators(p)
     assert marks == reference_marks(p) and sum(marks) == 1.0
     # the lower bounds rule out all but a few of the 128 rows
     assert 1 <= len(rows) <= 24
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_the_benchmark_ellipse_128_gon_measures_each_visited_row_once(seed, monkeypatch):
+    inputs = load_benchmark_inputs()
+    p = Polygon.from_pairs(inputs.convex_polygon(random.Random(seed), 128))
+    running = running_sums_of_rows(monkeypatch)
+    total, measured = catalog._total, []
+
+    def recording_total(terms):
+        row = list(terms)
+        assert len(row) == 128
+        measured.append(row.index(0.0))  # the vertex's distance to itself
+        return total(row)
+
+    monkeypatch.setattr(catalog, "_total", recording_total)
+    assert _medoid_indicators(p) == reference_marks(p)
+    # each visited row is one vertex's, summed by its fsum alone
+    assert measured and len(measured) == len(set(measured))
     assert running == []
 
 
