@@ -121,14 +121,21 @@ assert cli.main(["center", quad, "--expr", "d(1,2)*\u00b9"]) == 2
 # admit draws one set of sample inputs per (n, seed), shared across expressions
 for source, n in (("d(n,1)+d(1,2)", 6), ("perim", 6), ("d(n,1)*d(1,2)", 6)):
     assert admit(parse(source), n).name == source
-try:
-    admit(parse("d(1,2)"), 6)
-except AxiomViolation as exc:
-    assert exc.prop == "relabel-invariance", exc.prop
-else:
-    raise AssertionError("d(1,2) was admitted")
-assert dsl._sample_set.cache_info().misses == 1, dsl._sample_set.cache_info()
+# a violation's text, whose numbers do not pass through the built-in `sum`
+# that Python 3.12 on compensates
+for source, n, message in (
+    ("d(1,2)", 6, "relabel-invariance: 'd(1,2)' distinguishes a matrix from its reversal "
+                  "(2.618969662221586 vs 1.0446128331254307)"),
+    ("sqrt(perim)", 5, "homogeneity: 'sqrt(perim)' has degree 0.500000, not a natural number"),
+):
+    try:
+        admit(parse(source), n)
+    except AxiomViolation as exc:
+        assert str(exc) == message, str(exc)
+    else:
+        raise AssertionError(f"{source} was admitted")
 assert admit(parse("d(n,1)+d(1,2)"), 5).name == "d(n,1)+d(1,2)"
+assert dsl._sample_set.cache_info().misses == 2, dsl._sample_set.cache_info()  # n = 6, then 5
 # the benchmark's expressions (perfbench/workloads.py, EXPRESSIONS, copied):
 # at n = 8 each is admitted (None) or fails the property named, and all of
 # them read one sample set

@@ -29,8 +29,8 @@ from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
-from .errors import AxiomViolation, EvalError, ExprIndexError, ExprSyntaxError
-from .framework import CHECK_TOL, SLOPE_TOL, LengthCenterFunction, _trial_inputs, _trials
+from .errors import EvalError, ExprIndexError, ExprSyntaxError
+from .framework import LengthCenterFunction, _admitted, _trial_inputs, _trials
 from .geometry import DistanceMatrix, Frozen, Polygon, _set, chords
 from .sampling import random_polygon
 
@@ -647,9 +647,10 @@ def admit(
 
     Runs the trials of `verify_axioms` on random n-gons, which evaluate
     only what pc's tree does not imply, by its coordinate programs
-    (`static_facts`), and raises at the first failing trial, naming the
-    property and carrying a witness, whose matrix is measured only then. On
-    top of them, the slopes of all trials must agree with one
+    (`static_facts`). `framework._admitted` decides them, with the verdicts
+    and tolerances of `verify_axioms`: it raises at the first failing
+    trial, naming the property and carrying a witness, whose matrix is
+    measured only then, and asks the slopes of all trials to agree with one
     natural-number homogeneity degree.
 
     The n-gons depend on (n, seed) alone, so a process draws the inputs of
@@ -661,44 +662,4 @@ def admit(
     rejects at its first trial still draws all `_BANKED` trials, once.
     """
     fg = center_function(pc)
-    slopes: list[float] = []
-    for trial in _trials(fg, _shared_inputs(n, seed), trials):
-        if trial.relabel_gap() > CHECK_TOL:
-            raise AxiomViolation(
-                "relabel-invariance",
-                f"{pc.source!r} distinguishes a matrix from its reversal "
-                f"({trial.base!r} vs {trial.reversed!r})",
-                witness={"matrix": trial.input, "value": trial.base,
-                         "reversed_value": trial.reversed},
-            )
-        if trial.motion_gap() > CHECK_TOL:
-            raise AxiomViolation(
-                "motion-invariance",
-                f"{pc.source!r} changes under a rigid motion "
-                f"({trial.base!r} vs {trial.moved!r})",
-                witness={"matrix": trial.input, "value": trial.base, "moved_value": trial.moved},
-            )
-        fit = trial.slope_fit()
-        if fit is None:
-            continue
-        slope, dev = fit
-        if dev > SLOPE_TOL:
-            # a sign change across scales fits with infinite deviation
-            why = (
-                "changes sign under rescaling" if math.isinf(dev)
-                else f"does not scale as a single power (fit deviation {dev:.3e})"
-            )
-            witness = {"matrix": trial.input, "values": trial.scaled}
-            raise AxiomViolation("homogeneity", f"{pc.source!r} {why}", witness=witness)
-        slopes.append(slope)
-    if slopes:
-        mean = sum(slopes) / len(slopes)
-        degree = round(mean)
-        off = max(abs(s - degree) for s in slopes)
-        if off > SLOPE_TOL or degree < 0:
-            raise AxiomViolation(
-                "homogeneity",
-                f"{pc.source!r} has degree {mean:.6f}, not a natural number",
-                witness={"slopes": tuple(slopes)},
-            )
-    return fg
+    return _admitted(fg, _trials(fg, _shared_inputs(n, seed), trials))

@@ -46,7 +46,10 @@ An axiom trial evaluates a function on a sample, its reversal, a moved copy
 and three rescalings. Those inputs are drawn apart from any function
 (`_trial_inputs`) and hold no value, so one draw can serve every function
 checked on it, as `dsl.admit`'s does; `_trials` is the one body that
-evaluates them, for `verify_axioms` and `dsl.admit` alike. A length
+evaluates them, and `_verdict` the one that decides each trial against
+CHECK_TOL and SLOPE_TOL, for `verify_axioms` and `dsl.admit` alike. The
+degree rules are here too: `verify_axioms` takes the mean slope, and
+`_admitted`, which raises `admit`'s violations, a natural number. A length
 function's inputs are checked coordinates and a scale. A guard-free
 expression reads them through its coordinate programs, which measure only
 the distances it reads; any other length function reads a matrix view
@@ -69,7 +72,7 @@ from itertools import groupby, islice
 from operator import itemgetter, mul
 from typing import Callable, ClassVar, Generic, Iterator, Optional, Sequence, TypeVar, Union
 
-from .errors import AllZero, DomainViolation, EvalError, ZeroSum
+from .errors import AllZero, AxiomViolation, DomainViolation, EvalError, ZeroSum
 from .geometry import (
     DihedralElement,
     DistanceMatrix,
@@ -377,11 +380,6 @@ def lower_vertex_to_length(f: VertexCenterFunction) -> LengthCenterFunction:
 # ------------------------------------------------------------- verification
 
 
-def _relative_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) / scale
-
-
 class AxiomTrial(Frozen):
     """One sampled input (a polygon, or its distance matrix for length
     functions) and fg's values on it, its reversal, a moved copy and its
@@ -405,12 +403,6 @@ class AxiomTrial(Frozen):
         if self._input.__class__ is tuple:
             _set(self, "_input", DistanceMatrix._of(MeasuredRows(*self._input)))
         return self._input
-
-    def relabel_gap(self) -> float:
-        return _relative_gap(self.base, self.reversed)
-
-    def motion_gap(self) -> float:
-        return _relative_gap(self.base, self.moved)
 
     def slope_fit(self) -> Optional[tuple[float, float]]:
         """Least-squares slope of log|value| against log t, plus the max
@@ -533,6 +525,19 @@ def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterato
         yield AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
 
 
+def _verdict(trial: AxiomTrial) -> tuple:
+    """(relabel gap, motion gap, slope fit, and whether each holds) of one
+    trial, the one place a trial meets a tolerance. A gap is relative to the
+    larger value or 1; a fit holds where the function vanishes at some scale
+    (`slope_fit` is None) or deviates by at most SLOPE_TOL."""
+    base, rev, moved = trial.base, trial.reversed, trial.moved
+    relabel = abs(base - rev) / max(abs(base), abs(rev), 1.0)
+    motion = abs(base - moved) / max(abs(base), abs(moved), 1.0)
+    fit = trial.slope_fit()
+    return (relabel, motion, fit, relabel <= CHECK_TOL, motion <= CHECK_TOL,
+            fit is None or fit[1] <= SLOPE_TOL)
+
+
 def verify_axioms(
     fg: CenterFunction,
     sampler: Callable[[random.Random], Polygon],
@@ -541,40 +546,72 @@ def verify_axioms(
 ) -> AxiomReport:
     """Check the defining properties on sampled inputs.
 
-    Per trial (`axiom_trials`): one reversal-relabeling comparison, one
-    random rigid motion comparison, and evaluations at four coordinate
-    scales whose log-log slope estimates the homogeneity degree.
-    Homogeneity passes when every trial's slope sits within SLOPE_TOL of
-    the cross-trial mean and the per-trial fit is equally tight. Trials
-    where the function vanishes contribute nothing to the slope; one where
-    it changes sign fits no power and makes max_violation infinite.
+    Per trial (`axiom_trials`), decided by `_verdict`: one reversal-relabeling
+    comparison, one random rigid motion comparison, and evaluations at four
+    coordinate scales whose log-log slope estimates the homogeneity degree.
+    Homogeneity passes when every trial's fit holds and every slope sits
+    within SLOPE_TOL of the cross-trial mean, the degree (`_admitted` asks
+    for a natural number). Trials where the function vanishes contribute
+    nothing to the slope; one where it changes sign fits no power and makes
+    max_violation infinite.
     """
     worst = 0.0
-    relabel_ok = True
-    motion_ok = True
-    slopes: list[float] = []
-    fit_devs: list[float] = []
+    relabel_ok = motion_ok = fits_ok = True
+    fits: list[tuple[float, float]] = []
     for trial in axiom_trials(fg, sampler, trials, seed):
-        relabel_gap, motion_gap = trial.relabel_gap(), trial.motion_gap()
-        worst = max(worst, relabel_gap, motion_gap)
-        relabel_ok = relabel_ok and relabel_gap <= CHECK_TOL
-        motion_ok = motion_ok and motion_gap <= CHECK_TOL
-        fit = trial.slope_fit()
+        relabel, motion, fit, relabel_holds, motion_holds, fit_holds = _verdict(trial)
+        worst = max(worst, relabel, motion)
+        relabel_ok = relabel_ok and relabel_holds
+        motion_ok = motion_ok and motion_holds
+        fits_ok = fits_ok and fit_holds
         if fit is not None:
-            slopes.append(fit[0])
-            fit_devs.append(fit[1])
-
+            fits.append(fit)
     # a function that vanished on every sample reveals no degree
     homogeneity_ok = True
     degree: Optional[float] = None
-    if slopes:
-        finite = [s for s in slopes if math.isfinite(s)]
-        mean = sum(finite) / len(finite) if finite else math.nan
+    if fits:
         # a sign change left a nan slope and an infinite fit deviation
-        spread = max(fit_devs + [abs(s - mean) for s in finite])
-        homogeneity_ok = spread <= SLOPE_TOL
+        finite = [s for s, _ in fits if math.isfinite(s)]
+        mean = sum(finite) / len(finite) if finite else math.nan
+        offsets = [abs(s - mean) for s in finite]  # every slope is finite where the fits hold
+        homogeneity_ok = fits_ok and max(offsets) <= SLOPE_TOL
         if homogeneity_ok:
             degree = mean
         else:
-            worst = max(worst, spread)
+            worst = max(worst, *offsets, *[dev for _, dev in fits])
     return AxiomReport(relabel_ok, motion_ok, homogeneity_ok, degree, worst)
+
+
+def _admitted(fg: LengthCenterFunction, trials: Iterator[AxiomTrial]) -> LengthCenterFunction:
+    """fg, once every trial holds (`_verdict`) and all slopes agree with one
+    natural-number degree; else the AxiomViolation of the first trial that
+    fails, raised before the next is read, or of the degree. Only a
+    violation builds its message and its witness."""
+    slopes: list[float] = []
+    for trial in trials:
+        _, _, fit, relabel_holds, motion_holds, fit_holds = _verdict(trial)
+        if not relabel_holds:
+            raise AxiomViolation("relabel-invariance", f"{fg.name!r} distinguishes a matrix from "
+                                 f"its reversal ({trial.base!r} vs {trial.reversed!r})",
+                                 {"matrix": trial.input, "value": trial.base,
+                                  "reversed_value": trial.reversed})
+        if not motion_holds:
+            raise AxiomViolation("motion-invariance", f"{fg.name!r} changes under a rigid motion "
+                                 f"({trial.base!r} vs {trial.moved!r})",
+                                 {"matrix": trial.input, "value": trial.base,
+                                  "moved_value": trial.moved})
+        if not fit_holds:
+            # a sign change across scales fits with infinite deviation
+            why = ("changes sign under rescaling" if math.isinf(fit[1])
+                   else f"does not scale as a single power (fit deviation {fit[1]:.3e})")
+            raise AxiomViolation("homogeneity", f"{fg.name!r} {why}",
+                                 {"matrix": trial.input, "values": trial.scaled})
+        if fit is not None:
+            slopes.append(fit[0])
+    if slopes:
+        mean = sum(slopes) / len(slopes)
+        degree = round(mean)
+        if degree < 0 or max(abs(s - degree) for s in slopes) > SLOPE_TOL:
+            raise AxiomViolation("homogeneity", f"{fg.name!r} has degree {mean:.6f}, not a "
+                                 "natural number", {"slopes": tuple(slopes)})
+    return fg

@@ -417,13 +417,6 @@ def test_admit_g1():
     assert g.evaluate(D) == D.d[4][0] + D.d[0][1]
 
 
-def test_admit_rejects_single_side():
-    with pytest.raises(AxiomViolation) as err:
-        admit(parse("d(1,2)"), 5)
-    assert err.value.prop == "relabel-invariance"
-    assert err.value.witness is not None
-
-
 def test_admit_stops_at_the_first_failing_trial(monkeypatch):
     # one trial evaluates the input, its reversal, a moved copy and four
     # rescalings, each one call of a coordinate program (`static_facts`);
@@ -458,16 +451,51 @@ def test_admit_rejects_motion_dependence():
     assert set(err.value.witness) == {"matrix", "value", "moved_value"}
 
 
-def test_admit_witness_keys():
+_RELABEL = {"matrix", "value", "reversed_value"}
+
+
+@pytest.mark.parametrize("source, n, message, prop, keys", [
+    ("d(1,2)", 5,
+     "relabel-invariance: 'd(1,2)' distinguishes a matrix from its reversal "
+     "(2.618969662221586 vs 1.6285977537504603)", "relabel-invariance", _RELABEL),
+    ("(sqrt(d(n,1)*d(1,2))^2-d(n,1)*d(1,2))*10^12", 5,
+     "motion-invariance: '(sqrt(d(n,1)*d(1,2))^2-d(n,1)*d(1,2))*10^12' changes under a "
+     "rigid motion (0.0 vs -2.7755575615628914e-05)",
+     "motion-invariance", {"matrix", "value", "moved_value"}),
+    ("d(n,1)+d(1,2)+d(n,1)^2+d(1,2)^2", 5,
+     "homogeneity: 'd(n,1)+d(1,2)+d(n,1)^2+d(1,2)^2' does not scale as a single power "
+     "(fit deviation 4.775e-02)", "homogeneity", {"matrix", "values"}),
+    ("sqrt(perim)", 5,
+     "homogeneity: 'sqrt(perim)' has degree 0.500000, not a natural number",
+     "homogeneity", {"slopes"}),
+    ("perim-8", 5, "homogeneity: 'perim-8' changes sign under rescaling",
+     "homogeneity", {"matrix", "values"}),
+    ("1/d(1,2)+1/d(n,1)", 6,
+     "homogeneity: '1/d(1,2)+1/d(n,1)' has degree -1.000000, not a natural number",
+     "homogeneity", {"slopes"}),
+    ("d(n,1)-d(1,2)", 8,
+     "relabel-invariance: 'd(n,1)-d(1,2)' distinguishes a matrix from its reversal "
+     "(-0.39688621325811724 vs 0.39688621325811724)", "relabel-invariance", _RELABEL),
+])
+def test_admit_words_each_violation(source, n, message, prop, keys):
+    # word for word, as `test_admit_equals_the_reference` runs the same
+    # verdicts on both of its sides and cannot see a change of wording
     with pytest.raises(AxiomViolation) as err:
-        admit(parse("d(1,2)"), 5)
-    assert set(err.value.witness) == {"matrix", "value", "reversed_value"}
+        admit(parse(source), n)
+    assert str(err.value) == message
+    assert err.value.prop == prop
+    assert set(err.value.witness) == keys
+
+
+@pytest.mark.xfail(strict=True, reason="a reversal gap near 1e-12 relative passes the fixed "
+                   "CHECK_TOL; an error bound per trial would reject it")
+@pytest.mark.parametrize("source", ["d(n,1)+d(1,2)+0.000000000001*d(1,3)",
+                                    "d(n,1)*d(1,2)+0.00000000001*d(1,3)*d(1,3)"])
+@pytest.mark.parametrize("n", [5, 8])
+def test_admit_rejects_a_slightly_asymmetric_function(source, n):
     with pytest.raises(AxiomViolation) as err:
-        admit(parse("d(n,1)+d(1,2)+d(n,1)^2+d(1,2)^2"), 5)
-    assert set(err.value.witness) == {"matrix", "values"}
-    with pytest.raises(AxiomViolation) as err:
-        admit(parse("sqrt(perim)"), 5)
-    assert set(err.value.witness) == {"slopes"}
+        admit(parse(source), n)
+    assert err.value.prop == "relabel-invariance"
 
 
 def test_center_function_evaluates_the_expression():
@@ -494,12 +522,6 @@ def test_admit_needs_at_least_one_trial(trials):
 def test_admit_rejects_inhomogeneous():
     with pytest.raises(AxiomViolation) as err:
         admit(parse("perim+1"), 5)
-    assert err.value.prop == "homogeneity"
-
-
-def test_admit_rejects_fractional_degree():
-    with pytest.raises(AxiomViolation) as err:
-        admit(parse("sqrt(perim)"), 5)
     assert err.value.prop == "homogeneity"
 
 

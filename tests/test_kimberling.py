@@ -15,12 +15,12 @@ import math
 import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycenter.catalog import CATALOG
 from polycenter.dsl import admit, center_function, parse
-from polycenter.framework import cyclic_values, geometric_center, verify_axioms
+from polycenter.framework import coordinate_map, cyclic_values, geometric_center, verify_axioms
 from polycenter.geometry import distance_matrix
 from polycenter.sampling import random_polygon
 
@@ -105,18 +105,56 @@ KIMBERLING = {
 X3_PRODUCTS = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 
 
+U = 2.0**-53  # the unit roundoff
+
+
+def rounding_bound(source, degree, p, center):
+    """A first-order bound on how far rounding moves the center of the
+    length function `source` on the triangle p from the exact center.
+
+    A weight is the formula on distances hypot(dx, dy), each within 3u of
+    exact (u for the rounded coordinate differences, 2u for hypot, whose
+    error is under 1 ulp), and then one rounding per operation. So with
+    N = 3 * degree + operations, the computed weight errs by at most
+    gamma_N times the formula with every `-` (all binary here) made `+`,
+    on the same distances, all of them positive (running error analysis:
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.3).
+    That is the weight's magnitude where nothing cancels inside it, and
+    more where something does, as in X(5)'s.
+    kappa is the sum of those magnitudes over |sum of weights|: the sum
+    cancels on a flat triangle, where it is 16 times the squared area for
+    X(3). The center sum w_i v_i / sum w_i then moves by at most gamma_N
+    kappa max |v_i - P| <= 2 N u kappa R, R = max(|P|, |v_i|). The weights'
+    sum (2 roundings) moves it by 2 u kappa |P|, and each weight's division
+    and `combine`'s product and sum (4 roundings) by 4 u kappa max |v_i|:
+    (2 N + 6) u kappa R in all."""
+    weights = coordinate_map(center_function(parse(source)), p).values
+    magnitudes = coordinate_map(center_function(parse(source.replace("-", "+"))), p).values
+    kappa = math.fsum(magnitudes) / abs(math.fsum(weights))
+    roundings = 3 * degree + sum(map(source.count, "+-*^"))
+    reach = max(float(np.linalg.norm(center)), *(math.hypot(v.x, v.y) for v in p.vertices))
+    return (2 * roundings + 6) * U * kappa * reach
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(KIMBERLING)))
+# flat triangles whose X(3) weights cancel: sum |w| / |sum w| is 1.2e8 and
+# 4.6e7, and exact arithmetic on the rounded distances is itself 1.7e-4 and
+# 4.0e-5 off the center, past 1e-9 of the scale
+@example(seed=1365025, name="X(3)")
+@example(seed=349717, name="X(3)")
 def test_length_functions_give_the_classical_centers(seed, name):
-    source, _, oracle = KIMBERLING[name]
+    source, degree, oracle = KIMBERLING[name]
     p = random_polygon(random.Random(seed), 3)
     A, B, C = (np.array([v.x, v.y]) for v in p.vertices)
     want = oracle(A, B, C)
     got = geometric_center(center_function(parse(source)), p)
     # relative to the triangle's size or the center's distance, whichever
-    # is larger: X(3), X(4) and X(5) run far off for flat triangles
+    # is larger: X(3), X(4) and X(5) run far off for flat triangles, where
+    # the rounding of their weights dominates (`rounding_bound`)
     scale = max(p.diameter(), float(np.linalg.norm(want)))
-    assert math.hypot(got.x - want[0], got.y - want[1]) <= 1e-9 * scale
+    bound = 1e-9 * scale + rounding_bound(source, degree, p, want)
+    assert math.hypot(got.x - want[0], got.y - want[1]) <= bound
 
 
 def test_admission_accepts_each_center_with_its_degree():
