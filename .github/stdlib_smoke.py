@@ -19,7 +19,7 @@ import sys
 from polycenter import AxiomViolation, Polygon, admit, catalog, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
 from polycenter.framework import (
-    _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, normalize,
+    _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, _trials, normalize,
 )
 from polycenter.geometry import DistanceMatrix, distance_matrix, is_convex
 
@@ -121,6 +121,18 @@ assert cli.main(["center", quad, "--expr", "d(1,2)*\u00b9"]) == 2
 # admit draws one set of sample inputs per (n, seed), shared across expressions
 for source, n in (("d(n,1)+d(1,2)", 6), ("perim", 6), ("d(n,1)*d(1,2)", 6)):
     assert admit(parse(source), n).name == source
+# every trial of 1/d(1,2)+1/d(n,1) proves degree -1, which admit takes
+# unfitted; the violation then fits them, and its witness holds this
+# interpreter's own fits (the compensated `sum` of Python 3.12 on moves
+# their last bits), while n = 6 is still the sample set kept
+pc = parse("1/d(1,2)+1/d(n,1)")
+try:
+    admit(pc, 6)
+except AxiomViolation as exc:
+    want = tuple(t.slope_fit()[0] for t in _trials(dsl.center_function(pc), dsl._shared_inputs(6, 0), 64))
+    assert repr(exc.witness["slopes"]) == repr(want), (exc.witness["slopes"], want)
+else:
+    raise AssertionError(f"{pc.source} was admitted")
 # a violation's text, whose numbers do not pass through the built-in `sum`
 # that Python 3.12 on compensates
 for source, n, message in (

@@ -651,7 +651,11 @@ def admit(
     and tolerances of `verify_axioms`: it raises at the first failing
     trial, naming the property and carrying a witness, whose matrix is
     measured only then, and asks the slopes of all trials to agree with one
-    natural-number homogeneity degree.
+    natural-number homogeneity degree. A trial whose rescalings are its
+    nonzero sample value times exact powers of two has the degree pc's tree
+    proves as its slope, with no log-log fit. Its values are fitted only to
+    word a violation of the degree rule, whose mean and slopes are then
+    those `verify_axioms` fits.
 
     The n-gons depend on (n, seed) alone, so a process draws the inputs of
     the first `_BANKED` trials whole, the first time it admits at (n, seed),

@@ -49,11 +49,17 @@ checked on it, as `dsl.admit`'s does; `_trials` is the one body that
 evaluates them, and `_verdict` the one that decides each trial against
 CHECK_TOL and SLOPE_TOL, for `verify_axioms` and `dsl.admit` alike. The
 degree rules are here too: `verify_axioms` takes the mean slope, and
-`_admitted`, which raises `admit`'s violations, a natural number. A length
-function's inputs are checked coordinates and a scale. A guard-free
-expression reads them through its coordinate programs, which measure only
-the distances it reads; any other length function reads a matrix view
-that measures an entry when it is read (`MeasuredRows`).
+`_admitted`, which raises `admit`'s violations, a natural number. A trial
+whose base is not zero and whose rescalings `_trials` took as the base
+times exact powers of two (below) carries the degree the tree proves
+(`proven_degree`). `_admitted` counts that degree as the trial's slope and
+takes no log; it fits the kept values only to word a violation of its
+degree rule. `verify_axioms` fits every trial, since the degree it reports
+is the mean of the fitted slopes. A length function's inputs are checked
+coordinates and a scale. A guard-free expression reads them through its
+coordinate programs, which measure only the distances it reads; any other
+length function reads a matrix view that measures an entry when it is
+read (`MeasuredRows`).
 
 A guard-free expression's `static_facts` also imply some of the values,
 with the bits evaluation gives. IEEE + and * commute exactly, so a
@@ -385,9 +391,14 @@ class AxiomTrial(Frozen):
     functions) and fg's values on it, its reversal, a moved copy and its
     rescalings by `_SCALES`. The input may be given as the coordinate
     triple (xs, ys, t) of `_trial_inputs`; its matrix is then measured
-    (`MeasuredRows`) when it is first read."""
+    (`MeasuredRows`) when it is first read.
 
-    __slots__ = ("_input", "base", "reversed", "moved", "scaled")
+    `proven_degree` is None, or the degree k that `_trials` proved for a
+    trial whose base is not zero and whose rescalings it took as the exact
+    `ldexp(base, k*s)`. It is not a field: ==, hash, repr and pickle
+    ignore it, and a copy drops it."""
+
+    __slots__ = ("_input", "base", "reversed", "moved", "scaled", "proven_degree")
     _fields = ("input", "base", "reversed", "moved", "scaled")
 
     def __init__(self, input: Union[Polygon, DistanceMatrix, tuple], base: float,
@@ -397,6 +408,7 @@ class AxiomTrial(Frozen):
         _set(self, "reversed", reversed)
         _set(self, "moved", moved)
         _set(self, "scaled", scaled)
+        _set(self, "proven_degree", None)
 
     @property
     def input(self) -> Union[Polygon, DistanceMatrix]:
@@ -405,20 +417,26 @@ class AxiomTrial(Frozen):
         return self._input
 
     def slope_fit(self) -> Optional[tuple[float, float]]:
-        """Least-squares slope of log|value| against log t, plus the max
-        fit deviation. None when the function vanishes at some scale
-        (0 = t**k * 0 holds for every k); (nan, inf) when its sign changes.
-        """
-        if 0.0 in self.scaled:
-            return None
-        if len({v > 0.0 for v in self.scaled}) != 1:
-            return math.nan, math.inf
-        ya, yb, yc, yd = ys = list(map(math.log, map(abs, self.scaled)))
-        my = sum(ys) / 4
-        xa, xb, xc, xd = _CENTRED_LOGS
-        slope = sum([xa * (ya - my), xb * (yb - my), xc * (yc - my), xd * (yd - my)]) / _SXX
-        return slope, max(abs(ya - (my + slope * xa)), abs(yb - (my + slope * xb)),
-                          abs(yc - (my + slope * xc)), abs(yd - (my + slope * xd)))
+        """The log-log fit of the rescaled values (`_slope_fit`), taken
+        whether or not the trial carries a `proven_degree`."""
+        return _slope_fit(self.scaled)
+
+
+def _slope_fit(scaled: tuple[float, ...]) -> Optional[tuple[float, float]]:
+    """Least-squares slope of log|value| against log t of the values at
+    `_SCALES`, plus the max fit deviation: the one log fit. None when the
+    function vanishes at some scale (0 = t**k * 0 holds for every k);
+    (nan, inf) when its sign changes."""
+    if 0.0 in scaled:
+        return None
+    if len({v > 0.0 for v in scaled}) != 1:
+        return math.nan, math.inf
+    ya, yb, yc, yd = ys = list(map(math.log, map(abs, scaled)))
+    my = sum(ys) / 4
+    xa, xb, xc, xd = _CENTRED_LOGS
+    slope = sum([xa * (ya - my), xb * (yb - my), xc * (yc - my), xd * (yd - my)]) / _SXX
+    return slope, max(abs(ya - (my + slope * xa)), abs(yb - (my + slope * xb)),
+                      abs(yc - (my + slope * xc)), abs(yd - (my + slope * xd)))
 
 
 def axiom_trials(
@@ -522,18 +540,26 @@ def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterato
         half, double, quadruple = (
             [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
             else map(evaluate, rescaled))
-        yield AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
+        trial = AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
+        if exact and base:
+            _set(trial, "proven_degree", degrees[0])
+        yield trial
 
 
-def _verdict(trial: AxiomTrial) -> tuple:
+def _verdict(trial: AxiomTrial, proven: bool = False) -> tuple:
     """(relabel gap, motion gap, slope fit, and whether each holds) of one
     trial, the one place a trial meets a tolerance. A gap is relative to the
     larger value or 1; a fit holds where the function vanishes at some scale
-    (`slope_fit` is None) or deviates by at most SLOPE_TOL."""
+    (`slope_fit` is None) or deviates by at most SLOPE_TOL.
+
+    With `proven`, a trial that carries a `proven_degree` k fits as (k, 0.0)
+    and takes no log: its four values are exactly base * t**k, whose fit
+    deviates by rounding alone, some 1e-13 against SLOPE_TOL = 1e-6."""
     base, rev, moved = trial.base, trial.reversed, trial.moved
     relabel = abs(base - rev) / max(abs(base), abs(rev), 1.0)
     motion = abs(base - moved) / max(abs(base), abs(moved), 1.0)
-    fit = trial.slope_fit()
+    degree = trial.proven_degree if proven else None
+    fit = trial.slope_fit() if degree is None else (degree, 0.0)
     return (relabel, motion, fit, relabel <= CHECK_TOL, motion <= CHECK_TOL,
             fit is None or fit[1] <= SLOPE_TOL)
 
@@ -586,10 +612,16 @@ def _admitted(fg: LengthCenterFunction, trials: Iterator[AxiomTrial]) -> LengthC
     """fg, once every trial holds (`_verdict`) and all slopes agree with one
     natural-number degree; else the AxiomViolation of the first trial that
     fails, raised before the next is read, or of the degree. Only a
-    violation builds its message and its witness."""
+    violation builds its message and its witness.
+
+    A trial with a `proven_degree` k counts k as its slope, unfitted, and
+    its four values are kept. Only when the degree rule raises are they
+    fitted, so that the message's mean and the `slopes` witness are those
+    of `verify_axioms`' fits, bit for bit."""
     slopes: list[float] = []
+    proven: list[tuple[int, tuple[float, ...]]] = []  # (index in slopes, values) of each k
     for trial in trials:
-        _, _, fit, relabel_holds, motion_holds, fit_holds = _verdict(trial)
+        _, _, fit, relabel_holds, motion_holds, fit_holds = _verdict(trial, True)
         if not relabel_holds:
             raise AxiomViolation("relabel-invariance", f"{fg.name!r} distinguishes a matrix from "
                                  f"its reversal ({trial.base!r} vs {trial.reversed!r})",
@@ -607,11 +639,16 @@ def _admitted(fg: LengthCenterFunction, trials: Iterator[AxiomTrial]) -> LengthC
             raise AxiomViolation("homogeneity", f"{fg.name!r} {why}",
                                  {"matrix": trial.input, "values": trial.scaled})
         if fit is not None:
+            if trial.proven_degree is not None:
+                proven.append((len(slopes), trial.scaled))
             slopes.append(fit[0])
     if slopes:
         mean = sum(slopes) / len(slopes)
         degree = round(mean)
         if degree < 0 or max(abs(s - degree) for s in slopes) > SLOPE_TOL:
+            for i, scaled in proven:
+                slopes[i] = _slope_fit(scaled)[0]
+            mean = sum(slopes) / len(slopes)
             raise AxiomViolation("homogeneity", f"{fg.name!r} has degree {mean:.6f}, not a "
                                  "natural number", {"slopes": tuple(slopes)})
     return fg

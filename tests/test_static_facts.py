@@ -16,6 +16,7 @@ import sys
 import threading
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,8 @@ import reference_axioms as ref
 from polycenter import cli
 from polycenter.catalog import CATALOG
 from polycenter.dsl import Aggregate, Binary, Dist, Index, ParsedCenter, Unary, center_function
-from polycenter.framework import AxiomTrial, LengthCenterFunction
+from polycenter.errors import AxiomViolation, PolycenterError
+from polycenter.framework import SLOPE_TOL, AxiomTrial, LengthCenterFunction
 from polycenter.sampling import random_convex_polygon, random_polygon
 
 from test_axiom_trials import EXPONENTS, expect_equal_streams, sampler
@@ -222,6 +224,71 @@ powers = st.builds(lambda c, k: tuple(c * t**k for t in (0.5, 1.0, 2.0, 4.0)),
 def test_slope_fit_equals_the_reference(values):
     trial = AxiomTrial(None, values[1], 0.0, 0.0, values)
     assert repr(trial.slope_fit()) == repr(ref.slope_fit(trial))
+
+
+def fits_taken(call):
+    """The log-log fits (`framework._slope_fit`) that call() takes."""
+    fits = []
+    real = framework._slope_fit
+
+    def counting(scaled):
+        fits.append(scaled)
+        return real(scaled)
+
+    with mock.patch.object(framework, "_slope_fit", counting):
+        call()
+    return len(fits)
+
+
+def test_admit_fits_no_trial_whose_degree_the_tree_proves():
+    assert fits_taken(lambda: dsl.admit(dsl.parse("d(n,1)*d(1,2)"), 8)) == 0
+    # `^` has no degree, so its rescalings are evaluated and fitted
+    assert fits_taken(lambda: dsl.admit(dsl.parse("sqrt(d(n,1)^2+d(1,2)^2)"), 8)) == 64
+    # verify_axioms reports the mean of the fitted slopes, so it fits every trial
+    fg = center_function(dsl.parse("d(n,1)*d(1,2)"))
+    draw = lambda rng: random_polygon(rng, 6)  # noqa: E731
+    assert fits_taken(lambda: framework.verify_axioms(fg, draw, 20, 1)) == 20
+
+
+def test_proven_degrees_of_the_workload_expressions():
+    # a degree is proven where the rescalings are exact powers of two of a
+    # nonzero sample value: not for `^`, nor where the function vanishes
+    for source, (_, degrees) in FACTS.items():
+        trials = framework._trials(center_function(dsl.parse(source)), dsl._shared_inputs(8, 0), 64)
+        proven = {t.proven_degree for t in trials}
+        assert proven == ({None} if degrees is None or source == "d(1,2)-d(2,1)"
+                          else {degrees[0]}), source
+
+
+def test_a_violation_of_the_degree_rule_carries_the_fitted_slopes():
+    # every trial proves degree -1, unfitted; the violation fits them all,
+    # so its mean and slopes are those of the trials' own fits
+    pc = dsl.parse("1/d(1,2)+1/d(n,1)")
+    with pytest.raises(AxiomViolation) as err:
+        dsl.admit(pc, 6)
+    trials = list(framework._trials(center_function(pc), dsl._shared_inputs(6, 0), 64))
+    assert {t.proven_degree for t in trials} == {-1}
+    assert repr(err.value.witness["slopes"]) == repr(tuple(t.slope_fit()[0] for t in trials))
+    assert str(err.value) == ("homogeneity: '1/d(1,2)+1/d(n,1)' has degree -1.000000, "
+                              "not a natural number")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trees, trees.map(homogenize)), st.integers(3, 16), st.booleans(),
+       st.sampled_from(EXPONENTS), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_a_proven_degree_is_the_fitted_slope(e, n, convex, k, seed, trials):
+    # the fit that admit skips would hold, with the proven degree as its slope
+    fg = center_function(ParsedCenter(e, "generated"))
+    read = []
+    try:
+        for trial in framework.axiom_trials(fg, sampler(convex, n, k), trials, seed):
+            read.append(trial)
+    except (PolycenterError, ValueError):  # an input or an evaluation that fails ends the stream
+        pass
+    for trial in read:
+        if trial.proven_degree is not None:
+            slope, deviation = trial.slope_fit()
+            assert abs(slope - trial.proven_degree) <= SLOPE_TOL and deviation <= SLOPE_TOL
 
 
 def test_samples_of_one_expression_in_several_threads():

@@ -195,6 +195,18 @@ def test_copy_deepcopy_and_pickle_round_trip(make, compared, text):
         assert type(c) is type(a) and c == a and hash(c) == hash(a) and repr(c) == text
 
 
+def test_a_proven_degree_is_not_a_field():
+    # `_trials` marks a trial whose degree the tree proves; the mark is
+    # derived, so it changes no ==, hash, repr or pickle, and a copy drops it
+    make = SAMPLES["AxiomTrial"][0]
+    plain, marked = make(), make()
+    object.__setattr__(marked, "proven_degree", 2)
+    assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(marked, protocol) == pickle.dumps(plain, protocol)
+    assert copy.copy(marked).proven_degree is None and plain.proven_degree is None
+
+
 def test_a_parsed_center_that_has_compiled_still_pickles():
     pc = dsl.parse("d(n,1)*d(1,2)")
     value = dsl.evaluate(pc, MAT)
