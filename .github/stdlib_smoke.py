@@ -15,13 +15,16 @@ import math
 import os
 import random
 import sys
+from dataclasses import replace
 
 from polycenter import AxiomViolation, Polygon, admit, catalog, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
 from polycenter.framework import (
     _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, _trials, normalize,
+    verify_axioms,
 )
 from polycenter.geometry import DistanceMatrix, distance_matrix, is_convex
+from polycenter.sampling import random_convex_polygon, random_polygon
 
 # the exact convexity guard uses integer arithmetic, not these two modules,
 # whose import would add to every cold start of the CLI
@@ -196,6 +199,36 @@ for trial in range(3000):
         values[-1] += ZERO_SUM_REL * max(map(abs, values)) * rng.uniform(1.5, 4.0)
     weights = normalize(ProjectiveCoords(tuple(values))).values
     BarycentricWeights(weights)  # ValueError("weights must sum to 1") where the bound fails
+# the catalog's vertex entries declare their facts: a trial whose sample
+# their bounds put in range evaluates only the sample and the moved copy and
+# takes the reversal's value and the rescalings' from the sample's. The
+# report must be the one of six evaluations a trial (static_facts=None), on
+# this interpreter's float arithmetic, `math.fsum` and `math.dist`, for
+# samplers near each end of the range: a coordinate 2^-k beside unit ones,
+# and unit polygons times 2^K
+
+
+def sampler(make, k, K):
+    def draw(rng):
+        q = make(rng, 6)
+        xs = [2.0**K * x for x in q.xs]
+        if k is not None:
+            xs = [x - xs[0] + 2.0**-k for x in xs]  # vertex 1's x becomes 2^-k
+        return Polygon._checked(xs, [2.0**K * y for y in q.ys])
+
+    return draw
+
+
+for name, k, K in (("centroid", 1074, 1020), ("lamina", 374, 500), ("medoid", 925, 1010)):
+    fg = catalog.CATALOG[name].function
+    make = random_convex_polygon if name == "lamina" else random_polygon
+    for draw in (sampler(make, k, 0), sampler(make, None, K)):
+        calls = []
+        counted = replace(fg, evaluator=lambda p, f=fg.evaluator: calls.append(p) or f(p))
+        got = verify_axioms(counted, draw, 20, 3)
+        assert len(calls) == 2 * 20, (name, len(calls))  # every trial in range
+        want = verify_axioms(replace(fg, static_facts=None), draw, 20, 3)
+        assert repr(got) == repr(want), (name, got, want)
 assert "threading" not in sys.modules, "polycenter imported threading"
 assert "numpy" not in sys.modules, "polycenter imported numpy"
 outside = {m.split(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)

@@ -16,6 +16,27 @@ taken with `math.fsum`, which is correctly rounded and so independent of
 the vertex a shift starts from; that is what makes entry 0 of a shifted
 input's map equal the matching entry of the input's own, bit for bit.
 
+The vertex entries declare their facts for the axiom trials
+(`framework._facts`): each is reversal-symmetric, `centroid` and `medoid`
+have degree 0 and `lamina` degree 2, and each bounds its rounded
+intermediates from the coordinates (`_centroid_bounds`, `_lamina_bounds`,
+`_medoid_bounds`, each with the proof that the reversal and the 2^s
+copies give the bits the trials take). Their guards, `is_convex` and
+`is_nondegenerate`, decide on the exact coordinates. The proofs use two
+facts of IEEE round-to-nearest:
+  (G) a float of magnitude at least 2^k is a whole multiple of 2^(k-52),
+      and the rounding of a whole multiple of 2^g is one: the floats near
+      it are spaced by a power of two, at most 2^g, so that it is one of
+      them, or more, so that they are multiples of 2^g too;
+  (S) the rounding of an exact zero is zero, and one whose result is, at
+      scale 1 and at scale 2^s, in [2^-1021, 2^1023] in magnitude rounds
+      the 2^s-fold value to the 2^s-fold result (Goldberg 1991): so an
+      evaluation whose roundings all do so, on exactly scaled inputs,
+      gives exactly scaled values. By (G), where every coordinate is a
+      multiple of 2^q, a bound below every nonzero intermediate follows
+      from q, so a rounded zero there is an exact one.
+The coordinate maps themselves do not use the degrees.
+
 The length entries are guarded expressions (`dsl`), whose guards read a
 matrix or the polygon it is measured from.
 """
@@ -39,6 +60,7 @@ from .geometry import (
     chords,
     is_convex,
     is_nondegenerate,
+    largest_coordinate,
     vertex_coordinates,
 )
 from .reconstruction import convex_distances
@@ -69,11 +91,25 @@ def _total(terms: Iterable[float]) -> float:
         return math.inf
 
 
+def _grain(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, int]:
+    """(M, q) of the coordinates: M the largest magnitude, and q the
+    exponent of the unit in the last place of the smallest nonzero one, so
+    that every coordinate is an integer multiple of 2^q."""
+    top = largest_coordinate(xs, ys)
+    return top, math.frexp(min(map(abs, filter(None, xs + ys)), default=top))[1] - 53
+
+
 # ----------------------------------------------------------- vertex centroid
 
 
 def _ones(p: Polygon) -> tuple[float, ...]:
     return (1.0,) * p.n
+
+
+def _centroid_bounds(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(lo, hi) of `centroid` (degree 0): its value is 1.0 on every polygon
+    and rounds nothing, so the reversal and every rescaling give 1.0."""
+    return 1.0, 1.0
 
 
 # ----------------------------------------------------------------- perimeter
@@ -113,6 +149,38 @@ def _lamina_all_shifts(p: Polygon) -> list[float]:
     ]
     share = _total(wedges) / n
     return [wedges[k] + wedges[k - 1] + share for k in range(n)]
+
+
+def _lamina_bounds(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(lo, hi) of `lamina` (degree 2, its intermediates of degrees 1 and 2)
+    on the polygon of coordinates xs and ys.
+
+    The bits. With every coordinate a multiple of 2^q and M the largest
+    magnitude (`_grain`), and 2^L > n: the sum behind the mean B is a
+    multiple of 2^q, so it is 0 or at least 2^q, B is 0 or at least 2^(q-L)
+    and so a multiple of 2^g, g = q - L - 52 (G), as is each difference
+    from B. Each product of two is a multiple of 2^2g, and so are the
+    wedges, their total and entry 0's two wedges; the share, total / n, is
+    0 or at least 2^(2g-L), a multiple of 2^h, h = 2g - L - 52, as is entry
+    0. So a nonzero intermediate is at least lo = 2^min(g, h). With u =
+    2^-53, the differences are at most 2M(1 + u)^3, the sums behind B and
+    fsum's running sums at most 2nM, the products 4.1M^2, the wedges 8.3M^2,
+    the wedge total's running sums 17nM^2 and entry 0 25.1M^2: all are at
+    most hi = nM(4 + 32M). Where the trial's range check passes, then, each
+    rounding stays normal at every scale (S): a 2^s copy's coordinates are
+    exact, each intermediate of degree j is 2^js times the sample's, so
+    entry 0 is 2^2s times, its extent and fsum do not overflow, and
+    `is_convex` answers as on the sample. On the reversal the extent, the
+    two fsums and so B and the share are the same (correctly rounded sums
+    of the same terms, with no overflow), the wedge of (b, a) is that of
+    (a, b) negated before `abs`, and entry 0 adds the same two wedges, which
+    + commutes: the same bits.
+    """
+    top, q = _grain(xs, ys)
+    bits = len(xs).bit_length()  # L
+    g = q - bits - 52
+    h = 2 * g - bits - 52
+    return math.ldexp(1.0, max(min(g, h), -1074)), len(xs) * top * (4.0 + 32.0 * top)
 
 
 def lamina_centroid_direct(p: Polygon) -> Point2:
@@ -224,6 +292,33 @@ def _medoid_indicators(p: Polygon) -> list[float]:
     return marks
 
 
+def _medoid_bounds(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(lo, hi) of `medoid` (degree 0, its intermediates of degree 1) on the
+    polygon of coordinates xs and ys.
+
+    The bits. The marks are those of the rows' `_total`s, with or without
+    the lower bounds (`_medoid_indicators`), whose path may differ from one
+    scale to another but neither rounds into the marks nor raises. With every
+    coordinate a multiple of 2^q and M the largest magnitude (`_grain`), a
+    coordinate difference is 0 or at least 2^q, a distance between distinct
+    vertices (`is_nondegenerate`) at least 2^(q-1), a row's sum at least
+    its distances and MEDOID_REL (above 2^-40) times a sum at least
+    2^(q-41) = lo. The distances are at most 3M, and the sums, the running
+    sums of fsum, the tie bound and every value of the lower bounds at most
+    hi = 8nM. Where the trial's range check passes, then, at every scale
+    (S) each difference and sum rounds normally, and `math.dist`, which
+    scales its arguments by a power of two of the largest and scales its
+    result back, gives 2^s times the sample's distance; each sum and the
+    tie bound are 2^s times the sample's, so every comparison and every
+    mark is the same, and `is_nondegenerate` answers as on the sample. On
+    the reversal each row holds the same distances (`math.dist` ignores
+    sign), so its sum, the least sum, the tie bound and vertex 1's mark
+    are the same.
+    """
+    top, q = _grain(xs, ys)
+    return math.ldexp(1.0, max(q - 41, -1074)), 8.0 * len(xs) * top
+
+
 def medoid(p: Polygon) -> int:
     """0-based index of the vertex minimizing the distance sum: the one
     vertex whose `medoid` indicator is 1. Raises Tie when more than one is.
@@ -284,7 +379,9 @@ CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
         CatalogEntry(
-            VertexCenterFunction("centroid", entry_zero(_ones), all_shifts=_ones), False
+            VertexCenterFunction("centroid", entry_zero(_ones), all_shifts=_ones,
+                                 static_facts=lambda n: (True, (0, 0, 0), _centroid_bounds)),
+            False,
         ),
         CatalogEntry(
             replace(center_function(parse(ADJACENT_SIDES)), name="perimeter",
@@ -295,6 +392,7 @@ CATALOG: dict[str, CatalogEntry] = {
             VertexCenterFunction(
                 "lamina", entry_zero(_lamina_all_shifts), is_convex, "convex polygons",
                 all_shifts=_lamina_all_shifts,
+                static_facts=lambda n: (True, (2, 1, 2), _lamina_bounds),
             ),
             True,
         ),
@@ -303,6 +401,7 @@ CATALOG: dict[str, CatalogEntry] = {
                 "medoid", entry_zero(_medoid_indicators), is_nondegenerate,
                 "distinct vertices",
                 all_shifts=_medoid_indicators,
+                static_facts=lambda n: (True, (0, 1, 1), _medoid_bounds),
             ),
             False,
         ),

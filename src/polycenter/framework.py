@@ -55,18 +55,26 @@ times exact powers of two (below) carries the degree the tree proves
 (`proven_degree`). `_admitted` counts that degree as the trial's slope and
 takes no log; it fits the kept values only to word a violation of its
 degree rule. `verify_axioms` fits every trial, since the degree it reports
-is the mean of the fitted slopes. A length function's inputs are checked
-coordinates and a scale. A guard-free expression reads them through its
-coordinate programs, which measure only the distances it reads; any other
-length function reads a matrix view that measures an entry when it is
-read (`MeasuredRows`).
+is the mean of the fitted slopes. A trial's inputs are checked
+coordinates and a scale. A vertex function reads the polygon they stand
+for, built only when it is evaluated. A guard-free expression reads them
+through its coordinate programs, which measure only the distances it
+reads; any other length function reads a matrix view that measures an
+entry when it is read (`MeasuredRows`).
 
-A guard-free expression's `static_facts` also imply some of the values,
-with the bits evaluation gives. IEEE + and * commute exactly, so a
-reversal that leaves the tree's sorted form as it is keeps the value. At
-scale 2^s a tree of degree k gains 2^(k*s) while every intermediate of
-degree j, times 2^(j*s) and at scale 1, is zero or in [2^-1021, 2^1023],
-where IEEE arithmetic commutes with power-of-two scaling (Goldberg 1991).
+A function's `static_facts` also imply some of the values, with the bits
+evaluation gives: a guard-free expression's from its tree, and a vertex
+function's as the function declares them (the catalog's, with a proof for
+each). IEEE + and * commute exactly, so a reversal that leaves the tree's
+sorted form as it is keeps the value. At scale 2^s a function of degree k
+gains 2^(k*s) while every rounded intermediate of degree j, times 2^(j*s)
+and at scale 1, is zero or in [2^-1021, 2^1023], where IEEE arithmetic
+commutes with power-of-two scaling (Goldberg 1991). A vertex function's
+facts, its reversal's included, are taken only there, and it is still
+evaluated, guard included, by its own `evaluate` on the sample and the
+moved copy: so its guard must answer on the reversal and on an exact 2^s
+copy as on the sample, as `is_convex` and `is_nondegenerate`, which
+decide on the exact coordinates, do.
 """
 
 from __future__ import annotations
@@ -91,6 +99,7 @@ from .geometry import (
     _set,
     apply_motion,
     distance_matrix,
+    largest_coordinate,
     unit_factor,
     vertex_coordinates,
 )
@@ -147,9 +156,20 @@ class _CenterFunction(Generic[_Input]):
     input; coordinate maps check it once per map. `all_shifts`, when given,
     reads a polygon the guard accepts and returns the evaluator's n values
     on its map at once, bit for bit; a length guard then also reads a
-    polygon in place of its distances (module docstring). `static_facts(n)`
-    gives an expression's facts on n-gons (`dsl.static_facts`), whose sample
-    agrees with the evaluator in the same way.
+    polygon in place of its distances (module docstring).
+
+    `static_facts(n)` gives the function's facts on n-gons, which the axiom
+    trials read (`_facts`). A length function's are an expression's
+    (`dsl.static_facts`), whose sample agrees with the evaluator in the
+    same way; they are read only when it has no guard. A vertex function's
+    are (symmetric, (k, j, J), bounds), read with or without a guard:
+    wherever `bounds(xs, ys)` = (lo, hi) puts every rounded intermediate,
+    of degree j to J, at zero or within [lo, hi], and `_trials` finds that
+    range normal at every scale, the reversal's value (if symmetric) and a
+    2^s copy's, errors included, must be the sample's value and its
+    `ldexp` by k*s. Its guard must then answer on the reversal and on exact
+    2^s copies as on the sample: it is asked only on the sample and the
+    moved copy.
     """
 
     name: str
@@ -454,8 +474,9 @@ def axiom_trials(
     is read, then evaluated (`_trials`). A trial reads fg on the sample, its
     reversal, a moved copy and the rescalings by 1/2, 2 and 4 (by 1 it is
     the sample, as a center function gives equal values on equal inputs):
-    6 evaluations, or as few as 2 when a guard-free length function's
-    `static_facts` imply the others.
+    6 evaluations, or as few as 2 when fg's `static_facts` imply the others,
+    a guard-free expression's or a vertex function's, whose guard then runs
+    on the sample and the moved copy only.
     """
     vertex = isinstance(fg, VertexCenterFunction)
     yield from _trials(fg, _trial_inputs(sampler, random.Random(seed), vertex), trials)
@@ -469,14 +490,16 @@ def _trial_inputs(
     `_RESCALES`. They are the same for every function, so they hold no
     value and no matrix whose `d` a reader could fill.
 
-    A vertex function's inputs are polygons. A length function's are
-    triples (xs, ys, t), the distance matrix of the points (xs[i], ys[i])
-    times t: the sample's coordinates (the reversal's permuted by sigma, a
-    rescaling's with its t) or the moved ones, with t = 1 but for the
-    rescalings. They are checked as the matrices they stand for would be,
-    in this order: a moved coordinate that overflows (`apply_motion`'s
-    NonFinite), the sample's extent, the moved copy's, then each rescaling
-    (`_check_scale`'s ValueError); the reversal's cannot fail.
+    Each is a triple (xs, ys, t), the points (xs[i], ys[i]) times t: the
+    sample's coordinates (the reversal's permuted by sigma, a rescaling's
+    with its t) or the moved ones, with t = 1 but for the rescalings. A
+    vertex function reads the polygon a triple stands for (`_polygon`),
+    built only when it is evaluated, and a length function its distance
+    matrix. They are checked as those inputs would be, in this order: a
+    moved coordinate that overflows (`apply_motion`'s NonFinite), then, for
+    polygons, a rescaled coordinate that overflows (`Polygon._checked`'s
+    NonFinite), and for matrices the sample's extent, the moved copy's and
+    each rescaling (`_check_scale`'s ValueError); the reversal's cannot fail.
     """
     picks: dict[int, itemgetter] = {}  # n -> the reversal by sigma of n items
     while True:
@@ -486,33 +509,52 @@ def _trial_inputs(
             p.n, itemgetter(*DihedralElement.sigma(p.n).permutation()))
         moved = apply_motion(motion, p)
         xs, ys = p.xs, p.ys
-        if vertex:
-            yield (p, Polygon._of(pick(xs), pick(ys)), moved,
-                   *[Polygon._checked([t * x for x in xs], [t * y for y in ys])
-                     for t in _RESCALES])
-        else:
+        if not vertex:
             diagonal = _extent(xs, ys)
             _extent(moved.xs, moved.ys)
             for t in _RESCALES:
                 _check_scale(xs, ys, t, diagonal)
-            yield ((xs, ys, 1.0), (pick(xs), pick(ys), 1.0), (moved.xs, moved.ys, 1.0),
-                   *[(xs, ys, t) for t in _RESCALES])
+        elif not math.isfinite(max(_RESCALES) * largest_coordinate(xs, ys)):
+            for t in _RESCALES:
+                Polygon._checked([t * x for x in xs], [t * y for y in ys])
+        yield ((xs, ys, 1.0), (pick(xs), pick(ys), 1.0), (moved.xs, moved.ys, 1.0),
+               *[(xs, ys, t) for t in _RESCALES])
+
+
+def _polygon(c: tuple) -> Polygon:
+    """The polygon of a coordinate triple (xs, ys, t) of `_trial_inputs`,
+    which checked its coordinates."""
+    xs, ys, t = c
+    if t == 1.0:
+        return Polygon._of(xs, ys)
+    return Polygon._of(tuple([t * x for x in xs]), tuple([t * y for y in ys]))
 
 
 def _facts(fg: CenterFunction, n: int) -> tuple:
-    """(symmetric, degrees, sample, evaluate) of fg on n-gons, then the least
-    and the greatest exponent by which a rescaling shifts an intermediate
-    value. A guard-free length function's `static_facts(n)` give them, on
-    the coordinate triples of `_trial_inputs`. Otherwise (False, None,
-    sample, evaluate), with `sample(x)` = (evaluate(x), 0.0, 0.0) and
-    `evaluate` fg.evaluate, on a polygon, or on a lazily measured matrix
-    (`MeasuredRows`) of a triple."""
-    facts = fg.static_facts and not fg.domain_guard and fg.static_facts(n)
+    """(symmetric, degrees, sample, evaluate) of fg on n-gons, on the
+    coordinate triples of `_trial_inputs`, then the least and the greatest
+    exponent by which a rescaling shifts an intermediate value. `evaluate`
+    is fg.evaluate on a triple's polygon, or on its lazily measured matrix
+    (`MeasuredRows`), and `sample(c)` is (evaluate(c), lo, hi).
+
+    A guard-free length function's `static_facts(n)` give all four, with its
+    coordinate programs for fg.evaluate; a guarded one's are not read, as
+    those programs skip the guard. A vertex function's give (symmetric,
+    degrees, bounds): it is still evaluated by fg.evaluate, and (lo, hi) is
+    `bounds(xs, ys)`. Without facts: (False, None), with lo = hi = 0."""
+    vertex = isinstance(fg, VertexCenterFunction)
+    if vertex:
+        evaluate = lambda c: fg.evaluate(_polygon(c))  # noqa: E731
+    else:
+        evaluate = lambda c: fg.evaluate(DistanceMatrix._of(MeasuredRows(*c)))  # noqa: E731
+    facts = fg.static_facts and (vertex or not fg.domain_guard) and fg.static_facts(n)
     if not facts:
-        evaluate = fg.evaluate if isinstance(fg, VertexCenterFunction) else (
-            lambda c: fg.evaluate(DistanceMatrix._of(MeasuredRows(*c))))
-        facts = False, None, lambda x: (evaluate(x), 0.0, 0.0), evaluate
-    symmetric, degrees, sample, evaluate = facts
+        symmetric, degrees, sample = False, None, lambda c: (evaluate(c), 0.0, 0.0)
+    elif vertex:
+        symmetric, degrees, bounds = facts
+        sample = lambda c: (evaluate(c), *bounds(c[0], c[1]))  # noqa: E731
+    else:
+        symmetric, degrees, sample, evaluate = facts
     shifts = [0] + [j * s for j in (degrees or ())[1:] for s in _RESCALE_EXPONENTS]
     return symmetric, degrees, sample, evaluate, min(shifts), max(shifts)
 
@@ -523,24 +565,29 @@ def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterato
     guard-free expression's coordinate programs measure only the distances
     they read, and no matrix is built for them. A trial's `input`, a length
     function's sample as a `DistanceMatrix`, is built when it is read, so
-    the matrix whose `d` a reader may fill is the trial's own."""
+    the matrix whose `d` a reader may fill is the trial's own.
+
+    The reversal is evaluated unless fg is symmetric: an expression's tree
+    at every scale, a vertex function only where the rescalings are exact,
+    as its facts hold there alone (`catalog`)."""
     if trials < 1:
         raise ValueError(f"axiom checks need at least 1 trial, got {trials}")
     vertex = isinstance(fg, VertexCenterFunction)
     known: dict[int, tuple] = {}  # n -> the facts of `_facts`
     for sample, reversal, moved, *rescaled in islice(inputs, trials):
-        n = sample.n if vertex else len(sample[0])
+        n = len(sample[0])
         symmetric, degrees, probe, evaluate, least, greatest = known.get(n) or known.setdefault(
             n, _facts(fg, n))
         base, lo, hi = probe(sample)
-        rev = base if symmetric else evaluate(reversal)
-        mv = evaluate(moved)
         exact = degrees and math.isfinite(hi) and (
             math.frexp(hi)[1] + greatest <= 1023 and math.frexp(lo)[1] + least > -1021)
+        rev = base if symmetric and (exact or not vertex) else evaluate(reversal)
+        mv = evaluate(moved)
         half, double, quadruple = (
             [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
             else map(evaluate, rescaled))
-        trial = AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
+        trial = AxiomTrial(_polygon(sample) if vertex else sample, base, rev, mv,
+                           (half, base, double, quadruple))
         if exact and base:
             _set(trial, "proven_degree", degrees[0])
         yield trial

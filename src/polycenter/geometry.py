@@ -552,6 +552,11 @@ def vertex_coordinates(p: Polygon) -> tuple[tuple[float, ...], tuple[float, ...]
     return p.xs, p.ys
 
 
+def largest_coordinate(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The largest magnitude among the coordinates xs and ys."""
+    return max(max(xs), -min(xs), max(ys), -min(ys))
+
+
 def unit_factor(largest: float) -> float:
     """The power of two t that brings t * largest into [0.5, 1), or as near
     as a finite t gets for a subnormal `largest`; 1 for 0. Multiplying by t
@@ -564,7 +569,7 @@ def unit_coordinates(p: Polygon) -> tuple[float, list[float], list[float]]:
     coordinates times t, which is exact, so that no product of two of them
     overflows at any scale of p."""
     xs, ys = p.xs, p.ys
-    t = unit_factor(max(max(xs), -min(xs), max(ys), -min(ys)))
+    t = unit_factor(largest_coordinate(xs, ys))
     return t, [t * x for x in xs], [t * y for y in ys]
 
 

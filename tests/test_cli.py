@@ -878,6 +878,33 @@ def test_records_are_pinned_byte_for_byte(tmp_path, capsys, argv, data, want):
     assert invoke(capsys, argv) == (0, want, "")
 
 
+# check-axioms --name <entry> --n <n> --trials 20 --seed <seed> of the catalog's
+# vertex entries, whose trials take the values their facts imply: (entry, n,
+# seed) -> (estimated_degree, max_violation) as printed when every trial
+# evaluated all six of its inputs; every axiom holds
+VERTEX_AXIOMS = {
+    ("centroid", n, seed): ("0.0", "0.0") for n in (3, 6, 9) for seed in (0, 7)
+} | {
+    ("lamina", 3, 0): ("2.0", "3.46944695195e-16"), ("lamina", 3, 7): ("2.0", "4.75314232418e-16"),
+    ("lamina", 6, 0): ("2.0", "4.2631172657e-16"), ("lamina", 6, 7): ("2.0", "4.7120988067e-16"),
+    ("lamina", 9, 0): ("2.0", "3.33066907388e-16"), ("lamina", 9, 7): ("2.0", "6.29252299594e-16"),
+} | {
+    ("medoid", n, seed): ("null" if (n, seed) == (9, 0) else "0.0", "0.0")
+    for n in (3, 6, 9) for seed in (0, 7)
+}
+
+
+@pytest.mark.parametrize("name, n, seed", VERTEX_AXIOMS,
+                         ids=[f"{name}-{n}-{seed}" for name, n, seed in VERTEX_AXIOMS])
+def test_vertex_entry_axiom_records_are_pinned_byte_for_byte(capsys, name, n, seed):
+    degree, worst = VERTEX_AXIOMS[name, n, seed]
+    want = (f'{{\n  "name": "{name}",\n  "n": {n},\n  "trials": 20,\n  "relabel_ok": true,\n'
+            f'  "motion_ok": true,\n  "homogeneity_ok": true,\n  "estimated_degree": {degree},\n'
+            f'  "max_violation": {worst}\n}}\n')
+    argv = ["check-axioms", "--name", name, "--n", str(n), "--trials", "20", "--seed", str(seed)]
+    assert invoke(capsys, argv) == (0, want, "")
+
+
 # ------------------------------------------------------------------- misc
 
 
