@@ -10,11 +10,12 @@ computed from work the n shifts share: the distance sums for `medoid`
 (which `medoid()` reads too), measured with no matrix and only for the
 vertices a lower bound does not rule out (O(n sqrt(n)) plus n per measured
 vertex; O(n^2) where the sums tie, as on a regular polygon), each summed
-once, exactly; and one vertex mean and wedge total for `lamina`. Their
-per-shift evaluator is entry 0 of the map. The sums a map shares are
-taken with `math.fsum`, which is correctly rounded and so independent of
-the vertex a shift starts from; that is what makes entry 0 of a shifted
-input's map equal the matching entry of the input's own, bit for bit.
+once, exactly, unless its plain sum already rules it out; and one vertex
+mean and wedge total for `lamina`. Their per-shift evaluator is entry 0
+of the map. The sums a map shares are taken with `math.fsum`, which is
+correctly rounded and so independent of the vertex a shift starts from;
+that is what makes entry 0 of a shifted input's map equal the matching
+entry of the input's own, bit for bit.
 
 The vertex entries declare their facts for the axiom trials
 (`framework._facts`): each is reversal-symmetric, `centroid` and `medoid`
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .dsl import center_function, parse
@@ -74,11 +74,12 @@ AREA_EPS = 1e-12
 ADJACENT_SIDES = "d(n,1)+d(1,2)"
 X3_CIRCUMCENTER = "d(2,3)*d(2,3)*(d(3,1)*d(3,1)+d(1,2)*d(1,2)-d(2,3)*d(2,3))"
 # `_medoid_indicators` bounds the distance sums from below, to skip rows,
-# from this many vertices on. On the benchmark's ellipses the map took
-# 0.89-1.25x its time without them at 16 vertices, 0.83-1.08x at 20,
-# 0.70-0.94x at 24 and 0.64-0.94x at 28 (timeit, six ellipses each, 2-vCPU
-# VM, Python 3.11): they break even near 20, below this floor, which stays
-# until benchmark pairs on maps of 20 to 28 vertices retune it.
+# and rules rows out by their plain sums, from this many vertices on. On
+# the benchmark's ellipses the map took 0.75-1.14x its time without them at
+# 16 vertices, 0.73-0.99x at 20, 0.60-0.78x at 24 and 0.53-0.77x at 28
+# (timeit, six ellipses each, 2-vCPU VM, Python 3.11): they break even near
+# 16, below this floor, which stays until benchmark pairs on maps of 16 to
+# 28 vertices retune it.
 _MEDOID_PRUNE_FROM = 28
 
 
@@ -220,71 +221,112 @@ def _medoid_indicators(p: Polygon) -> list[float]:
     memory.
 
     A lower bound on each sum orders the rows, and rows are measured in that
-    order, each summed once with `_total`, until the bound rules out every
-    row left; the marks are read from the sums measured. `math.dist` and
-    `math.hypot` share one norm, and hypot ignores sign, so these are the
-    matrix's bits and the marks are those of its rows.
+    order until the bound rules out every row left; the marks are read from
+    the sums measured. Once a best sum is known, a row is first summed with
+    the built-in `sum`, and only a row that this plain sum does not rule out
+    (the cut) is summed with `_total`, so no row takes more than one of
+    each. `math.dist` and `math.hypot` share one norm, and hypot ignores
+    sign, so these are the matrix's bits and the marks are those of its
+    rows.
 
-    The bound. Cut the vertices into runs B_b of isqrt(n) (the last one
-    shorter), of sizes m_b and exact centroids c*_b. By the triangle
-    inequality sum_j |v_j - v_i| >= sum_b |sum_(j in B_b) (v_j - v_i)| = L*_i,
-    with L*_i = sum_b m_b |c*_b - v_i|: about sqrt(n) distances a row. With
-    u = 2^-53, M the largest coordinate magnitude, D = fl(n fl(2^-51 M)),
-    K = 1 + 4(n + 2)u, m the smallest sum so far and the threshold
-    T = fl(fl(B(m) + D)K), B = `_medoid_bound`, the visit stops at the first
-    row whose computed bound L_i is above T. No row is measured after it, so
-    m and B(m) stay, and later rows have larger bounds, so by the margin none
-    of them can be marked.
+    The bound. Split the vertices into runs B_b of m = isqrt(n) (the last one
+    shorter, of r vertices, or none), of sizes m_b and exact centroids c*_b.
+    By the triangle inequality sum_j |v_j - v_i| >= sum_b |sum_(j in B_b)
+    (v_j - v_i)| = L*_i, with L*_i = sum_b m_b |c*_b - v_i|: about sqrt(n)
+    distances a row, taken a column (one centroid) at a time. The computed
+    bound is L_i = fl(fl(m fl(S)) + fl(r d)), S the built-in `sum` of the
+    full runs' distances, in run order, and d the last run's. With u =
+    2^-53, M the largest coordinate magnitude, D = fl(n fl(2^-51 M)), K = 1
+    + 4(n + 2)u, m_0 the smallest sum so far and the threshold T =
+    fl(fl(B(m_0) + D)K), B = `_medoid_bound`, the visit stops at the first
+    row whose L_i is above T. No row is measured after it, so m_0 and
+    B(m_0) stay, and later rows have larger bounds, so by the margin none of
+    them can be marked.
 
     The margin. With e = 2^-1074, a rounding is within a factor 1 +- u of
     its exact value, or within e/2 of it below the normal range: fl(x) >=
     (1 - u)x - e/2. The centroid c_b = fl(fsum / m_b) rounds twice a
     coordinate, an error d_b <= 3uM + e that scales with the coordinates,
     not with the extent. `math.dist` is within a factor P = (1 + u)(1 + 2u)
-    of the exact distance, plus e (as in `geometry._largest_distance`); the
-    product by m_b is exact below the normal range and within 1 + u above;
-    their sum is within 1 + g, g = (n - 1)u / (1 - (n - 1)u), for the
-    built-in `sum` of any version (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, 4.2). So L_i <= F(L*_i + E), F = (1 + g)(1 +
-    u)P, E = sum_b m_b(d_b + e) <= n(3uM + 2e). A row's `_total` rounds its
-    n distances' exact sum once, so s_i >= (1 - u)(L*_i/P - ne) - e/2, and a
-    marked row, s_i <= B(m), has L_i <= G(B(m) + E + (n + 1)e), G = FP/(1 -
-    u). From M >= 2^-1000 on, e is below 2^-21 uM, so D >= 3.9nuM covers
-    E + (n + 1)e and the 2e of T's two roundings, and (1 - u)^2 K >= G for
-    any n far below 1/u: T >= G(B(m) + E + (n + 1)e), and a row with
+    of the exact distance, plus e (as in `geometry._largest_distance`). A
+    sum of k terms by the built-in `sum` of any version is within 1 + g_k,
+    g_k = ku / (1 - ku), of the exact one (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, 4.2; the compensated `sum` of Python
+    3.12 on is within 2u + O(ku^2)), and fl(S) has fewer than n - 1 terms;
+    the product by m, that by r and the last addition are each within 1 + u
+    above the normal range and exact below it (an integer times a multiple
+    of e, and a sum of two). So L_i <= F(L*_i + E), F = (1 + g)(1 + u)^2 P,
+    g = g_(n-1), E = sum_b m_b(d_b + e) <= n(3uM + 2e). A row's `_total`
+    rounds its n distances' exact sum once, so s_i >= (1 - u)(L*_i/P - ne)
+    - e/2, and a marked row, s_i <= B(m_0), has L_i <= G(B(m_0) + E + (n +
+    1)e), G = FP/(1 - u). From M >= 2^-1000 on, e is below 2^-21 uM, so D
+    >= 3.9nuM covers E + (n + 1)e and the 2e of T's two roundings, and
+    (1 - u)^2 K >= G, 1 + (4n + 6)u against 1 + (n + 8)u to first order,
+    for any n far below 1/u: T >= G(B(m_0) + E + (n + 1)e), and a row with
     L_i > T is not marked.
 
-    The bound is taken from `_MEDOID_PRUNE_FROM` vertices on, for
-    2^-1000 <= M <= 2^1000/n; there every centroid sum, bound and row sum
-    stays below 2^1002. Below that size, on subnormal input, and where
+    The cut. Once a best m_0 is known, a row whose plain sum R_i is above
+    C = fl(B(m_0)(1 + 2(n + 1)u)) is skipped. Let S_i be the exact sum of
+    its n distances, and s_i = fl(S_i) its `_total`. The built-in `sum`
+    rounds each addition within 1 + u, and none below the normal range,
+    where additions are exact, so R_i <= (1 + h)S_i with h = g_(n-1)
+    (recursive, Python 3.11 and earlier) or 2u + O(nu^2) (compensated, 3.12
+    on): any summation with h <= 2(n - 1)u will do. If S_i is below
+    2^-1022, every partial sum is exact, R_i = S_i and s_i = S_i > C >=
+    B(m_0); if B(m_0) is and S_i is not, s_i >= 2^-1022 > B(m_0); else C >=
+    (1 - u)(1 + 2(n + 1)u)B(m_0), and S_i >= R_i/(1 + h) > (1 + 2u)B(m_0)
+    for n far below 1/u, which is at least B(m_0) plus its unit in the last
+    place, so s_i > B(m_0). Either way the row is neither marked nor a new
+    best, so its fsum would not move m_0: the rows visited and the marks
+    are those without the cut. Plain sums stop at the first fsum that ties
+    the best (the larger of the two within B of the smaller), as on a
+    regular polygon, where every sum ties and none would be ruled out.
+
+    The bound and the cut are taken from `_MEDOID_PRUNE_FROM` vertices on,
+    for 2^-1000 <= M <= 2^1000/n; there every centroid sum, bound and row
+    sum stays below 2^1002. Below that size, on subnormal input, and where
     the centroid sums or the bounds could overflow, every row is visited,
-    in index order.
+    in index order, and summed by its fsum alone.
     """
     xs, ys = p.xs, p.ys
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     _box_diagonal(hi_x - lo_x, hi_y - lo_y)  # the extent check of `vertex_coordinates`
     pts = list(zip(xs, ys))
     n = len(pts)
-    grow = 1.0 + (n + 2) * 2.0**-51
-    visits, slack = zip(repeat(0.0), range(n)), 0.0
+    visits, slack, grow, tight = zip(repeat(0.0), range(n)), 0.0, 1.0, math.inf
     top = max(hi_x, -lo_x, hi_y, -lo_y) if n >= _MEDOID_PRUNE_FROM else 0.0
     if 2.0**-1000 <= top <= 2.0**1000 / n:
         m = math.isqrt(n)
-        ms = [float(len(xs[j:j + m])) for j in range(0, n, m)]
-        cs = [(math.fsum(xs[j:j + m]) / w, math.fsum(ys[j:j + m]) / w)
-              for j, w in zip(range(0, n, m), ms)]
-        lower = [sum(map(mul, ms, map(math.dist, cs, repeat(v)))) for v in pts]
+
+        def centroid(j: int) -> tuple[float, float]:  # of the run from index j
+            run_x, run_y = xs[j:j + m], ys[j:j + m]
+            return math.fsum(run_x) / len(run_x), math.fsum(run_y) / len(run_y)
+
+        columns = [map(math.dist, repeat(centroid(j)), pts) for j in range(0, n, m)]
+        r = float(n % m)
+        last = columns.pop() if r else repeat(0.0)
+        lower = [m * s + r * d for s, d in zip(map(sum, zip(*columns)), last)]
         order = sorted(range(n), key=lower.__getitem__)
         visits, slack = zip(map(lower.__getitem__, order), order), n * (top * 2.0**-51)
+        grow, tight = 1.0 + (n + 2) * 2.0**-51, 1.0 + (n + 1) * 2.0**-52
     sums = {}
-    best = bound = stop = math.inf
+    best = bound = stop = cut = math.inf
     for b, i in visits:
         if stop < b:
             break
-        s = sums[i] = _total(map(math.dist, repeat(pts[i]), pts))
-        if s < best:
-            best, bound = s, _medoid_bound(s)
-            stop = (bound + slack) * grow
+        # cut < stop where a best is known, the cut is taken and no fsum has
+        # tied; cut is inf (or nan, from a best of 0 without the cut) elsewhere
+        if cut < stop and cut < sum(map(math.dist, repeat(pts[i]), pts)):
+            continue
+        s = _total(map(math.dist, repeat(pts[i]), pts))
+        if s <= bound:  # a row above it stays above every later bound
+            sums[i] = s
+            if s < best:
+                s, best, bound = best, s, _medoid_bound(s)
+                stop = (bound + slack) * grow
+                cut = bound * tight
+            if s <= bound:  # s, the larger of it and the best, ties
+                cut = tight = math.inf
     marks = [0.0] * n
     for i, s in sums.items():
         if s <= bound:
@@ -297,15 +339,16 @@ def _medoid_bounds(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
     polygon of coordinates xs and ys.
 
     The bits. The marks are those of the rows' `_total`s, with or without
-    the lower bounds (`_medoid_indicators`), whose path may differ from one
-    scale to another but neither rounds into the marks nor raises. With every
+    the lower bounds and the plain-sum cut (`_medoid_indicators`), whose
+    path may differ from one scale to another but neither rounds into the
+    marks nor raises. With every
     coordinate a multiple of 2^q and M the largest magnitude (`_grain`), a
     coordinate difference is 0 or at least 2^q, a distance between distinct
     vertices (`is_nondegenerate`) at least 2^(q-1), a row's sum at least
     its distances and MEDOID_REL (above 2^-40) times a sum at least
     2^(q-41) = lo. The distances are at most 3M, and the sums, the running
-    sums of fsum, the tie bound and every value of the lower bounds at most
-    hi = 8nM. Where the trial's range check passes, then, at every scale
+    sums of fsum and of the plain sums, the tie bound and every value of
+    the lower bounds at most hi = 8nM. Where the trial's range check passes, then, at every scale
     (S) each difference and sum rounds normally, and `math.dist`, which
     scales its arguments by a power of two of the largest and scales its
     result back, gives 2^s times the sample's distance; each sum and the

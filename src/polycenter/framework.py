@@ -410,20 +410,22 @@ class AxiomTrial(Frozen):
     """One sampled input (a polygon, or its distance matrix for length
     functions) and fg's values on it, its reversal, a moved copy and its
     rescalings by `_SCALES`. The input may be given as the coordinate
-    triple (xs, ys, t) of `_trial_inputs`; its matrix is then measured
-    (`MeasuredRows`) when it is first read.
+    triple (xs, ys, t) of `_trial_inputs`; it is then built by `_build`
+    when it is first read: as its lazily measured matrix (`_matrix`), or,
+    where `_trials` sets `_polygon` for a vertex function, its polygon.
 
     `proven_degree` is None, or the degree k that `_trials` proved for a
     trial whose base is not zero and whose rescalings it took as the exact
     `ldexp(base, k*s)`. It is not a field: ==, hash, repr and pickle
     ignore it, and a copy drops it."""
 
-    __slots__ = ("_input", "base", "reversed", "moved", "scaled", "proven_degree")
+    __slots__ = ("_input", "_build", "base", "reversed", "moved", "scaled", "proven_degree")
     _fields = ("input", "base", "reversed", "moved", "scaled")
 
     def __init__(self, input: Union[Polygon, DistanceMatrix, tuple], base: float,
                  reversed: float, moved: float, scaled: tuple[float, ...]) -> None:
         _set(self, "_input", input)
+        _set(self, "_build", _matrix)
         _set(self, "base", base)
         _set(self, "reversed", reversed)
         _set(self, "moved", moved)
@@ -433,7 +435,7 @@ class AxiomTrial(Frozen):
     @property
     def input(self) -> Union[Polygon, DistanceMatrix]:
         if self._input.__class__ is tuple:
-            _set(self, "_input", DistanceMatrix._of(MeasuredRows(*self._input)))
+            _set(self, "_input", self._build(self._input))
         return self._input
 
     def slope_fit(self) -> Optional[tuple[float, float]]:
@@ -530,6 +532,12 @@ def _polygon(c: tuple) -> Polygon:
     return Polygon._of(tuple([t * x for x in xs]), tuple([t * y for y in ys]))
 
 
+def _matrix(c: tuple) -> DistanceMatrix:
+    """The distance matrix of a coordinate triple of `_trial_inputs`, whose
+    entries are measured as they are read (`MeasuredRows`)."""
+    return DistanceMatrix._of(MeasuredRows(*c))
+
+
 def _facts(fg: CenterFunction, n: int) -> tuple:
     """(symmetric, degrees, sample, evaluate) of fg on n-gons, on the
     coordinate triples of `_trial_inputs`, then the least and the greatest
@@ -563,9 +571,10 @@ def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterato
     """fg's trials on the first `trials` of `inputs` (`_trial_inputs`),
     each evaluated before the next is read, by the functions of `_facts`: a
     guard-free expression's coordinate programs measure only the distances
-    they read, and no matrix is built for them. A trial's `input`, a length
-    function's sample as a `DistanceMatrix`, is built when it is read, so
-    the matrix whose `d` a reader may fill is the trial's own.
+    they read, and no matrix is built for them. A trial's `input`, the
+    sample as a `Polygon` or a `DistanceMatrix`, is built when it is read,
+    so the matrix whose `d` a reader may fill is the trial's own, and a
+    vertex trial builds no polygon but those it evaluates.
 
     The reversal is evaluated unless fg is symmetric: an expression's tree
     at every scale, a vertex function only where the rescalings are exact,
@@ -586,8 +595,9 @@ def _trials(fg: CenterFunction, inputs: Iterator[tuple], trials: int) -> Iterato
         half, double, quadruple = (
             [math.ldexp(base, degrees[0] * s) for s in _RESCALE_EXPONENTS] if exact
             else map(evaluate, rescaled))
-        trial = AxiomTrial(_polygon(sample) if vertex else sample, base, rev, mv,
-                           (half, base, double, quadruple))
+        trial = AxiomTrial(sample, base, rev, mv, (half, base, double, quadruple))
+        if vertex:
+            _set(trial, "_build", _polygon)
         if exact and base:
             _set(trial, "proven_degree", degrees[0])
         yield trial

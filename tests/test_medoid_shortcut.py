@@ -2,16 +2,17 @@
 
 The definition is one distance matrix, n `math.fsum` row sums, and a 1 for
 every sum within MEDOID_REL of the smallest. The catalog computes the map
-from no matrix: the `math.fsum` of the distances of each vertex that a
-lower bound on its sum does not rule out, taken once a row.
-The definition is kept here as the reference (`helpers._distance_sums`),
-measuring all n sums once per polygon. Its mark k is that of shift k, bit
+from no matrix: the `math.fsum` of the distances of each vertex that
+neither a lower bound on its sum nor its plain sum (the cut) rules out,
+taken once a row. The definition is kept here as the reference
+(`helpers._distance_sums`), measuring all n sums once per polygon. Its mark k is that of shift k, bit
 for bit, as `math.fsum` is correctly rounded and the extent check does not
 depend on vertex order; entry k of the map and the per-shift evaluator on
 shift k must give that mark or its error on every shift. (The module keeps
 the name it had when the indicator still ruled shifts out from two sums.)
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -192,13 +193,15 @@ def test_convex_128_gon_makes_one_pass_per_map_and_per_evaluation():
 
 
 def running_sums_of_rows(monkeypatch):
-    """A list that gains an entry for every built-in `sum` the catalog takes
-    over one vertex's distances (the lower bounds sum products)."""
+    """A list that gains the index of the vertex of every built-in `sum` the
+    catalog takes over one vertex's distances, its `map` (the lower bounds
+    sum tuples, one distance to each run's centroid)."""
     rows = []
 
     def counting_sum(terms):
-        if terms.__reduce__()[1][0] is math.dist:
-            rows.append(None)
+        if isinstance(terms, map) and terms.__reduce__()[1][0] is math.dist:
+            terms = list(terms)
+            rows.append(terms.index(0.0))  # the vertex's distance to itself
         return sum(terms)
 
     monkeypatch.setattr(catalog, "sum", counting_sum, raising=False)
@@ -212,9 +215,10 @@ def test_a_regular_200_gon_makes_every_row_a_candidate(monkeypatch):
         marks = _medoid_indicators(p)
     assert marks == reference_marks(p)
     # the sums tie up to rounding, so no bound rules a row out; each row is
-    # measured once, by its fsum
+    # measured once, by its fsum, and only the second row is summed plainly
+    # first: its fsum ties the first, and plain sums stop there
     assert len(rows) == 200
-    assert running == []
+    assert len(running) == 1
 
 
 def load_benchmark_inputs():
@@ -236,6 +240,11 @@ def test_the_benchmark_ellipse_128_gon_measures_few_rows(seed):
     assert 1 <= len(rows) <= 24
 
 
+# seed: (rows visited, rows summed by their fsum); the rows visited are
+# those the map visits without the cut, where each takes an fsum
+VISITED_AND_FSUMMED = {0: (14, 4), 7: (7, 3), 11: (18, 2)}
+
+
 @pytest.mark.parametrize("seed", [0, 7, 11])
 def test_the_benchmark_ellipse_128_gon_measures_each_visited_row_once(seed, monkeypatch):
     inputs = load_benchmark_inputs()
@@ -251,9 +260,12 @@ def test_the_benchmark_ellipse_128_gon_measures_each_visited_row_once(seed, monk
 
     monkeypatch.setattr(catalog, "_total", recording_total)
     assert _medoid_indicators(p) == reference_marks(p)
-    # each visited row is one vertex's, summed by its fsum alone
-    assert measured and len(measured) == len(set(measured))
-    assert running == []
+    # the first visited row is summed by its fsum alone, each later one
+    # plainly first, and by its fsum only where its plain sum does not rule
+    # it out: no row is summed twice either way
+    assert len(measured) == len(set(measured)) and len(running) == len(set(running))
+    assert measured[0] not in running and set(measured[1:]) <= set(running)
+    assert (len(running) + 1, len(measured)) == VISITED_AND_FSUMMED[seed]
 
 
 def far_40_gon(nudge):
@@ -317,44 +329,60 @@ def test_a_44_gon_at_the_edges_of_the_bounded_range(k, offset):
     assert outcome(_medoid_indicators, p) == outcome(reference_marks, p)
 
 
-@pytest.mark.parametrize("ring", [16, 200])
-def test_the_tolerance_boundary_on_a_ring(ring):
-    # As above, with `ring` more vertices on a circle about the central
-    # vertex, symmetric in both axes so that the centre keeps the smallest
-    # sum. At 202 vertices the lower bounds are taken, and they must not
-    # rule out a row whose sum sits at the tolerance.
+def on_a_ring(ring):
+    """(place, centre): place(t) is the 5-gon of the tolerance test with
+    `ring` more vertices on a circle about the central vertex, at index
+    centre, symmetric in both axes so that the centre keeps the smallest
+    sum; vertex 1 is at (1.5, t)."""
     rng = random.Random(ring)
     angles = [rng.uniform(0.1, math.pi / 2 - 0.1) for _ in range(ring // 4)]
     around = sorted(((1.5 + sx * 2.0 * math.cos(a), sy * 2.0 * math.sin(a))
                      for a in angles for sx in (1, -1) for sy in (1, -1)),
                     key=lambda q: math.atan2(q[1], q[0] - 1.5))
-    centre = 1 + ring // 2
 
     def place(t):
         return Polygon.from_pairs([(1.5, t)] + around[:ring // 2] + [(1.5, 0.0)]
                                   + around[ring // 2:])
 
+    return place, 1 + ring // 2
+
+
+def crossing(place, centre, ulps=0):
+    """The greatest t in [0, 1], bisected, at which vertex 1's sum does not
+    exceed `_medoid_bound` of the centre's plus `ulps` of its units in the
+    last place."""
     def excess(t):
         sums = _distance_sums(place(t))
         assert min(sums) == sums[centre]
-        return sums[0] - _medoid_bound(sums[centre])
+        bound = _medoid_bound(sums[centre])
+        return sums[0] - (bound + ulps * math.ulp(bound))
 
     lo, hi = 0.0, 1.0
     while math.nextafter(lo, hi) != hi:
         mid = (lo + hi) / 2
         lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+    return lo
+
+
+@pytest.mark.parametrize("ring", [16, 200])
+def test_the_tolerance_boundary_on_a_ring(ring):
+    # As above, on a ring. At 202 vertices the lower bounds are taken, and
+    # they must not rule out a row whose sum sits at the tolerance.
+    place, centre = on_a_ring(ring)
+    lo = crossing(place, centre)
     for t in [lo + k * math.ulp(lo) for k in range(-40, 41)]:
         assert _medoid_indicators(place(t)) == reference_marks(place(t)), t
 
 
 @st.composite
-def scaled_regular(draw):
-    """Regular n-gons up to n = 256 with one vertex nudged off the circle,
-    scaled by 2^k from the subnormal range to past the largest extent."""
-    n = draw(st.integers(3, 256))
+def scaled_regular(draw, least=3, scales=(-1074, 1023)):
+    """Regular n-gons of `least` to 256 vertices with one vertex nudged off
+    the circle, scaled by 2^k, by default from the subnormal range to past
+    the largest extent."""
+    n = draw(st.integers(least, 256))
     moved = draw(st.integers(0, n - 1))
     nudge = draw(NUDGES)
-    k = draw(st.integers(-1074, 1023))
+    k = draw(st.integers(*scales))
     pairs = []
     for j in range(n):
         r = 1.0 + nudge if j == moved else 1.0
@@ -370,6 +398,78 @@ def test_scaled_near_ties_up_to_256_vertices(p, k):
     k %= p.n
     mark = outcome(MEDOID.evaluator, p.shifted(k))
     assert mark == (whole if isinstance(whole, tuple) else whole[k])
+
+
+# ------------------------------------------------------------------ the cut
+
+
+def reversed_sum(terms):
+    """Recursive summation from the last term to the first."""
+    total = 0.0
+    for v in reversed(list(terms)):
+        total += v
+    return total
+
+
+# the cut holds for any summation within 2(n - 1)u of the exact sum: the
+# built-in `sum` of this interpreter (compensated from Python 3.12 on), a
+# recursive one in another order, and a correctly rounded one
+SUMMATIONS = st.sampled_from([sum, reversed_sum, math.fsum])
+RING = 40  # on_a_ring(40) has 42 vertices, so the bounds and the cut are taken
+CUT_ULPS = 3 * (RING + 3)  # past the cut's margin, 2(n + 1)u, at n = 42
+
+
+@functools.lru_cache(maxsize=None)
+def ring_crossing(ulps):
+    return crossing(*on_a_ring(RING), ulps)
+
+
+def summed_by(summation, f, p):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "sum", summation, raising=False)
+        return outcome(f, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(-4, CUT_ULPS), SUMMATIONS)
+def test_the_cut_keeps_the_marks_near_the_tolerance(k, ulps, summation):
+    # vertex 1's sum sits `ulps` units in the last place above the tolerance
+    # bound of the centre's, which is visited first; vertex 1 is visited
+    # next and summed plainly, and its fsum is taken or not by the cut
+    place, _ = on_a_ring(RING)
+    p = place(ring_crossing(ulps))
+    p = Polygon.from_pairs([(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in p.vertices])
+    assert summed_by(summation, _medoid_indicators, p) == outcome(reference_marks, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirrored(scaled_regular(least=28, scales=(-1000, 1000))), SUMMATIONS)
+def test_the_cut_keeps_the_marks_of_scaled_near_ties(p, summation):
+    assert summed_by(summation, _medoid_indicators, p) == outcome(reference_marks, p)
+
+
+@pytest.mark.parametrize("ulps, fsummed, marked", [
+    (-2, [21, 0], [0, 21]),  # vertex 1 ties the centre
+    (2, [21, 0], [21]),  # just past the tolerance, inside the cut's margin
+    (CUT_ULPS, [21], [21]),  # past the margin: its plain sum rules it out
+])
+def test_the_cut_rules_out_only_rows_past_its_margin(monkeypatch, ulps, fsummed, marked):
+    place, centre = on_a_ring(RING)
+    assert centre == 21
+    p = place(ring_crossing(ulps))
+    running = running_sums_of_rows(monkeypatch)
+    total, measured = catalog._total, []
+
+    def recording_total(terms):
+        row = list(terms)
+        measured.append(row.index(0.0))
+        return total(row)
+
+    monkeypatch.setattr(catalog, "_total", recording_total)
+    marks = _medoid_indicators(p)
+    assert marks == reference_marks(p)
+    assert [i for i, v in enumerate(marks) if v] == marked
+    assert (measured, running) == (fsummed, [0])
 
 
 def test_a_1024_gon_map_holds_no_matrix():

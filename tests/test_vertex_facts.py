@@ -133,18 +133,21 @@ def test_a_trial_in_range_evaluates_the_sample_and_the_moved_copy(name, draw, in
     try:
         framework._polygon = lambda c: built.append(c) or real(c)
         got = list(framework.axiom_trials(copy, draw, trials, 1))
+        evaluating = list(built)
     finally:
         framework._polygon = real
     assert [repr(t) for t in got] == [repr(t) for t in framework.axiom_trials(fg, draw, trials, 1)]
     per_trial = 2 if in_range else 6
     assert calls["evaluator"] == calls["guard"] == per_trial * trials
+    # each polygon built is one evaluated, in that order; a trial's input
+    # is built when read, here by repr, once
+    evaluated = calls["polygons"]
+    assert [(q.xs, q.ys) for q in map(real, evaluating)] == [(p.xs, p.ys) for p in evaluated]
+    assert len(built) == len(evaluating) + trials
     if in_range:
-        # the polygons built are the samples and the moved copies, evaluated
-        # in that order; none is reversed or rescaled
-        evaluated = calls["polygons"]
+        # two polygons a trial: the sample and the moved copy, in that order
+        assert len(evaluating) == 2 * trials
         assert [(p.xs, p.ys) for p in evaluated[0::2]] == [(t.input.xs, t.input.ys) for t in got]
-        assert all(t == 1.0 for _, _, t in built)
-        assert {(xs, ys) for xs, ys, _ in built} == {(p.xs, p.ys) for p in evaluated}
 
 
 def test_centroid_evaluates_the_sample_and_the_moved_copy_at_every_scale():
