@@ -19,12 +19,21 @@ from dataclasses import replace
 
 from polycenter import AxiomViolation, Polygon, admit, catalog, cli, dsl, parse
 from polycenter.catalog import MEDOID_REL, _medoid_indicators
+from polycenter.characterization import CoincidenceReport
+from polycenter.documents import PolygonDocument
+from polycenter.errors import DocumentError
 from polycenter.framework import (
-    _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, _trials, normalize,
-    verify_axioms,
+    _TRUSTED_N, ZERO_SUM_REL, AxiomReport, AxiomTrial, BarycentricWeights, ProjectiveCoords,
+    _trials, normalize, verify_axioms,
 )
-from polycenter.geometry import DistanceMatrix, distance_matrix, is_convex
+from polycenter.geometry import (
+    DihedralElement, DistanceMatrix, Frozen, Point2, RigidMotion, Similarity, distance_matrix,
+    is_convex,
+)
+from polycenter.optim import EnclosingCircle, MedianResult
+from polycenter.reconstruction import FeasibilityReport, ReconstructionResult
 from polycenter.sampling import random_convex_polygon, random_polygon
+from polycenter.svg import CenterRecord
 
 # the exact convexity guard uses integer arithmetic, not these two modules,
 # whose import would add to every cold start of the CLI
@@ -124,6 +133,37 @@ for name, pts in (
     assert name != "regular" or (len(rows) == 128 and len(plain) <= 1), (name, len(rows), len(plain))
 catalog._total = exact_total
 del catalog.sum
+# every value type but Polygon, DistanceMatrix and AxiomTrial takes the
+# `__init__` that `Frozen` compiles when the class is made: each builds here,
+# by position or by keyword, with its defaults, checks and derived slots, and
+# builds again from its fields
+origin, one, tri = Point2(0.0, 0.0), dsl.Const(1.0), Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
+built = [
+    origin, DihedralElement(5, 7, True), RigidMotion(0.25), Similarity(2.0, RigidMotion(0.5)),
+    ProjectiveCoords((1.0, 2.0, 3.0)), BarycentricWeights((0.25, 0.25, 0.5)),
+    AxiomReport(True, True, True, 1.0, 0.0), dsl.Index("n", -1), one,
+    dsl.Dist(dsl.Index("n", 0), dsl.Index("literal", 1)), dsl.Unary("sqrt", one),
+    dsl.Binary("+", one, dsl.Unary("neg", one)), dsl.Aggregate("max", (one, one)),
+    dsl.ParsedCenter(one, "1"), dsl._Token("end", "", 0), MedianResult(origin, 3, 0.0, None),
+    EnclosingCircle(origin, 1.0, (0, 1)), ReconstructionResult(tri, 0.0),
+    FeasibilityReport(True, 0.0, ()), CoincidenceReport((1.0, 1.0, 1.0), True, 0.0),
+    PolygonDocument(vertices=tri), CenterRecord(name="centroid"),
+]
+assert {type(v) for v in built} == set(Frozen.__subclasses__()) - {
+    Polygon, DistanceMatrix, AxiomTrial}
+for v in built:
+    assert type(v)(*[getattr(v, f) for f in v._fields]) == v, v
+assert repr(RigidMotion(0.25)) == "RigidMotion(angle=0.25, translation=Point2(x=0.0, y=0.0))"
+assert repr(CenterRecord(name="c")) == ("CenterRecord(name='c', projective=None, weights=None, "
+                                        "point=None, error=None, error_type=None, extra=())")
+assert DihedralElement(5, 7, True).exponent_a == 2 and PolygonDocument(vertices=tri).name == ""
+assert dsl.Binary("+", one, dsl.Unary("neg", one)).height == 3 and not dsl.parse("1")._programs
+try:
+    PolygonDocument()
+except DocumentError:
+    pass
+else:
+    raise AssertionError("PolygonDocument() took neither vertices nor distances")
 # the convexity guard decides each turn exactly, so a regular octagon with a
 # vertex 3e-13 of its chord outside that chord is convex in either order
 # (the tolerance it replaced accepted it in one order only)

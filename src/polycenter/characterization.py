@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from .errors import DegenerateVertex, ParityMismatch
 from .framework import CenterFunction, VertexCenterFunction, cyclic_values, entry_zero
 from .geometry import (
-    Frozen, Point2, Polygon, _set, chords, is_convex, is_nondegenerate, shoelace,
+    Frozen, Point2, Polygon, chords, is_convex, is_nondegenerate, shoelace,
     unit_coordinates, unit_factor,
 )
 
@@ -38,12 +38,7 @@ ORACLE_TOL = 1e-7
 
 
 class CoincidenceReport(Frozen):
-    __slots__ = ("values", "coincident", "spread")
-
-    def __init__(self, values: tuple[float, ...], coincident: bool, spread: float) -> None:
-        _set(self, "values", values)
-        _set(self, "coincident", coincident)
-        _set(self, "spread", spread)
+    __slots__ = ("values", "coincident", "spread")  # tuple[float, ...], bool, float
 
 
 @dataclass(frozen=True)

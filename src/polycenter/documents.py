@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
 
 from .errors import DocumentError
-from .geometry import DistanceMatrix, Frozen, Polygon, _set
+from .geometry import DistanceMatrix, Frozen, Polygon
 from .reconstruction import reconstruct
 
 
 class PolygonDocument(Frozen):
+    # str, then exactly one of vertices: Polygon and distances: DistanceMatrix
     __slots__ = ("name", "vertices", "distances")
+    _defaults = {"name": "", "vertices": None, "distances": None}
 
-    def __init__(self, name: str = "", vertices: Optional[Polygon] = None,
-                 distances: Optional[DistanceMatrix] = None) -> None:
-        if (vertices is None) == (distances is None):
+    def __post_init__(self) -> None:
+        if (self.vertices is None) == (self.distances is None):
             raise DocumentError("exactly one of vertices/distances is required")
-        _set(self, "name", name)
-        _set(self, "vertices", vertices)
-        _set(self, "distances", distances)
 
     def polygon(self) -> Polygon:
         """The stored polygon, reconstructing from distances if needed."""

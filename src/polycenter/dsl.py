@@ -50,11 +50,7 @@ MAX_INDEX_DIGITS = 300
 class Index(Frozen):
     """A vertex index: a literal, or an offset from n."""
 
-    __slots__ = ("base", "offset")  # base: "literal" | "n"
-
-    def __init__(self, base: str, offset: int) -> None:
-        _set(self, "base", base)
-        _set(self, "offset", offset)
+    __slots__ = ("base", "offset")  # base: "literal" | "n"; offset: int
 
     def resolve(self, n: int) -> int:
         """0-based index, reduced mod n."""
@@ -70,65 +66,50 @@ class Index(Frozen):
 
 
 class Const(Frozen):
-    __slots__ = ("value",)
+    __slots__ = ("value",)  # float
     height = 1
-
-    def __init__(self, value: float) -> None:
-        _set(self, "value", value)
 
 
 class Dist(Frozen):
-    __slots__ = ("i", "j", "pos")
+    __slots__ = ("i", "j", "pos")  # Index, Index, int: where it starts in the source
     _uncompared = ("pos",)
+    _defaults = {"pos": 0}
     height = 1
-
-    def __init__(self, i: Index, j: Index, pos: int = 0) -> None:
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "pos", pos)
 
 
 class Unary(Frozen):
-    __slots__ = ("op", "arg", "height")  # op: "neg" | "sqrt" | "abs"
+    __slots__ = ("op", "arg", "height")  # op: "neg" | "sqrt" | "abs"; arg: Expr
     _fields = ("op", "arg")
 
-    def __init__(self, op: str, arg: "Expr") -> None:
-        _set(self, "op", op)
-        _set(self, "arg", arg)
-        _set(self, "height", getattr(arg, "height", 0) + 1)
+    def __post_init__(self) -> None:
+        _set(self, "height", getattr(self.arg, "height", 0) + 1)
 
 
 class Binary(Frozen):
-    __slots__ = ("op", "left", "right", "height")  # op: "+" | "-" | "*" | "/" | "^"
+    __slots__ = ("op", "left", "right", "height")  # op: "+" | "-" | "*" | "/" | "^"; Expr, Expr
     _fields = ("op", "left", "right")
 
-    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "height", max(getattr(left, "height", 0), getattr(right, "height", 0)) + 1)
+    def __post_init__(self) -> None:
+        _set(self, "height",
+             max(getattr(self.left, "height", 0), getattr(self.right, "height", 0)) + 1)
 
 
 class Aggregate(Frozen):
-    __slots__ = ("op", "args", "height")  # op: "perim" | "min" | "max"
+    __slots__ = ("op", "args", "height")  # op: "perim" | "min" | "max"; args: tuple[Expr, ...]
     _fields = ("op", "args")
 
-    def __init__(self, op: str, args: tuple["Expr", ...]) -> None:
-        _set(self, "op", op)
-        _set(self, "args", args)
-        _set(self, "height", max([getattr(a, "height", 0) for a in args], default=0) + 1)
+    def __post_init__(self) -> None:
+        _set(self, "height", max([getattr(a, "height", 0) for a in self.args], default=0) + 1)
 
 
 Expr = Union[Const, Dist, Unary, Binary, Aggregate]
 
 
 class ParsedCenter(Frozen):
-    __slots__ = ("expr", "source", "_programs")
+    __slots__ = ("expr", "source", "_programs")  # Expr, str
     _fields = ("expr", "source")
 
-    def __init__(self, expr: Expr, source: str) -> None:
-        _set(self, "expr", expr)
-        _set(self, "source", source)
+    def __post_init__(self) -> None:
         # (n, mode) -> the tree compiled for n-gons (`_compile`): "matrix", "chord" with
         # its offsets, or "traced", the static facts with their coordinate programs
         _set(self, "_programs", {})
@@ -141,12 +122,7 @@ _OPS = set("+-*/^(),")
 
 
 class _Token(Frozen):
-    __slots__ = ("kind", "text", "pos")  # kind: "number" | "name" | "op" | "end"
-
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "pos", pos)
+    __slots__ = ("kind", "text", "pos")  # kind: "number" | "name" | "op" | "end"; str, int
 
 
 def _tokenize(source: str) -> list[_Token]:

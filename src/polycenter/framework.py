@@ -209,14 +209,13 @@ def entry_zero(all_shifts: Callable[[_Input], Sequence[float]]) -> Callable[[_In
 class ProjectiveCoords(Frozen):
     """A tuple of homogeneous coordinates, not all zero."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values",)  # tuple[float, ...]
 
-    def __init__(self, values: tuple[float, ...]) -> None:
-        if len(values) < 3:
+    def __post_init__(self) -> None:
+        if len(self.values) < 3:
             raise ValueError("projective coordinates need at least 3 entries")
-        if all(v == 0.0 for v in values):
+        if all(v == 0.0 for v in self.values):
             raise ValueError("all-zero tuple is not a projective point")
-        _set(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -226,18 +225,18 @@ class ProjectiveCoords(Frozen):
 class BarycentricWeights(Frozen):
     """Affine weights over the vertices; entries sum to 1."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values",)  # tuple[float, ...]
 
-    def __init__(self, values: tuple[float, ...]) -> None:
+    def __post_init__(self) -> None:
         # relative to the weights' magnitude: `normalize` divides by a sum
         # that may be far smaller than the values it divides
+        values = self.values
         try:
             mass = math.fsum(map(abs, values))
         except OverflowError:
             mass = math.inf
         if not (math.isfinite(mass) and abs(math.fsum(values) - 1.0) <= 1e-12 * max(1.0, mass)):
             raise ValueError("weights must sum to 1")
-        _set(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -257,15 +256,8 @@ def _unchecked(cls: type, values: tuple[float, ...]) -> Frozen:
 
 
 class AxiomReport(Frozen):
+    # three bools, then estimated_degree: float | None and max_violation: float
     __slots__ = ("relabel_ok", "motion_ok", "homogeneity_ok", "estimated_degree", "max_violation")
-
-    def __init__(self, relabel_ok: bool, motion_ok: bool, homogeneity_ok: bool,
-                 estimated_degree: Optional[float], max_violation: float) -> None:
-        _set(self, "relabel_ok", relabel_ok)
-        _set(self, "motion_ok", motion_ok)
-        _set(self, "homogeneity_ok", homogeneity_ok)
-        _set(self, "estimated_degree", estimated_degree)
-        _set(self, "max_violation", max_violation)
 
 
 # ------------------------------------------------------------ coordinate maps

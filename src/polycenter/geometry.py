@@ -41,8 +41,20 @@ def _require_finite(value: float, what: str) -> None:
         raise NonFinite(f"{what} must be finite, got {value!r}")
 
 
-# What a value type's __init__ sets its fields with, past `Frozen.__setattr__`.
+# What a value type's constructor sets its fields with, past `Frozen.__setattr__`.
 _set = object.__setattr__
+
+
+def _constructor(cls: type) -> object:
+    """The `__init__` that `Frozen` gives cls, compiled once."""
+    params = ", ".join([f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields])
+    body = [f"_set(self, {f!r}, {f})" for f in cls._fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    namespace = {"_set": _set, "_defaults": cls._defaults}
+    exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body), namespace)
+    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return namespace["__init__"]
 
 
 class Frozen:
@@ -50,12 +62,17 @@ class Frozen:
     their base's and then their own slots unless named (other slots hold values
     derived from them). ==, hash, repr, copy and pickle read the fields as a
     frozen dataclass does, == and hash all but the `_uncompared`. Setting or
-    deleting an attribute raises FrozenInstanceError; `__init__` takes the
-    fields in order and sets them with `_set`."""
+    deleting an attribute raises FrozenInstanceError. A subclass that defines
+    no `__init__`, and whose `__new__` is object's, gets an `__init__`
+    (`_constructor`) that takes the fields in order or by keyword, with
+    defaults from `_defaults`, sets them with `_set`, then calls
+    `self.__post_init__()`, where the class has one, to check them or set
+    the derived slots."""
 
     __slots__ = ()
     _fields: ClassVar[tuple[str, ...]] = ()
     _uncompared: ClassVar[tuple[str, ...]] = ()
+    _defaults: ClassVar[dict[str, object]] = {}
 
     def __init_subclass__(cls) -> None:
         if "_fields" not in cls.__dict__:
@@ -64,6 +81,8 @@ class Frozen:
         compared = [f for f in cls._fields if f not in cls._uncompared]
         get = attrgetter(*compared)
         cls._key = staticmethod(get if len(compared) > 1 else lambda v: (get(v),))
+        if "__init__" not in cls.__dict__ and cls.__new__ is object.__new__:
+            cls.__init__ = _constructor(cls)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -90,11 +109,6 @@ class Point2(Frozen):
     """A point (or displacement) in the plane."""
 
     __slots__ = ("x", "y")
-
-    def __init__(self, x: float, y: float) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_finite(self.x, "x")
@@ -208,14 +222,12 @@ class DihedralElement(Frozen):
     Realized as the permutation i -> rho^a(sigma^flip(i)).
     """
 
-    __slots__ = ("n", "exponent_a", "flip")
+    __slots__ = ("n", "exponent_a", "flip")  # int, int (kept mod n), bool
 
-    def __init__(self, n: int, exponent_a: int, flip: bool) -> None:
-        if n < 3:
+    def __post_init__(self) -> None:
+        if self.n < 3:
             raise ValueError("dihedral group needs n >= 3")
-        _set(self, "n", n)
-        _set(self, "exponent_a", exponent_a % n)
-        _set(self, "flip", flip)
+        _set(self, "exponent_a", self.exponent_a % self.n)
 
     @staticmethod
     def rho(n: int, power: int = 1) -> "DihedralElement":
@@ -254,11 +266,8 @@ class RigidMotion(Frozen):
     not representable here.
     """
 
-    __slots__ = ("angle", "translation")
-
-    def __init__(self, angle: float, translation: Point2 = Point2(0.0, 0.0)) -> None:
-        _set(self, "angle", angle)
-        _set(self, "translation", translation)
+    __slots__ = ("angle", "translation")  # float, Point2
+    _defaults = {"translation": Point2(0.0, 0.0)}
 
     def apply(self, v: Point2) -> Point2:
         return Point2(*[c[0] for c in moved_coordinates(self, [v.x], [v.y])])
@@ -267,13 +276,11 @@ class RigidMotion(Frozen):
 class Similarity(Frozen):
     """Positive scaling about the origin followed by a rigid motion."""
 
-    __slots__ = ("scale", "motion")
+    __slots__ = ("scale", "motion")  # float, RigidMotion
 
-    def __init__(self, scale: float, motion: RigidMotion) -> None:
-        if not (scale > 0.0 and math.isfinite(scale)):
+    def __post_init__(self) -> None:
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError("similarity scale must be positive and finite")
-        _set(self, "scale", scale)
-        _set(self, "motion", motion)
 
     def apply(self, v: Point2) -> Point2:
         return self.motion.apply(v.scaled(self.scale))

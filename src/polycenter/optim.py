@@ -15,7 +15,7 @@ import random
 from typing import Optional, Sequence
 
 from .errors import NoConvergence
-from .geometry import Frozen, Point2, Polygon, _set, require_nondegenerate, unit_coordinates
+from .geometry import Frozen, Point2, Polygon, require_nondegenerate, unit_coordinates
 
 # Multiplicative slack when testing circle membership.
 _IN_CIRCLE_SLACK = 1 + 1e-14
@@ -25,23 +25,13 @@ _VERTEX_SNAP = 1e-12
 
 
 class MedianResult(Frozen):
-    __slots__ = ("point", "iterations", "residual", "at_vertex")  # at_vertex: 0-based, if captured
-
-    def __init__(self, point: Point2, iterations: int, residual: float,
-                 at_vertex: Optional[int]) -> None:
-        _set(self, "point", point)
-        _set(self, "iterations", iterations)
-        _set(self, "residual", residual)
-        _set(self, "at_vertex", at_vertex)
+    # Point2, int, float, then at_vertex: int | None, 0-based, if captured
+    __slots__ = ("point", "iterations", "residual", "at_vertex")
 
 
 class EnclosingCircle(Frozen):
-    __slots__ = ("center", "radius", "support")  # support: 0-based vertices on the boundary
-
-    def __init__(self, center: Point2, radius: float, support: tuple[int, ...]) -> None:
-        _set(self, "center", center)
-        _set(self, "radius", radius)
-        _set(self, "support", support)
+    # Point2, float, then support: tuple[int, ...], 0-based vertices on the boundary
+    __slots__ = ("center", "radius", "support")
 
 
 # ------------------------------------------------------------ geometric median

@@ -17,7 +17,6 @@ from .geometry import (
     Frozen,
     Polygon,
     _cayley_menger,
-    _set,
     is_convex,
     shoelace,
     unit_factor,
@@ -31,22 +30,14 @@ SNAP_EPS = 1e-12
 
 
 class ReconstructionResult(Frozen):
-    __slots__ = ("polygon", "max_residual")
-
-    def __init__(self, polygon: Polygon, max_residual: float) -> None:
-        _set(self, "polygon", polygon)
-        _set(self, "max_residual", max_residual)
+    __slots__ = ("polygon", "max_residual")  # Polygon, float
 
 
 class FeasibilityReport(Frozen):
-    # cm_checks: scale-free bordered determinants, one per 4-index subset
-    # {1,2,k,l}, listed with (k,l) in lexicographic order.
+    # bool, float, then cm_checks: tuple[float, ...], scale-free bordered
+    # determinants, one per 4-index subset {1,2,k,l}, listed with (k,l) in
+    # lexicographic order.
     __slots__ = ("feasible", "max_residual", "cm_checks")
-
-    def __init__(self, feasible: bool, max_residual: float, cm_checks: tuple[float, ...]) -> None:
-        _set(self, "feasible", feasible)
-        _set(self, "max_residual", max_residual)
-        _set(self, "cm_checks", cm_checks)
 
 
 def _miss(x: float, y: float, xs: list[float], ys: list[float], row: Sequence[float],

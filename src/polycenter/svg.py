@@ -12,11 +12,9 @@ extent that overflows any of these numbers raises NonFinite.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .errors import DocumentError, NonFinite
-from .framework import BarycentricWeights, ProjectiveCoords
-from .geometry import Frozen, Point2, Polygon, _set
+from .geometry import Frozen, Polygon
 
 _PALETTE = (
     "#d62728",
@@ -35,19 +33,11 @@ _OUTLINE = "#1f2937"
 class CenterRecord(Frozen):
     """One computed center: coordinates on success, a diagnostic on failure."""
 
+    # str; ProjectiveCoords, BarycentricWeights, Point2, str and str, each or
+    # None; extra: tuple of (str, value) pairs
     __slots__ = ("name", "projective", "weights", "point", "error", "error_type", "extra")
-
-    def __init__(self, name: str, projective: Optional[ProjectiveCoords] = None,
-                 weights: Optional[BarycentricWeights] = None, point: Optional[Point2] = None,
-                 error: Optional[str] = None, error_type: Optional[str] = None,
-                 extra: tuple[tuple[str, object], ...] = ()) -> None:
-        _set(self, "name", name)
-        _set(self, "projective", projective)
-        _set(self, "weights", weights)
-        _set(self, "point", point)
-        _set(self, "error", error)
-        _set(self, "error_type", error_type)
-        _set(self, "extra", extra)
+    _defaults = {"projective": None, "weights": None, "point": None, "error": None,
+                 "error_type": None, "extra": ()}
 
 
 def _fmt(x: float) -> str:

@@ -4,8 +4,10 @@ For one sample of every value type that is a `geometry.Frozen` subclass,
 repr is the dataclass's string, == needs the same class and compares the
 listed fields, hash is that of their tuple, no attribute can be set or
 deleted, and copy, deepcopy and every pickle protocol round-trip. The
-constructors validate as before. Exactly three classes stay dataclasses,
-because tools outside the package copy or read them with `dataclasses`.
+constructors validate as before, and take the fields in order or by
+keyword; all but three are the one `Frozen` generates. Exactly three
+classes stay dataclasses, because tools outside the package copy or read
+them with `dataclasses`.
 """
 
 import copy
@@ -121,6 +123,8 @@ SAMPLES = {
         "CoincidenceReport(values=(1.0, 1.0, 1.0), coincident=True, spread=0.0)"),
 }
 CASES = [pytest.param(*case, id=name) for name, case in SAMPLES.items()]
+# The value types that construct themselves: every other gets its `__init__` from `Frozen`.
+SELF_CONSTRUCTED = {"Polygon", "DistanceMatrix", "AxiomTrial"}
 # The dataclasses that tools outside the package copy (`dataclasses.replace`)
 # or read (`dataclasses.asdict`); every other class is a plain class.
 KEPT_DATACLASSES = (_CenterFunction, CatalogEntry, CharacterizationReport)
@@ -163,6 +167,30 @@ def test_equality_needs_the_same_class_and_hash_is_that_of_the_compared_fields(
     for name in _all_slots(type(a)):
         object.__setattr__(twin, name, getattr(a, name))
     assert a != twin and twin != a
+
+
+@pytest.mark.parametrize("make, compared, text", CASES)
+def test_the_constructor_takes_the_fields_in_order_or_by_keyword(make, compared, text):
+    a = make()
+    cls = type(a)
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(cls._fields)
+    assert {f: p.default for f, p in params.items() if p.default is not p.empty} == cls._defaults
+    assert cls(**{f: getattr(a, f) for f in cls._fields}) == a
+    for missing in set(cls._fields) - set(cls._defaults):
+        with pytest.raises(TypeError):
+            cls(**{f: getattr(a, f) for f in cls._fields if f != missing})
+
+
+def test_only_three_value_types_construct_themselves():
+    def own(cls, name):
+        method = cls.__dict__.get(name)
+        method = getattr(method, "__func__", method)  # __new__ is a staticmethod
+        return method is not None and method.__code__.co_filename == inspect.getfile(cls)
+
+    frozen = [cls for cls in _package_classes() if issubclass(cls, Frozen) and cls is not Frozen]
+    assert {cls.__name__ for cls in frozen if own(cls, "__init__") or own(cls, "__new__")} == (
+        SELF_CONSTRUCTED)
 
 
 def test_uncompared_fields_stay_out_of_equality_and_hash():
