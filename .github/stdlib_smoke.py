@@ -30,7 +30,7 @@ from polycenter.geometry import (
     DihedralElement, DistanceMatrix, Frozen, Point2, RigidMotion, Similarity, distance_matrix,
     is_convex,
 )
-from polycenter.optim import EnclosingCircle, MedianResult
+from polycenter.optim import EnclosingCircle, MedianResult, geometric_median
 from polycenter.reconstruction import FeasibilityReport, ReconstructionResult
 from polycenter.sampling import random_convex_polygon, random_polygon
 from polycenter.svg import CenterRecord
@@ -81,8 +81,7 @@ for name, turns, width, code in (
     got = cli.main(["center", path, "--name", "medoid"])
     assert got == code, (name, got)
 # the diameter's pruned search returns the pair scan's bits on a regular
-# 128-gon, which skips no pair, and on an ellipse, which skips most; the
-# median, which reads it, runs on the ellipse
+# 128-gon, which skips no pair, and on an ellipse, which skips most
 for name, width in (("regular", 1), ("ellipse", 2)):
     pts = [[width * math.cos(2 * math.pi * k / 128 + 0.1), math.sin(2 * math.pi * k / 128 + 0.1)]
            for k in range(128)]
@@ -90,7 +89,22 @@ for name, width in (("regular", 1), ("ellipse", 2)):
     got = Polygon.from_pairs(pts).diameter()
     assert got == want, (name, got.hex(), want.hex())
     path = document(name, {"vertices": pts})
+# the median loop runs at unit scale with Newton steps and a vertex rule: on
+# the ellipse it takes at most 8 passes; a 2^-300 copy of the quad gives the
+# quad's point times 2^-300 in as many passes; and the 6-gon's vertex 1,
+# pulled by the others with a norm of exactly 1, is the median
 assert cli.main(["center", path, "--name", "median"]) == 0
+got = geometric_median(Polygon.from_pairs(pts))
+assert got.at_vertex is None and got.iterations <= 8, got
+four = [(0, 0), (4, 0), (5, 3), (1, 4)]
+want = geometric_median(Polygon.from_pairs(four))
+got = geometric_median(Polygon.from_pairs([(math.ldexp(x, -300), math.ldexp(y, -300)) for x, y in four]))
+assert got.point.as_tuple() == (math.ldexp(want.point.x, -300), math.ldexp(want.point.y, -300)), got
+assert (got.iterations, got.residual) == (want.iterations, want.residual), (got, want)
+six = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (0, 1e-4)]
+got = geometric_median(Polygon.from_pairs(six))
+assert (got.point.as_tuple(), got.at_vertex) == ((0.0, 0.0), 0), got
+assert cli.main(["center", document("pull1", {"vertices": six}), "--name", "median"]) == 0
 # the medoid map measures only the rows its lower bounds cannot rule out.
 # Once a best sum is known each is summed plainly first (the built-in `sum`,
 # compensated from Python 3.12 on), and by its fsum (`catalog._total`) only

@@ -295,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", help="polygon document (JSON)")
     _add_selection(sp)
     _add_precision(sp)
-    sp.add_argument("--tol", type=_tolerance, default=1e-12, help="median tolerance, at least 0")
+    sp.add_argument(
+        "--tol", type=_tolerance, default=1e-12,
+        help="median residual bound, relative to the polygon's size, at least 0",
+    )
     sp.add_argument(
         "--max-iter", dest="max_iter", type=_int_in(1), default=10000,
         help="median iteration budget, at least 1",

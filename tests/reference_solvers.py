@@ -1,14 +1,15 @@
 """The per-shift probes, the both-sides reconstruction, the `Point2`
 median loop and the `Point2`-centred enclosing circle, kept as the
 references that the whole-map probes, the one-sided mirror read and the
-float iterates and candidate centers must equal bit for bit, errors
-included.
+candidate centers must equal bit for bit, errors included, and that the
+median must match within the objective gap its residual bounds.
 
 Each is the code as it stood before those kernels were rewritten: every
 probe is evaluated on the n `Polygon.shifted` copies, `reconstruct` measures
-both mirror sides of every vertex in full, `geometric_median` measures the
-diameter over every pair, keeps its iterate as a `Point2` and builds a
-`MedianResult` on every step, and
+both mirror sides of every vertex in full, `geometric_median` is the
+fixed-point (Weiszfeld) loop at the input's scale, with a snap distance
+and a target scaled by the diameter measured over every pair, an iterate
+kept as a `Point2` and a `MedianResult` built on every step, and
 `chebyshev_center` builds a `Point2` for every candidate circle, reading the
 coordinates from the vertices.
 """
@@ -28,7 +29,7 @@ from polycenter.geometry import (
     DistanceMatrix, Point2, Polygon, cayley_menger_quad, distance_matrix, is_convex,
     is_nondegenerate, require_nondegenerate, shoelace, unit_factor, vertex_coordinates,
 )
-from polycenter.optim import _IN_CIRCLE_SLACK, _VERTEX_SNAP, EnclosingCircle, MedianResult
+from polycenter.optim import _IN_CIRCLE_SLACK, EnclosingCircle, MedianResult
 from polycenter.reconstruction import (
     RESIDUAL_TOL, SNAP_EPS, FeasibilityReport, ReconstructionResult,
 )
@@ -169,6 +170,9 @@ def validate(D: DistanceMatrix) -> FeasibilityReport:
 
 
 # ----------------------------------------------------------- geometric median
+
+# an iterate closer than this, scaled by the diameter, to a vertex snaps to it
+_VERTEX_SNAP = 1e-12
 
 
 def _vertex_pull(p: Polygon, k: int) -> tuple[Point2, float, float]:

@@ -697,6 +697,39 @@ def test_characterize_a_tiny_or_huge_polygon_exits_0(tmp_path, capsys, k):
     assert json.loads(out)["convex"] is True
 
 
+@pytest.mark.parametrize("k", [40, -40, 300, -300, 900, -900])
+@pytest.mark.parametrize("shape", ["heptagon", "tri345"])
+def test_the_median_of_a_tiny_or_huge_polygon_exits_0(tmp_path, capsys, shape, k):
+    # the loop runs at unit scale: its snap and target once scaled with the
+    # diameter, and below unit scale the heptagon exited 5 at k = -40, -300
+    # and -900, the triangle at k = -300 and -900
+    p = random_convex_polygon(random.Random(3), 7)
+    pairs = {"heptagon": [[v.x, v.y] for v in p.vertices], "tri345": TRI345["vertices"]}[shape]
+    answers = []
+    for scale in (0, k):
+        scaled = [[math.ldexp(x, scale), math.ldexp(y, scale)] for x, y in pairs]
+        doc = write_doc(tmp_path, "scaled.json", {"vertices": scaled})
+        rc, out, err = invoke(capsys, ["center", doc, "--name", "median"])
+        assert rc == 0 and err == ""
+        answers.append(json.loads(out))
+    (x0, y0), (x, y) = answers[0]["point"], answers[1]["point"]
+    assert math.isclose(x, math.ldexp(x0, k), rel_tol=1e-11)
+    assert math.isclose(y, math.ldexp(y0, k), rel_tol=1e-11)
+    assert answers[1]["iterations"] == answers[0]["iterations"]
+    assert answers[1]["residual"] == answers[0]["residual"]
+
+
+def test_the_median_at_a_vertex_whose_pull_is_exactly_one_exits_0(tmp_path, capsys):
+    # the other vertices pull vertex 1 with a unit-vector sum of norm 1, so
+    # it is the median; the snap-distance rule never reached it and exited 5
+    hexagon = {"vertices": [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0, 1e-4]]}
+    doc = write_doc(tmp_path, "pull1.json", hexagon)
+    rc, out, err = invoke(capsys, ["center", doc, "--name", "median"])
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    assert data["at_vertex"] == 1 and data["point"] == [0.0, 0.0]
+
+
 def test_perimeter_of_a_triangle_whose_squared_sides_overflow_exits_0(tmp_path, capsys):
     doc = write_doc(
         tmp_path, "far.json", {"vertices": [[-1e200, -1e200], [1e200, -1e200], [0, 1e200]]}
@@ -826,11 +859,11 @@ PINNED = {
     "center-median": (["center", "--name", "median"], QUAD, """{
   "name": "median",
   "point": [
-    2.75862068965,
+    2.75862068966,
     1.65517241379
   ],
-  "iterations": 50,
-  "residual": 1.50285203478e-13
+  "iterations": 4,
+  "residual": 2.05367763492e-13
 }
 """),
     "center-chebyshev": (["center", "--name", "chebyshev"], QUAD, """{

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import polycenter.optim as optim
 from polycenter.errors import NoConvergence
-from polycenter.geometry import DihedralElement, Point2, Polygon, relabel
+from polycenter.geometry import DihedralElement, Point2, Polygon, relabel, unit_coordinates
 from polycenter.optim import (
     MedianResult,
     chebyshev_center,
@@ -17,6 +17,7 @@ from polycenter.optim import (
 )
 from polycenter.sampling import random_convex_polygon, random_polygon
 
+import reference_solvers as ref
 from helpers import check_minimal_center
 
 TRI345 = Polygon.from_pairs([(0, 0), (3, 0), (0, 4)])
@@ -82,7 +83,7 @@ def test_median_steps_off_a_vertex_that_pulls_harder_than_one():
     p = Polygon.from_pairs([(0, 0), (4, 0.1), (4, -0.1), (5, 0), (-13, 0)])
     assert p.vertex_mean() == p.vertices[0]
     got = geometric_median(p)
-    assert got == MedianResult(Point2(3.94226497308103, 0.0), 35, got.residual, None)
+    assert got == MedianResult(Point2(3.9422649730810373, 0.0), 21, got.residual, None)
     assert got.residual <= 1e-12
     ox, oy = grid_median(p, stages=6)
     assert math.hypot(got.point.x - ox, got.point.y - oy) < 1e-6
@@ -96,6 +97,18 @@ def test_median_captured_at_wide_vertex():
     got = geometric_median(p)
     assert got.at_vertex == 1
     assert got.point.as_tuple() == (0.0, 0.2)
+    assert got.residual == 0.0
+
+
+def test_median_captures_a_vertex_whose_pull_is_exactly_one():
+    # the other vertices pull vertex 1 with unit vectors summing to (0, 1):
+    # it is the median. The iterates approach it sublinearly, so a snap
+    # distance never caught them; its weight outweighing all the others'
+    # sends it to the pull test, which accepts a pull of exactly one
+    p = Polygon.from_pairs([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (0, 1e-4)])
+    got = geometric_median(p)
+    assert got.at_vertex == 0
+    assert got.point.as_tuple() == (0.0, 0.0)
     assert got.residual == 0.0
 
 
@@ -118,6 +131,62 @@ def test_median_objective_beats_vertex_mean():
         assert distance_sum(p, got.point.x, got.point.y) <= (
             distance_sum(p, mean.x, mean.y) + 1e-12
         )
+
+
+def _hub(rng, n):
+    """Vertex 1 at a hub, the others at radii 1 to 2 in evenly spaced
+    directions, whose unit vectors cancel, so the hub is the median; then
+    a random rotation, scale and translation."""
+    phase = rng.uniform(0.0, 2 * math.pi)
+    pts = [(0.0, 0.0)]
+    for j in range(n - 1):
+        r, a = rng.uniform(1.0, 2.0), phase + 2 * math.pi * j / (n - 1)
+        pts.append((r * math.cos(a), r * math.sin(a)))
+    s, a = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * math.pi)
+    tx, ty = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    c, sn = s * math.cos(a), s * math.sin(a)
+    return Polygon.from_pairs([(c * x - sn * y + tx, sn * x + c * y + ty) for x, y in pts])
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_newton_steps_reach_the_target_in_at_most_8_iterations(n):
+    # the fixed-point loop took 42 to 55; a silent fallback to it would
+    # still meet any residual oracle, but not this count
+    for seed in range(12 if n < 128 else 4):
+        got = geometric_median(random_convex_polygon(random.Random(seed), n))
+        assert got.at_vertex is None and got.iterations <= 8, (seed, got)
+
+
+@pytest.mark.parametrize("n", [4, 8, 32, 128])
+def test_a_hub_is_captured_in_no_more_iterations_than_the_fixed_point_loop(n):
+    for seed in range(6 if n < 128 else 3):
+        p = _hub(random.Random(seed), n)
+        got, old = geometric_median(p), ref.geometric_median(p)
+        assert got.at_vertex == 0 and got.point == p.vertices[0], (seed, got)
+        assert old.at_vertex == 0 and got.iterations <= old.iterations, (seed, got, old)
+
+
+def _copy(p, k):
+    return Polygon.from_pairs([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in zip(p.xs, p.ys)])
+
+
+def _exact(values, k):
+    return all(math.ldexp(math.ldexp(v, k), -k) == v for v in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([random_polygon, random_convex_polygon, _hub]),
+    st.integers(3, 40), st.integers(0, 2**32), st.integers(-1000, 1000),
+)
+def test_the_median_of_a_power_of_two_copy_is_the_copy_of_the_median(make, n, seed, k):
+    p = make(random.Random(seed), n)
+    assume(_exact(p.xs + p.ys, k))
+    got, want = geometric_median(_copy(p, k)), geometric_median(p)
+    assume(_exact(want.point.as_tuple(), k))
+    assert got.point.as_tuple() == (math.ldexp(want.point.x, k), math.ldexp(want.point.y, k))
+    assert (got.iterations, got.residual, got.at_vertex) == (
+        want.iterations, want.residual, want.at_vertex)
 
 
 # -------------------------------------------------------- enclosing circle
@@ -260,8 +329,9 @@ def test_check_minimal_center_is_deterministic():
 def test_a_median_iteration_measures_each_vertex_distance_once(monkeypatch):
     # the iteration measures with hypot on floats: counted in optim's
     # namespace, one call per vertex from the first iterate, the vertex
-    # mean, on the vertex minus the iterate, which the snap scan, gradient
-    # and weights share (not 3 * 64 = 192), and one more for the residual
+    # mean, on the unit-scale vertex minus the iterate, which the vertex
+    # test, objective, gradient and weights share (not 3 * 64 = 192), and
+    # one more for the residual
     p = random_convex_polygon(random.Random(6), 64)
     start = p.vertex_mean()
     calls = []
@@ -278,6 +348,7 @@ def test_a_median_iteration_measures_each_vertex_distance_once(monkeypatch):
     monkeypatch.setattr(optim, "math", CountingMath())
     with pytest.raises(NoConvergence):
         geometric_median(p, max_iter=1)
-    offsets = {(v.x - start.x, v.y - start.y) for v in p.vertices}
+    t, xs, ys = unit_coordinates(p)
+    offsets = {(x - t * start.x, y - t * start.y) for x, y in zip(xs, ys)}
     assert sum(args in offsets for args in calls) == 64
     assert len(calls) == 64 + 1
