@@ -80,8 +80,8 @@ for name, turns, width, code in (
                                         for t in turns]})
     got = cli.main(["center", path, "--name", "medoid"])
     assert got == code, (name, got)
-# the diameter's pruned search returns the pair scan's bits on a regular
-# 128-gon, which skips no pair, and on an ellipse, which skips most
+# the diameter has the bits of the scan of every pair, on a regular 128-gon
+# and on an ellipse
 for name, width in (("regular", 1), ("ellipse", 2)):
     pts = [[width * math.cos(2 * math.pi * k / 128 + 0.1), math.sin(2 * math.pi * k / 128 + 0.1)]
            for k in range(128)]

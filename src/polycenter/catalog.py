@@ -247,8 +247,9 @@ def _medoid_indicators(p: Polygon) -> list[float]:
     its exact value, or within e/2 of it below the normal range: fl(x) >=
     (1 - u)x - e/2. The centroid c_b = fl(fsum / m_b) rounds twice a
     coordinate, an error d_b <= 3uM + e that scales with the coordinates,
-    not with the extent. `math.dist` is within a factor P = (1 + u)(1 + 2u)
-    of the exact distance, plus e (as in `geometry._largest_distance`). A
+    not with the extent. `math.dist` rounds each coordinate difference
+    (exactly when it is subnormal) and takes a norm within 1 ulp, so it is
+    within a factor P = (1 + u)(1 + 2u) of the exact distance, plus e. A
     sum of k terms by the built-in `sum` of any version is within 1 + g_k,
     g_k = ku / (1 - ku), of the exact one (Higham, Accuracy and Stability
     of Numerical Algorithms, 2002, 4.2; the compensated `sum` of Python

@@ -25,7 +25,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from functools import cache
@@ -205,8 +204,8 @@ class Polygon(Frozen):
     def diameter(self) -> float:
         """Largest pairwise distance, the largest entry of `distance_matrix`
         bit for bit; raises NonFinite when the extent overflows. No matrix
-        is built, and from 20 vertices on only the pairs that can be the
-        largest are measured (`_largest_distance`)."""
+        is built: each of the n(n-1)/2 pairs is measured once
+        (`_largest_distance`)."""
         return _largest_distance(*vertex_coordinates(self))
 
     def vertex_mean(self) -> Point2:
@@ -488,68 +487,11 @@ def _check_scale(xs: Sequence[float], ys: Sequence[float], t: float, diagonal: f
         raise ValueError(f"scale {t!r} must be nonnegative and keep entries finite")
 
 
-# `_largest_distance` prunes from this many points on; at fewer, the sort
-# costs more than the pairs it skips.
-_PRUNE_FROM = 20
-# Below this bounding-box diagonal a subnormal rounding step could pass the
-# relative margin of `_largest_distance`'s cut, so every pair is measured.
-_PRUNE_FLOOR = 2.0**-1000
-_CUT_MARGIN = 1.0 + 2.0**-40
-
-
 def _largest_distance(xs: Sequence[float], ys: Sequence[float]) -> float:
     """The largest distance between the points (xs[i], ys[i]): the largest of
     the n(n-1)/2 pair distances, bit for bit, with no matrix. `math.dist`
-    and `math.hypot` share one norm, so each distance keeps its bits.
-
-    From `_PRUNE_FROM` points on, and when the diagonal of the bounding box
-    is finite and at least `_PRUNE_FLOOR`, pairs that cannot be the largest
-    are not measured. With c the box's midpoint and r_i = dist(v_i, c),
-    the points are visited in order of falling r. Point a is measured
-    against the later points b for which fl((r_a + r_b)(1 + 2^-40)) >= best,
-    the largest distance so far (0 at first): a prefix of them, found by
-    `bisect` unless the last one passes, as on cocircular points, where no
-    pair can be skipped. The visit stops at the first point with none, as
-    every later pair has a smaller r_a + r_b.
-
-    The cut. With u = 2^-53, e = 2^-1074 and |a - b| exact: a rounding is
-    within a factor 1 +- u of its exact value, or within e/2 of it below the
-    normal range. `math.dist` rounds each coordinate difference (exactly
-    when it is subnormal) and takes a norm within 1 ulp, so a measured
-    distance is D_ab <= |a - b|(1 + u)(1 + 2u) + e, and
-    r_i >= |v_i - c|(1 - u)(1 - 2u) - e. c is a point of floats, so
-    |a - b| <= |a - c| + |c - b| holds exactly, whatever rounding made c.
-    A skipped pair has fl(fl(r_a + r_b)(1 + 2^-40)) < best, so
-    (r_a + r_b)(1 - u)^2 (1 + 2^-40) < best + e, hence
-    D_ab < (best + 4e)(1 + u)(1 + 2u)/((1 - u)^3 (1 - 2u)(1 + 2^-40)) + e
-    < best (1 - 2^-41) + 5e, which is at most best once best >= 2^-1030.
-    The first point is measured against all, and every point is at least
-    half the box's width from the point on one of its sides, and half its
-    height from one on the top or bottom, so then best >= diagonal / 3
-    >= 2^-1002. No skipped pair measures above best, and best only grows,
-    so the largest is the pair scan's.
-    """
-    pts = list(zip(xs, ys))
-    n = len(pts)
-    if n >= _PRUNE_FROM:
-        lo_x, lo_y = min(xs), min(ys)
-        w, h = max(xs) - lo_x, max(ys) - lo_y
-        if _PRUNE_FLOOR <= math.hypot(w, h) < math.inf:
-            r = list(map(math.dist, pts, repeat((lo_x + w / 2.0, lo_y + h / 2.0))))
-            pts = list(map(pts.__getitem__, sorted(range(n), key=r.__getitem__, reverse=True)))
-            r.sort(reverse=True)
-            best = 0.0
-            for i in range(n - 1):
-                ra = r[i]
-                end = n if (ra + r[-1]) * _CUT_MARGIN >= best else bisect_left(
-                    r, True, i + 1, n, key=lambda rb: (ra + rb) * _CUT_MARGIN < best)
-                if end == i + 1:
-                    break
-                top = max(map(math.dist, repeat(pts[i]), pts[i + 1:end]))
-                if top > best:
-                    best = top
-            return best
-    return max(starmap(math.dist, combinations(pts, 2)))
+    and `math.hypot` share one norm, so each distance keeps its bits."""
+    return max(starmap(math.dist, combinations(zip(xs, ys), 2)))
 
 
 def vertex_coordinates(p: Polygon) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -1,4 +1,4 @@
-"""Seeded generators for polygons, motions, and similarities.
+"""Seeded generators for polygons and rigid motions.
 
 Everything takes an explicit random.Random so callers control determinism.
 """
@@ -7,37 +7,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .geometry import (
-    Point2,
-    Polygon,
-    RigidMotion,
-    Similarity,
-    is_convex,
-    is_nondegenerate,
-)
+from .geometry import Point2, Polygon, RigidMotion, is_convex
 
 _TWO_PI = 2.0 * math.pi
-
-
-def regular_polygon(
-    n: int,
-    winding: int = 1,
-    radius: float = 1.0,
-    center: Point2 = Point2(0.0, 0.0),
-    phase: float = 0.0,
-) -> Polygon:
-    """Vertices on a circle, stepping `winding` positions each time.
-
-    winding=1 gives the convex regular n-gon; winding k coprime to n gives
-    the star with symbol {n/k}.
-    """
-    if math.gcd(n, winding) != 1:
-        raise ValueError(f"winding {winding} shares a factor with {n}")
-    angles = [phase + _TWO_PI * winding * j / n for j in range(n)]
-    return Polygon._checked([center.x + radius * math.cos(a) for a in angles],
-                            [center.y + radius * math.sin(a) for a in angles])
 
 
 def _separated(pts: list[tuple[float, float]], min_separation: float) -> bool:
@@ -77,6 +51,37 @@ def _walk(steps: Iterable[tuple[float, float]]) -> Polygon:
     return Polygon._checked(xs, ys)
 
 
+def _deltas(rng: random.Random, vals: list[float]) -> list[float]:
+    """The gaps of the sorted vals, split into two chains from the first
+    value to the last by one `rng.random()` per interior value; the second
+    chain's gaps are negated, so the gaps sum to zero."""
+    lo, hi = vals[0], vals[-1]
+    last_a, last_b = lo, lo
+    out = []
+    for v in vals[1:-1]:
+        if rng.random() < 0.5:
+            out.append(v - last_a)
+            last_a = v
+        else:
+            out.append(-(v - last_b))
+            last_b = v
+    out.append(hi - last_a)
+    out.append(-(hi - last_b))
+    return out
+
+
+def _accepted(p: Polygon) -> bool:
+    """Whether `random_convex_polygon` keeps the candidate p: strictly
+    convex, with a diameter above 0.1. The pair scan runs only when the
+    bounding box cannot decide: `math.dist` of the two vertices at the ends
+    of the box's longer side, whose difference on that axis rounds as the
+    side does, is within 1 ulp of a value at least the side, so a side
+    above 0.1(1 + 2^-50) puts the diameter above 0.1."""
+    xs, ys = p.xs, p.ys
+    return is_convex(p) and (max(max(xs) - min(xs), max(ys) - min(ys)) > 0.1 * (1.0 + 2.0**-50)
+                             or p.diameter() > 0.1)
+
+
 def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
     """Random convex n-gon: sorted direction deltas closing up to zero.
 
@@ -89,102 +94,11 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
     while True:
         xs = sorted(rng.uniform(-1.0, 1.0) for _ in range(n))
         ys = sorted(rng.uniform(-1.0, 1.0) for _ in range(n))
-        # split interior values into two chains per axis
-        def deltas(vals: list[float]) -> list[float]:
-            lo, hi = vals[0], vals[-1]
-            last_a, last_b = lo, lo
-            out = []
-            for v in vals[1:-1]:
-                if rng.random() < 0.5:
-                    out.append(v - last_a)
-                    last_a = v
-                else:
-                    out.append(-(v - last_b))
-                    last_b = v
-            out.append(hi - last_a)
-            out.append(-(hi - last_b))
-            return out
-
-        dx = deltas(xs)
-        dy = deltas(ys)
+        dx = _deltas(rng, xs)
+        dy = _deltas(rng, ys)
         rng.shuffle(dy)
         p = _walk(sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0])))
-        if is_convex(p) and p.diameter() > 0.1:
-            return p
-
-
-def _closure_lengths(
-    rng: random.Random, directions: list[float], jitter: float
-) -> Optional[list[float]]:
-    """Positive side lengths making a chain of unit directions close up."""
-    n = len(directions)
-    ux = [math.cos(t) for t in directions]
-    uy = [math.sin(t) for t in directions]
-    lengths = [1.0 + rng.uniform(-jitter, jitter) for _ in range(n)]
-    vx = sum(l * c for l, c in zip(lengths, ux))
-    vy = sum(l * s for l, s in zip(lengths, uy))
-    det = ux[0] * uy[1] - ux[1] * uy[0]
-    if abs(det) < 1e-9:
-        return None
-    a = (vx * uy[1] - vy * ux[1]) / det
-    b = (vy * ux[0] - vx * uy[0]) / det
-    lengths[0] -= a
-    lengths[1] -= b
-    if min(lengths) <= 1e-3:
-        return None
-    return lengths
-
-
-def random_equiangular_polygon(rng: random.Random, n: int) -> Polygon:
-    """Convex polygon with all exterior angles equal and random side lengths."""
-    while True:
-        phase = rng.uniform(0.0, _TWO_PI)
-        directions = [phase + _TWO_PI * i / n for i in range(n)]
-        lengths = _closure_lengths(rng, directions, jitter=0.35)
-        if lengths is None:
-            continue
-        p = _walk((l * math.cos(t), l * math.sin(t)) for t, l in zip(directions, lengths))
-        if is_convex(p):
-            return p
-
-
-def random_convex_nonequiangular(rng: random.Random, n: int) -> Polygon:
-    """Convex polygon whose exterior angles differ by at least ~1e-3."""
-    while True:
-        ext = [_TWO_PI / n * (1.0 + rng.uniform(-0.25, 0.25)) for _ in range(n)]
-        factor = _TWO_PI / sum(ext)
-        ext = [e * factor for e in ext]
-        if max(ext) - min(ext) < 1e-3:
-            continue
-        phase = rng.uniform(0.0, _TWO_PI)
-        directions = []
-        t = phase
-        for e in ext:
-            directions.append(t)
-            t += e
-        lengths = _closure_lengths(rng, directions, jitter=0.2)
-        if lengths is None:
-            continue
-        p = _walk((l * math.cos(t), l * math.sin(t)) for t, l in zip(directions, lengths))
-        if is_convex(p):
-            return p
-
-
-def random_equilateral_polygon(rng: random.Random, n: int) -> Polygon:
-    """Closed chain of n unit steps, not necessarily convex."""
-    while True:
-        angles = [rng.uniform(0.0, _TWO_PI) for _ in range(n - 2)]
-        sx = sum(math.cos(t) for t in angles)
-        sy = sum(math.sin(t) for t in angles)
-        norm = math.hypot(sx, sy)
-        if norm > 1.999 or norm < 1e-6:
-            continue
-        back = math.atan2(-sy, -sx)
-        spread = math.acos(min(1.0, norm / 2.0))
-        angles.append(back + spread)
-        angles.append(back - spread)
-        p = _walk((math.cos(t), math.sin(t)) for t in angles)
-        if is_nondegenerate(p) and p.diameter() >= 0.5:
+        if _accepted(p):
             return p
 
 
@@ -193,8 +107,3 @@ def random_rigid_motion(rng: random.Random) -> RigidMotion:
     return RigidMotion(
         rng.uniform(0.0, _TWO_PI), Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
     )
-
-
-def random_similarity(rng: random.Random) -> Similarity:
-    scale = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-    return Similarity(scale, random_rigid_motion(rng))

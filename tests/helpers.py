@@ -22,6 +22,7 @@ from polycenter.geometry import (
     distance_matrix, moved_coordinates, relabel, shoelace,
 )
 from polycenter.optim import chebyshev_center, geometric_median
+from samplers import random_similarity
 
 
 def identity(n: int) -> DihedralElement:
@@ -139,7 +140,7 @@ def check_minimal_center(
     rng = random.Random(seed)
     score = 0.0
     for _ in range(trials):
-        sim = sampling.random_similarity(rng)
+        sim = random_similarity(rng)
         alpha = DihedralElement(p.n, rng.randrange(p.n), rng.random() < 0.5)
         moved = relabel(alpha, apply_motion(sim, p))
         resolved = _solve(kind, moved)

@@ -45,12 +45,11 @@ from polycenter.geometry import (
 )
 from polycenter.optim import chebyshev_center, geometric_median
 from polycenter.reconstruction import reconstruct, validate
-from polycenter.sampling import (
+from polycenter.sampling import random_convex_polygon, random_polygon
+from samplers import (
     random_convex_nonequiangular,
-    random_convex_polygon,
     random_equiangular_polygon,
     random_equilateral_polygon,
-    random_polygon,
     random_similarity,
     regular_polygon,
 )

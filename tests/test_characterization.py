@@ -14,9 +14,9 @@ from polycenter.characterization import (
 )
 from polycenter.errors import DegenerateVertex, ParityMismatch
 from polycenter.geometry import Polygon
-from polycenter.sampling import (
+from polycenter.sampling import random_convex_polygon
+from samplers import (
     random_convex_nonequiangular,
-    random_convex_polygon,
     random_equiangular_polygon,
     random_equilateral_polygon,
     regular_polygon,

@@ -26,7 +26,8 @@ from polycenter.framework import (
     cyclic_values,
 )
 from polycenter.geometry import DistanceMatrix, distance_matrix
-from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
+from polycenter.sampling import random_convex_polygon, random_polygon
+from samplers import regular_polygon
 
 # The expressions of the benchmark's expr-axioms workload, plus one that
 # divides by zero on every input.

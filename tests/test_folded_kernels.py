@@ -24,7 +24,8 @@ from polycenter.framework import (
     _TRUSTED_N, ZERO_SUM_REL, BarycentricWeights, ProjectiveCoords, normalize,
 )
 from polycenter.geometry import DistanceMatrix, Polygon, chords, distance_matrix
-from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
+from polycenter.sampling import random_convex_polygon, random_polygon
+from samplers import regular_polygon
 
 # ---------------------------------------------------------------- references
 

@@ -30,7 +30,8 @@ from polycenter.catalog import CATALOG, _medoid_bound, _medoid_indicators
 from polycenter.errors import NonFinite
 from polycenter.framework import coordinate_map_vertex
 from polycenter.geometry import Polygon
-from polycenter.sampling import random_convex_polygon, regular_polygon
+from polycenter.sampling import random_convex_polygon
+from samplers import regular_polygon
 
 MEDOID = CATALOG["medoid"].function
 

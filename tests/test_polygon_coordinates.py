@@ -13,9 +13,10 @@ from polycenter.geometry import (
     distance_matrix, relabel,
 )
 from polycenter.reconstruction import reconstruct
-from polycenter.sampling import (
-    random_convex_nonequiangular, random_convex_polygon, random_equiangular_polygon,
-    random_equilateral_polygon, random_polygon, regular_polygon,
+from polycenter.sampling import random_convex_polygon, random_polygon
+from samplers import (
+    random_convex_nonequiangular, random_equiangular_polygon, random_equilateral_polygon,
+    regular_polygon,
 )
 
 BASE = Polygon.from_pairs([(0, 0), (3, -0.0), (2.5, 4), (-1, 2), (0.5, 1e-300)])

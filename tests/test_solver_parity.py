@@ -28,7 +28,8 @@ from polycenter.framework import cyclic_values
 from polycenter.geometry import DistanceMatrix, Point2, Polygon, distance_matrix, unit_coordinates
 from polycenter.optim import chebyshev_center, geometric_median
 from polycenter.reconstruction import _miss, reconstruct, validate
-from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
+from polycenter.sampling import random_convex_polygon, random_polygon
+from samplers import regular_polygon
 
 PROBES = ((F1, ref.F1), (F2_ODD, ref.F2_ODD), (F3_EVEN, ref.F3_EVEN))
 ENTRY_ZERO = ((F1.evaluator, ref.f1_cosine), (F2_ODD.evaluator, ref.f2_odd),

@@ -35,7 +35,8 @@ from polycenter.framework import (
 )
 from polycenter.geometry import DistanceMatrix, Point2, Polygon, distance_matrix, is_convex
 from polycenter.reconstruction import convex_distances
-from polycenter.sampling import random_convex_polygon, random_polygon, regular_polygon
+from polycenter.sampling import random_convex_polygon, random_polygon
+from samplers import regular_polygon
 
 WHOLE = ("centroid", "perimeter", "lamina", "medoid")
 
