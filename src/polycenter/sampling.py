@@ -70,18 +70,6 @@ def _deltas(rng: random.Random, vals: list[float]) -> list[float]:
     return out
 
 
-def _accepted(p: Polygon) -> bool:
-    """Whether `random_convex_polygon` keeps the candidate p: strictly
-    convex, with a diameter above 0.1. The pair scan runs only when the
-    bounding box cannot decide: `math.dist` of the two vertices at the ends
-    of the box's longer side, whose difference on that axis rounds as the
-    side does, is within 1 ulp of a value at least the side, so a side
-    above 0.1(1 + 2^-50) puts the diameter above 0.1."""
-    xs, ys = p.xs, p.ys
-    return is_convex(p) and (max(max(xs) - min(xs), max(ys) - min(ys)) > 0.1 * (1.0 + 2.0**-50)
-                             or p.diameter() > 0.1)
-
-
 def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
     """Random convex n-gon: sorted direction deltas closing up to zero.
 
@@ -98,7 +86,7 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
         dy = _deltas(rng, ys)
         rng.shuffle(dy)
         p = _walk(sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0])))
-        if _accepted(p):
+        if is_convex(p) and p.diameter() > 0.1:
             return p
 
 
